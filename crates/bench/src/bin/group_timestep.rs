@@ -20,7 +20,7 @@ use std::time::Instant;
 use panda_bench::report::{write_lines, BenchOpts, JsonLine};
 use panda_core::{ArrayGroup, ArrayMeta, GroupData, PandaConfig, PandaSystem, WriteSet};
 use panda_fs::{FileSystem, LocalFs, ThrottledFs};
-use panda_obs::{Phase, RunReport, TimelineRecorder};
+use panda_obs::{Phase, RunReport, TelemetryRecorder};
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
 const CLIENTS: usize = 4;
@@ -67,7 +67,7 @@ struct ModeRun {
 /// under `root`. Returns the measurement and leaves the files on disk
 /// for the byte-identity check.
 fn run_mode(rows: usize, depth: usize, concurrent: bool, root: &Path) -> ModeRun {
-    let rec = Arc::new(TimelineRecorder::with_capacity(1 << 16));
+    let rec = Arc::new(TelemetryRecorder::with_ring(1 << 16));
     let roots: Vec<PathBuf> = (0..SERVERS)
         .map(|s| root.join(format!("ionode{s}")))
         .collect();

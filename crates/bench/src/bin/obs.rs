@@ -5,13 +5,14 @@
 //!
 //! 1. **Overhead** — the MemFs pipeline bench (same shape as
 //!    `phases`: throttled MemFs disks, 4 clients x 2 I/O nodes) run
-//!    under `NullRecorder`, `MetricsHub`, `TimelineRecorder`, and
-//!    `FlightRecorder`; each cell reports min-of-reps wall seconds and
-//!    overhead vs the null baseline. CI gates the hub at <= 3 %.
+//!    under `NullRecorder` and the three shapes of
+//!    `TelemetryRecorder` (store, store+ring, store+ring+trigger);
+//!    each cell reports min-of-reps wall seconds and overhead vs the
+//!    null baseline. CI gates the store at <= 3 %.
 //! 2. **Drift** — a service calibrates on a fast backend, the backend
 //!    is throttled mid-run (a `SwitchFs` flips between two
 //!    `ThrottledFs` rates over one shared MemFs), the `DriftDetector`
-//!    must fire on the live hub window, and the triggered auto-retune
+//!    must fire on the live store window, and the triggered auto-retune
 //!    must recover >= 80 % of what a fresh manual calibration achieves
 //!    on the slow backend.
 //! 3. **Scrape** — the same service's `/metrics` and `/healthz` are
@@ -30,7 +31,7 @@ use panda_core::{ArrayMeta, PandaConfig, PandaSystem, ReadSet, Session, TunedCon
 use panda_fs::{FileHandle, FileSystem, FsError, IoStats, MemFs, ThrottledFs};
 use panda_model::drift::{service_drift_pass, DriftDetector};
 use panda_model::tuner::{Calibrate, TunerOptions};
-use panda_obs::{FanoutRecorder, FlightRecorder, MetricsHub, Recorder, TimelineRecorder};
+use panda_obs::{DumpTrigger, Recorder, TelemetryRecorder};
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
 const CLIENTS: usize = 4;
@@ -123,17 +124,18 @@ fn overhead_section(quick: bool, lines: &mut Vec<String>) -> f64 {
     let reps = 15;
     let flight_dir = std::env::temp_dir().join(format!("panda-obs-bench-{}", std::process::id()));
 
-    let hub = Arc::new(MetricsHub::new());
+    let store = Arc::new(TelemetryRecorder::new());
+    let triggered = TelemetryRecorder::with_trigger(1 << 16, DumpTrigger::new(&flight_dir));
     let kinds: Vec<(&'static str, Option<Arc<dyn Recorder>>)> = vec![
         ("null", None),
-        ("hub", Some(Arc::clone(&hub) as Arc<dyn Recorder>)),
+        ("store", Some(Arc::clone(&store) as Arc<dyn Recorder>)),
         (
-            "timeline",
-            Some(Arc::new(TimelineRecorder::with_capacity(1 << 16)) as Arc<dyn Recorder>),
+            "store+ring",
+            Some(Arc::new(TelemetryRecorder::with_ring(1 << 16)) as Arc<dyn Recorder>),
         ),
         (
-            "flight",
-            Some(Arc::new(FlightRecorder::new(&flight_dir)) as Arc<dyn Recorder>),
+            "store+ring+trigger",
+            Some(Arc::new(triggered) as Arc<dyn Recorder>),
         ),
     ];
     let datas: Vec<Vec<u8>> = (0..CLIENTS)
@@ -169,8 +171,8 @@ fn overhead_section(quick: bool, lines: &mut Vec<String>) -> f64 {
         v[v.len() / 2]
     };
 
-    println!("{:>10} {:>11} {:>10}", "recorder", "wall (s)", "overhead");
-    let mut hub_overhead_pct = f64::NAN;
+    println!("{:>18} {:>11} {:>10}", "recorder", "wall (s)", "overhead");
+    let mut store_overhead_pct = f64::NAN;
     for (k, (name, _)) in kinds.iter().enumerate() {
         let wall = walls[k].iter().copied().fold(f64::INFINITY, f64::min);
         let overhead_pct = median(
@@ -180,10 +182,10 @@ fn overhead_section(quick: bool, lines: &mut Vec<String>) -> f64 {
                 .map(|(w, null)| (w - null) / null * 100.0)
                 .collect(),
         );
-        if *name == "hub" {
-            hub_overhead_pct = overhead_pct;
+        if *name == "store" {
+            store_overhead_pct = overhead_pct;
         }
-        println!("{name:>10} {wall:>11.5} {overhead_pct:>9.2}%");
+        println!("{name:>18} {wall:>11.5} {overhead_pct:>9.2}%");
         lines.push(
             JsonLine::new(&format!("obs/overhead/{name}"))
                 .str("recorder", name)
@@ -194,15 +196,15 @@ fn overhead_section(quick: bool, lines: &mut Vec<String>) -> f64 {
                 .finish(),
         );
     }
-    // The hub actually saw the runs it was attached to.
-    let snap = hub.snapshot();
+    // The store actually saw the runs it was attached to.
+    let snap = store.snapshot();
     assert!(
         snap.kind(panda_obs::EventKind::CollectiveDone).count > 0,
-        "hub cell recorded nothing"
+        "store cell recorded nothing"
     );
     let _ = std::fs::remove_dir_all(&flight_dir);
     println!();
-    hub_overhead_pct
+    store_overhead_pct
 }
 
 // ---------------------------------------------------------------------
@@ -289,11 +291,9 @@ fn drift_section(quick: bool, lines: &mut Vec<String>) -> (f64, u64, f64) {
     let mem = Arc::new(MemFs::new());
     let throttled = Arc::new(AtomicBool::new(false));
     let switch = Arc::clone(&throttled);
-    let hub = Arc::new(MetricsHub::new());
-    let recorder = Arc::new(FanoutRecorder::new(vec![
-        Arc::new(TimelineRecorder::with_capacity(1 << 18)) as Arc<dyn Recorder>,
-        Arc::clone(&hub) as Arc<dyn Recorder>,
-    ]));
+    // One recorder: its ring feeds calibration, its store feeds the
+    // drift detector and the scrape surface.
+    let recorder = Arc::new(TelemetryRecorder::with_ring(1 << 18));
     let mut service = PandaSystem::builder()
         .config(
             PandaConfig::new(2, SERVERS)
@@ -325,14 +325,14 @@ fn drift_section(quick: bool, lines: &mut Vec<String>) -> (f64, u64, f64) {
     let mut detector = DriftDetector::from_calibration(&cal_fast, 1.0);
     assert!(
         detector.begin_window(service.system().recorder().as_ref()),
-        "service recorder must expose a MetricsHub"
+        "service recorder must keep a metrics store"
     );
 
     let mut sess = service.open().unwrap();
     let fast_wall = session_wall(&mut sess, &meta, &cal_fast.tuned, reps);
     let on_model = detector
         .check(service.system().recorder().as_ref())
-        .expect("hub attached");
+        .expect("recorder keeps a store");
     println!(
         "drift: fast backend wall {:.5} s (tuned {} B / depth {}), score {:.3}",
         fast_wall, cal_fast.tuned.subchunk_bytes, cal_fast.tuned.pipeline_depth, on_model.score
@@ -360,7 +360,7 @@ fn drift_section(quick: bool, lines: &mut Vec<String>) -> (f64, u64, f64) {
     // One detector pass: it must fire, and the service's auto-retune
     // opt-in recalibrates on the now-slow backend.
     let pass = service_drift_pass(&mut detector, &mut service, &meta, &opts).unwrap();
-    let report = pass.report.expect("hub attached");
+    let report = pass.report.expect("recorder keeps a store");
     assert!(
         report.drifted,
         "throttled backend must trip the detector (score {:.3})",
@@ -465,11 +465,11 @@ fn main() {
     let opts = BenchOpts::parse("results/BENCH_obs.json", false);
     let mut lines = Vec::new();
 
-    let hub_overhead_pct = overhead_section(opts.quick, &mut lines);
+    let store_overhead_pct = overhead_section(opts.quick, &mut lines);
     let (score, drifted, recovery) = drift_section(opts.quick, &mut lines);
 
     println!(
-        "summary: hub overhead {hub_overhead_pct:.2} %, drift score {score:.3} \
+        "summary: store overhead {store_overhead_pct:.2} %, drift score {score:.3} \
          (fired: {}), retune recovery {:.1} %",
         drifted == 1,
         recovery * 100.0

@@ -1,6 +1,6 @@
 //! Fig 5-style phase decomposition from *real measurements*: run the
 //! actual runtime (inproc transport, throttled MemFs disks) under a
-//! `TimelineRecorder` and print where the time went — client exchange,
+//! `TelemetryRecorder` and print where the time went — client exchange,
 //! disk, reorganization — per pipeline depth, the way the paper's §4
 //! discussion breaks down Figure 5/6.
 //!
@@ -15,7 +15,7 @@ use std::time::Instant;
 use panda_bench::report::{write_lines, BenchOpts, JsonLine};
 use panda_core::{ArrayMeta, PandaConfig, PandaSystem, ReadSet, WriteSet};
 use panda_fs::{FileSystem, MemFs, ThrottledFs};
-use panda_obs::{Phase, RunReport, TimelineRecorder};
+use panda_obs::{Phase, RunReport, TelemetryRecorder};
 use panda_schema::copy::offset_in_region;
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
@@ -63,7 +63,7 @@ struct DepthRun {
 
 /// One collective write + read at `depth`, measured end to end.
 fn run_depth(meta: &ArrayMeta, depth: usize) -> DepthRun {
-    let rec = Arc::new(TimelineRecorder::with_capacity(1 << 16));
+    let rec = Arc::new(TelemetryRecorder::with_ring(1 << 16));
     let config = PandaConfig::new(CLIENTS, SERVERS)
         .with_subchunk_bytes(4096)
         .with_pipeline_depth(depth)

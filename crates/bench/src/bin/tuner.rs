@@ -20,7 +20,7 @@ use panda_core::{
 use panda_fs::{FileSystem, LocalFs, MemFs, ThrottledFs};
 use panda_model::actors::{simulate, CollectiveSpec};
 use panda_model::tuner::{calibrate_fleet, Calibration, TunerOptions};
-use panda_obs::TimelineRecorder;
+use panda_obs::TelemetryRecorder;
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
 const CLIENTS: usize = 4;
@@ -179,7 +179,7 @@ fn run_profile(
         rows * 2
     };
     let meta = &make_array(rows);
-    let rec = Arc::new(TimelineRecorder::with_capacity(1 << 18));
+    let rec = Arc::new(TelemetryRecorder::with_ring(1 << 18));
     let config = PandaConfig::new(CLIENTS, SERVERS)
         .with_subchunk_bytes(LAUNCH_SUBCHUNK)
         .with_recorder(rec);

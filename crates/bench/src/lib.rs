@@ -8,7 +8,7 @@
 //! | `fig3` … `fig9` | Figures 3–9 — aggregate & normalized throughput sweeps |
 //! | `multi_array` | the multiple-array experiment described in §3 prose |
 //! | `ablation` | server-directed vs two-phase vs naive vs pipeline depth |
-//! | `phases` | measured exchange/disk/reorg decomposition per pipeline depth (real runtime under a `TimelineRecorder`) |
+//! | `phases` | measured exchange/disk/reorg decomposition per pipeline depth (real runtime under a `TelemetryRecorder`) |
 //!
 //! Each prints the paper's series (aggregate MB/s and normalized
 //! throughput per array size × I/O-node count) plus the expected band

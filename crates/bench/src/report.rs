@@ -82,21 +82,21 @@ impl JsonLine {
 
     /// Append a string field.
     pub fn str(mut self, key: &str, value: &str) -> JsonLine {
-        self.key(key);
+        json::push_key(&mut self.buf, key);
         json::push_str(&mut self.buf, value);
         self
     }
 
     /// Append a float field (formatted by `panda_obs::json::push_f64`).
     pub fn f64(mut self, key: &str, value: f64) -> JsonLine {
-        self.key(key);
+        json::push_key(&mut self.buf, key);
         json::push_f64(&mut self.buf, value);
         self
     }
 
     /// Append an integer field.
     pub fn u64(mut self, key: &str, value: u64) -> JsonLine {
-        self.key(key);
+        json::push_key(&mut self.buf, key);
         self.buf.push_str(&value.to_string());
         self
     }
@@ -110,7 +110,7 @@ impl JsonLine {
     /// `RunReport::to_json()`); validated with the whole line at
     /// [`JsonLine::finish`].
     pub fn raw(mut self, key: &str, value_json: &str) -> JsonLine {
-        self.key(key);
+        json::push_key(&mut self.buf, key);
         self.buf.push_str(value_json);
         self
     }
@@ -120,12 +120,6 @@ impl JsonLine {
         self.buf.push('}');
         json::validate(&self.buf).expect("bench emitted invalid JSON");
         self.buf
-    }
-
-    fn key(&mut self, key: &str) {
-        self.buf.push(',');
-        json::push_str(&mut self.buf, key);
-        self.buf.push(':');
     }
 }
 

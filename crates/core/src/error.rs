@@ -168,8 +168,8 @@ pub enum ConfigIssue {
         clients: usize,
     },
     /// Calibration needs the per-subchunk phase decomposition, which
-    /// only a timeline-keeping recorder provides. Launch with
-    /// `PandaConfig::with_recorder(Arc::new(TimelineRecorder::new()))`
+    /// only a recorder with an event ring provides. Launch with
+    /// `PandaConfig::with_recorder(Arc::new(TelemetryRecorder::with_ring(..)))`
     /// (or any recorder whose `timeline()` is `Some`).
     CalibrationNeedsTimeline,
 }
@@ -226,9 +226,9 @@ impl fmt::Display for ConfigIssue {
             ),
             ConfigIssue::CalibrationNeedsTimeline => write!(
                 f,
-                "calibration requires a timeline-keeping recorder (launch with \
-                 PandaConfig::with_recorder(TimelineRecorder) so per-subchunk \
-                 phase durations are available)"
+                "calibration requires a recorder with an event ring (launch with \
+                 PandaConfig::with_recorder(TelemetryRecorder::with_ring(..)) so \
+                 per-subchunk phase durations are available)"
             ),
         }
     }

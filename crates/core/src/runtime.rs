@@ -166,9 +166,10 @@ impl PandaConfig {
         self
     }
 
-    /// Attach an observability recorder (e.g. a
-    /// [`panda_obs::CountingRecorder`] for aggregate phase totals, or a
-    /// [`panda_obs::TimelineRecorder`] for per-subchunk traces). The
+    /// Attach an observability recorder (e.g.
+    /// [`panda_obs::TelemetryRecorder::new`] for aggregate phase totals
+    /// and live metrics, or [`panda_obs::TelemetryRecorder::with_ring`]
+    /// to add per-subchunk traces). The
     /// recorder is installed on every transport and file system at
     /// launch; [`PandaSystem::report`] aggregates it afterwards.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {

@@ -9,8 +9,8 @@
 //! * `GET /metrics` — the deployment recorder's
 //!   [`MetricsSnapshot`](panda_obs::MetricsSnapshot) rendered as
 //!   Prometheus text exposition (when a
-//!   [`MetricsHub`](panda_obs::MetricsHub) is attached, directly or via
-//!   a [`FanoutRecorder`](panda_obs::FanoutRecorder)), followed by the
+//!   [`TelemetryRecorder`](panda_obs::TelemetryRecorder) is attached),
+//!   followed by the
 //!   live health gauges: admission-queue depth, live-request count,
 //!   disk-stage backlog, and rejection counts — both fleet-wide and per
 //!   server.
@@ -184,13 +184,13 @@ fn serve_conn(
     stream.flush()
 }
 
-/// The `/metrics` body: hub exposition (when a hub is attached) plus
-/// the health gauges, which exist regardless of the recorder.
+/// The `/metrics` body: the recorder's store exposition (when it keeps
+/// one) plus the health gauges, which exist regardless of the recorder.
 fn metrics_body(recorder: &dyn Recorder, health: &ServiceHealth) -> String {
     use std::fmt::Write as _;
     let mut out = match recorder.metrics() {
         Some(snapshot) => snapshot.to_prometheus(),
-        None => "# no MetricsHub attached to this deployment's recorder\n".to_string(),
+        None => "# this deployment's recorder keeps no metrics store\n".to_string(),
     };
     let snap = health.snapshot();
     let status_code = match snap.status {
@@ -250,7 +250,7 @@ fn metrics_body(recorder: &dyn Recorder, health: &ServiceHealth) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use panda_obs::{Event, MetricsHub, OpDir};
+    use panda_obs::{Event, OpDir, TelemetryRecorder};
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect scrape listener");
@@ -265,8 +265,8 @@ mod tests {
 
     #[test]
     fn scrapes_metrics_and_health() {
-        let hub = Arc::new(MetricsHub::new());
-        hub.record(
+        let rec = Arc::new(TelemetryRecorder::new());
+        rec.record(
             5,
             &Event::RequestIssued {
                 request: 1 << 32,
@@ -277,13 +277,16 @@ mod tests {
         );
         let health = Arc::new(ServiceHealth::new(2, 4, 3));
         health.publish(0, 0, 1, 0);
-        let server = MetricsServer::start("127.0.0.1:0", hub, Arc::clone(&health))
+        let server = MetricsServer::start("127.0.0.1:0", rec, Arc::clone(&health))
             .expect("bind scrape listener");
         let addr = server.addr();
 
         let (head, body) = get(addr, "/metrics");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "head: {head}");
-        assert!(body.contains("panda_events_total"), "hub families present");
+        assert!(
+            body.contains("panda_events_total"),
+            "store families present"
+        );
         assert!(body.contains("panda_health_status 0"));
         assert!(body.contains("panda_live_requests{server=\"0\"} 1"));
 

@@ -102,8 +102,7 @@ impl PandaService {
     /// `127.0.0.1:0` binds an OS-assigned port — read it back with
     /// [`MetricsServer::addr`]). `GET /metrics` answers with Prometheus
     /// text exposition from the deployment recorder (attach a
-    /// [`panda_obs::MetricsHub`], directly or inside a
-    /// [`panda_obs::FanoutRecorder`], for the full family set) plus the
+    /// [`panda_obs::TelemetryRecorder`] for the full family set) plus the
     /// live health gauges; `GET /healthz` answers with the
     /// [`crate::HealthSnapshot`] JSON — HTTP `503` once an admission
     /// queue is at its cap. The listener runs on its own thread until

@@ -13,7 +13,7 @@ use panda_core::{
     ArrayGroup, ArrayMeta, PandaClient, PandaConfig, PandaError, PandaSystem, ReadSet, WriteSet,
 };
 use panda_fs::{FileSystem, MemFs, SubmitFs, SyncPolicy};
-use panda_obs::{EventKind, Recorder, TimelineRecorder};
+use panda_obs::{EventKind, Recorder, TelemetryRecorder};
 use panda_schema::ElementType;
 
 const CLIENTS: usize = 4;
@@ -327,7 +327,7 @@ fn sync_policy_controls_barrier_count() {
     let tags: Vec<String> = metas.iter().map(|m| m.name().to_string()).collect();
     let files_per_server = metas.len();
     let count_syncs = |policy: SyncPolicy, depth: usize| -> usize {
-        let rec = Arc::new(TimelineRecorder::with_capacity(1 << 16));
+        let rec = Arc::new(TelemetryRecorder::with_ring(1 << 16));
         let mems: Vec<Arc<MemFs>> = (0..SERVERS).map(|_| Arc::new(MemFs::new())).collect();
         let handles = mems.clone();
         let config = PandaConfig::new(CLIENTS, SERVERS)
@@ -364,7 +364,7 @@ fn sync_policy_controls_barrier_count() {
 fn group_scheduler_reports_itself() {
     let metas = test_arrays();
     let tags: Vec<String> = metas.iter().map(|m| m.name().to_string()).collect();
-    let rec = Arc::new(TimelineRecorder::with_capacity(1 << 16));
+    let rec = Arc::new(TelemetryRecorder::with_ring(1 << 16));
     let mems: Vec<Arc<MemFs>> = (0..SERVERS).map(|_| Arc::new(MemFs::new())).collect();
     let handles = mems.clone();
     let config = PandaConfig::new(CLIENTS, SERVERS)

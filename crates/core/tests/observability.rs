@@ -1,5 +1,5 @@
-//! The unified observability layer, end to end: a `TimelineRecorder`
-//! attached through `PandaConfig::with_recorder` must see every layer
+//! The unified observability layer, end to end: a `TelemetryRecorder`
+//! with a ring, attached through `PandaConfig::with_recorder` must see every layer
 //! (messages, disk calls, collective phases) of a real MemFs + inproc
 //! run, the aggregated report must be internally consistent, and a
 //! recorded run must write byte-identical files to an unrecorded one.
@@ -11,7 +11,9 @@ use std::sync::Arc;
 use common::*;
 use panda_core::{PandaClient, PandaConfig, PandaSystem};
 use panda_fs::{FileSystem, MemFs};
-use panda_obs::{EventKind, Phase, Recorder, TimelineRecorder, REPORT_SCHEMA};
+use panda_obs::{
+    EventKind, Phase, Recorder, TelemetryRecorder, DEFAULT_RING_CAPACITY, REPORT_SCHEMA,
+};
 use panda_schema::ElementType;
 
 const CLIENTS: usize = 4;
@@ -44,7 +46,7 @@ fn timeline_round_trip_memfs_inproc() {
         &[2, 2],
         DiskSchema::Traditional(SERVERS),
     );
-    let rec = Arc::new(TimelineRecorder::with_capacity(4096));
+    let rec = Arc::new(TelemetryRecorder::with_ring(4096));
     let mems: Vec<Arc<MemFs>> = (0..SERVERS).map(|_| Arc::new(MemFs::new())).collect();
     let (system, mut clients) = launch_recorded(&mems, 2, rec.clone());
     collective_write(&mut clients, &meta, "t");
@@ -133,7 +135,7 @@ fn single_array_read_at_depth_3_prefetches() {
         &[2, 2],
         DiskSchema::Traditional(SERVERS),
     );
-    let rec = Arc::new(TimelineRecorder::with_capacity(4096));
+    let rec = Arc::new(TelemetryRecorder::with_ring(4096));
     let mems: Vec<Arc<MemFs>> = (0..SERVERS).map(|_| Arc::new(MemFs::new())).collect();
     let (system, mut clients) = launch_recorded(&mems, 3, rec.clone());
     collective_write(&mut clients, &meta, "solo");
@@ -182,7 +184,7 @@ fn null_recorder_runs_write_identical_files_to_recorded_runs() {
         &[2, 2],
         DiskSchema::Traditional(SERVERS),
     );
-    let run = |recorder: Option<Arc<TimelineRecorder>>| -> Vec<Vec<u8>> {
+    let run = |recorder: Option<Arc<TelemetryRecorder>>| -> Vec<Vec<u8>> {
         let mems: Vec<Arc<MemFs>> = (0..SERVERS).map(|_| Arc::new(MemFs::new())).collect();
         let (system, mut clients) = match recorder {
             Some(rec) => launch_recorded(&mems, 3, rec),
@@ -197,7 +199,7 @@ fn null_recorder_runs_write_identical_files_to_recorded_runs() {
             .collect()
     };
     let plain = run(None);
-    let rec = Arc::new(TimelineRecorder::new());
+    let rec = Arc::new(TelemetryRecorder::with_ring(DEFAULT_RING_CAPACITY));
     let recorded = run(Some(rec.clone()));
     assert_eq!(plain, recorded, "recording changed the bytes on disk");
     assert!(rec.timeline().is_some_and(|t| !t.is_empty()));

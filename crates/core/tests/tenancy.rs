@@ -13,7 +13,7 @@ use panda_core::{
     Session, WriteSet,
 };
 use panda_fs::{FileHandle, FileSystem, FsError, IoStats, MemFs};
-use panda_obs::{FlightRecorder, Recorder, TimelineRecorder};
+use panda_obs::{DumpTrigger, Recorder, TelemetryRecorder, DEFAULT_RING_CAPACITY};
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
 /// A single-node-mesh array (the session-mode requirement): this
@@ -543,23 +543,33 @@ fn healthz_degrades_with_queue_and_goes_unhealthy_at_cap() {
     service.shutdown(vec![a, b, c, d]).unwrap();
 }
 
-/// The flight recorder round-trips an injected admission rejection:
-/// the server-side `AdmissionReject` event triggers an automatic dump,
-/// and the dump loads back as a valid Chrome trace containing both the
-/// trigger and the history before it.
+/// One recorder instance serves everything an injected `QueueFull`
+/// rejection should leave behind: the triggered ring dumps a valid
+/// Chrome trace (trigger plus the history before it) before the
+/// submitter even sees the error, the store puts the rejection on the
+/// `/metrics` surface fleet-wide and per tenant, and the same ring
+/// still scopes a `RunReport` to the neighbouring tenant that was
+/// admitted.
 #[test]
-fn flight_recorder_dumps_admission_reject_as_chrome_trace() {
+fn one_recorder_serves_dump_scrape_and_scoped_report_on_queue_full() {
     let dir = std::env::temp_dir().join(format!("panda-flight-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let flight = Arc::new(FlightRecorder::new(&dir));
+    let rec = Arc::new(TelemetryRecorder::with_trigger(
+        DEFAULT_RING_CAPACITY,
+        DumpTrigger::new(&dir),
+    ));
+    // One live slot, one queue slot: A runs (parked at the gate), B
+    // queues, C is refused with QueueFull.
     let (mut service, _mem, gate) =
-        serve_gated_rec(2, 1, 0, Some(Arc::clone(&flight) as Arc<dyn Recorder>));
+        serve_gated_rec(3, 1, 1, Some(Arc::clone(&rec) as Arc<dyn Recorder>));
+    let scrape = service.serve_metrics("127.0.0.1:0").unwrap();
     let a = service.open().unwrap();
-    let mut b = service.open().unwrap();
+    let b = service.open().unwrap();
+    let mut c = service.open().unwrap();
     let meta = solo_meta("t", &[8, 8]);
     let data = tenant_bytes(6, 64);
 
-    let a = std::thread::scope(|s| {
+    let (a, b) = std::thread::scope(|s| {
         let ha = s.spawn(|| {
             let mut a = a;
             a.write_set(&WriteSet::new().array(&meta, "a", &data))
@@ -567,19 +577,35 @@ fn flight_recorder_dumps_admission_reject_as_chrome_trace() {
             a
         });
         gate.wait_reached();
-        assert!(flight.last_dump().is_none(), "no incident yet, no dump");
-        let err = b
-            .write_set(&WriteSet::new().array(&meta, "b", &data))
+        let hb = s.spawn(|| {
+            let mut b = b;
+            b.write_set(&WriteSet::new().array(&meta, "b", &data))
+                .unwrap();
+            b
+        });
+        wait_health_status(scrape.addr(), "unhealthy");
+        assert!(rec.dumps().is_empty(), "no incident yet, no dump");
+        let err = c
+            .write_set(&WriteSet::new().array(&meta, "c", &data))
             .unwrap_err();
-        assert!(matches!(err, PandaError::Admission { .. }));
+        assert!(
+            matches!(
+                err,
+                PandaError::Admission {
+                    issue: AdmissionIssue::QueueFull { queued: 1, max: 1 }
+                }
+            ),
+            "expected QueueFull, got {err}"
+        );
+        // The dump was written by the server thread *before* it sent
+        // the rejection, so it exists by the time the submitter saw the
+        // error.
+        assert_eq!(rec.dumps().len(), 1, "rejection produced a dump");
         gate.open();
-        ha.join().unwrap()
+        (ha.join().unwrap(), hb.join().unwrap())
     });
 
-    // The dump was written by the server thread *before* it sent the
-    // rejection, so it exists by the time the submitter saw the error.
-    let path = flight.last_dump().expect("rejection produced a dump");
-    let doc = std::fs::read_to_string(&path).unwrap();
+    let doc = std::fs::read_to_string(&rec.dumps()[0]).unwrap();
     panda_obs::json::validate(&doc).expect("dump is a valid Chrome trace");
     assert!(doc.contains("\"traceEvents\""));
     assert!(doc.contains("admission_reject"), "trigger event retained");
@@ -588,7 +614,28 @@ fn flight_recorder_dumps_admission_reject_as_chrome_trace() {
         "pre-incident history retained"
     );
 
-    service.shutdown(vec![a, b]).unwrap();
+    wait_health_status(scrape.addr(), "ok");
+    let (head, body) = http_get(scrape.addr(), "/metrics");
+    assert!(head.starts_with("HTTP/1.1 200"));
+    assert!(body.contains("panda_admission_rejects_total 1"), "{body}");
+    let tenant_c = panda_obs::tenant_of(c.last_request_id().unwrap()).unwrap();
+    assert!(
+        body.contains(&format!(
+            "panda_tenant_rejected_total{{tenant=\"{tenant_c}\"}} 1"
+        )),
+        "{body}"
+    );
+
+    // The neighbour that queued behind A still gets a report of its
+    // own work only.
+    let req_b = b.last_request_id().unwrap();
+    let report = panda_obs::RunReport::for_request(rec.as_ref(), req_b);
+    assert!(!report.per_subchunk.is_empty());
+    assert!(report.per_subchunk.iter().all(|sc| sc.key.request == req_b));
+    assert!(report.disk_s() > 0.0);
+
+    scrape.stop();
+    service.shutdown(vec![a, b, c]).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -597,7 +644,7 @@ fn flight_recorder_dumps_admission_reject_as_chrome_trace() {
 /// another's concurrent work.
 #[test]
 fn run_report_scopes_phases_by_request() {
-    let rec = Arc::new(TimelineRecorder::with_capacity(8192));
+    let rec = Arc::new(TelemetryRecorder::with_ring(8192));
     let mut service = PandaSystem::builder()
         .config(
             PandaConfig::new(2, 1)

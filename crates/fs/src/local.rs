@@ -287,7 +287,7 @@ mod tests {
     fn recorder_times_real_disk_calls() {
         let dir = std::env::temp_dir().join(format!("panda-fs-test-rec-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let rec = Arc::new(panda_obs::TimelineRecorder::new());
+        let rec = Arc::new(panda_obs::TelemetryRecorder::with_ring(1024));
         let fs = LocalFs::with_recorder(&dir, Arc::clone(&rec) as Arc<dyn Recorder>, 5).unwrap();
         let mut h = fs.create("d.bin").unwrap();
         h.write_at(0, &[7u8; 4096]).unwrap();

@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn recorder_classifies_sequentiality() {
-        let rec = Arc::new(panda_obs::TimelineRecorder::new());
+        let rec = Arc::new(panda_obs::TelemetryRecorder::with_ring(1024));
         let fs = MemFs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, 0);
         let mut h = fs.create("t").unwrap();
         h.write_at(0, &[0; 4]).unwrap();
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn recorder_sees_accesses_with_node_tag() {
-        let rec = Arc::new(panda_obs::TimelineRecorder::new());
+        let rec = Arc::new(panda_obs::TelemetryRecorder::with_ring(1024));
         let fs = MemFs::with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, 7);
         let mut h = fs.create("r").unwrap();
         h.write_at(0, &[1; 16]).unwrap();
@@ -236,7 +236,7 @@ mod tests {
         let fs = MemFs::new();
         let mut h = fs.create("x").unwrap();
         h.write_at(0, &[0; 4]).unwrap(); // before: goes only to counters
-        let rec = Arc::new(panda_obs::TimelineRecorder::new());
+        let rec = Arc::new(panda_obs::TelemetryRecorder::with_ring(1024));
         fs.set_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, 3);
         h.write_at(4, &[0; 4]).unwrap();
         assert_eq!(rec.timeline().unwrap().len(), 1);

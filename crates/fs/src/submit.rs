@@ -656,7 +656,7 @@ mod tests {
     fn submit_events_reach_the_recorder() {
         let dir = std::env::temp_dir().join(format!("panda-submitfs-rec-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let rec = Arc::new(panda_obs::TimelineRecorder::new());
+        let rec = Arc::new(panda_obs::TelemetryRecorder::with_ring(1024));
         let fs =
             SubmitFs::with_recorder(&dir, 2, Arc::clone(&rec) as Arc<dyn Recorder>, 7).unwrap();
         let mut h = fs.create("e.bin").unwrap();

@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn sleeps_are_recorded_as_throttle_events() {
-        let rec = Arc::new(panda_obs::TimelineRecorder::new());
+        let rec = Arc::new(panda_obs::TelemetryRecorder::with_ring(1024));
         let fs = ThrottledFs::new(
             Arc::new(MemFs::new()),
             1000.0,

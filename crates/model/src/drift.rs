@@ -7,7 +7,7 @@
 //! changes — and a tuner driving stale constants picks stale operating
 //! points. The [`DriftDetector`] closes that gap using the *live*
 //! telemetry plane: it reads per-phase first/second moments from a
-//! [`MetricsHub`](panda_obs::MetricsHub) snapshot window, predicts what
+//! [`TelemetryRecorder`](panda_obs::TelemetryRecorder) snapshot window, predicts what
 //! the calibrated lines say those phases *should* have cost, and scores
 //! the relative disagreement. Phases the model has no line for
 //! (throttle accounting, receive waits) and phases with too few samples
@@ -126,15 +126,15 @@ impl DriftDetector {
     /// Start a fresh observation window at the recorder's current
     /// counters (everything before this call is excluded from future
     /// scores). Returns `false` — and leaves the window unset — when
-    /// the recorder has no [`MetricsHub`](panda_obs::MetricsHub)
-    /// attached.
+    /// the recorder keeps no metrics store (a
+    /// [`NullRecorder`](panda_obs::NullRecorder)).
     pub fn begin_window(&mut self, recorder: &dyn Recorder) -> bool {
         self.window = recorder.metrics();
         self.window.is_some()
     }
 
     /// Score the live counters against the baseline over the current
-    /// window. `None` when the recorder has no hub. Does not move the
+    /// window. `None` when the recorder keeps no metrics store. Does not move the
     /// window — repeated checks score a growing window until
     /// [`DriftDetector::begin_window`] or [`DriftDetector::rebase`].
     pub fn check(&self, recorder: &dyn Recorder) -> Option<DriftReport> {
@@ -182,7 +182,7 @@ impl DriftDetector {
             }
             let predict =
                 |line: &CostLine| line.per_op_s * p.ops as f64 + line.per_byte_s * p.bytes as f64;
-            // The hub pools both directions into one phase row; score
+            // The store pools both directions into one phase row; score
             // against whichever direction's line explains it better, so
             // only "neither calibration explains this" counts as drift.
             let (pw, pr) = (predict(&write), predict(&read));
@@ -218,7 +218,8 @@ impl DriftDetector {
 /// One recalibration triggered (or not) by a drift pass.
 #[derive(Debug)]
 pub struct DriftPass {
-    /// The drift report, when the service's recorder has a hub.
+    /// The drift report, when the service's recorder keeps a metrics
+    /// store.
     pub report: Option<DriftReport>,
     /// The fresh calibration, when the score crossed the service's
     /// configured auto-retune threshold and recalibration ran.
@@ -260,7 +261,7 @@ pub fn service_drift_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use panda_obs::{Event, MetricsHub, SubchunkKey};
+    use panda_obs::{Event, SubchunkKey, TelemetryRecorder};
     use std::time::Duration;
 
     /// Costs whose disk line is exactly 1 µs/KiB with a 100 µs per-op
@@ -293,10 +294,10 @@ mod tests {
 
     /// Record `n` disk writes of `bytes` bytes, each `slowdown`× the
     /// calibrated line's prediction.
-    fn disk_traffic(hub: &MetricsHub, n: usize, bytes: u64, slowdown: f64) {
+    fn disk_traffic(rec: &TelemetryRecorder, n: usize, bytes: u64, slowdown: f64) {
         let per = Duration::from_secs_f64((1e-4 + bytes as f64 * 1e-9) * slowdown);
         for i in 0..n {
-            hub.record(
+            rec.record(
                 1,
                 &Event::DiskWriteDone {
                     key: SubchunkKey::scoped(1 << 32, 0, 0, i),
@@ -310,11 +311,11 @@ mod tests {
 
     #[test]
     fn on_model_traffic_scores_near_zero() {
-        let hub = MetricsHub::new();
+        let rec = TelemetryRecorder::new();
         let mut det = DriftDetector::new(costs(), 0.5);
-        assert!(det.begin_window(&hub));
-        disk_traffic(&hub, 32, 64 << 10, 1.0);
-        let report = det.check(&hub).expect("hub attached");
+        assert!(det.begin_window(&rec));
+        disk_traffic(&rec, 32, 64 << 10, 1.0);
+        let report = det.check(&rec).expect("recorder keeps a store");
         assert!(report.score < 0.05, "score {}", report.score);
         assert!(!report.drifted);
         let disk = report
@@ -328,13 +329,13 @@ mod tests {
 
     #[test]
     fn throttled_backend_fires_and_rebase_resets() {
-        let hub = MetricsHub::new();
+        let rec = TelemetryRecorder::new();
         let mut det = DriftDetector::new(costs(), 0.5);
-        det.begin_window(&hub);
+        det.begin_window(&rec);
         // The backend now takes 3× the calibrated disk line: relative
         // drift ≈ 2.0, well over the 0.5 threshold.
-        disk_traffic(&hub, 32, 64 << 10, 3.0);
-        let report = det.check(&hub).expect("hub attached");
+        disk_traffic(&rec, 32, 64 << 10, 3.0);
+        let report = det.check(&rec).expect("recorder keeps a store");
         assert!(report.drifted, "score {}", report.score);
         assert!(report.score > 1.5 && report.score < 2.5);
         assert_eq!(report.worst().unwrap().phase, Phase::Disk);
@@ -354,24 +355,24 @@ mod tests {
             tuned: panda_core::TunedConfig::new(64 << 10, 1, 1),
             sync_policy: panda_fs::SyncPolicy::PerCollective,
         };
-        det.rebase(&calibration, &hub);
-        disk_traffic(&hub, 32, 64 << 10, 3.0);
-        let report = det.check(&hub).expect("hub attached");
+        det.rebase(&calibration, &rec);
+        disk_traffic(&rec, 32, 64 << 10, 3.0);
+        let report = det.check(&rec).expect("recorder keeps a store");
         assert!(!report.drifted, "score {}", report.score);
     }
 
     #[test]
-    fn sparse_windows_and_hubless_recorders_stay_quiet() {
-        let hub = MetricsHub::new();
+    fn sparse_windows_and_storeless_recorders_stay_quiet() {
+        let rec = TelemetryRecorder::new();
         let det = DriftDetector::new(costs(), 0.5).with_min_samples(8);
         // Below the sample floor: the wildly-off phase cannot fire.
-        disk_traffic(&hub, 3, 64 << 10, 100.0);
-        let report = det.check(&hub).expect("hub attached");
+        disk_traffic(&rec, 3, 64 << 10, 100.0);
+        let report = det.check(&rec).expect("recorder keeps a store");
         assert_eq!(report.score, 0.0);
         assert!(report.phases.is_empty());
         assert!(report.worst().is_none());
 
-        // A recorder with no hub yields no report at all.
+        // A recorder with no store yields no report at all.
         let null = panda_obs::NullRecorder;
         let mut det = det;
         assert!(!det.begin_window(&null));

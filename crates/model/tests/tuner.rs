@@ -11,7 +11,7 @@ use panda_core::{
 };
 use panda_fs::MemFs;
 use panda_model::{simulate, Calibrate, CollectiveSpec, TunerOptions};
-use panda_obs::TimelineRecorder;
+use panda_obs::TelemetryRecorder;
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
 fn session_meta(rows: usize) -> ArrayMeta {
@@ -25,7 +25,7 @@ fn session_meta(rows: usize) -> ArrayMeta {
 fn service_config() -> PandaConfig {
     PandaConfig::new(2, 2)
         .with_subchunk_bytes(32 << 10)
-        .with_recorder(Arc::new(TimelineRecorder::with_capacity(1 << 16)))
+        .with_recorder(Arc::new(TelemetryRecorder::with_ring(1 << 16)))
 }
 
 #[test]

@@ -59,7 +59,7 @@ impl InProcFabric {
                 peers: txs.clone(),
                 rx,
                 pending: VecDeque::new(),
-                obs: MsgObs::new(rank as u32, Arc::clone(stats.recorder())),
+                obs: MsgObs::new(rank as u32, Arc::clone(&stats)),
                 stats: Arc::clone(&stats),
                 recv_timeout,
             })
@@ -317,11 +317,11 @@ mod tests {
 
     #[test]
     fn external_recorder_sees_tagged_events() {
-        use panda_obs::{EventKind, TimelineRecorder};
+        use panda_obs::{EventKind, TelemetryRecorder};
         let (mut eps, _) = InProcFabric::new(2);
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
-        let rec: Arc<TimelineRecorder> = Arc::new(TimelineRecorder::new());
+        let rec = Arc::new(TelemetryRecorder::with_ring(1024));
         a.set_recorder(rec.clone());
         b.set_recorder(rec.clone());
         a.send(NodeId(1), 4, vec![7; 32]).unwrap();
@@ -343,9 +343,8 @@ mod tests {
         assert_eq!(recvd.len(), 1);
         assert_eq!(recvd[0].node, 1);
         assert_eq!(recvd[0].peer, Some(0));
-        // The fabric's own counters saw the same traffic.
-        let (msgs, bytes) = rec.counting().tag_counts(4);
-        assert_eq!((msgs, bytes), (1, 32));
+        // The recorder's store saw the same traffic.
+        assert_eq!(rec.snapshot().tag(4), (1, 32));
     }
 
     #[test]

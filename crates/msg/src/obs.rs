@@ -2,32 +2,33 @@
 //! recorder API.
 //!
 //! Each endpoint owns one [`MsgObs`]. Every send/receive event goes to
-//! the fabric's shared [`CountingRecorder`] (which backs the
-//! [`crate::FabricStats`] accessors) and, when one is attached via
-//! [`crate::Transport::set_recorder`], to the external recorder with
-//! per-message latency.
+//! the fabric's shared always-on [`FabricStats`] counters and, when one
+//! is attached via [`crate::Transport::set_recorder`], to the external
+//! recorder with per-message latency.
 
 use std::sync::Arc;
 
-use panda_obs::{CountingRecorder, Event, Recorder};
+use panda_obs::{Event, Recorder};
+
+use crate::stats::FabricStats;
 
 /// Observability state of one endpoint.
 #[derive(Debug)]
 pub(crate) struct MsgObs {
     /// This endpoint's fabric rank.
     node: u32,
-    /// Shared per-fabric counters backing [`crate::FabricStats`].
-    counting: Arc<CountingRecorder>,
+    /// Shared per-fabric always-on counters.
+    stats: Arc<FabricStats>,
     /// Externally attached recorder (null unless installed).
     external: Arc<dyn Recorder>,
 }
 
 impl MsgObs {
-    /// State for rank `node` counting into `counting`.
-    pub(crate) fn new(node: u32, counting: Arc<CountingRecorder>) -> Self {
+    /// State for rank `node` counting into `stats`.
+    pub(crate) fn new(node: u32, stats: Arc<FabricStats>) -> Self {
         MsgObs {
             node,
-            counting,
+            stats,
             external: panda_obs::null_recorder(),
         }
     }
@@ -44,7 +45,7 @@ impl MsgObs {
 
     /// Fan one event out to counters and the external recorder.
     pub(crate) fn emit(&self, event: &Event<'_>) {
-        self.counting.record(self.node, event);
+        self.stats.observe(event);
         if self.external.enabled() {
             self.external.record(self.node, event);
         }

@@ -40,9 +40,9 @@ pub struct PhaseStats {
 
 impl PhaseStats {
     /// Rebuild stats from externally accumulated moments — the bridge
-    /// from the live `MetricsHub` (which keeps per-phase moments as
-    /// atomics) back into the calibration fit. `Σx` is taken as the
-    /// total bytes and `Σy` as the total seconds, matching what
+    /// from the live store (which keeps per-kind moments as atomics and
+    /// sums them per phase) back into the calibration fit. `Σx` is taken
+    /// as the total bytes and `Σy` as the total seconds, matching what
     /// [`PhaseStats::push`] would have accumulated sample by sample.
     pub fn from_moments(samples: u64, bytes: u64, secs: f64, sum_xx: f64, sum_xy: f64) -> Self {
         PhaseStats {
@@ -109,18 +109,16 @@ impl PhaseStats {
         }
     }
 
-    fn push_json(&self, out: &mut String) {
-        out.push_str("{\"samples\":");
-        out.push_str(&self.samples.to_string());
-        out.push_str(",\"bytes\":");
-        out.push_str(&self.bytes.to_string());
-        out.push_str(",\"secs\":");
-        json::push_f64(out, self.secs);
+    /// Append the member `"key":{…}`.
+    fn push_member(&self, out: &mut String, key: &str) {
         let (per_op, per_byte) = self.fit_line().unwrap_or((0.0, self.mean_secs_per_byte()));
-        out.push_str(",\"per_op_s\":");
-        json::push_f64(out, per_op);
-        out.push_str(",\"per_byte_s\":");
-        json::push_f64(out, per_byte);
+        json::push_key(out, key);
+        out.push('{');
+        json::member(out, "samples", self.samples);
+        json::member(out, "bytes", self.bytes);
+        json::member_f64(out, "secs", self.secs);
+        json::member_f64(out, "per_op_s", per_op);
+        json::member_f64(out, "per_byte_s", per_byte);
         out.push('}');
     }
 }
@@ -157,20 +155,13 @@ impl CalibrationSummary {
     /// Serialize as one JSON object (schema [`CALIBRATION_SCHEMA`]).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
-        out.push_str("{\"schema\":");
-        json::push_str(&mut out, CALIBRATION_SCHEMA);
-        out.push_str(",\"wall_s\":");
-        json::push_f64(&mut out, self.wall_s);
-        out.push_str(",\"subchunks\":");
-        out.push_str(&self.subchunks.to_string());
-        for (name, stats) in [
-            (",\"exchange\":", &self.exchange),
-            (",\"disk\":", &self.disk),
-            (",\"reorg\":", &self.reorg),
-        ] {
-            out.push_str(name);
-            stats.push_json(&mut out);
-        }
+        out.push('{');
+        json::member_str(&mut out, "schema", CALIBRATION_SCHEMA);
+        json::member_f64(&mut out, "wall_s", self.wall_s);
+        json::member(&mut out, "subchunks", self.subchunks);
+        self.exchange.push_member(&mut out, "exchange");
+        self.disk.push_member(&mut out, "disk");
+        self.reorg.push_member(&mut out, "reorg");
         out.push('}');
         out
     }
@@ -254,10 +245,10 @@ mod tests {
     fn summary_json_is_valid() {
         use crate::event::{Event, SubchunkKey};
         use crate::recorder::Recorder;
-        use crate::timeline::TimelineRecorder;
+        use crate::recorder::TelemetryRecorder;
         use std::time::Duration;
 
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         for (i, bytes) in [1024u64, 4096].iter().enumerate() {
             rec.record(
                 2,

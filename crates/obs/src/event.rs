@@ -497,7 +497,8 @@ impl Phase {
         self as usize
     }
 
-    /// Bare label (no `_s` suffix) for metric label values.
+    /// Stable snake_case label: the metric label value, and with an
+    /// `_s` suffix the JSON key in reports.
     pub fn label(self) -> &'static str {
         match self {
             Phase::Exchange => "exchange",
@@ -505,17 +506,6 @@ impl Phase {
             Phase::Reorg => "reorg",
             Phase::Throttle => "throttle",
             Phase::RecvWait => "recv_wait",
-        }
-    }
-
-    /// Stable snake_case name, used as the JSON key in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Exchange => "exchange_s",
-            Phase::Disk => "disk_s",
-            Phase::Reorg => "reorg_s",
-            Phase::Throttle => "throttle_s",
-            Phase::RecvWait => "recv_wait_s",
         }
     }
 

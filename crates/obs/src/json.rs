@@ -1,5 +1,5 @@
-//! Minimal hand-rolled JSON support: escaping writers used by the
-//! report/trace serializers, and a small validating parser so tests and
+//! Minimal hand-rolled JSON support: escaping and member writers used
+//! by the report/trace serializers, and a small validating parser so tests and
 //! the CI smoke run can check emitted documents without external crates.
 
 /// Append `s` to `out` as a JSON string literal (quotes included).
@@ -32,6 +32,40 @@ pub fn push_f64(out: &mut String, v: f64) {
     } else {
         out.push('0');
     }
+}
+
+/// Append the comma that separates siblings — nothing right after the
+/// `{` or `[` that opened their container.
+pub fn push_sep(out: &mut String) {
+    if !out.ends_with(['{', '[']) {
+        out.push(',');
+    }
+}
+
+/// Append `"key":` as the next member of the open object; the value is
+/// the caller's to append.
+pub fn push_key(out: &mut String, key: &str) {
+    push_sep(out);
+    push_str(out, key);
+    out.push(':');
+}
+
+/// Append the member `"key":v`, `v` an integer or a bool.
+pub fn member(out: &mut String, key: &str, v: impl std::fmt::Display) {
+    push_key(out, key);
+    out.push_str(&v.to_string());
+}
+
+/// Append the member `"key":v` ([`push_f64`] rules).
+pub fn member_f64(out: &mut String, key: &str, v: f64) {
+    push_key(out, key);
+    push_f64(out, v);
+}
+
+/// Append the member `"key":"v"`, escaped.
+pub fn member_str(out: &mut String, key: &str, v: &str) {
+    push_key(out, key);
+    push_str(out, v);
 }
 
 /// Maximum nesting depth [`validate`] accepts.

@@ -12,31 +12,32 @@
 //!   [`SubchunkKey`] `(server, array, subchunk)`; transport events carry
 //!   tags and byte counts; file-system events carry per-call device
 //!   time.
-//! * [`Recorder`] — the sink trait. Implementations:
+//! * [`Recorder`] — the sink trait. Two implementations:
 //!   * [`NullRecorder`] — does nothing; `enabled()` returns `false` so
 //!     call sites skip clock reads entirely (zero cost when disabled);
-//!   * [`CountingRecorder`] — lock-free per-kind atomic counters plus
-//!     log₂ latency histograms; the backing store behind the
-//!     `panda_fs::IoStats` / `panda_msg::FabricStats` aggregate views;
-//!   * [`TimelineRecorder`] — a bounded per-event ring buffer that
-//!     exports a Chrome `trace_event` JSON trace and feeds the
-//!     per-subchunk phase decomposition.
-//! * [`RunReport`] — aggregates any recorder into one machine-readable
+//!   * [`TelemetryRecorder`] — one **store** and, optionally, one
+//!     **ring**. The store ([`store`]) is a sharded registry of
+//!     per-kind counters, log₂ latency histograms, cost-line moments,
+//!     per-tenant ledgers, the fs sequentiality tally and per-tag send
+//!     counts, snapshotted epoch-consistently into a
+//!     [`MetricsSnapshot`] (typed windows via
+//!     [`MetricsSnapshot::since`], Prometheus text via
+//!     [`MetricsSnapshot::to_prometheus`]). The ring ([`ring`]) is a
+//!     bounded buffer of recent [`TimelineEvent`]s with Chrome
+//!     `trace_event` export; armed with a [`DumpTrigger`] it dumps
+//!     itself on admission rejections, request errors and
+//!     SLO-breaching collectives.
+//! * [`RunReport`] — aggregates a recorder into one machine-readable
 //!   JSON run report: phase totals (exchange / disk / reorganization /
-//!   throttle), per-node phase sums, per-kind counters, and — with a
-//!   timeline — per-subchunk phase durations.
+//!   throttle) and per-kind counters from the store, and — with a
+//!   ring — wall span, per-node phase sums and per-subchunk phase
+//!   durations.
 //!
-//! The *live* telemetry plane builds on the same event stream:
-//!
-//! * [`MetricsHub`] — lock-free sharded counters, per-phase cost-line
-//!   moments, log₂ latency histograms, and per-tenant ledgers,
-//!   snapshotted on demand into a [`MetricsSnapshot`] with p50/p95/p99
-//!   derivation and Prometheus text exposition;
-//! * [`FlightRecorder`] — an always-on bounded ring that dumps a Chrome
-//!   trace automatically on admission rejections, request errors, or
-//!   SLO-breaching collectives;
-//! * [`FanoutRecorder`] — forwards one event stream to several sinks
-//!   (e.g. a timeline for calibration plus a hub for scraping).
+//! One attached recorder therefore serves the `/metrics` scrape
+//! surface, the drift detector, run reports, calibration and incident
+//! dumps at once. The always-on `panda_fs::IoStats` /
+//! `panda_msg::FabricStats` counters are deliberately *not* stores:
+//! they are a handful of plain atomics fed by the same events.
 //!
 //! The crate has no dependency on the rest of the workspace; `panda-msg`,
 //! `panda-fs`, and `panda-core` all depend on it and report through the
@@ -45,20 +46,20 @@
 #![warn(missing_docs)]
 
 pub mod calibrate;
-pub mod counting;
 pub mod event;
-pub mod flight;
-pub mod hub;
 pub mod json;
 pub mod recorder;
 pub mod report;
-pub mod timeline;
+pub mod ring;
+pub mod store;
 
 pub use calibrate::{CalibrationSummary, PhaseStats, CALIBRATION_SCHEMA};
-pub use counting::{CountersSnapshot, CountingRecorder, KindStats, TagStats};
 pub use event::{Event, EventKind, OpDir, Phase, SubchunkKey, KIND_COUNT};
-pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, DEFAULT_MAX_DUMPS};
-pub use hub::{tenant_of, KindCounter, MetricsHub, MetricsSnapshot, PhaseMetrics, TenantMetrics};
-pub use recorder::{null_recorder, FanoutRecorder, NullRecorder, Recorder};
+pub use recorder::{null_recorder, NullRecorder, Recorder, TelemetryRecorder};
 pub use report::{NodePhases, PhaseTotals, RunReport, SubchunkPhases, REPORT_SCHEMA};
-pub use timeline::{chrome_trace, TimelineEvent, TimelineRecorder, DEFAULT_TIMELINE_CAPACITY};
+pub use ring::{
+    chrome_trace, DumpTrigger, TimelineEvent, DEFAULT_MAX_DUMPS, DEFAULT_RING_CAPACITY,
+};
+pub use store::{
+    tenant_of, KindCounter, LatencyBuckets, MetricsSnapshot, PhaseMetrics, TagStats, TenantMetrics,
+};

@@ -1,12 +1,13 @@
-//! The `Recorder` trait and the zero-cost null implementation.
+//! The `Recorder` trait and its two implementations: the zero-cost
+//! null recorder and the telemetry recorder.
 
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use crate::counting::CountersSnapshot;
 use crate::event::Event;
-use crate::hub::MetricsSnapshot;
-use crate::timeline::TimelineEvent;
+use crate::ring::{chrome_trace, DumpTrigger, Ring, TimelineEvent};
+use crate::store::{MetricsSnapshot, Store};
 
 /// A sink for instrumentation events.
 ///
@@ -33,71 +34,124 @@ pub trait Recorder: fmt::Debug + Send + Sync {
     /// block for long: it is called on the collective hot path.
     fn record(&self, node: u32, event: &Event<'_>);
 
-    /// Aggregate counters, if this recorder keeps them.
-    fn counters(&self) -> Option<CountersSnapshot> {
-        None
-    }
-
-    /// The recorded event timeline, if this recorder keeps one.
+    /// The retained event window, if this recorder keeps a ring.
     fn timeline(&self) -> Option<Vec<TimelineEvent>> {
         None
     }
 
-    /// Number of events dropped (ring-buffer overflow); zero for
-    /// recorders that never drop.
+    /// Number of events dropped (ring overflow); zero for recorders
+    /// that never drop.
     fn dropped(&self) -> u64 {
         0
     }
 
-    /// A live metrics snapshot, if this recorder is (or forwards to) a
-    /// [`crate::MetricsHub`]. Lets scrape surfaces reach the hub through
-    /// an `Arc<dyn Recorder>` without downcasting.
+    /// A snapshot of the aggregate store, if this recorder keeps one.
+    /// Lets scrape surfaces, the drift detector and run reports reach
+    /// it through an `Arc<dyn Recorder>` without downcasting.
     fn metrics(&self) -> Option<MetricsSnapshot> {
         None
     }
 }
 
-/// A recorder that forwards every event to several children — e.g. a
-/// [`crate::TimelineRecorder`] (for calibration, which needs per-subchunk
-/// rows) alongside a [`crate::MetricsHub`] (for the live scrape surface)
-/// and a [`crate::FlightRecorder`] (for incident dumps).
+/// The telemetry recorder: one aggregate store (see [`crate::store`])
+/// and, optionally, one bounded event ring (see [`crate::ring`]).
+///
+/// * [`TelemetryRecorder::new`] — store only: cheap enough to leave
+///   on; serves `/metrics`, the drift detector and aggregate
+///   [`crate::RunReport`]s.
+/// * [`TelemetryRecorder::with_ring`] — adds the ring, so
+///   [`Recorder::timeline`] is `Some`: Chrome traces, per-subchunk and
+///   per-request reports, calibration.
+/// * [`TelemetryRecorder::with_trigger`] — arms the ring to dump itself
+///   on incidents (admission rejection, request error, SLO breach).
+///
+/// One instance attached through `PandaConfig::with_recorder` serves
+/// all of those at once.
 #[derive(Debug)]
-pub struct FanoutRecorder {
-    children: Vec<Arc<dyn Recorder>>,
+pub struct TelemetryRecorder {
+    store: Store,
+    ring: Option<Ring>,
 }
 
-impl FanoutRecorder {
-    /// Forward to `children`, in order.
-    pub fn new(children: Vec<Arc<dyn Recorder>>) -> Self {
-        FanoutRecorder { children }
+impl Default for TelemetryRecorder {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-impl Recorder for FanoutRecorder {
-    fn enabled(&self) -> bool {
-        self.children.iter().any(|c| c.enabled())
+impl TelemetryRecorder {
+    /// A store-only recorder.
+    pub fn new() -> Self {
+        Self::build(None)
     }
 
-    fn record(&self, node: u32, event: &Event<'_>) {
-        for c in &self.children {
-            c.record(node, event);
+    /// A recorder whose ring retains the last `capacity` events
+    /// ([`crate::DEFAULT_RING_CAPACITY`] unless there is a reason to
+    /// differ).
+    pub fn with_ring(capacity: usize) -> Self {
+        Self::build(Some(Ring::new(capacity, None)))
+    }
+
+    /// A recorder whose ring retains the last `capacity` events and
+    /// dumps them as a Chrome trace whenever `trigger` sees an incident.
+    pub fn with_trigger(capacity: usize, trigger: DumpTrigger) -> Self {
+        Self::build(Some(Ring::new(capacity, Some(trigger))))
+    }
+
+    fn build(ring: Option<Ring>) -> Self {
+        TelemetryRecorder {
+            store: Store::new(),
+            ring,
         }
     }
 
-    fn counters(&self) -> Option<CountersSnapshot> {
-        self.children.iter().find_map(|c| c.counters())
+    /// Snapshot the aggregate store (epoch-consistent; see
+    /// [`MetricsSnapshot`]).
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.store.snapshot()
+    }
+
+    /// Serialize the retained events as a Chrome `trace_event` JSON
+    /// document via [`chrome_trace`] (an empty trace without a ring).
+    pub fn to_chrome_trace(&self) -> String {
+        chrome_trace(&self.timeline().unwrap_or_default())
+    }
+
+    /// Write the retained window to
+    /// `<dir>/flight-<seq>-<reason>.trace.json` now and return the
+    /// path; not counted against the trigger's automatic-dump cap.
+    /// `None` without a trigger, or if the file could not be written.
+    pub fn dump_now(&self, reason: &str) -> Option<PathBuf> {
+        let ring = self.ring.as_ref()?;
+        ring.trigger.as_ref()?.write(reason, &ring.events())
+    }
+
+    /// Paths of every dump written so far, oldest first.
+    pub fn dumps(&self) -> Vec<PathBuf> {
+        let trigger = self.ring.as_ref().and_then(|r| r.trigger.as_ref());
+        trigger.map_or_else(Vec::new, DumpTrigger::dumps)
+    }
+}
+
+impl Recorder for TelemetryRecorder {
+    fn record(&self, node: u32, event: &Event<'_>) {
+        self.store.record(node, event);
+        if let Some(ring) = &self.ring {
+            let ts_nanos = self.store.epoch.elapsed().as_nanos() as u64;
+            ring.push(ts_nanos, node, event);
+        }
     }
 
     fn timeline(&self) -> Option<Vec<TimelineEvent>> {
-        self.children.iter().find_map(|c| c.timeline())
+        self.ring.as_ref().map(Ring::events)
     }
 
     fn dropped(&self) -> u64 {
-        self.children.iter().map(|c| c.dropped()).sum()
+        self.ring.as_ref().map_or(0, Ring::dropped)
     }
 
     fn metrics(&self) -> Option<MetricsSnapshot> {
-        self.children.iter().find_map(|c| c.metrics())
+        Some(self.snapshot())
     }
 }
 
@@ -138,9 +192,30 @@ mod tests {
                 pipeline_depth: 1,
             },
         );
-        assert!(rec.counters().is_none());
+        assert!(rec.metrics().is_none());
         assert!(rec.timeline().is_none());
         assert_eq!(rec.dropped(), 0);
+    }
+
+    #[test]
+    fn store_only_recorder_keeps_no_ring() {
+        let rec = TelemetryRecorder::new();
+        rec.record(
+            3,
+            &Event::RequestIssued {
+                request: 1 << 32,
+                op: crate::OpDir::Read,
+                arrays: 1,
+                pipeline_depth: 1,
+            },
+        );
+        assert!(rec.enabled());
+        assert!(rec.timeline().is_none());
+        assert_eq!(rec.dropped(), 0);
+        assert!(rec.dumps().is_empty() && rec.dump_now("x").is_none());
+        crate::json::validate(&rec.to_chrome_trace()).expect("empty trace is valid");
+        let snap = rec.metrics().expect("every telemetry recorder has a store");
+        assert_eq!(snap.kind(crate::EventKind::RequestIssued).count, 1);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::counting::CountersSnapshot;
 use crate::event::{EventKind, Phase, SubchunkKey};
 use crate::json;
 use crate::recorder::Recorder;
-use crate::timeline::TimelineEvent;
+use crate::ring::TimelineEvent;
+use crate::store::MetricsSnapshot;
 
 /// Schema tag written into every report so consumers can sanity-check
 /// what they are reading.
@@ -30,15 +30,12 @@ impl PhaseTotals {
         self.secs[phase as usize] += secs;
     }
 
-    fn push_json(&self, out: &mut String) {
+    /// Append the member `"key":{"exchange_s":…,…}`.
+    fn push_member(&self, out: &mut String, key: &str) {
+        json::push_key(out, key);
         out.push('{');
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str(out, phase.name());
-            out.push(':');
-            json::push_f64(out, self.get(*phase));
+        for phase in Phase::ALL {
+            json::member_f64(out, &format!("{}_s", phase.label()), self.get(phase));
         }
         out.push('}');
     }
@@ -53,7 +50,7 @@ pub struct NodePhases {
     pub phases: PhaseTotals,
 }
 
-/// Phase durations attributed to one subchunk (timeline runs only).
+/// Phase durations attributed to one subchunk (ring runs only).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubchunkPhases {
     /// Which subchunk.
@@ -71,70 +68,43 @@ pub struct SubchunkPhases {
 /// One machine-readable run report, aggregated from a [`Recorder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Wall-clock span covered by the timeline, seconds (zero when the
-    /// recorder keeps no timeline).
+    /// Wall-clock span covered by the retained events, seconds (zero
+    /// when the recorder keeps no ring).
     pub wall_s: f64,
     /// Phase totals summed over all nodes.
     pub phases: PhaseTotals,
-    /// Phase totals per node, sorted by rank (timeline runs only).
+    /// Phase totals per node, sorted by rank (ring runs only).
     pub per_node: Vec<NodePhases>,
-    /// Phase durations per subchunk, sorted by key (timeline runs only).
+    /// Phase durations per subchunk, sorted by key (ring runs only).
     pub per_subchunk: Vec<SubchunkPhases>,
     /// Seconds during which a node was doing measured subchunk work
     /// (exchange / disk / reorg) for two *different* arrays at once,
-    /// summed over nodes (timeline runs only). Nonzero only when group
+    /// summed over nodes (ring runs only). Nonzero only when group
     /// scheduling actually interleaves arrays; a strict
     /// array-at-a-time run reports 0.
     pub cross_array_overlap_s: f64,
-    /// Aggregate counters, if the recorder keeps them.
-    pub counters: Option<CountersSnapshot>,
+    /// The aggregate store's snapshot, if the recorder keeps one.
+    pub counters: Option<MetricsSnapshot>,
     /// Events dropped by the recorder (ring overflow).
     pub dropped_events: u64,
 }
 
 impl RunReport {
-    /// Aggregate `recorder` into a report. Works with any recorder: a
-    /// [`crate::CountingRecorder`] yields phase totals and counters, a
-    /// [`crate::TimelineRecorder`] additionally yields wall span and
-    /// per-node / per-subchunk decompositions, a
+    /// Aggregate `recorder` into a report. A store-only
+    /// [`crate::TelemetryRecorder`] yields phase totals and counters,
+    /// one with a ring additionally yields wall span and per-node /
+    /// per-subchunk decompositions (of the retained window), a
     /// [`crate::NullRecorder`] yields an empty report.
     pub fn from_recorder(recorder: &dyn Recorder) -> RunReport {
-        let counters = recorder.counters();
-        let timeline = recorder.timeline();
+        let counters = recorder.metrics();
         let mut phases = PhaseTotals::default();
-        if let Some(snap) = &counters {
-            for phase in Phase::ALL {
-                phases.add(phase, snap.phase_secs(phase));
-            }
+        for p in counters.iter().flat_map(|snap| &snap.phases) {
+            phases.add(p.phase, p.secs);
         }
-        let (wall_s, per_node, per_subchunk, cross_array_overlap_s) = match &timeline {
-            Some(events) if !events.is_empty() => {
-                if counters.is_none() {
-                    // No aggregate counters: derive totals from the
-                    // (possibly truncated) timeline instead.
-                    for e in events {
-                        if let Some(phase) = e.kind.phase() {
-                            phases.add(phase, e.dur_nanos as f64 / 1e9);
-                        }
-                    }
-                }
-                (
-                    wall_span(events),
-                    per_node_phases(events),
-                    per_subchunk_phases(events),
-                    cross_array_overlap(events),
-                )
-            }
-            _ => (0.0, Vec::new(), Vec::new(), 0.0),
-        };
+        let events = recorder.timeline().unwrap_or_default();
         RunReport {
-            wall_s,
-            phases,
-            per_node,
-            per_subchunk,
-            cross_array_overlap_s,
             counters,
-            dropped_events: recorder.dropped(),
+            ..RunReport::over(&events, phases, recorder.dropped())
         }
     }
 
@@ -142,9 +112,9 @@ impl RunReport {
     /// collectives interleave on shared nodes; this filters the
     /// timeline by request id before decomposing, so one request's
     /// report never absorbs another's exchange/disk/reorg time.
-    /// Requires a timeline-keeping recorder — aggregate counters are
-    /// not request-scoped, so `counters` is always `None` here and
-    /// phase totals come from the filtered timeline.
+    /// Requires a recorder with a ring — the store is not
+    /// request-scoped, so `counters` is always `None` here and phase
+    /// totals come from the filtered events.
     pub fn for_request(recorder: &dyn Recorder, request: u64) -> RunReport {
         let events: Vec<TimelineEvent> = recorder
             .timeline()
@@ -158,24 +128,20 @@ impl RunReport {
                 phases.add(phase, e.dur_nanos as f64 / 1e9);
             }
         }
-        let (wall_s, per_node, per_subchunk, cross_array_overlap_s) = if events.is_empty() {
-            (0.0, Vec::new(), Vec::new(), 0.0)
-        } else {
-            (
-                wall_span(&events),
-                per_node_phases(&events),
-                per_subchunk_phases(&events),
-                cross_array_overlap(&events),
-            )
-        };
+        RunReport::over(&events, phases, recorder.dropped())
+    }
+
+    /// The ring-derived part of a report over `events` (all zero/empty
+    /// when there are none), with no counters.
+    fn over(events: &[TimelineEvent], phases: PhaseTotals, dropped_events: u64) -> RunReport {
         RunReport {
-            wall_s,
+            wall_s: wall_span(events),
             phases,
-            per_node,
-            per_subchunk,
-            cross_array_overlap_s,
+            per_node: per_node_phases(events),
+            per_subchunk: per_subchunk_phases(events),
+            cross_array_overlap_s: cross_array_overlap(events),
             counters: None,
-            dropped_events: recorder.dropped(),
+            dropped_events,
         }
     }
 
@@ -194,101 +160,74 @@ impl RunReport {
         self.phases.get(Phase::Reorg)
     }
 
-    /// Total throttle seconds (admission/flow-control stalls).
-    pub fn throttle_s(&self) -> f64 {
-        self.phases.get(Phase::Throttle)
-    }
-
     /// Serialize as one JSON object (schema [`REPORT_SCHEMA`]).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\"schema\":");
-        json::push_str(&mut out, REPORT_SCHEMA);
-        out.push_str(",\"wall_s\":");
-        json::push_f64(&mut out, self.wall_s);
-        out.push_str(",\"cross_array_overlap_s\":");
-        json::push_f64(&mut out, self.cross_array_overlap_s);
-        out.push_str(",\"dropped_events\":");
-        out.push_str(&self.dropped_events.to_string());
-        out.push_str(",\"phases\":");
-        self.phases.push_json(&mut out);
-        out.push_str(",\"per_node\":[");
-        for (i, n) in self.per_node.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"node\":");
-            out.push_str(&n.node.to_string());
-            out.push_str(",\"phases\":");
-            n.phases.push_json(&mut out);
-            out.push('}');
+        let o = &mut out;
+        o.push('{');
+        json::member_str(o, "schema", REPORT_SCHEMA);
+        json::member_f64(o, "wall_s", self.wall_s);
+        json::member_f64(o, "cross_array_overlap_s", self.cross_array_overlap_s);
+        json::member(o, "dropped_events", self.dropped_events);
+        self.phases.push_member(o, "phases");
+        json::push_key(o, "per_node");
+        o.push('[');
+        for n in &self.per_node {
+            json::push_sep(o);
+            o.push('{');
+            json::member(o, "node", n.node);
+            n.phases.push_member(o, "phases");
+            o.push('}');
         }
-        out.push_str("],\"per_subchunk\":[");
-        for (i, s) in self.per_subchunk.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"request\":");
-            out.push_str(&s.key.request.to_string());
-            out.push_str(",\"server\":");
-            out.push_str(&s.key.server.to_string());
-            out.push_str(",\"array\":");
-            out.push_str(&s.key.array.to_string());
-            out.push_str(",\"subchunk\":");
-            out.push_str(&s.key.subchunk.to_string());
-            out.push_str(",\"bytes\":");
-            out.push_str(&s.bytes.to_string());
-            out.push_str(",\"exchange_s\":");
-            json::push_f64(&mut out, s.exchange_s);
-            out.push_str(",\"disk_s\":");
-            json::push_f64(&mut out, s.disk_s);
-            out.push_str(",\"reorg_s\":");
-            json::push_f64(&mut out, s.reorg_s);
-            out.push('}');
+        o.push(']');
+        json::push_key(o, "per_subchunk");
+        o.push('[');
+        for s in &self.per_subchunk {
+            json::push_sep(o);
+            o.push('{');
+            json::member(o, "request", s.key.request);
+            json::member(o, "server", s.key.server);
+            json::member(o, "array", s.key.array);
+            json::member(o, "subchunk", s.key.subchunk);
+            json::member(o, "bytes", s.bytes);
+            json::member_f64(o, "exchange_s", s.exchange_s);
+            json::member_f64(o, "disk_s", s.disk_s);
+            json::member_f64(o, "reorg_s", s.reorg_s);
+            o.push('}');
         }
-        out.push(']');
+        o.push(']');
         if let Some(snap) = &self.counters {
-            out.push_str(",\"counters\":{\"fs_sequential\":");
-            out.push_str(&snap.fs_sequential.to_string());
-            out.push_str(",\"fs_seeks\":");
-            out.push_str(&snap.fs_seeks.to_string());
-            out.push_str(",\"kinds\":[");
-            let mut first = true;
+            json::push_key(o, "counters");
+            o.push('{');
+            json::member(o, "fs_sequential", snap.fs_sequential);
+            json::member(o, "fs_seeks", snap.fs_seeks);
+            json::push_key(o, "kinds");
+            o.push('[');
             for k in snap.kinds.iter().filter(|k| k.count > 0) {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str("{\"kind\":");
-                json::push_str(&mut out, k.kind.name());
-                out.push_str(",\"count\":");
-                out.push_str(&k.count.to_string());
-                out.push_str(",\"bytes\":");
-                out.push_str(&k.bytes.to_string());
-                out.push_str(",\"secs\":");
-                json::push_f64(&mut out, k.secs);
-                out.push_str(",\"p50_s\":");
-                json::push_f64(&mut out, k.p50_secs);
-                out.push_str(",\"p99_s\":");
-                json::push_f64(&mut out, k.p99_secs);
-                out.push('}');
+                json::push_sep(o);
+                o.push('{');
+                json::member_str(o, "kind", k.kind.name());
+                json::member(o, "count", k.count);
+                json::member(o, "bytes", k.bytes);
+                json::member_f64(o, "secs", k.secs);
+                json::member_f64(o, "p50_s", k.latency.quantile(0.50));
+                json::member_f64(o, "p99_s", k.latency.quantile(0.99));
+                o.push('}');
             }
-            out.push_str("],\"tags\":[");
-            for (i, t) in snap.tags.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"tag\":");
-                out.push_str(&t.tag.to_string());
-                out.push_str(",\"msgs\":");
-                out.push_str(&t.msgs.to_string());
-                out.push_str(",\"bytes\":");
-                out.push_str(&t.bytes.to_string());
-                out.push('}');
+            o.push(']');
+            json::push_key(o, "tags");
+            o.push('[');
+            for t in &snap.tags {
+                json::push_sep(o);
+                o.push('{');
+                json::member(o, "tag", t.tag);
+                json::member(o, "msgs", t.msgs);
+                json::member(o, "bytes", t.bytes);
+                o.push('}');
             }
-            out.push_str("]}");
+            o.push_str("]}");
         }
-        out.push('}');
+        o.push('}');
         out
     }
 }
@@ -402,10 +341,10 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::recorder::null_recorder;
-    use crate::timeline::TimelineRecorder;
+    use crate::recorder::TelemetryRecorder;
     use std::time::Duration;
 
-    fn drive(rec: &TimelineRecorder) {
+    fn drive(rec: &TelemetryRecorder) {
         let k0 = SubchunkKey::new(0, 0, 0);
         let k1 = SubchunkKey::new(0, 0, 1);
         rec.record(
@@ -445,7 +384,7 @@ mod tests {
 
     #[test]
     fn aggregates_phases_nodes_and_subchunks() {
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         drive(&rec);
         let report = RunReport::from_recorder(&rec);
         assert!((report.phases.get(Phase::Exchange) - 0.004).abs() < 1e-9);
@@ -466,7 +405,7 @@ mod tests {
 
     #[test]
     fn json_report_is_valid() {
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         drive(&rec);
         let report = RunReport::from_recorder(&rec);
         let doc = report.to_json();
@@ -481,14 +420,14 @@ mod tests {
     fn cross_array_overlap_requires_two_arrays() {
         // One array only → busy intervals belong to a single (node,
         // array) union → no overlap, however much they self-overlap.
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         drive(&rec);
         let report = RunReport::from_recorder(&rec);
         assert_eq!(report.cross_array_overlap_s, 0.0);
 
         // Two back-to-back recordings for different arrays on one node:
         // their measured spans (stamped [now-dur, now]) overlap.
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         rec.record(
             2,
             &Event::DiskWriteDone {
@@ -518,7 +457,7 @@ mod tests {
     fn per_request_reports_do_not_blend() {
         // Two concurrent requests on one node: each scoped report sees
         // only its own disk time; the global report sees both.
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         rec.record(
             2,
             &Event::DiskWriteDone {
@@ -559,7 +498,7 @@ mod tests {
     fn unknown_request_yields_empty_report_on_any_recorder() {
         // Timeline recorder with traffic: scoping to an id that never
         // ran is an empty report, not a panic, and still serializes.
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         drive(&rec);
         let report = RunReport::for_request(&rec, 424242);
         assert_eq!(report.wall_s, 0.0);
@@ -585,7 +524,7 @@ mod tests {
         // completes, so a report taken mid-run contains exactly the
         // completed subchunks — an in-flight one contributes nothing
         // until its events land.
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         rec.record(
             2,
             &Event::DiskWriteDone {
@@ -619,13 +558,12 @@ mod tests {
 
     #[test]
     fn phase_accessors_mirror_totals() {
-        let rec = TimelineRecorder::new();
+        let rec = TelemetryRecorder::with_ring(64);
         drive(&rec);
         let report = RunReport::from_recorder(&rec);
         assert_eq!(report.exchange_s(), report.phases.get(Phase::Exchange));
         assert_eq!(report.disk_s(), report.phases.get(Phase::Disk));
         assert_eq!(report.reorg_s(), report.phases.get(Phase::Reorg));
-        assert_eq!(report.throttle_s(), report.phases.get(Phase::Throttle));
         assert!((report.exchange_s() - 0.004).abs() < 1e-9);
         assert!((report.disk_s() - 0.008).abs() < 1e-9);
     }

@@ -5,7 +5,7 @@
 //! group definition from the manifest alone, walks each I/O node's
 //! directory, and cross-checks every file's size against the planner's
 //! prediction. Finally it replays the write in memory under a
-//! `TimelineRecorder` and prints the first few disk accesses so you
+//! `TelemetryRecorder` and prints the first few disk accesses so you
 //! can *see* the strictly sequential write pattern server-directed
 //! I/O produces.
 //!
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use panda_core::{build_server_plan, ArrayGroup, GroupData, PandaConfig, PandaSystem};
 use panda_fs::{FileSystem, LocalFs, MemFs};
-use panda_obs::{EventKind, Recorder, TimelineRecorder};
+use panda_obs::{EventKind, Recorder, TelemetryRecorder, DEFAULT_RING_CAPACITY};
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
 const SERVERS: usize = 2;
@@ -109,7 +109,7 @@ fn main() {
     system.shutdown(clients).unwrap();
 
     // --- show the access pattern via a recorded in-memory run --------------
-    let rec = Arc::new(TimelineRecorder::new());
+    let rec = Arc::new(TelemetryRecorder::with_ring(DEFAULT_RING_CAPACITY));
     let config = PandaConfig::new(4, SERVERS).with_recorder(rec.clone());
     let (system, mut clients) = PandaSystem::builder()
         .config(config.clone())
@@ -144,7 +144,7 @@ fn main() {
             }
         );
     }
-    let snap = rec.counters().unwrap();
+    let snap = rec.snapshot();
     println!(
         "note: {} of {} accesses were sequential — the defining property",
         snap.fs_sequential,
