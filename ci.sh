@@ -15,17 +15,29 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The benchmark of record is its own workspace: nothing above compiles
 # it, so an API change in crates/* that breaks it must fail here, not
-# in the pipeline.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# in the pipeline. Build it, run its own tests (wrapper transparency,
+# BENCHMARK.json == its registry), then hold a --quick run of all four
+# workloads against the committed baseline: `compare` exits nonzero on
+# a `regressed` row or a failed operation (`unresolved` does not fail).
+# With BENCHMARK.json's 20-25 % bounds this is a floor that catches the
+# loss of a quarter against the committed baseline, not a ratchet.
+benchmark() {
+  cargo "$1" --release --offline --manifest-path benchmark/Cargo.toml "${@:2}"
+}
+benchmark build
+benchmark test
+ledger=$(mktemp /tmp/panda_ledger_ci.XXXXXX.json)
+benchmark run -q -- run --quick --runs 3 --out "$ledger"
+benchmark run -q -- compare benchmark/results/baseline.json "$ledger"
+rm -f "$ledger"
 
-# Bench smokes: each bin below runs --quick end to end. Every bin
+# Experiment smokes: each bin below runs --quick end to end. Every bin
 # validates each JSON line it writes (panda_obs::json::validate) and
 # asserts its own invariants (byte-identical files across the modes it
 # compares, read-back equality), exiting nonzero otherwise; python
 # re-parses the output with an independent parser, then runs the bin's
 # gate_<bin> function when one is defined.
 #
-#   phases          per-phase report under a ring-keeping recorder
 #   group_timestep  sequential vs batched 4-array timestep
 #   disk            LocalFs vs SubmitFs across sync policies
 #   tenancy         sequential vs interleaved multi-session sweep
@@ -91,7 +103,7 @@ print(
 PY
 }
 
-for bin in phases group_timestep disk tenancy tuner obs; do
+for bin in group_timestep disk tenancy tuner obs; do
   out=$(mktemp "/tmp/panda_${bin}_ci.XXXXXX.json")
   cargo run --release -q -p panda-bench --bin "$bin" -- --quick --out "$out"
   if command -v python3 >/dev/null; then

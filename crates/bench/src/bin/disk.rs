@@ -17,41 +17,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use panda_bench::fixtures::{fill_pattern, group, snapshot, CLIENTS, SERVERS};
 use panda_bench::report::{write_lines, BenchOpts, JsonLine};
-use panda_core::{ArrayGroup, ArrayMeta, GroupData, PandaConfig, PandaSystem};
+use panda_core::{GroupData, PandaConfig, PandaSystem};
 use panda_fs::{FileSystem, LocalFs, SubmitFs, SyncPolicy};
-use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
-const CLIENTS: usize = 4;
-const SERVERS: usize = 2;
 /// Completion threads per SubmitFs instance (recorded in the JSON).
 const THREADS: usize = 2;
-
-/// The same 4-array simulation group as the group bench.
-fn group(rows: usize) -> ArrayGroup {
-    let arr = |name: &str| -> ArrayMeta {
-        let shape = Shape::new(&[rows, rows]).unwrap();
-        let memory =
-            DataSchema::block_all(shape.clone(), ElementType::F64, Mesh::new(&[2, 2]).unwrap())
-                .unwrap();
-        let disk = DataSchema::traditional_order(shape, ElementType::F64, SERVERS).unwrap();
-        ArrayMeta::new(name, memory, disk).unwrap()
-    };
-    let mut g = ArrayGroup::new("bench");
-    g.include(arr("temperature"))
-        .include(arr("pressure"))
-        .include(arr("density"))
-        .include(arr("energy"));
-    g
-}
-
-fn fill_pattern(data: &mut GroupData, rank: usize) {
-    for i in 0..data.len() {
-        for (j, b) in data.buffer_mut(i).iter_mut().enumerate() {
-            *b = ((rank * 131 + i * 31 + j * 7) % 251) as u8 + 1;
-        }
-    }
-}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Backend {
@@ -122,26 +94,6 @@ fn run_cell(rows: usize, steps: usize, cell: &Cell, root: &Path) -> Measurement 
         wall_s,
         bytes: steps * 4 * rows * rows * 8,
     }
-}
-
-/// All files written under `root`, sorted by relative path.
-fn snapshot(root: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut out = Vec::new();
-    for s in 0..SERVERS {
-        let dir = root.join(format!("ionode{s}/bench"));
-        let mut names: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        for name in names {
-            out.push((
-                format!("ionode{s}/bench/{name}"),
-                std::fs::read(dir.join(&name)).unwrap(),
-            ));
-        }
-    }
-    out
 }
 
 fn json_line(cell: &Cell, m: &Measurement) -> String {

@@ -3,14 +3,14 @@
 //!
 //! Three sections, one committed artifact (`results/BENCH_obs.json`):
 //!
-//! 1. **Overhead** — the MemFs pipeline bench (same shape as
-//!    `phases`: throttled MemFs disks, 4 clients x 2 I/O nodes) run
-//!    under `NullRecorder` and the three shapes of
-//!    `TelemetryRecorder` (store, store+ring, store+ring+trigger);
-//!    each cell reports min-of-reps wall seconds and overhead vs the
-//!    null baseline. CI gates the store at <= 3 %.
-//! 2. **Drift** — a service calibrates on a fast backend, the backend
-//!    is throttled mid-run (a `SwitchFs` flips between two
+//! 1. **Overhead** — a write+read collective pair on throttled MemFs
+//!    disks (4 clients x 2 I/O nodes) run under `NullRecorder` and the
+//!    three shapes of `TelemetryRecorder` (store, store+ring,
+//!    store+ring+trigger); each cell reports min-of-reps wall seconds
+//!    and overhead vs the null baseline. CI gates the store at <= 3 %.
+//! 2. **Drift** — a service calibrates on a fast backend and runs
+//!    `ON_MODEL_PAIRS` write+read pairs that must leave the
+//!    `DriftDetector` quiet, the backend is throttled mid-run (a `SwitchFs` flips between two
 //!    `ThrottledFs` rates over one shared MemFs), the `DriftDetector`
 //!    must fire on the live store window, and the triggered auto-retune
 //!    must recover >= 80 % of what a fresh manual calibration achieves
@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use panda_bench::fixtures::{mesh_array, CLIENTS, SERVERS};
 use panda_bench::report::{write_lines, BenchOpts, JsonLine};
 use panda_core::{ArrayMeta, PandaConfig, PandaSystem, ReadSet, Session, TunedConfig, WriteSet};
 use panda_fs::{FileHandle, FileSystem, FsError, IoStats, MemFs, ThrottledFs};
@@ -34,27 +35,21 @@ use panda_model::tuner::{Calibrate, TunerOptions};
 use panda_obs::{DumpTrigger, Recorder, TelemetryRecorder};
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
-const CLIENTS: usize = 4;
-const SERVERS: usize = 2;
-/// Fast-profile disk bandwidth (MB/s), as in the `phases` bench.
+/// Fast-profile disk bandwidth (MB/s).
 const FAST_MB_S: f64 = 600.0;
 /// Throttled-down bandwidth for the drift scenario: 10x slower, so
 /// the disk phase runs far off its calibrated cost line on every
 /// window, not just on lucky draws.
 const SLOW_MB_S: f64 = 60.0;
+/// Write+read pairs in the on-model window: every scored phase gets
+/// hundreds of samples (against the detector's floor of
+/// `DriftDetector::DEFAULT_MIN_SAMPLES`), and one scheduler stall of
+/// tens of milliseconds cannot double a phase's measured sum.
+const ON_MODEL_PAIRS: usize = 32;
 
 // ---------------------------------------------------------------------
-// Section 1: recorder overhead on the MemFs pipeline bench.
+// Section 1: recorder overhead on a throttled-MemFs collective pair.
 // ---------------------------------------------------------------------
-
-fn fleet_array(rows: usize) -> ArrayMeta {
-    let shape = Shape::new(&[rows, rows]).unwrap();
-    let memory =
-        DataSchema::block_all(shape.clone(), ElementType::F64, Mesh::new(&[2, 2]).unwrap())
-            .unwrap();
-    let disk = DataSchema::traditional_order(shape, ElementType::F64, SERVERS).unwrap();
-    ArrayMeta::new("obs", memory, disk).unwrap()
-}
 
 /// One freshly launched fleet with its recorder attached.
 struct OverheadCell {
@@ -120,7 +115,7 @@ fn pipeline_rep(cell: &mut OverheadCell, meta: &ArrayMeta, datas: &[Vec<u8>]) ->
 }
 
 fn overhead_section(quick: bool, lines: &mut Vec<String>) -> f64 {
-    let meta = fleet_array(if quick { 192 } else { 256 });
+    let meta = mesh_array("obs", if quick { 192 } else { 256 });
     let reps = 15;
     let flight_dir = std::env::temp_dir().join(format!("panda-obs-bench-{}", std::process::id()));
 
@@ -284,7 +279,10 @@ fn session_wall(sess: &mut Session, meta: &ArrayMeta, cfg: &TunedConfig, reps: u
 }
 
 fn drift_section(quick: bool, lines: &mut Vec<String>) -> (f64, u64, f64) {
-    let rows = if quick { 128 } else { 256 };
+    // Several subchunks per server per collective at every searched
+    // subchunk size: one-subchunk collectives sit at thread wake-up
+    // granularity, where neither the probes nor the window mean much.
+    let rows = if quick { 256 } else { 512 };
     let reps = if quick { 3 } else { 5 };
     let meta = solo_array(rows);
 
@@ -320,7 +318,12 @@ fn drift_section(quick: bool, lines: &mut Vec<String>) -> (f64, u64, f64) {
         })
         .unwrap();
 
-    let opts = TunerOptions::default();
+    // Search strictly inside the probed bracket, so every candidate's
+    // cost is interpolated between the two probes, never extrapolated
+    // past them.
+    let mut opts = TunerOptions::default();
+    let (lo, hi) = opts.probe_subchunk_bytes;
+    opts.subchunk_bytes.retain(|&sub| (lo..hi).contains(&sub));
     let cal_fast = service.calibrate(&meta, &opts).unwrap();
     let mut detector = DriftDetector::from_calibration(&cal_fast, 1.0);
     assert!(
@@ -329,13 +332,22 @@ fn drift_section(quick: bool, lines: &mut Vec<String>) -> (f64, u64, f64) {
     );
 
     let mut sess = service.open().unwrap();
-    let fast_wall = session_wall(&mut sess, &meta, &cal_fast.tuned, reps);
+    let fast_wall = session_wall(&mut sess, &meta, &cal_fast.tuned, ON_MODEL_PAIRS);
     let on_model = detector
         .check(service.system().recorder().as_ref())
         .expect("recorder keeps a store");
+    let min_ops = on_model.phases.iter().map(|p| p.ops).min().unwrap_or(0);
     println!(
-        "drift: fast backend wall {:.5} s (tuned {} B / depth {}), score {:.3}",
-        fast_wall, cal_fast.tuned.subchunk_bytes, cal_fast.tuned.pipeline_depth, on_model.score
+        "drift: fast backend wall {:.5} s (tuned {} B / depth {}), score {:.3} over >= {} ops/phase",
+        fast_wall,
+        cal_fast.tuned.subchunk_bytes,
+        cal_fast.tuned.pipeline_depth,
+        on_model.score,
+        min_ops
+    );
+    assert!(
+        min_ops >= 8 * DriftDetector::DEFAULT_MIN_SAMPLES,
+        "on-model window too thin to score ({min_ops} ops in its sparsest phase)"
     );
     assert!(
         !on_model.drifted,
@@ -347,6 +359,7 @@ fn drift_section(quick: bool, lines: &mut Vec<String>) -> (f64, u64, f64) {
             .usize("array_bytes", meta.total_bytes())
             .f64("wall_s", fast_wall)
             .f64("drift_score", on_model.score)
+            .u64("min_phase_ops", min_ops)
             .u64("drifted", u64::from(on_model.drifted))
             .finish(),
     );

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use panda_bench::fixtures::{mesh_array, CLIENTS, SERVERS};
 use panda_bench::report::{write_lines, BenchOpts, JsonLine};
 use panda_core::{
     ArrayMeta, OpKind, PandaClient, PandaConfig, PandaSystem, ReadSet, TunedConfig, WriteSet,
@@ -21,22 +22,10 @@ use panda_fs::{FileSystem, LocalFs, MemFs, ThrottledFs};
 use panda_model::actors::{simulate, CollectiveSpec};
 use panda_model::tuner::{calibrate_fleet, Calibration, TunerOptions};
 use panda_obs::TelemetryRecorder;
-use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
-const CLIENTS: usize = 4;
-const SERVERS: usize = 2;
 /// The deployment's launch-time subchunk cap — what every fixed-depth
 /// cell runs with, and what the tuner is free to override.
 const LAUNCH_SUBCHUNK: usize = 32 << 10;
-
-fn make_array(rows: usize) -> ArrayMeta {
-    let shape = Shape::new(&[rows, rows]).unwrap();
-    let memory =
-        DataSchema::block_all(shape.clone(), ElementType::F64, Mesh::new(&[2, 2]).unwrap())
-            .unwrap();
-    let disk = DataSchema::traditional_order(shape, ElementType::F64, SERVERS).unwrap();
-    ArrayMeta::new("tuner", memory, disk).unwrap()
-}
 
 /// One backend profile the tuner is calibrated against.
 struct Profile {
@@ -178,7 +167,7 @@ fn run_profile(
     } else {
         rows * 2
     };
-    let meta = &make_array(rows);
+    let meta = &mesh_array("tuner", rows);
     let rec = Arc::new(TelemetryRecorder::with_ring(1 << 18));
     let config = PandaConfig::new(CLIENTS, SERVERS)
         .with_subchunk_bytes(LAUNCH_SUBCHUNK)

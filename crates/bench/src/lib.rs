@@ -8,16 +8,25 @@
 //! | `fig3` … `fig9` | Figures 3–9 — aggregate & normalized throughput sweeps |
 //! | `multi_array` | the multiple-array experiment described in §3 prose |
 //! | `ablation` | server-directed vs two-phase vs naive vs pipeline depth |
-//! | `phases` | measured exchange/disk/reorg decomposition per pipeline depth (real runtime under a `TelemetryRecorder`) |
 //!
 //! Each prints the paper's series (aggregate MB/s and normalized
 //! throughput per array size × I/O-node count) plus the expected band
 //! from the paper for comparison. Pass `--quick` to sweep a subset of
 //! array sizes, `--csv` for machine-readable output.
+//!
+//! Five more binaries are A/B experiments on the real runtime, each
+//! writing one `results/BENCH_*.json` through [`report`] over the
+//! shared [`fixtures`]: `group_timestep` (batched vs sequential group
+//! writes), `disk` (backends × sync policies), `tenancy` (interleaved
+//! vs sequential sessions), `tuner` (calibrated vs fixed operating
+//! points) and `obs` (recorder on vs off, drift detection). They are
+//! not the performance ledger — that is the standalone `benchmark/`
+//! package at the repository root.
 
 use panda_model::experiment::{FigPoint, FigureSpec, PAPER_SIZES_MB};
 use panda_model::Sp2Machine;
 
+pub mod fixtures;
 pub mod report;
 
 /// Command-line options shared by the figure binaries.

@@ -26,7 +26,7 @@ pub struct BenchOpts {
 
 impl BenchOpts {
     /// Parse `std::env::args`. `default_out` is the bin's committed
-    /// artifact path (e.g. `results/BENCH_phases.json`); `accepts_csv`
+    /// artifact path (e.g. `results/BENCH_disk.json`); `accepts_csv`
     /// controls whether `--csv` is advertised and accepted. Exits with
     /// status 2 on an unknown flag, like every bench bin always has.
     pub fn parse(default_out: &str, accepts_csv: bool) -> BenchOpts {
@@ -72,7 +72,7 @@ pub struct JsonLine {
 
 impl JsonLine {
     /// Start a line with its `"id"` field (the cell's stable
-    /// identifier, e.g. `"phases/write_read/depth2"`).
+    /// identifier, e.g. `"disk/localfs/per_file/depth2"`).
     pub fn new(id: &str) -> JsonLine {
         let mut buf = String::with_capacity(512);
         buf.push_str("{\"id\":");

@@ -646,22 +646,6 @@ pub fn try_recv_msg<T: Transport + ?Sized>(
     }
 }
 
-/// The one reply-burst framing of the collective executor: block for
-/// one message matching `spec`, then sweep every further match that has
-/// already arrived. A burst of replies becomes one parallel
-/// reorganization pass instead of `d` serial ones; only the first
-/// message of the batch actually waited.
-pub fn recv_burst<T: Transport + ?Sized>(
-    t: &mut T,
-    spec: MatchSpec,
-) -> Result<Vec<Msg>, PandaError> {
-    let mut batch = vec![recv_msg(t, spec)?.1];
-    while let Some((_, more)) = try_recv_msg(t, spec)? {
-        batch.push(more);
-    }
-    Ok(batch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -869,27 +853,6 @@ mod tests {
         let (src, got) = recv_msg(&mut b, MatchSpec::tag(tags::FETCH)).unwrap();
         assert_eq!(src, NodeId(0));
         assert_eq!(got, msg);
-    }
-
-    #[test]
-    fn recv_burst_blocks_once_then_drains() {
-        use panda_msg::InProcFabric;
-        let (mut eps, _) = InProcFabric::new(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        let region = Region::new(&[0], &[2]).unwrap();
-        for seq in 0..3u64 {
-            send_data(&mut a, NodeId(1), 1, 0, seq, &region, vec![seq as u8; 4]).unwrap();
-        }
-        // Interleave a non-matching message: the burst must skip it.
-        send_msg(&mut a, NodeId(1), &Msg::ServerDone { request: 1 }).unwrap();
-        let batch = recv_burst(&mut b, MatchSpec::tag(tags::DATA)).unwrap();
-        assert_eq!(batch.len(), 3);
-        for (seq, msg) in batch.into_iter().enumerate() {
-            assert!(matches!(msg, Msg::Data { seq: s, .. } if s == seq as u64));
-        }
-        let (_, done) = recv_msg(&mut b, MatchSpec::tag(tags::SERVER_DONE)).unwrap();
-        assert_eq!(done, Msg::ServerDone { request: 1 });
     }
 
     #[test]

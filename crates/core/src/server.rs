@@ -42,7 +42,6 @@
 //! the master already made the decision when it relayed.
 
 use std::collections::{HashMap, VecDeque};
-use std::mem;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -167,21 +166,21 @@ struct RequestRun {
 }
 
 impl RequestRun {
-    /// Placeholder swapped into the live table while a run is pumped.
-    fn hollow() -> Self {
+    /// A freshly admitted run: nothing fetched, issued or queued yet.
+    fn new(
+        req: CollectiveRequest,
+        depth: usize,
+        sched: CollectiveSchedule,
+        t_op: Option<Instant>,
+    ) -> Self {
         RequestRun {
-            request: 0,
-            priority: 0,
-            participants: Vec::new(),
-            dir: OpDir::Write,
-            depth: 1,
-            sched: CollectiveSchedule {
-                steps: Vec::new(),
-                files: Vec::new(),
-                empty_files: Vec::new(),
-                sync_policy: SyncPolicy::PerCollective,
-            },
-            t_op: None,
+            request: req.request,
+            priority: req.priority,
+            participants: req.participants,
+            dir: op_dir(req.op),
+            depth,
+            sched,
+            t_op,
             seq: 0,
             seq_map: HashMap::new(),
             window: VecDeque::new(),
@@ -316,6 +315,27 @@ fn drain_file(
     Ok(())
 }
 
+/// Run `sync` and report it as one `DiskSyncDone` over `files` files.
+fn timed_sync(
+    recorder: &dyn Recorder,
+    node: u32,
+    files: u32,
+    sync: impl FnOnce() -> Result<(), FsError>,
+) -> Result<(), FsError> {
+    let t_sync = recorder.enabled().then(Instant::now);
+    sync()?;
+    if let Some(t) = t_sync {
+        recorder.record(
+            node,
+            &Event::DiskSyncDone {
+                files,
+                dur: t.elapsed(),
+            },
+        );
+    }
+    Ok(())
+}
+
 /// The engine's pinned disk task: the single task that touches this
 /// server's files, for every request it ever serves. Runs until the
 /// command channel closes. An `FsError` is fatal for the server (as it
@@ -382,126 +402,67 @@ fn run_disk_task(
                 };
                 let bytes = buf.len() as u64;
                 let t_disk = recorder.enabled().then(Instant::now);
+                // Hand the buffer to the backend and move on.
+                // Synchronous backends complete inline and return the
+                // buffer; a submission-queue backend keeps it until a
+                // completion thread lands the write, so the task runs
+                // ahead of the device by up to this *request's* window.
+                let f = &mut run.files[file];
+                let returned = f.handle.submit_write(offset, buf)?;
+                if returned.is_none() {
+                    f.in_flight += 1;
+                    run.total_in_flight += 1;
+                }
+                if let Some(t) = t_disk {
+                    // For a queued write this is the time spent
+                    // issuing, not completing: the device time surfaces
+                    // later as `FsWrite`/`FsComplete` events.
+                    recorder.record(
+                        node,
+                        &Event::DiskWriteDone {
+                            key,
+                            offset,
+                            bytes,
+                            dur: t.elapsed(),
+                        },
+                    );
+                }
+                // The paper's semantics under the per-write policy:
+                // fsync at once, before the buffer goes back, so the
+                // next fetch never overlaps a flush.
                 if matches!(run.sync_policy, SyncPolicy::PerWrite) {
-                    // The paper's semantics: fsync after every write
-                    // operation. Strictly synchronous by definition.
-                    let f = &mut run.files[file];
-                    f.handle.write_at(offset, &buf)?;
-                    if let Some(t) = t_disk {
-                        recorder.record(
-                            node,
-                            &Event::DiskWriteDone {
-                                key,
-                                offset,
-                                bytes,
-                                dur: t.elapsed(),
-                            },
-                        );
-                    }
-                    let t_sync = recorder.enabled().then(Instant::now);
-                    f.handle.sync()?;
-                    if let Some(t) = t_sync {
-                        recorder.record(
-                            node,
-                            &Event::DiskSyncDone {
-                                files: 1,
-                                dur: t.elapsed(),
-                            },
-                        );
-                    }
+                    timed_sync(recorder.as_ref(), node, 1, || f.handle.sync())?;
+                }
+                if let Some(buf) = returned {
                     let _ = out.send(DiskOut::Free { request, buf });
-                } else {
-                    // Submission path: hand the buffer to the backend
-                    // and move on. Synchronous backends complete inline
-                    // and return the buffer; a submission-queue backend
-                    // keeps it until a completion thread lands the
-                    // write, so the task runs ahead of the device by up
-                    // to this *request's* window.
-                    let f = &mut run.files[file];
-                    match f.handle.submit_write(offset, buf)? {
-                        Some(buf) => {
-                            if let Some(t) = t_disk {
-                                recorder.record(
-                                    node,
-                                    &Event::DiskWriteDone {
-                                        key,
-                                        offset,
-                                        bytes,
-                                        dur: t.elapsed(),
-                                    },
-                                );
-                            }
-                            let _ = out.send(DiskOut::Free { request, buf });
-                        }
-                        None => {
-                            f.in_flight += 1;
-                            run.total_in_flight += 1;
-                            if let Some(t) = t_disk {
-                                // Time spent issuing, not completing:
-                                // the device time surfaces later as
-                                // `FsWrite`/`FsComplete` events.
-                                recorder.record(
-                                    node,
-                                    &Event::DiskWriteDone {
-                                        key,
-                                        offset,
-                                        bytes,
-                                        dur: t.elapsed(),
-                                    },
-                                );
-                            }
-                        }
-                    }
+                }
+                drain_file(f, &mut run.total_in_flight, false, request, &out)?;
+                while run.total_in_flight > run.window {
+                    // Steps are file-sequential per request, so the
+                    // oldest submission belongs to the first file
+                    // still in flight; block on its completion.
+                    let idx = run
+                        .files
+                        .iter()
+                        .position(|f| f.in_flight > 0)
+                        .expect("in-flight count implies an in-flight file");
                     drain_file(
-                        &mut run.files[file],
+                        &mut run.files[idx],
                         &mut run.total_in_flight,
-                        false,
+                        true,
                         request,
                         &out,
                     )?;
-                    while run.total_in_flight > run.window {
-                        // Steps are file-sequential per request, so the
-                        // oldest submission belongs to the first file
-                        // still in flight; block on its completion.
-                        let idx = run
-                            .files
-                            .iter()
-                            .position(|f| f.in_flight > 0)
-                            .expect("in-flight count implies an in-flight file");
-                        drain_file(
-                            &mut run.files[idx],
-                            &mut run.total_in_flight,
-                            true,
-                            request,
-                            &out,
-                        )?;
-                    }
                 }
-                let f = &mut run.files[file];
-                f.remaining -= 1;
                 // Under the per-file policy, sync as soon as an array's
                 // last subchunk is issued, overlapped with the rest of
                 // the schedule. `sync` is a completion barrier, so the
                 // drain below returns every outstanding buffer.
+                let f = &mut run.files[file];
+                f.remaining -= 1;
                 if f.remaining == 0 && matches!(run.sync_policy, SyncPolicy::PerFile) {
-                    let t_sync = recorder.enabled().then(Instant::now);
-                    f.handle.sync()?;
-                    if let Some(t) = t_sync {
-                        recorder.record(
-                            node,
-                            &Event::DiskSyncDone {
-                                files: 1,
-                                dur: t.elapsed(),
-                            },
-                        );
-                    }
-                    drain_file(
-                        &mut run.files[file],
-                        &mut run.total_in_flight,
-                        false,
-                        request,
-                        &out,
-                    )?;
+                    timed_sync(recorder.as_ref(), node, 1, || f.handle.sync())?;
+                    drain_file(f, &mut run.total_in_flight, false, request, &out)?;
                 }
             }
             DiskCmd::Read {
@@ -552,21 +513,14 @@ fn run_disk_task(
                     // One coalesced barrier for the whole request:
                     // every fsync happens after every write has been
                     // issued, so no flush ever sits between two writes.
-                    let t_sync = recorder.enabled().then(Instant::now);
                     let n = run.files.len() as u32;
-                    for f in run.files.iter_mut() {
-                        f.handle.sync()?;
-                        drain_file(f, &mut run.total_in_flight, false, request, &out)?;
-                    }
-                    if let Some(t) = t_sync {
-                        recorder.record(
-                            node,
-                            &Event::DiskSyncDone {
-                                files: n,
-                                dur: t.elapsed(),
-                            },
-                        );
-                    }
+                    timed_sync(recorder.as_ref(), node, n, || {
+                        for f in run.files.iter_mut() {
+                            f.handle.sync()?;
+                            drain_file(f, &mut run.total_in_flight, false, request, &out)?;
+                        }
+                        Ok(())
+                    })?;
                 } else {
                     // Per-file/per-write syncs already landed; collect
                     // any straggler completions before retiring.
@@ -800,10 +754,7 @@ impl ServerNode {
         st.rr = st.rr.wrapping_add(1);
         let mut progress = false;
         for idx in order {
-            let mut run = mem::replace(&mut st.live[idx], RequestRun::hollow());
-            let moved = self.pump_run(&mut st.disk_pending, cmd_tx, &mut run);
-            st.live[idx] = run;
-            progress |= moved?;
+            progress |= self.pump_run(&mut st.disk_pending, cmd_tx, &mut st.live[idx])?;
         }
         Ok(progress)
     }
@@ -1358,16 +1309,7 @@ impl ServerNode {
                     .collect(),
             },
         )?;
-        let mut run = RequestRun {
-            request: req.request,
-            priority: req.priority,
-            participants: req.participants,
-            dir: op_dir(req.op),
-            depth,
-            sched,
-            t_op,
-            ..RequestRun::hollow()
-        };
+        let mut run = RequestRun::new(req, depth, sched, t_op);
         if run.sched.is_empty() {
             // Nothing to transfer: retire the request's (empty) disk
             // state straight away.

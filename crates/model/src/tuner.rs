@@ -28,6 +28,7 @@
 //! ([`Calibration::fitted_machine`]) so predictions can be
 //! cross-validated against the discrete-event simulation.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use panda_core::protocol::ArrayOp;
@@ -228,96 +229,31 @@ impl Calibrate for Session {
         meta: &ArrayMeta,
         opts: &TunerOptions,
     ) -> Result<Calibration, PandaError> {
+        let recorder = Arc::clone(self.recorder());
         let num_servers = self.num_servers();
         let sync_policy = self.sync_policy();
-        require_timeline(self.recorder().as_ref())?;
         let workers = opts.launch_io_workers.max(1);
         let data = vec![0u8; meta.client_bytes(0)];
         let mut buf = vec![0u8; meta.client_bytes(0)];
-        let mut write_probes = Vec::new();
-        let mut read_probes = Vec::new();
-        let reps = opts.probe_reps.max(1);
-        for &sub in &[opts.probe_subchunk_bytes.0, opts.probe_subchunk_bytes.1] {
-            let probe = TunedConfig::new(sub, 1, workers);
-            let arrays = probe_arrays(meta);
-
-            let mut best: Option<(u64, f64)> = None;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let id =
-                    self.write_set(&WriteSet::new().array(meta, PROBE_TAG, &data).tuned(&probe))?;
-                let wall = start.elapsed().as_secs_f64();
-                if best.is_none_or(|(_, w)| wall < w) {
-                    best = Some((id, wall));
-                }
-            }
-            let (id, wall) = best.expect("at least one probe rep");
-            write_probes.push(observe(
-                self.recorder().as_ref(),
-                id,
-                wall,
-                &arrays,
-                OpKind::Write,
-                num_servers,
-                sub,
-                sync_policy,
-            ));
-
-            let mut best: Option<(u64, f64)> = None;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let id = self.read_set(
-                    &mut ReadSet::new()
-                        .array(meta, PROBE_TAG, &mut buf)
-                        .tuned(&probe),
-                )?;
-                let wall = start.elapsed().as_secs_f64();
-                if best.is_none_or(|(_, w)| wall < w) {
-                    best = Some((id, wall));
-                }
-            }
-            let (id, wall) = best.expect("at least one probe rep");
-            read_probes.push(observe(
-                self.recorder().as_ref(),
-                id,
-                wall,
-                &arrays,
-                OpKind::Read,
-                num_servers,
-                sub,
-                sync_policy,
-            ));
-        }
-        let depth_probe = match depth_probe_config(opts, sync_policy, workers) {
-            Some(cfg) => {
-                let (mut write_wall_s, mut read_wall_s) = (f64::INFINITY, f64::INFINITY);
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    self.write_set(&WriteSet::new().array(meta, PROBE_TAG, &data).tuned(&cfg))?;
-                    write_wall_s = write_wall_s.min(start.elapsed().as_secs_f64());
-                    let start = Instant::now();
-                    self.read_set(
-                        &mut ReadSet::new().array(meta, PROBE_TAG, &mut buf).tuned(&cfg),
-                    )?;
-                    read_wall_s = read_wall_s.min(start.elapsed().as_secs_f64());
-                }
-                Some(DepthProbe {
-                    depth: cfg.pipeline_depth,
-                    write_wall_s,
-                    read_wall_s,
-                })
-            }
-            None => None,
-        };
-        finish(
-            &write_probes,
-            &read_probes,
-            depth_probe,
+        run_probes(
+            recorder.as_ref(),
             meta,
             num_servers,
             workers,
             sync_policy,
             opts,
+            |op, cfg| {
+                let start = Instant::now();
+                let id = match op {
+                    OpKind::Write => {
+                        self.write_set(&WriteSet::new().array(meta, PROBE_TAG, &data).tuned(cfg))?
+                    }
+                    OpKind::Read => self.read_set(
+                        &mut ReadSet::new().array(meta, PROBE_TAG, &mut buf).tuned(cfg),
+                    )?,
+                };
+                Ok((id, start.elapsed().as_secs_f64()))
+            },
         )
     }
 }
@@ -353,7 +289,6 @@ pub fn calibrate_fleet(
     meta: &ArrayMeta,
     opts: &TunerOptions,
 ) -> Result<Calibration, PandaError> {
-    require_timeline(system.recorder().as_ref())?;
     let first = clients.first().ok_or(PandaError::Config {
         issue: ConfigIssue::NoClientHandles,
     })?;
@@ -367,44 +302,65 @@ pub fn calibrate_fleet(
         .map(|r| vec![0u8; meta.client_bytes(r)])
         .collect();
     let mut bufs: Vec<Vec<u8>> = datas.clone();
+    let result = run_probes(
+        system.recorder().as_ref(),
+        meta,
+        num_servers,
+        workers,
+        sync_policy,
+        &opts,
+        |op, cfg| match op {
+            OpKind::Write => fleet_write(clients, meta, &datas, cfg),
+            OpKind::Read => fleet_read(clients, meta, &mut bufs, cfg),
+        },
+    );
+    remove_probe_files(system);
+    result
+}
 
-    let reps = opts.probe_reps.max(1);
+/// The probe sequence every calibration runs: a depth-1 write+read
+/// pair at each end of `opts.probe_subchunk_bytes`, each observed
+/// through the recorder, then the optional deep-pipeline pair, then
+/// the fit and search. `probe(op, cfg)` submits one collective at
+/// `cfg` and returns its request id and wall seconds; every probe is
+/// min-of-`opts.probe_reps`.
+fn run_probes(
+    recorder: &dyn Recorder,
+    meta: &ArrayMeta,
+    num_servers: usize,
+    workers: usize,
+    sync_policy: SyncPolicy,
+    opts: &TunerOptions,
+    mut probe: impl FnMut(OpKind, &TunedConfig) -> Result<(u64, f64), PandaError>,
+) -> Result<Calibration, PandaError> {
+    require_timeline(recorder)?;
+    let reps = opts.probe_reps;
+    let arrays = probe_arrays(meta);
     let mut write_probes = Vec::new();
     let mut read_probes = Vec::new();
     for &sub in &[opts.probe_subchunk_bytes.0, opts.probe_subchunk_bytes.1] {
-        let probe = TunedConfig::new(sub, 1, workers.max(1));
-        let arrays = probe_arrays(meta);
-
-        let (id, wall) = fleet_min_of_reps(reps, || fleet_write(clients, meta, &datas, &probe))?;
-        write_probes.push(observe(
-            system.recorder().as_ref(),
-            id,
-            wall,
-            &arrays,
-            OpKind::Write,
-            num_servers,
-            sub,
-            sync_policy,
-        ));
-
-        let (id, wall) = fleet_min_of_reps(reps, || fleet_read(clients, meta, &mut bufs, &probe))?;
-        read_probes.push(observe(
-            system.recorder().as_ref(),
-            id,
-            wall,
-            &arrays,
-            OpKind::Read,
-            num_servers,
-            sub,
-            sync_policy,
-        ));
+        let cfg = TunedConfig::new(sub, 1, workers.max(1));
+        for (op, probes) in [
+            (OpKind::Write, &mut write_probes),
+            (OpKind::Read, &mut read_probes),
+        ] {
+            let (id, wall) = fleet_min_of_reps(reps, || probe(op, &cfg))?;
+            probes.push(observe(
+                recorder,
+                id,
+                wall,
+                &arrays,
+                op,
+                num_servers,
+                sub,
+                sync_policy,
+            ));
+        }
     }
-    let depth_probe = match depth_probe_config(&opts, sync_policy, workers) {
+    let depth_probe = match depth_probe_config(opts, sync_policy, workers) {
         Some(cfg) => {
-            let (_, write_wall_s) =
-                fleet_min_of_reps(reps, || fleet_write(clients, meta, &datas, &cfg))?;
-            let (_, read_wall_s) =
-                fleet_min_of_reps(reps, || fleet_read(clients, meta, &mut bufs, &cfg))?;
+            let (_, write_wall_s) = fleet_min_of_reps(reps, || probe(OpKind::Write, &cfg))?;
+            let (_, read_wall_s) = fleet_min_of_reps(reps, || probe(OpKind::Read, &cfg))?;
             Some(DepthProbe {
                 depth: cfg.pipeline_depth,
                 write_wall_s,
@@ -413,7 +369,6 @@ pub fn calibrate_fleet(
         }
         None => None,
     };
-    remove_probe_files(system);
     finish(
         &write_probes,
         &read_probes,
@@ -422,7 +377,7 @@ pub fn calibrate_fleet(
         num_servers,
         workers,
         sync_policy,
-        &opts,
+        opts,
     )
 }
 

@@ -7,16 +7,16 @@
 //! come from the calibrated model in `panda-model`, not from this
 //! fabric; this fabric exists to move real bytes and prove the protocol.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use panda_obs::{Event, Recorder};
 
 use crate::envelope::{Bytes, Envelope, NodeId, Payload};
 use crate::error::MsgError;
+use crate::mailbox::Mailbox;
 use crate::obs::MsgObs;
 use crate::stats::FabricStats;
 use crate::transport::{MatchSpec, Transport};
@@ -57,11 +57,12 @@ impl InProcFabric {
             .map(|(rank, rx)| InProcEndpoint {
                 node: NodeId(rank),
                 peers: txs.clone(),
-                rx,
-                pending: VecDeque::new(),
-                obs: MsgObs::new(rank as u32, Arc::clone(&stats)),
+                mailbox: Mailbox::new(
+                    rx,
+                    MsgObs::new(rank as u32, Arc::clone(&stats)),
+                    recv_timeout,
+                ),
                 stats: Arc::clone(&stats),
-                recv_timeout,
             })
             .collect();
         (endpoints, stats)
@@ -73,36 +74,14 @@ impl InProcFabric {
 pub struct InProcEndpoint {
     node: NodeId,
     peers: Vec<Sender<Envelope>>,
-    rx: Receiver<Envelope>,
-    /// MPI-style unexpected-message queue: arrivals that did not match
-    /// the spec of the receive in progress, kept in arrival order.
-    pending: VecDeque<Envelope>,
-    obs: MsgObs,
+    mailbox: Mailbox,
     stats: Arc<FabricStats>,
-    recv_timeout: Duration,
 }
 
 impl InProcEndpoint {
     /// Shared statistics handle.
     pub fn stats(&self) -> &Arc<FabricStats> {
         &self.stats
-    }
-
-    fn take_pending(&mut self, spec: MatchSpec) -> Option<Envelope> {
-        let pos = self.pending.iter().position(|e| spec.matches(e))?;
-        self.pending.remove(pos)
-    }
-
-    /// Report a delivered message. `wait` is the time this endpoint
-    /// spent blocked for it (zero when it was already buffered or when
-    /// no enabled recorder asked for timing).
-    fn note_recv(&self, env: &Envelope, wait: Duration) {
-        self.obs.emit(&Event::MsgReceived {
-            from: env.src.index() as u32,
-            tag: env.tag,
-            bytes: env.len() as u64,
-            wait,
-        });
     }
 
     fn send_payload(&mut self, dst: NodeId, tag: u32, payload: Payload) -> Result<(), MsgError> {
@@ -117,7 +96,7 @@ impl InProcEndpoint {
             payload,
         })
         .map_err(|_| MsgError::Disconnected)?;
-        self.obs.emit(&Event::MsgSent {
+        self.mailbox.obs.emit(&Event::MsgSent {
             to: dst.index() as u32,
             tag,
             bytes: bytes as u64,
@@ -154,57 +133,15 @@ impl Transport for InProcEndpoint {
     }
 
     fn recv_matching(&mut self, spec: MatchSpec) -> Result<Envelope, MsgError> {
-        if let Some(env) = self.take_pending(spec) {
-            self.note_recv(&env, Duration::ZERO);
-            return Ok(env);
-        }
-        let start = self.obs.timed().then(Instant::now);
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(env) => {
-                    if spec.matches(&env) {
-                        let wait = start.map(|s| s.elapsed()).unwrap_or(Duration::ZERO);
-                        self.note_recv(&env, wait);
-                        return Ok(env);
-                    }
-                    self.pending.push_back(env);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(MsgError::Timeout {
-                        after_ms: self.recv_timeout.as_millis() as u64,
-                    })
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(MsgError::Disconnected),
-            }
-        }
+        self.mailbox.recv_matching(spec)
     }
 
     fn try_recv_matching(&mut self, spec: MatchSpec) -> Result<Option<Envelope>, MsgError> {
-        if let Some(env) = self.take_pending(spec) {
-            self.note_recv(&env, Duration::ZERO);
-            return Ok(Some(env));
-        }
-        loop {
-            match self.rx.try_recv() {
-                Ok(env) => {
-                    if spec.matches(&env) {
-                        self.note_recv(&env, Duration::ZERO);
-                        return Ok(Some(env));
-                    }
-                    self.pending.push_back(env);
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => return Ok(None),
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    return Err(MsgError::Disconnected)
-                }
-            }
-        }
+        self.mailbox.try_recv_matching(spec)
     }
 
     fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.obs.set_recorder(recorder);
+        self.mailbox.obs.set_recorder(recorder);
     }
 }
 

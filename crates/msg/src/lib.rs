@@ -31,6 +31,7 @@ pub mod envelope;
 pub mod error;
 pub mod group;
 pub mod inproc;
+mod mailbox;
 mod obs;
 pub mod stats;
 pub mod tcp;

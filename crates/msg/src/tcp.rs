@@ -14,19 +14,19 @@
 //! thread multiplexes all incoming connections into one queue, exactly
 //! mirroring the in-process fabric's single mailbox.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use panda_obs::{Event, Recorder};
 
 use crate::envelope::{Bytes, Envelope, NodeId, Payload};
 use crate::error::MsgError;
+use crate::mailbox::Mailbox;
 use crate::obs::MsgObs;
 use crate::stats::FabricStats;
 use crate::transport::{MatchSpec, Transport};
@@ -73,13 +73,10 @@ pub struct TcpEndpoint {
     node: NodeId,
     /// Write halves to every peer (self-sends short-circuit).
     peers: Vec<Option<Arc<Mutex<TcpStream>>>>,
-    rx: Receiver<Envelope>,
+    mailbox: Mailbox,
     /// Loopback for self-sends.
     self_tx: Sender<Envelope>,
-    pending: VecDeque<Envelope>,
-    obs: MsgObs,
     stats: Arc<FabricStats>,
-    recv_timeout: Duration,
 }
 
 impl TcpEndpoint {
@@ -115,12 +112,13 @@ impl TcpEndpoint {
         Ok(TcpEndpoint {
             node: NodeId(rank),
             peers,
-            rx,
+            mailbox: Mailbox::new(
+                rx,
+                MsgObs::new(rank as u32, Arc::clone(&stats)),
+                recv_timeout,
+            ),
             self_tx: tx,
-            pending: VecDeque::new(),
-            obs: MsgObs::new(rank as u32, Arc::clone(&stats)),
             stats,
-            recv_timeout,
         })
     }
 
@@ -129,21 +127,6 @@ impl TcpEndpoint {
     /// memory to aggregate in).
     pub fn stats(&self) -> &Arc<FabricStats> {
         &self.stats
-    }
-
-    fn take_pending(&mut self, spec: MatchSpec) -> Option<Envelope> {
-        let pos = self.pending.iter().position(|e| spec.matches(e))?;
-        self.pending.remove(pos)
-    }
-
-    /// Report a delivered message (`wait` = time spent blocked for it).
-    fn note_recv(&self, env: &Envelope, wait: Duration) {
-        self.obs.emit(&Event::MsgReceived {
-            from: env.src.index() as u32,
-            tag: env.tag,
-            bytes: env.len() as u64,
-            wait,
-        });
     }
 
     fn send_payload(&mut self, dst: NodeId, tag: u32, payload: Payload) -> Result<(), MsgError> {
@@ -156,7 +139,7 @@ impl TcpEndpoint {
         let bytes = payload.len();
         // Socket writes genuinely block (unlike the in-process fabric's
         // buffered channels), so time them when a recorder asks.
-        let start = self.obs.timed().then(Instant::now);
+        let start = self.mailbox.obs.timed().then(Instant::now);
         if dst == self.node {
             self.self_tx
                 .send(Envelope {
@@ -188,7 +171,7 @@ impl TcpEndpoint {
             }
             drop(guard);
         }
-        self.obs.emit(&Event::MsgSent {
+        self.mailbox.obs.emit(&Event::MsgSent {
             to: dst.index() as u32,
             tag,
             bytes: bytes as u64,
@@ -198,7 +181,16 @@ impl TcpEndpoint {
     }
 }
 
+/// Largest frame a reader accepts. A frame never exceeds one piece or
+/// one baseline chunk, so anything past this is a corrupt header, not
+/// traffic.
+const MAX_FRAME_BYTES: u64 = 1 << 30;
+
 /// Read frames off one connection into the shared mailbox until EOF.
+/// The header's length is outside input: a frame over
+/// [`MAX_FRAME_BYTES`] shuts the connection down instead of being
+/// allocated for, so the peer's next receive ends in its typed
+/// `Timeout`/`Disconnected` and every other connection keeps working.
 fn spawn_reader(mut stream: TcpStream, tx: Sender<Envelope>) {
     std::thread::spawn(move || {
         loop {
@@ -208,8 +200,14 @@ fn spawn_reader(mut stream: TcpStream, tx: Sender<Envelope>) {
             }
             let src = u64::from_le_bytes(header[0..8].try_into().unwrap()) as usize;
             let tag = u32::from_le_bytes(header[8..12].try_into().unwrap());
-            let len = u64::from_le_bytes(header[12..20].try_into().unwrap()) as usize;
-            let mut payload = vec![0u8; len];
+            let len = u64::from_le_bytes(header[12..20].try_into().unwrap());
+            if len > MAX_FRAME_BYTES {
+                // The write half is a clone of this socket; shut both
+                // directions so the peer sees the drop too.
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                return;
+            }
+            let mut payload = vec![0u8; len as usize];
             if stream.read_exact(&mut payload).is_err() {
                 return;
             }
@@ -255,57 +253,15 @@ impl Transport for TcpEndpoint {
     }
 
     fn recv_matching(&mut self, spec: MatchSpec) -> Result<Envelope, MsgError> {
-        if let Some(env) = self.take_pending(spec) {
-            self.note_recv(&env, Duration::ZERO);
-            return Ok(env);
-        }
-        let start = self.obs.timed().then(Instant::now);
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(env) => {
-                    if spec.matches(&env) {
-                        let wait = start.map(|s| s.elapsed()).unwrap_or(Duration::ZERO);
-                        self.note_recv(&env, wait);
-                        return Ok(env);
-                    }
-                    self.pending.push_back(env);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(MsgError::Timeout {
-                        after_ms: self.recv_timeout.as_millis() as u64,
-                    })
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(MsgError::Disconnected),
-            }
-        }
+        self.mailbox.recv_matching(spec)
     }
 
     fn try_recv_matching(&mut self, spec: MatchSpec) -> Result<Option<Envelope>, MsgError> {
-        if let Some(env) = self.take_pending(spec) {
-            self.note_recv(&env, Duration::ZERO);
-            return Ok(Some(env));
-        }
-        loop {
-            match self.rx.try_recv() {
-                Ok(env) => {
-                    if spec.matches(&env) {
-                        self.note_recv(&env, Duration::ZERO);
-                        return Ok(Some(env));
-                    }
-                    self.pending.push_back(env);
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => return Ok(None),
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    return Err(MsgError::Disconnected)
-                }
-            }
-        }
+        self.mailbox.try_recv_matching(spec)
     }
 
     fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.obs.set_recorder(recorder);
+        self.mailbox.obs.set_recorder(recorder);
     }
 }
 
@@ -416,6 +372,72 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn oversized_frame_header_drops_one_connection_only() {
+        // Rank 0 is a raw socket, not an endpoint: it says hello to
+        // ranks 1 and 2 like `establish` would, then lies about a
+        // frame's length on its connection to rank 1.
+        let listeners: Vec<TcpListener> = (0..3)
+            .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let mut listeners = listeners.into_iter().skip(1);
+        let handles: Vec<_> = (1..3)
+            .map(|rank| {
+                let listener = listeners.next().unwrap();
+                let addrs = addrs.clone();
+                std::thread::spawn(move || {
+                    TcpEndpoint::establish(rank, listener, &addrs, Duration::from_secs(10))
+                })
+            })
+            .collect();
+        let mut raw: Vec<TcpStream> = addrs[1..]
+            .iter()
+            .map(|addr| {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(&0u64.to_le_bytes()).unwrap();
+                s
+            })
+            .collect();
+        let mut eps: Vec<TcpEndpoint> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+        let mut c = eps.pop().unwrap();
+        let mut b = eps.pop().unwrap();
+
+        // A frame from "rank 0" claiming `len` payload bytes.
+        let frame = |tag: u32, len: u64, payload: &[u8]| {
+            let mut f = Vec::new();
+            f.extend_from_slice(&0u64.to_le_bytes());
+            f.extend_from_slice(&tag.to_le_bytes());
+            f.extend_from_slice(&len.to_le_bytes());
+            f.extend_from_slice(payload);
+            f
+        };
+        raw[0].write_all(&frame(9, u64::MAX, &[])).unwrap();
+        // Rank 1's reader shuts the connection instead of allocating:
+        // the liar reads EOF (or a reset), never a hang.
+        let mut byte = [0u8; 1];
+        assert!(matches!(raw[0].read(&mut byte), Ok(0) | Err(_)));
+
+        // Every other connection is untouched: 1 <-> 2 ping-pong, and
+        // rank 0's honest connection to rank 2 still delivers.
+        let t = std::thread::spawn(move || {
+            let env = c.recv_matching(MatchSpec::from(NodeId(1), 1)).unwrap();
+            assert_eq!(env.payload, b"ping");
+            c.send(NodeId(1), 2, b"pong".to_vec()).unwrap();
+            c
+        });
+        b.send(NodeId(2), 1, b"ping".to_vec()).unwrap();
+        let env = b.recv_matching(MatchSpec::from(NodeId(2), 2)).unwrap();
+        assert_eq!(env.payload, b"pong");
+        let mut c = t.join().unwrap();
+        raw[1].write_all(&frame(3, 2, b"ok")).unwrap();
+        let env = c.recv_matching(MatchSpec::from(NodeId(0), 3)).unwrap();
+        assert_eq!(env.payload, b"ok");
     }
 
     #[test]

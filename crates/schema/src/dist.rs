@@ -20,9 +20,9 @@ pub enum Dist {
     /// the mesh axis. `Cyclic(1)` is classic cyclic distribution.
     ///
     /// Extension beyond the paper (Panda 2.0 itself only ships `BLOCK`
-    /// and `*`); supported by the geometry layer so future schema work
-    /// has a substrate, but rejected by the chunk-grid builder which
-    /// requires rectangular chunks.
+    /// and `*`): the directive exists, validates and crosses the wire so
+    /// outside input naming it gets a typed rejection from the
+    /// chunk-grid builder, which requires rectangular chunks.
     Cyclic(usize),
 }
 

@@ -29,7 +29,6 @@
 
 pub mod chunking;
 pub mod copy;
-pub mod cyclic;
 pub mod dist;
 pub mod element;
 pub mod error;
