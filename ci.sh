@@ -31,6 +31,26 @@ benchmark run -q -- run --quick --runs 3 --out "$ledger"
 benchmark run -q -- compare benchmark/results/baseline.json "$ledger"
 rm -f "$ledger"
 
+# Page-fault budget: natural chunking recycles its piece-sized buffers
+# (panda_msg::freelist) and MemFs rewrites a re-created file's pages in
+# place, so a steady-state bulk_mem operation faults in almost nothing.
+# Minor faults of the run (set-up included) per attempted operation:
+# ~10 800 before buffers were recycled, ~600 since. A count, not a
+# timing, so the budget holds on a noisy host.
+if command -v python3 >/dev/null; then
+  python3 - <<'PY'
+import json, resource, subprocess
+cmd = ["cargo", "run", "--release", "--offline", "-q", "--manifest-path", "benchmark/Cargo.toml",
+       "--", "--workload", "bulk_mem", "--seed", "1", "--seconds", "5", "--trace", "0"]
+out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+attempted = json.loads(out.strip().splitlines()[-1])["attempted"]
+faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+per_op = faults / attempted
+assert per_op <= 2000, f"bulk_mem: {per_op:.0f} minor page faults per operation exceeds the budget of 2000"
+print(f"fault budget: {faults} minor faults / {attempted} operations = {per_op:.0f} per operation ok")
+PY
+fi
+
 # Experiment smokes: each bin below runs --quick end to end. Every bin
 # validates each JSON line it writes (panda_obs::json::validate) and
 # asserts its own invariants (byte-identical files across the modes it

@@ -23,9 +23,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use panda_fs::SyncPolicy;
-use panda_msg::{MatchSpec, NodeId, Transport};
+use panda_msg::{freelist, MatchSpec, NodeId, Transport};
 use panda_obs::{Event, OpDir, Recorder};
-use panda_schema::{copy, Region};
+use panda_schema::{copy, Region, SchemaError};
 
 use crate::array::ArrayMeta;
 use crate::error::PandaError;
@@ -420,9 +420,11 @@ impl PandaClient {
     /// (or a delivery during a write) is a typed protocol error.
     /// `expected` is how many pieces must land here (0 for writes);
     /// with pipelining the servers keep several requests outstanding
-    /// per client, so this loop is the client's hot path: each packed
-    /// reply *moves* into the envelope via the vectored send path — one
-    /// allocation and one copy per piece. Every reply echoes the
+    /// per client, so this loop is the client's hot path: each reply is
+    /// packed into a free-list buffer that *moves* into the envelope via
+    /// the vectored send path, and each delivery's buffer goes back to
+    /// the list once scattered — one copy per piece, and in steady state
+    /// no allocation. Every reply echoes the
     /// fetch's request id, which is how the multi-tenant servers route
     /// it back to the right run.
     ///
@@ -464,7 +466,14 @@ impl PandaClient {
                         });
                     };
                     let t_pack = self.obs_on().then(Instant::now);
-                    let packed = copy::pack_region(data, &x.region, &region, x.meta.elem_size())?;
+                    let elem = x.meta.elem_size();
+                    // The region is off the wire: bound the buffer by
+                    // this client's own chunk before taking one for it.
+                    if !x.region.contains_region(&region) {
+                        return Err(SchemaError::RegionNotContained.into());
+                    }
+                    let mut packed = freelist::take(region.num_bytes(elem));
+                    copy::pack_region_into(&mut packed, data, &x.region, &region, elem)?;
                     if let Some(t) = t_pack {
                         self.emit(&Event::ClientPacked {
                             request,
@@ -513,6 +522,7 @@ impl PandaClient {
                             dur: t.elapsed(),
                         });
                     }
+                    payload.recycle();
                     received += 1;
                     if received > expected {
                         return Err(PandaError::Protocol {

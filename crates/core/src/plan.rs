@@ -216,6 +216,13 @@ pub struct ScheduleStep {
     /// Read-section trim: pieces are intersected with this region
     /// before being pushed. Always `None` on the write direction.
     pub section: Option<Region>,
+    /// True iff the step needs no reorganization on the server: its one
+    /// piece *is* the subchunk (natural chunking) and no read section
+    /// trims it. The executor passes such a step's buffer straight
+    /// through — wire to disk on writes, disk to wire on reads — instead
+    /// of copying it piece by piece. Decided here, once, so every
+    /// consumer of the schedule agrees.
+    pub identity: bool,
 }
 
 /// One per-array file of a [`CollectiveSchedule`], in first-use order.
@@ -316,6 +323,10 @@ impl CollectiveSchedule {
                     elem,
                     sub: sub.clone(),
                     section: section.clone(),
+                    identity: matches!(&sub.pieces[..], [p] if p.region == sub.region)
+                        && section
+                            .as_ref()
+                            .is_none_or(|s| s.contains_region(&sub.region)),
                 });
             }
         }
@@ -717,6 +728,88 @@ mod tests {
         assert!(other.is_empty());
         assert!(other.files.is_empty());
         assert!(other.empty_files.is_empty(), "reads never create files");
+    }
+
+    fn schedule_of(
+        meta: ArrayMeta,
+        op: OpKind,
+        section: Option<Region>,
+        server: usize,
+    ) -> CollectiveSchedule {
+        let op_array = ArrayOp {
+            meta,
+            file_tag: "a".to_string(),
+            section,
+        };
+        CollectiveSchedule::build(&[op_array], op, server, 2, 256, SyncPolicy::PerFile)
+    }
+
+    #[test]
+    fn identity_is_natural_chunking_untrimmed() {
+        for server in 0..2 {
+            for op in [OpKind::Write, OpKind::Read] {
+                // Mesh-aligned natural chunking: every step's one piece
+                // is its subchunk.
+                let natural = schedule_of(natural_array(&[16, 16], &[2, 2]), op, None, server);
+                assert!(!natural.is_empty());
+                assert!(natural.steps.iter().all(|s| s.identity));
+                // Traditional order: a slab crosses client chunks.
+                let trad = schedule_of(traditional_array(&[16, 16], &[2, 2], 2), op, None, server);
+                assert!(!trad.is_empty());
+                assert!(trad.steps.iter().all(|s| !s.identity));
+            }
+        }
+        // Chunk 0 of the natural array is rows 0..8 x cols 0..8 on
+        // server 0, in 4-row subchunks. A section that covers a subchunk
+        // leaves it an identity step; one that cuts it does not.
+        let covering = Region::new(&[0, 0], &[8, 16]).unwrap();
+        let sched = schedule_of(
+            natural_array(&[16, 16], &[2, 2]),
+            OpKind::Read,
+            Some(covering),
+            0,
+        );
+        assert!(!sched.is_empty());
+        assert!(sched.steps.iter().all(|s| s.identity));
+        let cutting = Region::new(&[0, 0], &[8, 5]).unwrap();
+        let sched = schedule_of(
+            natural_array(&[16, 16], &[2, 2]),
+            OpKind::Read,
+            Some(cutting.clone()),
+            0,
+        );
+        assert!(!sched.is_empty());
+        for step in &sched.steps {
+            assert!(!cutting.contains_region(&step.sub.region));
+            assert!(!step.identity, "a trimmed piece must be packed");
+        }
+    }
+
+    #[test]
+    fn write_steps_pieces_partition_their_subchunk() {
+        // The server assembles a write step into a buffer it does not
+        // clear first (and an identity step's buffer is the one piece):
+        // sound only because the pieces cover the subchunk exactly once.
+        for meta in [
+            natural_array(&[16, 16], &[2, 2]),
+            traditional_array(&[16, 12, 8], &[2, 2, 2], 2),
+            traditional_array(&[17, 13], &[3, 2], 2),
+        ] {
+            for server in 0..2 {
+                let sched = schedule_of(meta.clone(), OpKind::Write, None, server);
+                for step in &sched.steps {
+                    let pieces = &step.sub.pieces;
+                    let covered: usize = pieces.iter().map(|p| p.region.num_bytes(step.elem)).sum();
+                    assert_eq!(covered, step.sub.bytes, "pieces must fill the subchunk");
+                    for (i, p) in pieces.iter().enumerate() {
+                        assert!(step.sub.region.contains_region(&p.region));
+                        for q in &pieces[i + 1..] {
+                            assert!(!p.region.overlaps(&q.region), "pieces must not overlap");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl IoPool {
         if total < PAR_PACK_MIN_BYTES || bands < 2 {
             return copy::pack_region_into(out, src, src_region, sub, elem_size);
         }
-        out.clear();
+        // The bands below overwrite all of `out`: only growth is filled.
         out.resize(total, 0);
         let row_bytes = total / rows;
         let mut jobs: Vec<Box<dyn FnOnce() -> Result<(), SchemaError> + Send + '_>> =

@@ -546,35 +546,43 @@ impl Msg {
 
     /// Decode a delivered envelope, consuming it.
     ///
-    /// A framed [`tags::DATA`] arrival (head = the fixed fields + byte
-    /// length, body = the packed region) is decoded without touching
-    /// the body: the `Bytes` moves straight into [`Msg::Data`]. Every
-    /// other payload form falls back to [`Msg::decode`] over the
-    /// contiguous bytes.
+    /// A [`tags::DATA`] arrival is decoded without copying the packed
+    /// region: framed (head = the fixed fields + byte length, body = the
+    /// region), the body's `Bytes` moves straight into [`Msg::Data`];
+    /// inline (one buffer off a socket), the head is cut off the front
+    /// of that same buffer, which becomes the payload. Every other
+    /// message falls back to [`Msg::decode`] over the contiguous bytes.
     pub fn decode_envelope(env: Envelope) -> Result<Msg, PandaError> {
-        match env.payload {
-            Payload::Framed { head, body } if env.tag == tags::DATA => {
-                let mut r = Reader::new(&head);
-                let request = r.u64()?;
-                let array = r.u32()?;
-                let seq = r.u64()?;
-                let region = r.region()?;
-                let len = r.size()?;
-                if len != body.len() || r.remaining() != 0 {
-                    return Err(PandaError::Decode {
-                        context: "framed data length",
-                    });
-                }
-                Ok(Msg::Data {
-                    request,
-                    array,
-                    seq,
-                    region,
-                    payload: body,
+        if env.tag != tags::DATA {
+            return Msg::decode(env.tag, &env.payload.into_contiguous());
+        }
+        let (head, _) = env.payload.as_parts();
+        let mut r = Reader::new(head);
+        let request = r.u64()?;
+        let array = r.u32()?;
+        let seq = r.u64()?;
+        let region = r.region()?;
+        let len = r.size()?;
+        let rest = r.remaining();
+        let payload = match env.payload {
+            Payload::Framed { body, .. } if rest == 0 && len == body.len() => body,
+            Payload::Inline(mut buf) if len == rest => {
+                buf.drain(..buf.len() - len);
+                buf.into()
+            }
+            _ => {
+                return Err(PandaError::Decode {
+                    context: "data length",
                 })
             }
-            payload => Msg::decode(env.tag, &payload.into_contiguous()),
-        }
+        };
+        Ok(Msg::Data {
+            request,
+            array,
+            seq,
+            region,
+            payload,
+        })
     }
 }
 
@@ -914,8 +922,48 @@ mod tests {
     }
 
     #[test]
+    fn inline_data_decodes_in_place() {
+        // What a socket reader delivers: head and body in one buffer.
+        let region = Region::new(&[0], &[8]).unwrap();
+        let msg = Msg::Data {
+            request: 5,
+            array: 1,
+            seq: 2,
+            region,
+            payload: vec![7u8; 8].into(),
+        };
+        let inline = |bytes: Vec<u8>| Envelope {
+            src: NodeId(0),
+            tag: tags::DATA,
+            payload: Payload::Inline(bytes),
+        };
+        let wire = msg.encode();
+        let alloc = wire.as_ptr();
+        match Msg::decode_envelope(inline(wire)).unwrap() {
+            Msg::Data {
+                payload: Bytes::Owned(body),
+                ..
+            } => {
+                assert_eq!(body, vec![7u8; 8]);
+                assert_eq!(body.as_ptr(), alloc, "the body was copied out of its frame");
+            }
+            other => panic!("expected an owned Data payload, got {other:?}"),
+        }
+        // A body shorter or longer than its length prefix is refused.
+        let mut long = msg.encode();
+        long.push(0);
+        let mut short = msg.encode();
+        short.pop();
+        for bad in [long, short] {
+            assert!(matches!(
+                Msg::decode_envelope(inline(bad)),
+                Err(PandaError::Decode { .. })
+            ));
+        }
+    }
+
+    #[test]
     fn framed_data_with_bad_length_is_rejected() {
-        use panda_msg::{Envelope, Payload};
         let region = Region::new(&[0], &[4]).unwrap();
         let mut w = Writer::new();
         w.u64(0); // request id

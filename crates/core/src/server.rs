@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use panda_fs::{FileHandle, FileSystem, FsError, SyncPolicy};
-use panda_msg::{Bytes, MatchSpec, NodeId, Transport};
+use panda_msg::{freelist, Bytes, MatchSpec, NodeId, Transport};
 use panda_obs::{Event, OpDir, Recorder, SubchunkKey};
 use panda_schema::{copy, Region, SchemaError};
 
@@ -102,20 +102,21 @@ fn op_dir(op: OpKind) -> OpDir {
 
 /// A subchunk being assembled inside a write run's window.
 struct InFlight {
-    /// Assembly buffer (recycled through the disk task).
+    /// The subchunk's bytes. Empty until the first piece arrives: an
+    /// identity step's buffer *is* the received payload, a reorganizing
+    /// step takes one from the free-list when it starts assembling.
     buf: Vec<u8>,
     /// Pieces still missing.
     remaining: usize,
 }
 
-/// A fetched piece that arrived but has not been assembled yet.
+/// A fetched piece of a reorganizing step that arrived but has not
+/// been assembled yet.
 struct PendingPiece {
     /// Step index within the run's schedule.
     step: usize,
     /// Piece index within the step's subchunk.
     piece: usize,
-    /// The piece's global-array region.
-    region: Region,
     /// The packed payload.
     payload: Bytes,
 }
@@ -146,12 +147,8 @@ struct RequestRun {
     front: usize,
     /// Next step to issue fetches for.
     next: usize,
-    /// Buffers alive across the exchange and disk stages.
-    circulating: usize,
-    /// Drained buffers ready for reuse.
-    free_bufs: Vec<Vec<u8>>,
-    /// Write commands sent to the disk task whose buffer has not been
-    /// recycled yet — the per-request disk queue bound.
+    /// Write commands sent to the disk task whose buffer has not come
+    /// back yet — the per-request disk queue bound.
     disk_queued: usize,
     /// Replies awaiting this pump's parallel assembly pass.
     pending: Vec<PendingPiece>,
@@ -186,8 +183,6 @@ impl RequestRun {
             window: VecDeque::new(),
             front: 0,
             next: 0,
-            circulating: 0,
-            free_bufs: Vec::new(),
             disk_queued: 0,
             pending: Vec::new(),
             reads_issued: 0,
@@ -256,14 +251,13 @@ enum DiskCmd {
         offset: u64,
         buf: Vec<u8>,
     },
-    /// Prefetch one subchunk into `buf` (read direction).
+    /// Prefetch one subchunk (read direction) into a free-list buffer.
     Read {
         request: u64,
         file: usize,
         key: SubchunkKey,
         offset: u64,
         bytes: usize,
-        buf: Vec<u8>,
     },
     /// End a request: drain its in-flight writes, run its
     /// per-collective sync barrier, drop its file table.
@@ -272,7 +266,7 @@ enum DiskCmd {
 
 /// A completion from the disk task back to the scheduler.
 enum DiskOut {
-    /// A write buffer finished its disk trip and can be reused.
+    /// A write buffer finished its disk trip.
     Free { request: u64, buf: Vec<u8> },
     /// A read buffer was filled and is ready to scatter.
     Full { request: u64, buf: Vec<u8> },
@@ -471,13 +465,12 @@ fn run_disk_task(
                 key,
                 offset,
                 bytes,
-                mut buf,
             } => {
                 let Some(run) = runs.get_mut(&request) else {
                     continue;
                 };
-                buf.clear();
-                buf.resize(bytes, 0);
+                // `read_at` fills all of it or fails.
+                let mut buf = freelist::take(bytes);
                 let t_disk = recorder.enabled().then(Instant::now);
                 run.files[file].handle.read_at(offset, &mut buf)?;
                 if recorder.enabled() {
@@ -784,9 +777,11 @@ impl ServerNode {
         let mut progress = false;
         loop {
             let mut moved = false;
-            // Assemble the arrived batch, window slots in parallel:
-            // each job owns one slot's buffer (disjoint via
-            // `iter_mut`); pieces within a slot stay serial.
+            // Assemble the arrived batch of reorganizing steps (an
+            // identity step's payload became its slot's buffer on
+            // arrival), window slots in parallel: each job owns one
+            // slot's buffer (disjoint via `iter_mut`); pieces within a
+            // slot stay serial.
             if !run.pending.is_empty() {
                 moved = true;
                 let front = run.front;
@@ -808,10 +803,16 @@ impl ServerNode {
                     }
                     let step = &steps[front + off];
                     slot.remaining -= items.len();
+                    if slot.buf.is_empty() {
+                        // Not zero-filled: a write step's pieces
+                        // partition its subchunk, so assembly
+                        // overwrites every byte.
+                        slot.buf = freelist::take(step.sub.bytes);
+                    }
                     let buf = &mut slot.buf;
                     let key = SubchunkKey::scoped(request, server_idx, step.array, step.subchunk);
                     jobs.push(Box::new(move || {
-                        for p in &items {
+                        for p in items {
                             assemble_piece(
                                 recorder.as_ref(),
                                 node,
@@ -819,10 +820,11 @@ impl ServerNode {
                                 p.piece as u32,
                                 buf,
                                 &step.sub.region,
-                                &p.region,
+                                &step.sub.pieces[p.piece].region,
                                 &p.payload,
                                 step.elem,
                             )?;
+                            p.payload.recycle();
                         }
                         Ok(())
                     }));
@@ -870,25 +872,15 @@ impl ServerNode {
             }
             // Keep up to `depth` steps' fetches outstanding.
             while run.next < run.sched.steps.len() && run.next - run.front < run.depth {
-                let mut buf = if let Some(b) = run.free_bufs.pop() {
-                    b
-                } else if run.circulating < run.depth {
-                    run.circulating += 1;
-                    Vec::new()
-                } else if run.depth == 1 {
+                if run.depth == 1 && run.disk_queued > 0 {
                     // Depth 1 is the strictly serialized oracle: the
-                    // next fetch waits for the disk write to land (the
-                    // buffer comes back as a `Free`).
+                    // next fetch waits for the disk write to land (its
+                    // `Free`). Deeper windows keep fetching while the
+                    // disk task works; the per-request disk queue bound
+                    // is the backpressure.
                     break;
-                } else {
-                    // Deeper windows keep fetching while the disk task
-                    // works; the per-request disk queue bound is the
-                    // backpressure.
-                    Vec::new()
-                };
+                }
                 let step = &run.sched.steps[run.next];
-                buf.clear();
-                buf.resize(step.sub.bytes, 0);
                 for (pi, piece) in step.sub.pieces.iter().enumerate() {
                     let dst = *run.participants.get(piece.client).ok_or_else(|| {
                         PandaError::Protocol {
@@ -918,7 +910,7 @@ impl ServerNode {
                     run.seq += 1;
                 }
                 run.window.push_back(InFlight {
-                    buf,
+                    buf: Vec::new(),
                     remaining: step.sub.pieces.len(),
                 });
                 run.next += 1;
@@ -958,27 +950,18 @@ impl ServerNode {
                     run.request,
                     &run.participants,
                     step,
-                    &buf,
+                    buf,
                     &mut run.seq,
                 )?;
                 run.next_scatter += 1;
-                run.free_bufs.push(buf);
                 moved = true;
             }
-            // Keep up to `depth` buffers circulating (counting ready
-            // ones not yet scattered): depth 1 = no read-ahead, the
-            // strictly serialized schedule.
+            // Keep up to `depth` reads ahead of the scatter point
+            // (counting ready buffers not yet scattered): depth 1 = no
+            // read-ahead, the strictly serialized schedule.
             while run.reads_issued < run.sched.steps.len()
                 && run.reads_issued - run.next_scatter < run.depth
             {
-                let buf = if let Some(b) = run.free_bufs.pop() {
-                    b
-                } else if run.circulating < run.depth {
-                    run.circulating += 1;
-                    Vec::new()
-                } else {
-                    break;
-                };
                 let step = &run.sched.steps[run.reads_issued];
                 Self::disk_send(
                     cmd_tx,
@@ -988,7 +971,6 @@ impl ServerNode {
                         key: self.key_of(run.request, step),
                         offset: step.sub.file_offset,
                         bytes: step.sub.bytes,
-                        buf,
                     },
                 )?;
                 *disk_pending += 1;
@@ -1013,12 +995,14 @@ impl ServerNode {
         }
     }
 
-    /// Reorganize and push one read step: pack all of its pieces in
-    /// parallel on the worker pool (large pieces additionally split
-    /// along their outermost dimension inside
-    /// [`IoPool::pack_region_par`]), trimming each to the requested
-    /// section, then send them in piece order so the per-client message
-    /// stream matches the serial schedule.
+    /// Push one read step to its clients. An identity step's buffer —
+    /// the one the disk task filled — goes out as the `Data` body as it
+    /// is. A reorganizing step packs all of its pieces in parallel on
+    /// the worker pool (large pieces additionally split along their
+    /// outermost dimension inside [`IoPool::pack_region_par`]) into
+    /// free-list buffers, trimming each to the requested section, then
+    /// sends them in piece order so the per-client message stream
+    /// matches the serial schedule.
     #[allow(clippy::too_many_arguments)]
     fn scatter_step(
         transport: &mut dyn Transport,
@@ -1029,10 +1013,47 @@ impl ServerNode {
         request: u64,
         participants: &[u32],
         step: &ScheduleStep,
-        buf: &[u8],
+        buf: Vec<u8>,
         seq: &mut u64,
     ) -> Result<(), PandaError> {
         let key = SubchunkKey::scoped(request, server_idx, step.array, step.subchunk);
+        let mut push = |pi: usize, target: &Region, data: Vec<u8>| -> Result<(), PandaError> {
+            let piece_client = step.sub.pieces[pi].client;
+            let dst = *participants
+                .get(piece_client)
+                .ok_or_else(|| PandaError::Protocol {
+                    detail: format!(
+                        "plan piece for client {piece_client} outside the {} participants",
+                        participants.len()
+                    ),
+                })?;
+            let bytes = data.len() as u64;
+            send_data(
+                transport,
+                NodeId(dst as usize),
+                request,
+                key.array,
+                *seq,
+                target,
+                data,
+            )?;
+            if recorder.enabled() {
+                recorder.record(
+                    node,
+                    &Event::PushSent {
+                        key,
+                        piece: pi as u32,
+                        client: dst,
+                        bytes,
+                    },
+                );
+            }
+            *seq += 1;
+            Ok(())
+        };
+        if step.identity {
+            return push(0, &step.sub.region, buf);
+        }
         let targets: Vec<(usize, Region)> = step
             .sub
             .pieces
@@ -1046,18 +1067,19 @@ impl ServerNode {
                 target.map(|t| (pi, t))
             })
             .collect();
-        if targets.is_empty() {
-            return Ok(());
-        }
-        let mut packed: Vec<Vec<u8>> = vec![Vec::new(); targets.len()];
+        let mut packed: Vec<Vec<u8>> = targets
+            .iter()
+            .map(|(_, target)| freelist::take(target.num_bytes(step.elem)))
+            .collect();
         {
+            let src = &buf[..];
             let jobs: Vec<Box<dyn FnOnce() -> Result<(), SchemaError> + Send + '_>> = packed
                 .iter_mut()
                 .zip(&targets)
                 .map(|(out, (pi, target))| {
                     Box::new(move || {
                         let t_pack = recorder.enabled().then(Instant::now);
-                        pool.pack_region_par(out, buf, &step.sub.region, target, step.elem)?;
+                        pool.pack_region_par(out, src, &step.sub.region, target, step.elem)?;
                         if let Some(t) = t_pack {
                             recorder.record(
                                 node,
@@ -1076,38 +1098,9 @@ impl ServerNode {
                 .collect();
             pool.run_scoped_result(jobs)?;
         }
+        freelist::give(buf);
         for ((pi, target), data) in targets.into_iter().zip(packed) {
-            let piece_client = step.sub.pieces[pi].client;
-            let dst = *participants
-                .get(piece_client)
-                .ok_or_else(|| PandaError::Protocol {
-                    detail: format!(
-                        "plan piece for client {piece_client} outside the {} participants",
-                        participants.len()
-                    ),
-                })?;
-            let bytes = data.len() as u64;
-            send_data(
-                transport,
-                NodeId(dst as usize),
-                request,
-                key.array,
-                *seq,
-                &target,
-                data,
-            )?;
-            if recorder.enabled() {
-                recorder.record(
-                    node,
-                    &Event::PushSent {
-                        key,
-                        piece: pi as u32,
-                        client: dst,
-                        bytes,
-                    },
-                );
-            }
-            *seq += 1;
+            push(pi, &target, data)?;
         }
         Ok(())
     }
@@ -1326,8 +1319,9 @@ impl ServerNode {
         Ok(())
     }
 
-    /// Route an arriving `Data` reply to its run and step; assembly
-    /// happens on the next pump in one parallel pass per burst.
+    /// Route an arriving `Data` reply to its run and step. An identity
+    /// step is complete with it; a reorganizing step's assembly happens
+    /// on the next pump in one parallel pass per burst.
     fn route_data(
         &mut self,
         st: &mut SchedState,
@@ -1349,7 +1343,21 @@ impl ServerNode {
                 detail: format!("unexpected data seq {seq} for request {request}"),
             })?;
         let step = &run.sched.steps[si];
-        debug_assert_eq!(region, step.sub.pieces[pi].region);
+        let piece = &step.sub.pieces[pi];
+        // The payload is about to be written (or, for an identity step,
+        // to *become* the subchunk) on the strength of the plan alone:
+        // hold the wire to it.
+        if region != piece.region || payload.len() != piece.region.num_bytes(step.elem) {
+            return Err(PandaError::Protocol {
+                detail: format!(
+                    "data seq {seq} for request {request} carries {} bytes of {region:?}; \
+                     the plan expects {} bytes of {:?}",
+                    payload.len(),
+                    piece.region.num_bytes(step.elem),
+                    piece.region
+                ),
+            });
+        }
         if self.recorder.enabled() {
             self.recorder.record(
                 self.my_rank(),
@@ -1361,12 +1369,19 @@ impl ServerNode {
                 },
             );
         }
-        run.pending.push(PendingPiece {
-            step: si,
-            piece: pi,
-            region,
-            payload,
-        });
+        if step.identity {
+            // Natural chunking: the piece is the subchunk, so the
+            // received buffer goes to the disk task as it is.
+            let slot = &mut run.window[si - run.front];
+            slot.buf = payload.into_vec();
+            slot.remaining = 0;
+        } else {
+            run.pending.push(PendingPiece {
+                step: si,
+                piece: pi,
+                payload,
+            });
+        }
         Ok(())
     }
 
@@ -1382,8 +1397,8 @@ impl ServerNode {
             DiskOut::Free { request, buf } => {
                 if let Some(run) = st.live.iter_mut().find(|r| r.request == request) {
                     run.disk_queued -= 1;
-                    run.free_bufs.push(buf);
                 }
+                freelist::give(buf);
                 Ok(())
             }
             DiskOut::Full { request, buf } => {

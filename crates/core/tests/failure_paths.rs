@@ -132,3 +132,63 @@ fn read_of_missing_files_surfaces_fs_error() {
         "got {err}"
     );
 }
+
+#[test]
+fn short_or_misregioned_data_for_an_identity_step_is_a_protocol_error() {
+    use panda_core::protocol::{
+        recv_msg, send_data, send_msg, tags, ArrayOp, CollectiveRequest, Msg,
+    };
+    use panda_msg::{MatchSpec, NodeId};
+    use panda_schema::Region;
+
+    // An identity step's payload *becomes* the subchunk the disk task
+    // writes, with no copy kernel in between to notice a wrong size: the
+    // server must hold the reply to the plan itself. The client here is
+    // driven by hand so that it can lie.
+    let meta = make_array("t", &[8, 8], ElementType::F64, &[1, 1], DiskSchema::Natural);
+    let whole = meta.client_region(0);
+    let half = Region::new(&[0, 0], &[8, 4]).unwrap();
+    let lies: [(Region, usize); 2] = [
+        // The right region, one element short.
+        (whole.clone(), whole.num_bytes(8) - 8),
+        // A self-consistent payload, for a region the plan never asked.
+        (half.clone(), half.num_bytes(8)),
+    ];
+    for (region, bytes) in lies {
+        let config = PandaConfig::new(1, 1).with_recv_timeout(Duration::from_millis(300));
+        let (system, mut clients) = PandaSystem::builder()
+            .config(config)
+            .launch(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>)
+            .unwrap();
+        let t = clients[0].transport_mut_for_tests();
+        let request = CollectiveRequest {
+            request: (1 << 32) | 1,
+            participants: vec![0],
+            priority: 0,
+            op: panda_core::OpKind::Write,
+            arrays: vec![ArrayOp {
+                meta: meta.clone(),
+                file_tag: "t".to_string(),
+                section: None,
+            }],
+            subchunk_bytes: 1 << 20,
+            pipeline_depth: 2,
+            sync_policy: panda_fs::SyncPolicy::PerFile,
+        };
+        send_msg(t, NodeId(1), &Msg::Collective(request)).unwrap();
+        let (server, fetch) = recv_msg(t, MatchSpec::tag(tags::FETCH)).unwrap();
+        let Msg::Fetch {
+            request,
+            array,
+            seq,
+            region: asked,
+        } = fetch
+        else {
+            panic!("expected a Fetch, got {fetch:?}");
+        };
+        assert_eq!(asked, whole, "one piece, the whole subchunk");
+        send_data(t, server, request, array, seq, &region, vec![0u8; bytes]).unwrap();
+        let err = system.shutdown(clients).map(|_| ()).unwrap_err();
+        assert!(matches!(err, PandaError::Protocol { .. }), "got {err}");
+    }
+}

@@ -238,6 +238,40 @@ fn assert_seed_golden(depth: usize, read: impl Fn(&str, usize) -> Vec<u8>) {
     }
 }
 
+/// What the seed-golden suites below exercise: [`test_arrays`] lowers
+/// to a step stream in which pass-through (identity) and reorganizing
+/// steps are neighbours, so at depth ≥ 2 both kinds sit in one window —
+/// a received payload that *is* its subchunk next to subchunks being
+/// assembled piece by piece — and still every file must match the seed.
+#[test]
+fn test_group_puts_identity_and_reorganizing_steps_in_one_window() {
+    use panda_core::protocol::ArrayOp;
+    use panda_core::{CollectiveSchedule, OpKind};
+    let arrays: Vec<ArrayOp> = test_arrays()
+        .into_iter()
+        .map(|meta| ArrayOp {
+            file_tag: meta.name().to_string(),
+            meta,
+            section: None,
+        })
+        .collect();
+    for server in 0..SERVERS {
+        for op in [OpKind::Write, OpKind::Read] {
+            let sched =
+                CollectiveSchedule::build(&arrays, op, server, SERVERS, 256, SyncPolicy::PerFile);
+            let kinds: Vec<bool> = sched.steps.iter().map(|s| s.identity).collect();
+            assert!(
+                kinds.windows(2).any(|w| w[0] != w[1]),
+                "server {server}: no window holds both kinds of step: {kinds:?}"
+            );
+            // "density" is the natural-chunking array; the rest reorganize.
+            for step in &sched.steps {
+                assert_eq!(step.identity, step.array == 2);
+            }
+        }
+    }
+}
+
 #[test]
 fn unified_engine_matches_seed_golden_checksums_memfs() {
     let metas = test_arrays();
@@ -259,7 +293,7 @@ fn unified_engine_matches_seed_golden_checksums_localfs() {
     let _ = std::fs::remove_dir_all(&root);
     let metas = test_arrays();
     let tags: Vec<String> = metas.iter().map(|m| m.name().to_string()).collect();
-    for depth in [1, 4] {
+    for depth in [1, 2, 4] {
         let roots: Vec<_> = (0..SERVERS)
             .map(|s| root.join(format!("d{depth}/ionode{s}")))
             .collect();

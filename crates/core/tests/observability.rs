@@ -175,6 +175,48 @@ fn single_array_read_at_depth_3_prefetches() {
     assert!(events.iter().any(|e| e.kind == EventKind::ReorgWorker));
 }
 
+/// Natural chunking is all identity steps: the servers pass buffers
+/// through and reorganize nothing, and the telemetry says so — while
+/// the clients' one copy per byte still shows under the run-level
+/// reorganization phase.
+#[test]
+fn natural_chunking_reports_no_server_reorganization() {
+    let meta = make_array(
+        "n",
+        &[16, 16],
+        ElementType::F64,
+        &[2, 2],
+        DiskSchema::Natural,
+    );
+    let rec = Arc::new(TelemetryRecorder::with_ring(4096));
+    let mems: Vec<Arc<MemFs>> = (0..SERVERS).map(|_| Arc::new(MemFs::new())).collect();
+    let (system, mut clients) = launch_recorded(&mems, 2, rec.clone());
+    collective_write(&mut clients, &meta, "n");
+    let bufs = collective_read(&mut clients, &meta, "n");
+    assert_pattern(&meta, &bufs);
+    let report = system.report();
+    system.shutdown(clients).unwrap();
+
+    let events = rec.timeline().expect("timeline recorder keeps events");
+    let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
+    assert_eq!(count(EventKind::ReorgWorker), 0);
+    // Everything else of the step's life is still there.
+    assert!(count(EventKind::FetchReplied) > 0);
+    assert_eq!(
+        count(EventKind::FetchReplied),
+        count(EventKind::DiskWriteDone)
+    );
+    assert_eq!(count(EventKind::PushSent), count(EventKind::DiskReadDone));
+    assert!(!report.per_subchunk.is_empty());
+    for s in &report.per_subchunk {
+        assert_eq!(s.reorg_s, 0.0, "subchunk {:?} was reorganized", s.key);
+        assert!(s.bytes > 0);
+    }
+    assert!(count(EventKind::ClientPacked) > 0);
+    assert!(count(EventKind::ClientUnpacked) > 0);
+    assert!(report.phases.get(Phase::Reorg) > 0.0);
+}
+
 #[test]
 fn null_recorder_runs_write_identical_files_to_recorded_runs() {
     let meta = make_array(

@@ -193,7 +193,10 @@ impl FileHandle for LocalHandle {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
         let sequential = self.tracker.classify(offset, buf.len());
         let start = self.obs.timed().then(Instant::now);
-        if offset + buf.len() as u64 > self.len {
+        if offset
+            .checked_add(buf.len() as u64)
+            .is_none_or(|end| end > self.len)
+        {
             return Err(FsError::ReadPastEnd {
                 offset,
                 len: buf.len(),
@@ -211,8 +214,11 @@ impl FileHandle for LocalHandle {
         Ok(())
     }
 
+    /// Asks the OS, so that a `create` that truncated the file under
+    /// this handle shows; the cached length only spares the hot
+    /// `read_at` bound check a syscall.
     fn len(&self) -> u64 {
-        self.len
+        self.file.metadata().map_or(self.len, |m| m.len())
     }
 
     fn preallocate(&mut self, len: u64) -> Result<(), FsError> {
@@ -252,6 +258,8 @@ mod tests {
         conformance::read_past_end_errors(&fs);
         conformance::open_missing_errors(&fs);
         conformance::create_truncates(&fs);
+        conformance::create_truncates_under_an_open_handle(&fs);
+        conformance::wild_offsets_are_typed_errors(&fs);
         conformance::sparse_write_zero_fills(&fs);
         conformance::remove_and_list(&fs);
         conformance::submit_path_roundtrip(&fs);

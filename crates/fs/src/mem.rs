@@ -1,6 +1,7 @@
 //! In-memory file system for deterministic tests.
 
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,11 +61,13 @@ impl MemFs {
 }
 
 impl FileSystem for MemFs {
+    /// Truncates an existing file *in place*, as `O_TRUNC` does: handles
+    /// already open on it see length 0, and the file keeps its
+    /// allocation, so a file re-created every collective rewrites the
+    /// pages it already owns instead of faulting in fresh ones.
     fn create(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
-        let data: FileData = Arc::new(Mutex::new(Vec::new()));
-        self.files
-            .lock()
-            .insert(path.to_string(), Arc::clone(&data));
+        let data = Arc::clone(self.files.lock().entry(path.to_string()).or_default());
+        data.lock().clear();
         Ok(self.handle(path, data))
     }
 
@@ -110,17 +113,33 @@ struct MemHandle {
     tracker: SeqTracker,
 }
 
+/// `offset + len` as an in-memory index, if the address space has one.
+/// Offsets arrive off the wire (`RawWrite`/`RawRead`), so the sum is
+/// checked, never wrapped.
+fn end_of(offset: u64, len: usize) -> Option<usize> {
+    usize::try_from(offset).ok()?.checked_add(len)
+}
+
+/// Grow `file` to `len` bytes, zero-filled; never shrinks it. A length
+/// no allocation can have is what `pwrite`/`ftruncate` call `EINVAL`.
+fn grow(file: &mut Vec<u8>, len: Option<usize>) -> Result<usize, FsError> {
+    let invalid = || FsError::Io(ErrorKind::InvalidInput.into());
+    let len = len.ok_or_else(invalid)?;
+    if len > file.len() {
+        file.try_reserve(len - file.len()).map_err(|_| invalid())?;
+        file.resize(len, 0);
+    }
+    Ok(len)
+}
+
 impl FileHandle for MemHandle {
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), FsError> {
         let sequential = self.tracker.classify(offset, data.len());
         let start = self.obs.timed().then(Instant::now);
         {
             let mut file = self.data.lock();
-            let end = offset as usize + data.len();
-            if file.len() < end {
-                file.resize(end, 0);
-            }
-            file[offset as usize..end].copy_from_slice(data);
+            let end = grow(&mut file, end_of(offset, data.len()))?;
+            file[end - data.len()..end].copy_from_slice(data);
         }
         self.obs.emit(&Event::FsWrite {
             file: &self.path,
@@ -137,15 +156,14 @@ impl FileHandle for MemHandle {
         let start = self.obs.timed().then(Instant::now);
         {
             let file = self.data.lock();
-            let end = offset as usize + buf.len();
-            if end > file.len() {
+            let Some(end) = end_of(offset, buf.len()).filter(|&end| end <= file.len()) else {
                 return Err(FsError::ReadPastEnd {
                     offset,
                     len: buf.len(),
                     file_len: file.len() as u64,
                 });
-            }
-            buf.copy_from_slice(&file[offset as usize..end]);
+            };
+            buf.copy_from_slice(&file[end - buf.len()..end]);
         }
         self.obs.emit(&Event::FsRead {
             file: &self.path,
@@ -168,6 +186,10 @@ impl FileHandle for MemHandle {
         });
         Ok(())
     }
+
+    fn preallocate(&mut self, len: u64) -> Result<(), FsError> {
+        grow(&mut self.data.lock(), usize::try_from(len).ok()).map(|_| ())
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +204,8 @@ mod tests {
         conformance::read_past_end_errors(&fs);
         conformance::open_missing_errors(&fs);
         conformance::create_truncates(&fs);
+        conformance::create_truncates_under_an_open_handle(&fs);
+        conformance::wild_offsets_are_typed_errors(&fs);
         conformance::sparse_write_zero_fills(&fs);
         conformance::remove_and_list(&fs);
         conformance::submit_path_roundtrip(&fs);

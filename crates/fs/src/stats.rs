@@ -128,7 +128,9 @@ impl SeqTracker {
             Some(expected) => offset == expected,
             None => offset == 0,
         };
-        self.next_offset = Some(offset + len as u64);
+        // Offsets can come off the wire; a wild one must reach the
+        // backend's typed error, not overflow here.
+        self.next_offset = Some(offset.saturating_add(len as u64));
         sequential
     }
 }

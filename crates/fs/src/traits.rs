@@ -191,6 +191,39 @@ pub(crate) mod conformance {
         assert_eq!(h.len(), 0);
     }
 
+    /// `create` is `O_TRUNC`: it truncates the file itself, not a copy
+    /// of it, so a handle opened earlier sees length 0 and then the new
+    /// contents.
+    pub(crate) fn create_truncates_under_an_open_handle(fs: &dyn FileSystem) {
+        let mut old = fs.create("t.dat").unwrap();
+        old.write_at(0, b"0123456789").unwrap();
+        let mut new = fs.create("t.dat").unwrap();
+        assert_eq!(old.len(), 0, "the open handle kept a forked file");
+        new.write_at(0, b"abc").unwrap();
+        assert_eq!(old.len(), 3);
+        assert_eq!(fs.open("t.dat").unwrap().len(), 3);
+    }
+
+    /// Offsets come off the wire (`RawWrite`/`RawRead`): one whose end
+    /// overflows is a typed error — what `pwrite` calls `EINVAL` for
+    /// writes and preallocation, past-the-end for reads — never a wrap
+    /// or a panic, and the file is left as it was.
+    pub(crate) fn wild_offsets_are_typed_errors(fs: &dyn FileSystem) {
+        let invalid = |e: FsError| matches!(e, FsError::Io(io) if io.kind() == std::io::ErrorKind::InvalidInput);
+        let mut h = fs.create("w.dat").unwrap();
+        h.write_at(0, b"abc").unwrap();
+        assert!(invalid(h.write_at(u64::MAX - 1, b"xyz").unwrap_err()));
+        assert!(invalid(h.preallocate(u64::MAX).unwrap_err()));
+        let mut buf = [0u8; 3];
+        assert!(matches!(
+            h.read_at(u64::MAX - 1, &mut buf).unwrap_err(),
+            FsError::ReadPastEnd { .. }
+        ));
+        assert_eq!(h.len(), 3);
+        h.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"abc");
+    }
+
     pub(crate) fn sparse_write_zero_fills(fs: &dyn FileSystem) {
         let mut h = fs.create("d.dat").unwrap();
         h.write_at(4, b"xy").unwrap();

@@ -46,6 +46,14 @@ impl Bytes {
             Bytes::Shared(a) => a.to_vec(),
         }
     }
+
+    /// Done with the bytes: an owned buffer goes back to the
+    /// [`crate::freelist`], a shared one is merely released.
+    pub fn recycle(self) {
+        if let Bytes::Owned(v) = self {
+            crate::freelist::give(v);
+        }
+    }
 }
 
 impl Deref for Bytes {

@@ -15,7 +15,9 @@
 //! * [`FabricStats`] — message/byte counters used by tests and by the
 //!   performance model's validation suite; since the unified
 //!   observability layer it is a read adapter over the same
-//!   [`panda_obs`] event stream the transports report into.
+//!   [`panda_obs`] event stream the transports report into;
+//! * [`freelist`] — the process-wide free-list that recycles
+//!   piece-sized buffers across the data path's hops.
 //!
 //! Attach a [`panda_obs::Recorder`] with [`Transport::set_recorder`] to
 //! get per-message `MsgSent` / `MsgReceived` events with payload sizes
@@ -29,6 +31,7 @@
 
 pub mod envelope;
 pub mod error;
+pub mod freelist;
 pub mod group;
 pub mod inproc;
 mod mailbox;

@@ -26,6 +26,7 @@ use panda_obs::{Event, Recorder};
 
 use crate::envelope::{Bytes, Envelope, NodeId, Payload};
 use crate::error::MsgError;
+use crate::freelist;
 use crate::mailbox::Mailbox;
 use crate::obs::MsgObs;
 use crate::stats::FabricStats;
@@ -170,6 +171,10 @@ impl TcpEndpoint {
                 guard.write_all(body).map_err(|_| MsgError::Disconnected)?;
             }
             drop(guard);
+            // The socket has the bytes; the body's buffer is free again.
+            if let Payload::Framed { body, .. } = payload {
+                body.recycle();
+            }
         }
         self.mailbox.obs.emit(&Event::MsgSent {
             to: dst.index() as u32,
@@ -207,7 +212,9 @@ fn spawn_reader(mut stream: TcpStream, tx: Sender<Envelope>) {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
                 return;
             }
-            let mut payload = vec![0u8; len as usize];
+            // Piece-sized frames land in a recycled buffer (whose stale
+            // contents `read_exact` overwrites in full).
+            let mut payload = freelist::take(len as usize);
             if stream.read_exact(&mut payload).is_err() {
                 return;
             }

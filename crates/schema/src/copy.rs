@@ -270,7 +270,9 @@ pub fn pack_region(
 /// [`pack_region`] into a caller-owned buffer, resized to exactly the
 /// packed length. Reusing one scratch buffer across many packs turns the
 /// per-piece allocation of the transfer hot paths into a no-op after the
-/// first call.
+/// first call. Whatever `out` held is overwritten, not cleared first:
+/// the pack writes every byte of the packed length, so only growth
+/// needs a fill.
 pub fn pack_region_into(
     out: &mut Vec<u8>,
     src: &[u8],
@@ -278,7 +280,6 @@ pub fn pack_region_into(
     sub: &Region,
     elem_size: usize,
 ) -> Result<(), SchemaError> {
-    out.clear();
     out.resize(sub.num_bytes(elem_size), 0);
     copy_region(src, src_region, out, sub, sub, elem_size)?;
     Ok(())
@@ -493,7 +494,9 @@ mod tests {
     fn pack_region_into_reused_scratch_matches_fresh_pack() {
         let chunk = r(&[0, 0], &[6, 8]);
         let src = fill_tagged(&chunk);
-        let mut scratch = Vec::new();
+        // A dirty scratch longer than any pack below: nothing clears it,
+        // so every byte that survives a pack would show.
+        let mut scratch = vec![0xEEu8; 2 * chunk.num_elements()];
         // Shrinking, growing, and same-size repacks over one scratch
         // buffer must all equal a fresh pack (stale bytes overwritten).
         for sub in [
