@@ -51,6 +51,27 @@ print(f"fault budget: {faults} minor faults / {attempted} operations = {per_op:.
 PY
 fi
 
+# Message budget: a 4 KiB session write is eight messages (Collective,
+# its relay, then from each of the two servers a Fetch, its Data and a
+# Complete), a read six (no Fetch), and small_sessions alternates them.
+# Messages of 2000 traced operations, per operation: 7.03 (14 066,
+# shutdown included). A count, not a timing: protocol growth fails
+# here, and ROADMAP item 2's "<= 4 per op" tightens this number.
+if command -v python3 >/dev/null; then
+  python3 - <<'PY'
+import json, subprocess
+ops = 2000
+cmd = ["cargo", "run", "--release", "--offline", "-q", "--manifest-path", "benchmark/Cargo.toml",
+       "--", "--workload", "small_sessions", "--seed", "1", "--seconds", "2", "--trace", "1",
+       "--traced-ops", str(ops)]
+out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+sent = json.loads(out.strip().splitlines()[-1])["metrics"]["msg.sent"]["value"]
+per_op = sent / ops
+assert per_op <= 7.1, f"small_sessions: {per_op:.2f} messages per operation exceeds the budget of 7.1"
+print(f"message budget: {sent} messages / {ops} operations = {per_op:.2f} per operation ok")
+PY
+fi
+
 # Experiment smokes: each bin below runs --quick end to end. Every bin
 # validates each JSON line it writes (panda_obs::json::validate) and
 # asserts its own invariants (byte-identical files across the modes it

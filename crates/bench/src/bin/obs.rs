@@ -296,7 +296,6 @@ fn drift_section(quick: bool, lines: &mut Vec<String>) -> (f64, u64, f64) {
         .config(
             PandaConfig::new(2, SERVERS)
                 .with_recorder(recorder)
-                .with_auto_retune(1.0)
                 .with_recv_timeout(Duration::from_secs(30)),
         )
         .serve(move |_| {

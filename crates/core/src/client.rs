@@ -4,21 +4,22 @@
 //! the submitter sends one short high-level request describing the
 //! schemas, then every participating client simply *serves* the servers
 //! — packing requested regions on writes, scattering delivered regions
-//! on reads — until released. "Note the clients and servers play a
-//! different role than in traditional client/server architectures where
-//! the clients make requests of the server."
+//! on reads — until every server has said it is done. "Note the clients
+//! and servers play a different role than in traditional client/server
+//! architectures where the clients make requests of the server."
 //!
 //! A collective is submitted in one of two modes. **Fleet** mode is the
 //! paper's SPMD model: every compute node calls the same operation, the
 //! master client (rank 0) submits one request naming all of them as
-//! participants, and the master releases the others when the servers
-//! report completion. **Session** mode is the multi-tenant service
+//! participants, and each server tells every participant when its share
+//! is complete. **Session** mode is the multi-tenant service
 //! model: one client is the sole participant of its own request, many
 //! such requests run concurrently on the shared servers, and each
 //! message carries its request id so the flows never blend. The request
 //! id is minted here as `(rank + 1) << 32 | counter` — unique across
 //! submitters without coordination.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,6 +84,10 @@ pub struct PandaClient {
     last_request: Option<u64>,
     /// Session recorder; events are tagged with this client's rank.
     recorder: Arc<dyn Recorder>,
+    /// Messages of the fleet's next collective that arrived before the
+    /// current one ended here (see [`PandaClient::serve_collective`]);
+    /// the next call serves them first.
+    early: VecDeque<(NodeId, Msg)>,
 }
 
 impl PandaClient {
@@ -108,6 +113,7 @@ impl PandaClient {
             req_counter: 0,
             last_request: None,
             recorder,
+            early: VecDeque::new(),
         }
     }
 
@@ -257,9 +263,7 @@ impl PandaClient {
                 buf: XferBuf::Src(i.data),
             })
             .collect();
-        // A write expects no inbound pieces; the loop runs on control
-        // flow alone.
-        let (complete, request) = match self.serve_collective(&mut xfer, 0, want) {
+        let request = match self.serve_collective(&mut xfer, want) {
             Ok(done) => done,
             Err(e) => {
                 self.emit_request_error(want.unwrap_or(0), &e);
@@ -273,7 +277,7 @@ impl PandaClient {
                 dur: t.elapsed(),
             });
         }
-        self.finish_collective(complete, mode)
+        Ok(())
     }
 
     /// Collective read of a prepared [`ReadSet`]: the mirror of
@@ -318,25 +322,6 @@ impl PandaClient {
             }
         }
 
-        // How many pieces will land here, per the shared planner. The
-        // planner must see the same subchunk cap the servers will use,
-        // so a per-request override applies here too.
-        let subchunk = set.tuning.map_or(self.subchunk_bytes, |t| t.subchunk_bytes);
-        let expected: usize = set
-            .items
-            .iter()
-            .map(|i| {
-                crate::plan::client_manifest_section(
-                    i.meta,
-                    mesh,
-                    self.num_servers,
-                    subchunk,
-                    i.section.as_ref(),
-                )
-                .pieces
-            })
-            .sum();
-
         let sections: Vec<Option<Region>> = set.items.iter().map(|i| i.section.clone()).collect();
         let t_op = self.obs_on().then(Instant::now);
         let want = self.start_collective(
@@ -357,7 +342,7 @@ impl PandaClient {
                 buf: XferBuf::Dst(i.data),
             })
             .collect();
-        let (complete, request) = match self.serve_collective(&mut xfer, expected, want) {
+        let request = match self.serve_collective(&mut xfer, want) {
             Ok(done) => done,
             Err(e) => {
                 self.emit_request_error(want.unwrap_or(0), &e);
@@ -371,7 +356,7 @@ impl PandaClient {
                 dur: t.elapsed(),
             });
         }
-        self.finish_collective(complete, mode)
+        Ok(())
     }
 
     /// Surface a failed collective to the telemetry plane (the flight
@@ -413,41 +398,77 @@ impl PandaClient {
         }
     }
 
-    /// The one client-side exchange loop: serve the servers until
-    /// released, for either direction. Fetches pack from `Src` buffers
-    /// and reply with `Data`; deliveries scatter into `Dst` buffers —
-    /// the buffer variant *is* the direction, so a fetch during a read
-    /// (or a delivery during a write) is a typed protocol error.
-    /// `expected` is how many pieces must land here (0 for writes);
-    /// with pipelining the servers keep several requests outstanding
-    /// per client, so this loop is the client's hot path: each reply is
-    /// packed into a free-list buffer that *moves* into the envelope via
-    /// the vectored send path, and each delivery's buffer goes back to
-    /// the list once scattered — one copy per piece, and in steady state
-    /// no allocation. Every reply echoes the
+    /// `src`'s entry in a per-server table, if `src` is a server.
+    fn server_slot<'t, T>(&self, table: &'t mut [T], src: NodeId) -> Option<&'t mut T> {
+        table.get_mut(src.index().checked_sub(self.num_clients)?)
+    }
+
+    /// Count one `Fetch`/`Data` from `src` towards what that server's
+    /// `Complete` will attest to.
+    fn note_piece(&self, handled: &mut [Option<u32>], src: NodeId) -> Result<(), PandaError> {
+        match self.server_slot(handled, src) {
+            Some(Some(n)) => {
+                *n += 1;
+                Ok(())
+            }
+            _ => Err(PandaError::Protocol {
+                detail: format!("piece from {src}, which is not a server"),
+            }),
+        }
+    }
+
+    /// The one client-side exchange loop: serve the servers until each
+    /// of them has sent its `Complete`, for either direction. Fetches
+    /// pack from `Src` buffers and reply with `Data`; deliveries scatter
+    /// into `Dst` buffers — the buffer variant *is* the direction, so a
+    /// fetch during a read (or a delivery during a write) is a typed
+    /// protocol error. With pipelining the servers keep several
+    /// requests outstanding per client, so this loop is the client's hot
+    /// path: each reply is packed into a free-list buffer that *moves*
+    /// into the envelope via the vectored send path, and each delivery's
+    /// buffer goes back to the list once scattered — one copy per piece,
+    /// and in steady state no allocation. Every reply echoes the
     /// fetch's request id, which is how the multi-tenant servers route
     /// it back to the right run.
+    ///
+    /// The client holds no plan: a server's `Complete` says how many
+    /// pieces it sent here, and must match what arrived from it — a
+    /// lost or duplicated piece is a typed protocol error, never a
+    /// short buffer.
+    ///
+    /// Only each *pair* of nodes is FIFO. A server that has completed
+    /// this request may already be driving the fleet's next one while
+    /// another server's `Complete` for this one is still in flight on
+    /// its own connection, so whatever a completed server sends is set
+    /// aside for the next call instead of being taken for this one.
     ///
     /// `want` is the submitted request's id when this client is the
     /// submitter (it must match every message, and a `Reject` for it
     /// surfaces as [`PandaError::Admission`]); `None` for fleet
     /// non-masters, which learn the id from the first message.
     ///
-    /// Returns whether `Complete` (rather than `Release`) ended the
-    /// loop, plus the request id served (0 if no message ever carried
-    /// one — an empty write on a non-master).
+    /// Returns the request id served.
     fn serve_collective(
         &mut self,
         arrays: &mut [XferArray<'_>],
-        expected: usize,
         want: Option<u64>,
-    ) -> Result<(bool, u64), PandaError> {
+    ) -> Result<u64, PandaError> {
         let mut seen = want;
-        let mut received = 0usize;
-        let mut released = false;
-        let mut complete = false;
-        while received < expected || !(released || complete) {
-            let (src, msg) = recv_msg(self.transport_mut(), MatchSpec::any())?;
+        // Pieces handled per server; `None` once its `Complete` is in.
+        let mut handled: Vec<Option<u32>> = vec![Some(0); self.num_servers];
+        let mut early = self.early.len();
+        while handled.iter().any(Option::is_some) {
+            let (src, msg) = if early > 0 {
+                early -= 1;
+                self.early.pop_front().expect("counted above")
+            } else {
+                recv_msg(self.transport_mut(), MatchSpec::any())?
+            };
+            if let Some(None) = self.server_slot(&mut handled, src) {
+                // Done with this request: it is on to the next one.
+                self.early.push_back((src, msg));
+                continue;
+            }
             match msg {
                 Msg::Fetch {
                     request,
@@ -456,6 +477,7 @@ impl PandaClient {
                     region,
                 } => {
                     Self::check_request(&mut seen, request)?;
+                    self.note_piece(&mut handled, src)?;
                     let idx = array as usize;
                     let x = arrays.get(idx).ok_or_else(|| PandaError::Protocol {
                         detail: format!("fetch for unknown array index {idx}"),
@@ -501,6 +523,7 @@ impl PandaClient {
                     payload,
                 } => {
                     Self::check_request(&mut seen, request)?;
+                    self.note_piece(&mut handled, src)?;
                     let idx = array as usize;
                     let x = arrays.get_mut(idx).ok_or_else(|| PandaError::Protocol {
                         detail: format!("data for unknown array index {idx}"),
@@ -523,20 +546,18 @@ impl PandaClient {
                         });
                     }
                     payload.recycle();
-                    received += 1;
-                    if received > expected {
+                }
+                Msg::Complete { request, pieces } => {
+                    Self::check_request(&mut seen, request)?;
+                    let got = self.server_slot(&mut handled, src).and_then(Option::take);
+                    if got != Some(pieces) {
                         return Err(PandaError::Protocol {
-                            detail: "more pieces than the plan predicts".to_string(),
+                            detail: format!(
+                                "{src} completed request {request} attesting {pieces} pieces; \
+                                 {got:?} arrived from it"
+                            ),
                         });
                     }
-                }
-                Msg::Complete { request } => {
-                    Self::check_request(&mut seen, request)?;
-                    complete = true;
-                }
-                Msg::Release { request } => {
-                    Self::check_request(&mut seen, request)?;
-                    released = true;
                 }
                 Msg::Reject { request, reason } => {
                     Self::check_request(&mut seen, request)?;
@@ -551,7 +572,7 @@ impl PandaClient {
                 }
             }
         }
-        Ok((complete, seen.unwrap_or(0)))
+        Ok(seen.expect("every server's Complete carried the request id"))
     }
 
     /// Submit the high-level collective request, if this client is the
@@ -618,46 +639,6 @@ impl PandaClient {
         send_msg(self.transport_mut(), dst, &Msg::Collective(req))?;
         self.last_request = Some(request);
         Ok(Some(request))
-    }
-
-    /// On completion the fleet's master client (which saw `Complete`)
-    /// releases the other clients (which then see `Release`). A session
-    /// is its own sole participant: there is no one to release.
-    fn finish_collective(
-        &mut self,
-        saw_complete: bool,
-        mode: SubmitMode,
-    ) -> Result<(), PandaError> {
-        let request = self.last_request.unwrap_or(0);
-        match mode {
-            SubmitMode::Session { .. } => {
-                if !saw_complete {
-                    return Err(PandaError::Protocol {
-                        detail: "session collective ended without Complete".to_string(),
-                    });
-                }
-                Ok(())
-            }
-            SubmitMode::Fleet if self.is_master() => {
-                if !saw_complete {
-                    return Err(PandaError::Protocol {
-                        detail: "master client released without Complete".to_string(),
-                    });
-                }
-                for c in 1..self.num_clients {
-                    send_msg(self.transport_mut(), NodeId(c), &Msg::Release { request })?;
-                }
-                Ok(())
-            }
-            SubmitMode::Fleet => {
-                if saw_complete {
-                    return Err(PandaError::Protocol {
-                        detail: "non-master client received Complete".to_string(),
-                    });
-                }
-                Ok(())
-            }
-        }
     }
 
     /// Ask all servers to shut down (used by

@@ -116,10 +116,8 @@ pub use client::PandaClient;
 pub use error::{AdmissionIssue, ConfigIssue, PandaError};
 pub use group_ops::{ArrayGroup, CollectiveHandle, GroupData};
 pub use health::{HealthSnapshot, HealthStatus, ServerHealth, ServiceHealth};
-pub use plan::{
-    build_server_plan, client_manifest, CollectiveSchedule, ScheduleFile, ScheduleStep, ServerPlan,
-};
-pub use pool::{IoPool, PinnedTask};
+pub use plan::{build_server_plan, CollectiveSchedule, ScheduleFile, ScheduleStep, ServerPlan};
+pub use pool::IoPool;
 pub use protocol::OpKind;
 pub use request::{ReadSet, WriteSet};
 pub use runtime::{PandaConfig, PandaSystem, PandaSystemBuilder};

@@ -16,9 +16,10 @@
 //!    chunks intersect it; those intersections are the logical
 //!    sub-chunk requests exchanged with clients.
 //!
-//! The same functions serve both the real runtime (`server`/`client`)
-//! and the performance model (`panda-model`), which is what makes the
-//! simulated experiments faithful to the implementation.
+//! The same functions serve both the real runtime's servers and the
+//! performance model (`panda-model`), which is what makes the simulated
+//! experiments faithful to the implementation. Clients never plan: a
+//! server's `Complete` tells each one how many pieces it was sent.
 
 use panda_fs::SyncPolicy;
 use panda_schema::{split_into_subchunks, Region};
@@ -345,70 +346,6 @@ impl CollectiveSchedule {
     }
 }
 
-/// What one client will exchange during a collective on `array`: piece
-/// count and byte total. Clients use this on the read path to know when
-/// they have received everything; it is derived from the same planning
-/// functions the servers run, so the two sides always agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClientManifest {
-    /// Number of pieces this client sends (write) or receives (read).
-    pub pieces: usize,
-    /// Total payload bytes across those pieces.
-    pub bytes: u64,
-}
-
-/// Compute the manifest of `client` for one collective on `array`.
-pub fn client_manifest(
-    array: &ArrayMeta,
-    client: usize,
-    num_servers: usize,
-    subchunk_bytes: usize,
-) -> ClientManifest {
-    client_manifest_section(array, client, num_servers, subchunk_bytes, None)
-}
-
-/// As [`client_manifest`], restricted to an array section: only pieces
-/// overlapping `section` are counted (the section-read collective).
-pub fn client_manifest_section(
-    array: &ArrayMeta,
-    client: usize,
-    num_servers: usize,
-    subchunk_bytes: usize,
-    section: Option<&Region>,
-) -> ClientManifest {
-    let subchunk_bytes = array.effective_subchunk(subchunk_bytes);
-    let disk_grid = array.disk_grid();
-    let elem = array.elem_size();
-    let my_region = array.client_region(client);
-    // The region this client actually receives into.
-    let target = match section {
-        None => my_region.clone(),
-        Some(sec) => match my_region.intersect(sec) {
-            Some(t) => t,
-            None => return ClientManifest::default(),
-        },
-    };
-    if target.is_empty() {
-        return ClientManifest::default();
-    }
-    let mut manifest = ClientManifest::default();
-    // Walk only the disk chunks that overlap the target; the
-    // round-robin owner is irrelevant to the count.
-    let _ = num_servers; // ownership does not affect the piece set
-    for chunk_idx in disk_grid.chunks_intersecting(&target) {
-        let region = disk_grid.chunk_region(chunk_idx);
-        for sub in
-            split_into_subchunks(&region, elem, subchunk_bytes).expect("nonzero subchunk cap")
-        {
-            if let Some(isect) = sub.region.intersect(&target) {
-                manifest.pieces += 1;
-                manifest.bytes += isect.num_bytes(elem) as u64;
-            }
-        }
-    }
-    manifest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,33 +507,6 @@ mod tests {
             }
         }
         assert_eq!(seen, 3);
-    }
-
-    #[test]
-    fn client_manifest_matches_server_plans() {
-        for (array, servers, cap) in [
-            (natural_array(&[16, 16], &[2, 2]), 2usize, 128usize),
-            (traditional_array(&[16, 12, 8], &[2, 2, 2], 3), 3, 256),
-            (traditional_array(&[9, 7], &[4, 2], 3), 3, 64),
-        ] {
-            let num_clients = array.num_clients();
-            let mut pieces = vec![0usize; num_clients];
-            let mut bytes = vec![0u64; num_clients];
-            for s in 0..servers {
-                let plan = build_server_plan(&array, s, servers, cap);
-                for sub in plan.subchunks() {
-                    for p in &sub.pieces {
-                        pieces[p.client] += 1;
-                        bytes[p.client] += p.region.num_bytes(array.elem_size()) as u64;
-                    }
-                }
-            }
-            for c in 0..num_clients {
-                let m = client_manifest(&array, c, servers, cap);
-                assert_eq!(m.pieces, pieces[c], "client {c}");
-                assert_eq!(m.bytes, bytes[c], "client {c}");
-            }
-        }
     }
 
     #[test]

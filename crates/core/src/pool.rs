@@ -1,28 +1,27 @@
-//! A small shared worker pool for server-side I/O and reorganization.
+//! A small fork-join worker pool for server-side reorganization.
 //!
-//! The pipelined schedules in [`crate::server`] need two kinds of help:
-//! long-lived disk loops (one writer or prefetcher per collective) and
-//! short fork-join bursts of `copy_region`/`pack_region_into` work when
-//! several subchunks are ready to be reorganized at once. Spawning a
-//! fresh OS thread per subchunk would swamp the actual copy cost, so a
+//! The pipelined schedules in [`crate::server`] reorganize in short
+//! bursts of `copy_region`/`pack_region_into` work when several
+//! subchunks are ready at once. Spawning a fresh OS thread per subchunk
+//! would swamp the actual copy cost, so a
 //! [`ServerNode`](crate::server::ServerNode) owns one [`IoPool`] sized
-//! from [`PandaConfig::io_workers`](crate::PandaConfig::io_workers) and
-//! routes both kinds of work through it.
+//! from [`PandaConfig::io_workers`](crate::PandaConfig::io_workers)
+//! (less the one thread its disk task is) and runs every burst on it.
 //!
 //! Two properties keep the pool deadlock-free:
 //!
 //! * work is only queued against a *reservation* of an idle worker
-//!   ([`IoPool::spawn_pinned`] falls back to a plain OS thread and
-//!   [`IoPool::run_scoped`] to inline execution on the caller when no
-//!   worker is free), so a queued job can never wait behind a disk loop
-//!   that will not finish until that very job runs;
+//!   ([`IoPool::run_scoped`] falls back to inline execution on the
+//!   caller when no worker is free — always, on a pool of zero), so a
+//!   job that forks in turn ([`IoPool::pack_region_par`] inside a
+//!   scatter job) never queues work only its own blocked siblings
+//!   could drain;
 //! * [`IoPool::run_scoped`] never returns before every dispatched job
 //!   has finished — including when a job panics — which is what makes
 //!   lending non-`'static` borrows to the workers sound.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
@@ -55,10 +54,9 @@ pub struct IoPool {
 }
 
 impl IoPool {
-    /// A pool with `workers` threads (clamped to at least one), named
-    /// `panda-io-N`.
+    /// A pool with `workers` threads, named `panda-io-N`. Zero is
+    /// valid: every job then runs inline on its caller.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 jobs: VecDeque::new(),
@@ -105,31 +103,6 @@ impl IoPool {
         st.jobs.push_back(job);
         drop(st);
         self.shared.available.notify_one();
-    }
-
-    /// Run a long-lived task — typically a disk loop that lives for one
-    /// collective — on a reserved worker, or on a fresh OS thread when
-    /// every worker is busy. Either way the task starts immediately;
-    /// it never queues behind other work, so two concurrent disk loops
-    /// on a one-worker pool cannot deadlock each other.
-    pub fn spawn_pinned<T, F>(&self, f: F) -> PinnedTask<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        if self.try_reserve() {
-            let (tx, rx) = mpsc::channel();
-            self.dispatch(Box::new(move || {
-                let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
-            }));
-            PinnedTask(PinnedInner::Pooled(rx))
-        } else {
-            let handle = thread::Builder::new()
-                .name("panda-io-overflow".to_string())
-                .spawn(f)
-                .expect("spawn overflow io thread");
-            PinnedTask(PinnedInner::Thread(handle))
-        }
     }
 
     /// Fork-join: run every job, spreading them over currently idle
@@ -303,28 +276,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-enum PinnedInner<T> {
-    Pooled(mpsc::Receiver<thread::Result<T>>),
-    Thread(thread::JoinHandle<T>),
-}
-
-/// Handle to a task started with [`IoPool::spawn_pinned`]. Mirrors
-/// [`std::thread::JoinHandle`]: joining yields `Err` with the panic
-/// payload if the task panicked.
-pub struct PinnedTask<T>(PinnedInner<T>);
-
-impl<T> PinnedTask<T> {
-    /// Block until the task finishes and return its result.
-    pub fn join(self) -> thread::Result<T> {
-        match self.0 {
-            PinnedInner::Pooled(rx) => rx
-                .recv()
-                .unwrap_or_else(|_| Err(Box::new("io pool worker lost"))),
-            PinnedInner::Thread(handle) => handle.join(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,14 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn run_scoped_falls_back_inline_when_workers_are_busy() {
-        let pool = IoPool::new(1);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        // Occupy the only worker so the scoped jobs must run inline.
-        let pinned = pool.spawn_pinned(move || {
-            gate_rx.recv().unwrap();
-            7usize
-        });
+    fn a_pool_of_zero_runs_every_job_inline() {
+        let pool = IoPool::new(0);
+        assert_eq!(pool.workers(), 0);
         let me = thread::current().id();
         let ran_on = Mutex::new(Vec::new());
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
@@ -366,25 +312,7 @@ mod tests {
             })
             .collect();
         pool.run_scoped(jobs);
-        let ids = ran_on.lock().unwrap();
-        assert_eq!(ids.len(), 4);
-        assert!(ids.iter().all(|&id| id == me), "expected inline fallback");
-        drop(ids);
-        gate_tx.send(()).unwrap();
-        assert_eq!(pinned.join().unwrap(), 7);
-    }
-
-    #[test]
-    fn spawn_pinned_overflows_to_a_fresh_thread() {
-        let pool = IoPool::new(1);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let first = pool.spawn_pinned(move || gate_rx.recv().unwrap());
-        // The worker is taken; this must start anyway (fallback thread),
-        // and it is the one that releases the first task — a queued-
-        // behind-the-loop dispatch would deadlock right here.
-        let second = pool.spawn_pinned(move || gate_tx.send(()).unwrap());
-        second.join().unwrap();
-        first.join().unwrap();
+        assert_eq!(*ran_on.lock().unwrap(), vec![me; 4]);
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //! server        ── Fetch ───────► client                  (write path)
 //! client        ── Data ────────► server                  (write path)
 //! server        ── Data ────────► client                  (read path)
-//! server        ── ServerDone ──► master server
-//! master server ── Complete ────► master client
-//! master client ── Release ─────► every other client
+//! server        ── Complete ────► every participant       (pieces it sent)
 //! ```
+//!
+//! Completion is per server, not a chain: a participant is done when
+//! every server's `Complete` has arrived, and each `Complete` follows
+//! that server's own `Fetch`/`Data` traffic on the same pairwise-FIFO
+//! channel — so no ordering *between* channels (which TCP does not
+//! give) is ever relied on, and a client needs no plan of its own to
+//! know how many pieces to wait for. (Between requests too: what a
+//! server sends a client after its `Complete` belongs to a later
+//! request, and the client keeps it for that one.)
 //!
 //! The `Raw*` messages implement the comparison baselines (naive
 //! client-directed I/O and two-phase I/O), where compute nodes — not
@@ -31,7 +38,9 @@ use crate::error::{AdmissionIssue, PandaError};
 ///
 /// The space is split into two planes:
 ///
-/// * **1–7, collective plane** — the server-directed protocol. Since
+/// * **1–7, collective plane** — the server-directed protocol (4 and 6
+///   belonged to a retired completion chain and stay unassigned, so
+///   per-tag series remain comparable across versions). Since
 ///   array groups became the unit of scheduling, one [`COLLECTIVE`](tags::COLLECTIVE)
 ///   request carries *every* array of a group (its body holds a
 ///   `Vec<ArrayOp>`), and the per-piece traffic ([`FETCH`](tags::FETCH), [`DATA`](tags::DATA))
@@ -56,12 +65,8 @@ pub mod tags {
     pub const FETCH: u32 = 2;
     /// Region payload (either direction).
     pub const DATA: u32 = 3;
-    /// Server reports completion to the master server.
-    pub const SERVER_DONE: u32 = 4;
-    /// Master server reports completion to the master client.
+    /// Server tells a participant its share of the collective is done.
     pub const COMPLETE: u32 = 5;
-    /// Master client releases the other clients.
-    pub const RELEASE: u32 = 6;
     /// Orderly server shutdown.
     pub const SHUTDOWN: u32 = 7;
     /// Baselines: positioned write request.
@@ -82,13 +87,11 @@ pub mod tags {
     pub const REJECT: u32 = 15;
 
     /// The complete tag namespace, with stable names (reports, tests).
-    pub const ALL: [(u32, &str); 15] = [
+    pub const ALL: [(u32, &str); 13] = [
         (COLLECTIVE, "collective"),
         (FETCH, "fetch"),
         (DATA, "data"),
-        (SERVER_DONE, "server_done"),
         (COMPLETE, "complete"),
-        (RELEASE, "release"),
         (SHUTDOWN, "shutdown"),
         (RAW_WRITE, "raw_write"),
         (RAW_READ, "raw_read"),
@@ -127,7 +130,7 @@ pub struct ArrayOp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectiveRequest {
     /// Submitter-unique request id. Every per-request message (`Fetch`,
-    /// `Data`, `ServerDone`, `Complete`, `Release`, `Reject`) echoes it,
+    /// `Data`, `Complete`, `Reject`) echoes it,
     /// which is what lets concurrent collectives demultiplex on shared
     /// pairwise-FIFO transports.
     pub request: u64,
@@ -191,20 +194,16 @@ pub enum Msg {
         /// reaches the consumer without a copy.
         payload: Bytes,
     },
-    /// Server → master server: my share of one collective is complete.
-    ServerDone {
-        /// Which collective.
-        request: u64,
-    },
-    /// Master server → submitter: the collective is complete.
+    /// Server → each participant: my share of the collective is
+    /// complete (on disk per the sync policy, or fully pushed).
     Complete {
         /// Which collective.
         request: u64,
-    },
-    /// Master client → other clients: resume computation.
-    Release {
-        /// Which collective.
-        request: u64,
+        /// How many [`Msg::Fetch`] (write) or [`Msg::Data`] (read)
+        /// messages this server sent the recipient for the request. The
+        /// recipient checks it against what arrived, so a lost or
+        /// duplicated piece is a typed error rather than a short buffer.
+        pieces: u32,
     },
     /// Master server → submitter: the collective was refused admission
     /// (the node is at capacity). Surfaced to the caller as
@@ -275,9 +274,7 @@ impl Msg {
             Msg::Collective(_) => tags::COLLECTIVE,
             Msg::Fetch { .. } => tags::FETCH,
             Msg::Data { .. } => tags::DATA,
-            Msg::ServerDone { .. } => tags::SERVER_DONE,
             Msg::Complete { .. } => tags::COMPLETE,
-            Msg::Release { .. } => tags::RELEASE,
             Msg::Reject { .. } => tags::REJECT,
             Msg::Shutdown => tags::SHUTDOWN,
             Msg::RawWrite { .. } => tags::RAW_WRITE,
@@ -349,8 +346,9 @@ impl Msg {
                 w.region(region);
                 w.bytes(payload);
             }
-            Msg::ServerDone { request } | Msg::Complete { request } | Msg::Release { request } => {
+            Msg::Complete { request, pieces } => {
                 w.u64(*request);
+                w.u32(*pieces);
             }
             Msg::Reject { request, reason } => {
                 w.u64(*request);
@@ -487,9 +485,10 @@ impl Msg {
                 region: r.region()?,
                 payload: r.bytes()?.into(),
             },
-            tags::SERVER_DONE => Msg::ServerDone { request: r.u64()? },
-            tags::COMPLETE => Msg::Complete { request: r.u64()? },
-            tags::RELEASE => Msg::Release { request: r.u64()? },
+            tags::COMPLETE => Msg::Complete {
+                request: r.u64()?,
+                pieces: r.u32()?,
+            },
             tags::REJECT => {
                 let request = r.u64()?;
                 let reason = match r.u8()? {
@@ -721,9 +720,10 @@ mod tests {
             region: Region::new(&[2], &[6]).unwrap(),
             payload: vec![1, 2, 3, 4].into(),
         });
-        roundtrip(Msg::ServerDone { request: 42 });
-        roundtrip(Msg::Complete { request: 42 });
-        roundtrip(Msg::Release { request: 42 });
+        roundtrip(Msg::Complete {
+            request: 42,
+            pieces: 17,
+        });
         roundtrip(Msg::Reject {
             request: 42,
             reason: AdmissionIssue::Saturated { live: 4, max: 4 },
@@ -797,9 +797,10 @@ mod tests {
                 region: Region::new(&[0], &[1]).unwrap(),
                 payload: vec![].into(),
             },
-            Msg::ServerDone { request: 0 },
-            Msg::Complete { request: 0 },
-            Msg::Release { request: 0 },
+            Msg::Complete {
+                request: 0,
+                pieces: 0,
+            },
             Msg::Reject {
                 request: 0,
                 reason: AdmissionIssue::Saturated { live: 0, max: 0 },
@@ -839,10 +840,13 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        assert!(matches!(
-            Msg::decode(999, &[]),
-            Err(PandaError::Decode { .. })
-        ));
+        // 4 and 6 are the retired completion chain's tags: unassigned.
+        for tag in [4, 6, 999] {
+            assert!(matches!(
+                Msg::decode(tag, &8u64.to_le_bytes()),
+                Err(PandaError::Decode { .. })
+            ));
+        }
     }
 
     #[test]

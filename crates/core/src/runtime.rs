@@ -87,12 +87,6 @@ pub struct PandaConfig {
     /// [`panda_obs::NullRecorder`], which keeps the hot path free of
     /// clock reads and event construction.
     pub recorder: Arc<dyn Recorder>,
-    /// Opt-in automatic recalibration: when set, a drift score at or
-    /// above this threshold (see `panda_model::DriftDetector`) licenses
-    /// the drift loop to re-run calibration through the `Calibrate`
-    /// trait. `None` (the default) means drift is reported but never
-    /// acted on automatically.
-    pub auto_retune_threshold: Option<f64>,
 }
 
 impl PandaConfig {
@@ -111,7 +105,6 @@ impl PandaConfig {
             max_queued_collectives: 16,
             recv_timeout: Duration::from_secs(60),
             recorder: panda_obs::null_recorder(),
-            auto_retune_threshold: None,
         }
     }
 
@@ -177,14 +170,6 @@ impl PandaConfig {
         self
     }
 
-    /// Opt in to automatic recalibration when the live phase costs
-    /// drift at least `threshold` (relative deviation; e.g. `0.5` fires
-    /// when a phase's observed cost is 50% off the calibrated line).
-    pub fn with_auto_retune(mut self, threshold: f64) -> Self {
-        self.auto_retune_threshold = Some(threshold);
-        self
-    }
-
     fn validate(&self) -> Result<(), PandaError> {
         if self.num_clients == 0 || self.num_servers == 0 {
             return Err(PandaError::Config {
@@ -243,7 +228,6 @@ pub struct PandaSystem {
     num_clients: usize,
     num_servers: usize,
     io_workers: usize,
-    auto_retune_threshold: Option<f64>,
 }
 
 /// Caller-supplied fabric: one transport per node, plus the shared
@@ -412,7 +396,6 @@ impl PandaSystemBuilder {
                 num_clients: config.num_clients,
                 num_servers: config.num_servers,
                 io_workers: config.io_workers,
-                auto_retune_threshold: config.auto_retune_threshold,
             },
             clients,
         ))
@@ -452,12 +435,6 @@ impl PandaSystem {
     /// [`crate::HealthSnapshot`] derives the `/healthz` status from it.
     pub fn health(&self) -> &Arc<ServiceHealth> {
         &self.health
-    }
-
-    /// The configured drift threshold for automatic recalibration
-    /// ([`PandaConfig::with_auto_retune`]), if opted in.
-    pub fn auto_retune_threshold(&self) -> Option<f64> {
-        self.auto_retune_threshold
     }
 
     /// Aggregate the deployment's recorder into one machine-readable

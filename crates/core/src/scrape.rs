@@ -2,7 +2,7 @@
 //! `/healthz`.
 //!
 //! [`MetricsServer`] is deliberately not a web framework — it is a
-//! single background thread on a non-blocking [`TcpListener`] speaking
+//! single background thread blocked in [`TcpListener::accept`], speaking
 //! just enough HTTP/1.1 for a Prometheus scraper or a load balancer's
 //! health probe:
 //!
@@ -35,9 +35,6 @@ use panda_obs::Recorder;
 
 use crate::health::{HealthStatus, ServiceHealth};
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_IDLE: Duration = Duration::from_millis(2);
-
 /// Per-connection read/write timeout: a stalled scraper cannot wedge
 /// the accept loop for longer than this.
 const CONN_TIMEOUT: Duration = Duration::from_millis(500);
@@ -62,30 +59,21 @@ impl MetricsServer {
         health: Arc<ServiceHealth>,
     ) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("panda-scrape".to_string())
-            .spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // One scrape at a time: probes are tiny and a
-                        // broken client is bounded by CONN_TIMEOUT.
+            .spawn(move || {
+                for conn in listener.incoming() {
+                    // `shut` sets the flag, then connects to wake us.
+                    if stop_flag.load(Ordering::Acquire) {
+                        return;
+                    }
+                    // One scrape at a time: probes are tiny and a
+                    // broken client is bounded by CONN_TIMEOUT.
+                    if let Ok(stream) = conn {
                         let _ = serve_conn(stream, recorder.as_ref(), &health);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if stop_flag.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(ACCEPT_IDLE);
-                    }
-                    Err(_) => {
-                        if stop_flag.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(ACCEPT_IDLE);
                     }
                 }
             })?;
@@ -107,8 +95,14 @@ impl MetricsServer {
     }
 
     fn shut(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::Release);
+        // The thread is blocked in `accept()`: a connection to its own
+        // address is what wakes it to see the flag. (If even that fails
+        // it cannot be woken; leave it parked rather than hang here.)
+        if TcpStream::connect_timeout(&self.addr, CONN_TIMEOUT).is_ok() {
             let _ = handle.join();
         }
     }

@@ -19,8 +19,9 @@
 //! 4. blocks only when nothing progressed — on the disk channel when
 //!    disk work is outstanding, on the transport otherwise.
 //!
-//! The **pinned disk task** is spawned once per server and serves every
-//! request: it keeps a per-request file table and processes
+//! The **disk task** is one named thread (`panda-disk-<server>`) per
+//! server, spawned in [`ServerNode::run`], and serves every request: it
+//! keeps a per-request file table and processes
 //! `DiskCmd`s strictly in arrival order, which interleaves requests
 //! at subchunk granularity while preserving each request's per-file
 //! FIFO — so every file is still written/read in exactly the serial
@@ -30,6 +31,12 @@
 //! [`SyncPolicy`] (per write, per file as its last step lands, or one
 //! coalesced barrier at the request's close) — per-request fsync
 //! accounting, not fleet-global.
+//!
+//! **Completion** is each server's own business: when a run's disk
+//! state retires, the server sends every participant one
+//! [`Msg::Complete`] carrying the number of `Fetch`/`Data` messages it
+//! sent that participant. There is no server-to-server completion
+//! traffic and no client-to-client release.
 //!
 //! **Admission** happens at the master server: a request beyond the
 //! live cap waits in a bounded queue, and a single-participant
@@ -88,8 +95,8 @@ pub struct ServerNode {
     raw_done: Vec<bool>,
     /// Number of set flags in [`ServerNode::raw_done`].
     raw_done_count: usize,
-    /// Worker pool shared by the pinned disk task and the parallel
-    /// reorganization passes.
+    /// Worker pool for the parallel reorganization passes: `io_workers`
+    /// less the one thread the disk task is.
     pool: IoPool,
 }
 
@@ -131,6 +138,10 @@ struct RequestRun {
     /// Fabric ranks of the participating compute nodes, indexed by a
     /// plan piece's mesh-local `client`.
     participants: Vec<u32>,
+    /// `Fetch`/`Data` messages sent to each participant so far — what
+    /// this server's `Complete` attests to. Counted where they are sent,
+    /// so section trimming is already in it.
+    sent: Vec<u32>,
     dir: OpDir,
     depth: usize,
     sched: CollectiveSchedule,
@@ -173,6 +184,7 @@ impl RequestRun {
         RequestRun {
             request: req.request,
             priority: req.priority,
+            sent: vec![0; req.participants.len()],
             participants: req.participants,
             dir: op_dir(req.op),
             depth,
@@ -195,25 +207,15 @@ impl RequestRun {
 
 /// Scheduler state local to one [`ServerNode::run`] call.
 struct SchedState {
-    /// Live runs (unordered; pump order is derived per pass).
+    /// Live runs in pump order: highest priority first, and within a
+    /// priority class the run whose turn it is first.
     live: Vec<RequestRun>,
     /// Admitted-but-waiting requests (master only).
     queue: VecDeque<CollectiveRequest>,
-    /// Master only: per-request completion count and submitter rank.
-    done: HashMap<u64, DoneTrack>,
-    /// Round-robin cursor over equal-priority live runs.
-    rr: usize,
     /// Set by `Msg::Shutdown`; the loop exits once drained.
     draining: bool,
     /// Disk commands awaiting a completion (`Free`/`Full`/`Closed`).
     disk_pending: usize,
-}
-
-struct DoneTrack {
-    /// Servers (including this one) that finished the request.
-    count: usize,
-    /// Fabric rank the `Complete` goes to.
-    submitter: u32,
 }
 
 /// A file to open at the start of a request's disk work.
@@ -225,7 +227,7 @@ struct OpenSpec {
     bytes: u64,
 }
 
-/// One unit of work for the shared pinned disk task. Commands of one
+/// One unit of work for the shared disk task. Commands of one
 /// request arrive in schedule order; commands of different requests
 /// interleave freely — the task's arrival-order processing preserves
 /// per-request (and hence per-file) FIFO either way.
@@ -330,7 +332,7 @@ fn timed_sync(
     Ok(())
 }
 
-/// The engine's pinned disk task: the single task that touches this
+/// The engine's disk task: the single thread that touches this
 /// server's files, for every request it ever serves. Runs until the
 /// command channel closes. An `FsError` is fatal for the server (as it
 /// always was): the task exits and the scheduler surfaces the error
@@ -536,6 +538,21 @@ fn run_disk_task(
     Ok(())
 }
 
+/// The fabric rank plan piece `client` goes to, counting the message
+/// about to be sent there.
+fn piece_dst(participants: &[u32], sent: &mut [u32], client: usize) -> Result<u32, PandaError> {
+    let dst = *participants
+        .get(client)
+        .ok_or_else(|| PandaError::Protocol {
+            detail: format!(
+                "plan piece for client {client} outside the {} participants",
+                participants.len()
+            ),
+        })?;
+    sent[client] += 1;
+    Ok(dst)
+}
+
 /// Copy one fetched piece into its subchunk's assembly buffer and
 /// record the reorganization. Every write step funnels through here
 /// from the engine's pooled assembly jobs.
@@ -594,7 +611,7 @@ impl ServerNode {
             raw_handles: HashMap::new(),
             raw_done: vec![false; num_clients],
             raw_done_count: 0,
-            pool: IoPool::new(io_workers),
+            pool: IoPool::new(io_workers.saturating_sub(1)),
         }
     }
 
@@ -619,10 +636,6 @@ impl ServerNode {
         }
     }
 
-    fn master_server(&self) -> NodeId {
-        NodeId(self.num_clients)
-    }
-
     /// Publish this server's scheduler gauges (three relaxed stores —
     /// cheap enough to run on every serve-loop pass).
     fn publish_health(&self, st: &SchedState) {
@@ -645,7 +658,7 @@ impl ServerNode {
     }
 
     /// Main loop: schedule collective requests and serve baseline raw
-    /// operations until shutdown. Spawns the pinned disk task, runs the
+    /// operations until shutdown. Spawns the disk task, runs the
     /// scheduler, then joins the task — a disk error is the root cause
     /// when both sides failed.
     pub fn run(mut self) -> Result<(), PandaError> {
@@ -654,14 +667,13 @@ impl ServerNode {
         let recorder = Arc::clone(&self.recorder);
         let node = self.my_rank();
         let fs = Arc::clone(&self.fs);
-        let disk = self
-            .pool
-            .spawn_pinned(move || run_disk_task(recorder, node, fs, cmd_rx, out_tx));
+        let disk = std::thread::Builder::new()
+            .name(format!("panda-disk-{}", self.server_idx))
+            .spawn(move || run_disk_task(recorder, node, fs, cmd_rx, out_tx))
+            .map_err(|e| PandaError::Fs(e.into()))?;
         let mut st = SchedState {
             live: Vec::new(),
             queue: VecDeque::new(),
-            done: HashMap::new(),
-            rr: 0,
             draining: false,
             disk_pending: 0,
         };
@@ -728,26 +740,20 @@ impl ServerNode {
         }
     }
 
-    /// Pump every live run once: highest priority first, equal
-    /// priorities in rotating round-robin order so no request starves.
+    /// Pump every live run once, in `live`'s order, then give the next
+    /// run of each priority class the first turn of the next pass — so
+    /// equal priorities round-robin and no request starves.
     fn pump_all(
         &mut self,
         st: &mut SchedState,
         cmd_tx: &mpsc::Sender<DiskCmd>,
     ) -> Result<bool, PandaError> {
-        if st.live.is_empty() {
-            return Ok(false);
-        }
-        let n = st.live.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.rotate_left(st.rr % n);
-        // Stable sort: the rotated round-robin order survives within
-        // each priority class.
-        order.sort_by(|&a, &b| st.live[b].priority.cmp(&st.live[a].priority));
-        st.rr = st.rr.wrapping_add(1);
         let mut progress = false;
-        for idx in order {
-            progress |= self.pump_run(&mut st.disk_pending, cmd_tx, &mut st.live[idx])?;
+        for run in st.live.iter_mut() {
+            progress |= self.pump_run(&mut st.disk_pending, cmd_tx, run)?;
+        }
+        for class in st.live.chunk_by_mut(|a, b| a.priority == b.priority) {
+            class.rotate_left(1);
         }
         Ok(progress)
     }
@@ -882,15 +888,7 @@ impl ServerNode {
                 }
                 let step = &run.sched.steps[run.next];
                 for (pi, piece) in step.sub.pieces.iter().enumerate() {
-                    let dst = *run.participants.get(piece.client).ok_or_else(|| {
-                        PandaError::Protocol {
-                            detail: format!(
-                                "plan piece for client {} outside the {} participants",
-                                piece.client,
-                                run.participants.len()
-                            ),
-                        }
-                    })?;
+                    let dst = piece_dst(&run.participants, &mut run.sent, piece.client)?;
                     send_msg(
                         &mut *self.transport,
                         NodeId(dst as usize),
@@ -949,6 +947,7 @@ impl ServerNode {
                     self.server_idx,
                     run.request,
                     &run.participants,
+                    &mut run.sent,
                     step,
                     buf,
                     &mut run.seq,
@@ -1012,21 +1011,14 @@ impl ServerNode {
         server_idx: usize,
         request: u64,
         participants: &[u32],
+        sent: &mut [u32],
         step: &ScheduleStep,
         buf: Vec<u8>,
         seq: &mut u64,
     ) -> Result<(), PandaError> {
         let key = SubchunkKey::scoped(request, server_idx, step.array, step.subchunk);
         let mut push = |pi: usize, target: &Region, data: Vec<u8>| -> Result<(), PandaError> {
-            let piece_client = step.sub.pieces[pi].client;
-            let dst = *participants
-                .get(piece_client)
-                .ok_or_else(|| PandaError::Protocol {
-                    detail: format!(
-                        "plan piece for client {piece_client} outside the {} participants",
-                        participants.len()
-                    ),
-                })?;
+            let dst = piece_dst(participants, sent, step.sub.pieces[pi].client)?;
             let bytes = data.len() as u64;
             send_data(
                 transport,
@@ -1136,14 +1128,6 @@ impl ServerNode {
                 payload,
                 ..
             } => self.route_data(st, request, seq, region, payload, wait),
-            Msg::ServerDone { request } => {
-                if !self.is_master() {
-                    return Err(PandaError::Protocol {
-                        detail: "ServerDone at a non-master server".to_string(),
-                    });
-                }
-                self.note_done(st, request)
-            }
             Msg::RawWrite {
                 file,
                 offset,
@@ -1270,15 +1254,6 @@ impl ServerNode {
                 });
             }
         }
-        if self.is_master() {
-            st.done.insert(
-                req.request,
-                DoneTrack {
-                    count: 0,
-                    submitter: req.participants.first().copied().unwrap_or(0),
-                },
-            );
-        }
         Self::disk_send(
             cmd_tx,
             DiskCmd::Open {
@@ -1315,7 +1290,9 @@ impl ServerNode {
             st.disk_pending += 1;
             run.close_sent = true;
         }
-        st.live.push(run);
+        // Behind every live run of its priority or higher.
+        let at = st.live.partition_point(|r| r.priority >= run.priority);
+        st.live.insert(at, run);
         Ok(())
     }
 
@@ -1412,8 +1389,8 @@ impl ServerNode {
     }
 
     /// A run's disk state is retired: the collective is complete on
-    /// this server. Take part in the completion chain, then (master)
-    /// pull the next queued request into the freed slot.
+    /// this server. Tell every participant, then (master) pull the next
+    /// queued request into the freed slot.
     fn finish_run(
         &mut self,
         st: &mut SchedState,
@@ -1427,7 +1404,7 @@ impl ServerNode {
             .ok_or_else(|| PandaError::Protocol {
                 detail: format!("disk close for unknown request {request}"),
             })?;
-        let run = st.live.swap_remove(idx);
+        let run = st.live.remove(idx);
         if let Some(t) = run.t_op {
             self.emit(&Event::CollectiveDone {
                 request,
@@ -1435,37 +1412,18 @@ impl ServerNode {
                 dur: t.elapsed(),
             });
         }
-        if self.is_master() {
-            self.note_done(st, request)?;
-            // A live slot freed up: admit from the wait queue.
-            while st.live.len() < self.max_concurrent {
-                let Some(req) = st.queue.pop_front() else {
-                    break;
-                };
-                self.relay(&req)?;
-                self.start_run(st, cmd_tx, req)?;
-            }
-        } else {
-            let dst = self.master_server();
-            send_msg(&mut *self.transport, dst, &Msg::ServerDone { request })?;
+        for (&rank, &pieces) in run.participants.iter().zip(&run.sent) {
+            let done = Msg::Complete { request, pieces };
+            send_msg(&mut *self.transport, NodeId(rank as usize), &done)?;
         }
-        Ok(())
-    }
-
-    /// Master bookkeeping: one more server finished `request`. Once all
-    /// have (including this one), tell the submitter.
-    fn note_done(&mut self, st: &mut SchedState, request: u64) -> Result<(), PandaError> {
-        let track = st
-            .done
-            .get_mut(&request)
-            .ok_or_else(|| PandaError::Protocol {
-                detail: format!("completion for unknown request {request}"),
-            })?;
-        track.count += 1;
-        if track.count == self.num_servers {
-            let submitter = NodeId(track.submitter as usize);
-            st.done.remove(&request);
-            send_msg(&mut *self.transport, submitter, &Msg::Complete { request })?;
+        // A live slot freed up: admit from the wait queue (empty on
+        // every server but the master).
+        while st.live.len() < self.max_concurrent {
+            let Some(req) = st.queue.pop_front() else {
+                break;
+            };
+            self.relay(&req)?;
+            self.start_run(st, cmd_tx, req)?;
         }
         Ok(())
     }

@@ -7,8 +7,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::*;
+use panda_core::protocol::{tags, Msg};
 use panda_core::{PandaConfig, PandaError, PandaSystem, ReadSet, WriteSet};
 use panda_fs::{FileSystem, MemFs};
+use panda_msg::{Envelope, MatchSpec, MsgError, NodeId, Transport};
 use panda_schema::ElementType;
 
 #[test]
@@ -45,7 +47,7 @@ fn missing_client_times_out_instead_of_hanging() {
         }
     });
     // Every participating client surfaces an error (timeout waiting
-    // for release/complete).
+    // for the servers' completes).
     assert!(results.iter().all(|r| r.is_err()));
     // The server threads errored too; shutdown reports it.
     let err = system.shutdown(clients).map(|_| ()).unwrap_err();
@@ -82,14 +84,14 @@ fn unexpected_tag_is_a_protocol_error() {
         .config(config.clone())
         .launch(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>)
         .unwrap();
-    // Servers never expect a RELEASE message.
+    // Servers send COMPLETE; they never expect one.
+    let stray = panda_core::protocol::Msg::Complete {
+        request: 0,
+        pieces: 0,
+    };
     clients[0]
         .transport_mut_for_tests()
-        .send(
-            panda_msg::NodeId(1),
-            panda_core::protocol::tags::RELEASE,
-            panda_core::protocol::Msg::Release { request: 0 }.encode(),
-        )
+        .send(panda_msg::NodeId(1), stray.tag(), stray.encode())
         .unwrap();
     let err = system.shutdown(clients).map(|_| ()).unwrap_err();
     assert!(matches!(err, PandaError::Protocol { .. }), "got {err}");
@@ -191,4 +193,169 @@ fn short_or_misregioned_data_for_an_identity_step_is_a_protocol_error() {
         let err = system.shutdown(clients).map(|_| ()).unwrap_err();
         assert!(matches!(err, PandaError::Protocol { .. }), "got {err}");
     }
+}
+
+/// A client endpoint whose arrivals pass through `tamper` first: each
+/// envelope off the wire becomes the envelopes to deliver in its place,
+/// in order (none holds it back, two releases a held one).
+struct Tampered {
+    inner: Box<dyn Transport>,
+    tamper: Box<dyn FnMut(Envelope) -> Vec<Envelope> + Send>,
+    ready: std::collections::VecDeque<Envelope>,
+}
+
+impl Transport for Tampered {
+    fn node(&self) -> NodeId {
+        self.inner.node()
+    }
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes()
+    }
+    fn send(&mut self, dst: NodeId, tag: u32, payload: Vec<u8>) -> Result<(), MsgError> {
+        self.inner.send(dst, tag, payload)
+    }
+    fn recv_matching(&mut self, spec: MatchSpec) -> Result<Envelope, MsgError> {
+        loop {
+            if let Some(env) = self.ready.pop_front() {
+                return Ok(env);
+            }
+            let env = self.inner.recv_matching(spec)?;
+            self.ready.extend((self.tamper)(env));
+        }
+    }
+    fn try_recv_matching(&mut self, spec: MatchSpec) -> Result<Option<Envelope>, MsgError> {
+        unimplemented!("a PandaClient only ever blocks ({spec:?})")
+    }
+}
+
+/// Launch `clients` x `servers` over the in-process fabric with client
+/// `rank`'s arrivals passing through `tamper`.
+fn launch_tampered(
+    clients: usize,
+    servers: usize,
+    rank: usize,
+    tamper: impl FnMut(Envelope) -> Vec<Envelope> + Send + 'static,
+) -> (PandaSystem, Vec<panda_core::PandaClient>) {
+    let (eps, stats) =
+        panda_msg::InProcFabric::with_timeout(clients + servers, Duration::from_secs(5));
+    let mut tamper = Some(Box::new(tamper) as Box<_>);
+    let transports = eps
+        .into_iter()
+        .enumerate()
+        .map(|(node, ep)| match tamper.take_if(|_| node == rank) {
+            Some(tamper) => Box::new(Tampered {
+                inner: Box::new(ep),
+                tamper,
+                ready: Default::default(),
+            }) as Box<dyn Transport>,
+            None => Box::new(ep),
+        })
+        .collect();
+    PandaSystem::builder()
+        .config(PandaConfig::new(clients, servers))
+        .transports(transports, stats)
+        .launch(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>)
+        .unwrap()
+}
+
+/// `env` decoded, when it is one of the per-request collective messages.
+fn collective_msg(env: &Envelope) -> Option<Msg> {
+    [tags::FETCH, tags::DATA, tags::COMPLETE]
+        .contains(&env.tag)
+        .then(|| Msg::decode(env.tag, &env.payload.contiguous()).unwrap())
+}
+
+#[test]
+fn a_complete_that_disagrees_with_what_arrived_is_a_protocol_error() {
+    // A client has no plan of its own: the servers' attested piece
+    // counts are its only check that nothing was lost or duplicated, and
+    // the echoed request id its only check that the `Complete` is for
+    // the collective it is in. Both must be held to. The server at the
+    // other end is honest; the wire is not.
+    type Forgery = fn(u64, u32) -> (u64, u32);
+    let forgeries: [Forgery; 3] = [
+        |request, pieces| (request, pieces + 1), // one was lost
+        |request, pieces| (request, pieces - 1), // one came twice
+        |request, pieces| (request ^ 1, pieces), // not this one's
+    ];
+    let meta = make_array("t", &[8, 8], ElementType::F64, &[1, 1], DiskSchema::Natural);
+    let data = pattern_chunk(&meta, 0);
+    for forge in forgeries {
+        let (system, mut clients) = launch_tampered(1, 1, 0, move |mut env| {
+            if let Some(Msg::Complete { request, pieces }) = collective_msg(&env) {
+                let (request, pieces) = forge(request, pieces);
+                env.payload =
+                    panda_msg::Payload::Inline(Msg::Complete { request, pieces }.encode());
+            }
+            vec![env]
+        });
+        for write in [true, false] {
+            let err = if write {
+                clients[0].write_set(&WriteSet::new().array(&meta, "t", data.as_slice()))
+            } else {
+                let mut buf = vec![0u8; data.len()];
+                clients[0].read_set(&mut ReadSet::new().array(&meta, "t", buf.as_mut_slice()))
+            }
+            .unwrap_err();
+            assert!(matches!(err, PandaError::Protocol { .. }), "got {err}");
+        }
+        // The servers were honest throughout and shut down cleanly.
+        system.shutdown(clients).unwrap();
+    }
+}
+
+#[test]
+fn the_next_collective_may_overtake_the_end_of_this_one() {
+    // Each pair of nodes is FIFO; pairs among themselves are not. From
+    // its first `Complete` on, everything server 1 sends client 1 is held
+    // back here until server 0 — done with that collective, and already
+    // told by client 0 to start the next — has a message of the next one
+    // delivered ahead of it, as two TCP connections may. Client 1 must
+    // neither fail nor mix the two collectives up.
+    let id = |env: &Envelope| match collective_msg(env) {
+        Some(Msg::Fetch { request, .. } | Msg::Data { request, .. }) => Some(request),
+        Some(Msg::Complete { request, .. }) => Some(request),
+        _ => None,
+    };
+    let slow = NodeId(3);
+    let (mut held, mut done) = (Vec::new(), false);
+    let (system, mut clients) = launch_tampered(2, 2, 1, move |env| {
+        if env.src == slow {
+            let first = !done && env.tag == tags::COMPLETE;
+            if first || !held.is_empty() {
+                done = true;
+                held.push(env);
+                return vec![];
+            }
+        } else if held.first().is_some_and(|late| id(late) != id(&env)) {
+            return std::iter::once(env).chain(held.drain(..)).collect();
+        }
+        vec![env]
+    });
+    // Columns over clients, rows over servers: every server has a piece
+    // for every client in every collective.
+    let meta = make_array(
+        "t",
+        &[8, 8],
+        ElementType::F64,
+        &[1, 2],
+        DiskSchema::Traditional(2),
+    );
+    let datas: Vec<Vec<u8>> = (0..2).map(|r| pattern_chunk(&meta, r)).collect();
+    std::thread::scope(|s| {
+        for (client, data) in clients.iter_mut().zip(&datas) {
+            let meta = &meta;
+            s.spawn(move || {
+                client
+                    .write_set(&WriteSet::new().array(meta, "t", data.as_slice()))
+                    .unwrap();
+                let mut buf = vec![0u8; data.len()];
+                client
+                    .read_set(&mut ReadSet::new().array(meta, "t", buf.as_mut_slice()))
+                    .unwrap();
+                assert_eq!(&buf, data);
+            });
+        }
+    });
+    system.shutdown(clients).unwrap();
 }

@@ -9,15 +9,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::*;
-use panda_core::{PandaConfig, PandaSystem};
-use panda_fs::{FileSystem, MemFs};
+use panda_core::{PandaConfig, PandaSystem, ReadSet};
+use panda_fs::{FileSystem, MemFs, ThrottledFs};
 use panda_msg::{FabricStats, TcpFabric, Transport};
-use panda_schema::ElementType;
+use panda_schema::{copy, ElementType, Region};
 
+/// Launch over localhost TCP; `slow` names a server whose backend takes
+/// 40 ms per access.
 fn launch_tcp(
     num_clients: usize,
     num_servers: usize,
     subchunk: usize,
+    slow: Option<usize>,
 ) -> (PandaSystem, Vec<panda_core::PandaClient>, Vec<Arc<MemFs>>) {
     let endpoints = TcpFabric::localhost(num_clients + num_servers, Duration::from_secs(20))
         .expect("tcp fabric");
@@ -33,7 +36,14 @@ fn launch_tcp(
     let (system, clients) = PandaSystem::builder()
         .config(config)
         .transports(transports, Arc::new(FabricStats::new()))
-        .launch(move |s| Arc::clone(&handles[s]) as Arc<dyn FileSystem>)
+        .launch(move |s| {
+            let mem = Arc::clone(&handles[s]) as Arc<dyn FileSystem>;
+            if slow == Some(s) {
+                Arc::new(ThrottledFs::new(mem, 1e6, 1e6, Duration::from_millis(40)))
+            } else {
+                mem
+            }
+        })
         .expect("launch over tcp");
     (system, clients, mems)
 }
@@ -47,7 +57,7 @@ fn collective_roundtrip_over_tcp() {
         &[2, 2],
         DiskSchema::Traditional(2),
     );
-    let (system, mut clients, mems) = launch_tcp(4, 2, 256);
+    let (system, mut clients, mems) = launch_tcp(4, 2, 256, None);
     collective_write(&mut clients, &meta, "t");
     // Files are byte-identical to what the in-process fabric produces.
     assert_eq!(concat_server_files(&mems, "t"), pattern_full(&meta));
@@ -64,7 +74,7 @@ fn collective_roundtrip_over_tcp() {
 fn group_ops_over_tcp() {
     use panda_core::{ArrayGroup, GroupData};
     let meta = make_array("f", &[8, 8], ElementType::I32, &[2, 2], DiskSchema::Natural);
-    let (system, mut clients, _mems) = launch_tcp(4, 2, 1 << 20);
+    let (system, mut clients, _mems) = launch_tcp(4, 2, 1 << 20, None);
     std::thread::scope(|s| {
         for client in clients.iter_mut() {
             let meta = &meta;
@@ -85,5 +95,49 @@ fn group_ops_over_tcp() {
     // Manifest reloads over TCP too.
     let loaded = panda_core::ArrayGroup::load(&mut clients[0], "net").unwrap();
     assert_eq!(loaded.checkpoints_taken(), 1);
+    system.shutdown(clients).unwrap();
+}
+
+#[test]
+fn fast_servers_completes_do_not_end_a_read_before_a_slow_servers_data() {
+    // Over TCP each pair of nodes has its own socket, so nothing orders
+    // one server's `Complete` against another server's `Data`. Server 1
+    // is slow; servers 0 and 2 have pushed everything and completed long
+    // before its first piece leaves. A client must still be in the
+    // collective when it does.
+    let meta = make_array(
+        "t",
+        &[24, 16],
+        ElementType::F64,
+        &[2, 2],
+        DiskSchema::Traditional(3),
+    );
+    let (system, mut clients, _mems) = launch_tcp(4, 3, 512, Some(1));
+    collective_write(&mut clients, &meta, "t");
+    // Rows 2..22 cross all three servers' slabs and both client rows:
+    // every client's share includes a piece from the slow server.
+    let section = Region::new(&[2, 3], &[22, 14]).unwrap();
+    let mut bufs: Vec<Vec<u8>> = clients
+        .iter()
+        .map(|c| vec![0u8; c.section_bytes(&meta, &section)])
+        .collect();
+    std::thread::scope(|s| {
+        for (client, buf) in clients.iter_mut().zip(bufs.iter_mut()) {
+            let (meta, section) = (&meta, &section);
+            s.spawn(move || {
+                let mut set =
+                    ReadSet::new().section(meta, "t", section.clone(), buf.as_mut_slice());
+                client.read_set(&mut set).unwrap();
+            });
+        }
+    });
+    for (rank, buf) in bufs.iter().enumerate() {
+        let mine = meta.client_region(rank);
+        let target = mine
+            .intersect(&section)
+            .expect("section crosses every client");
+        let want = copy::pack_region(&pattern_chunk(&meta, rank), &mine, &target, 8).unwrap();
+        assert_eq!(buf, &want, "client {rank}");
+    }
     system.shutdown(clients).unwrap();
 }

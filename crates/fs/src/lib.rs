@@ -49,6 +49,7 @@ pub mod local;
 pub mod mem;
 pub mod null;
 mod obs;
+mod root;
 pub mod stats;
 pub mod submit;
 pub mod throttle;

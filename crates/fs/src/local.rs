@@ -2,7 +2,7 @@
 
 use std::fs;
 use std::os::unix::fs::FileExt;
-use std::path::{Component, Path, PathBuf};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,6 +10,7 @@ use panda_obs::{Event, Recorder};
 
 use crate::error::FsError;
 use crate::obs::FsObs;
+use crate::root::RootDir;
 use crate::stats::{IoStats, SeqTracker};
 use crate::traits::{FileHandle, FileSystem};
 
@@ -19,7 +20,7 @@ use crate::traits::{FileHandle, FileSystem};
 /// the array in traditional order).
 #[derive(Debug)]
 pub struct LocalFs {
-    root: PathBuf,
+    root: RootDir,
     obs: Arc<FsObs>,
 }
 
@@ -27,10 +28,8 @@ impl LocalFs {
     /// Create a backend rooted at `root`, creating the directory if
     /// needed.
     pub fn new(root: impl Into<PathBuf>) -> Result<Self, FsError> {
-        let root = root.into();
-        fs::create_dir_all(&root)?;
         Ok(LocalFs {
-            root,
+            root: RootDir::create(root.into())?,
             obs: Arc::new(FsObs::new()),
         })
     }
@@ -43,112 +42,48 @@ impl LocalFs {
         recorder: Arc<dyn Recorder>,
         node: u32,
     ) -> Result<Self, FsError> {
-        let root = root.into();
-        fs::create_dir_all(&root)?;
         Ok(LocalFs {
-            root,
+            root: RootDir::create(root.into())?,
             obs: Arc::new(FsObs::with_recorder(recorder, node)),
         })
     }
 
     /// The root directory.
     pub fn root(&self) -> &Path {
-        &self.root
+        self.root.path()
     }
 
-    fn resolve(&self, path: &str) -> Result<PathBuf, FsError> {
-        let rel = Path::new(path);
-        if rel.is_absolute()
-            || rel
-                .components()
-                .any(|c| matches!(c, Component::ParentDir | Component::RootDir))
-        {
-            return Err(FsError::InvalidPath {
-                path: path.to_string(),
-            });
-        }
-        Ok(self.root.join(rel))
-    }
-}
-
-impl FileSystem for LocalFs {
-    fn create(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
-        let full = self.resolve(path)?;
-        if let Some(parent) = full.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(full)?;
-        Ok(Box::new(LocalHandle {
-            path: path.to_string(),
-            file,
-            len: 0,
-            obs: Arc::clone(&self.obs),
-            tracker: SeqTracker::default(),
-        }))
-    }
-
-    fn open(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
-        let full = self.resolve(path)?;
-        if !full.is_file() {
-            return Err(FsError::NotFound {
-                path: path.to_string(),
-            });
-        }
-        let file = fs::OpenOptions::new().read(true).write(true).open(full)?;
-        let len = file.metadata()?.len();
-        Ok(Box::new(LocalHandle {
+    fn handle(&self, path: &str, file: fs::File, len: u64) -> Box<dyn FileHandle> {
+        Box::new(LocalHandle {
             path: path.to_string(),
             file,
             len,
             obs: Arc::clone(&self.obs),
             tracker: SeqTracker::default(),
-        }))
+        })
+    }
+}
+
+impl FileSystem for LocalFs {
+    fn create(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
+        Ok(self.handle(path, self.root.create_file(path)?, 0))
+    }
+
+    fn open(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
+        let (file, len) = self.root.open_file(path)?;
+        Ok(self.handle(path, file, len))
     }
 
     fn exists(&self, path: &str) -> bool {
-        self.resolve(path).map(|p| p.is_file()).unwrap_or(false)
+        self.root.exists(path)
     }
 
     fn remove(&self, path: &str) -> Result<(), FsError> {
-        let full = self.resolve(path)?;
-        if !full.is_file() {
-            return Err(FsError::NotFound {
-                path: path.to_string(),
-            });
-        }
-        fs::remove_file(full)?;
-        Ok(())
+        self.root.remove(path)
     }
 
     fn list(&self) -> Vec<String> {
-        fn walk(dir: &Path, prefix: &str, out: &mut Vec<String>) {
-            let Ok(entries) = fs::read_dir(dir) else {
-                return;
-            };
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let rel = if prefix.is_empty() {
-                    name.clone()
-                } else {
-                    format!("{prefix}/{name}")
-                };
-                let p = entry.path();
-                if p.is_dir() {
-                    walk(&p, &rel, out);
-                } else {
-                    out.push(rel);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, "", &mut out);
-        out.sort();
-        out
+        self.root.list()
     }
 
     fn stats(&self) -> Arc<IoStats> {

@@ -28,7 +28,7 @@
 use std::collections::VecDeque;
 use std::fs;
 use std::os::unix::fs::FileExt;
-use std::path::{Component, Path, PathBuf};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -38,6 +38,7 @@ use panda_obs::{Event, Recorder};
 
 use crate::error::FsError;
 use crate::obs::FsObs;
+use crate::root::RootDir;
 use crate::stats::{IoStats, SeqTracker};
 use crate::traits::{FileHandle, FileSystem};
 
@@ -47,7 +48,7 @@ use crate::traits::{FileHandle, FileSystem};
 /// [`FileSystem`]/[`FileHandle`] pair, so every Panda call site works
 /// unchanged.
 pub struct SubmitFs {
-    root: PathBuf,
+    root: RootDir,
     obs: Arc<FsObs>,
     pool: Arc<SubmitPool>,
 }
@@ -55,7 +56,7 @@ pub struct SubmitFs {
 impl std::fmt::Debug for SubmitFs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubmitFs")
-            .field("root", &self.root)
+            .field("root", &self.root.path())
             .finish()
     }
 }
@@ -85,10 +86,8 @@ impl SubmitFs {
                 "SubmitFs needs at least one completion thread",
             )));
         }
-        let root = root.into();
-        fs::create_dir_all(&root)?;
         Ok(SubmitFs {
-            root,
+            root: RootDir::create(root.into())?,
             obs: Arc::new(FsObs::with_recorder(recorder, node)),
             pool: Arc::new(SubmitPool::spawn(completion_threads)),
         })
@@ -96,21 +95,7 @@ impl SubmitFs {
 
     /// The root directory.
     pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    fn resolve(&self, path: &str) -> Result<PathBuf, FsError> {
-        let rel = Path::new(path);
-        if rel.is_absolute()
-            || rel
-                .components()
-                .any(|c| matches!(c, Component::ParentDir | Component::RootDir))
-        {
-            return Err(FsError::InvalidPath {
-                path: path.to_string(),
-            });
-        }
-        Ok(self.root.join(rel))
+        self.root.path()
     }
 
     fn handle(&self, path: &str, file: fs::File, len: u64) -> Box<dyn FileHandle> {
@@ -145,70 +130,24 @@ impl Drop for SubmitFs {
 
 impl FileSystem for SubmitFs {
     fn create(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
-        let full = self.resolve(path)?;
-        if let Some(parent) = full.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(full)?;
-        Ok(self.handle(path, file, 0))
+        Ok(self.handle(path, self.root.create_file(path)?, 0))
     }
 
     fn open(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
-        let full = self.resolve(path)?;
-        if !full.is_file() {
-            return Err(FsError::NotFound {
-                path: path.to_string(),
-            });
-        }
-        let file = fs::OpenOptions::new().read(true).write(true).open(full)?;
-        let len = file.metadata()?.len();
+        let (file, len) = self.root.open_file(path)?;
         Ok(self.handle(path, file, len))
     }
 
     fn exists(&self, path: &str) -> bool {
-        self.resolve(path).map(|p| p.is_file()).unwrap_or(false)
+        self.root.exists(path)
     }
 
     fn remove(&self, path: &str) -> Result<(), FsError> {
-        let full = self.resolve(path)?;
-        if !full.is_file() {
-            return Err(FsError::NotFound {
-                path: path.to_string(),
-            });
-        }
-        fs::remove_file(full)?;
-        Ok(())
+        self.root.remove(path)
     }
 
     fn list(&self) -> Vec<String> {
-        fn walk(dir: &Path, prefix: &str, out: &mut Vec<String>) {
-            let Ok(entries) = fs::read_dir(dir) else {
-                return;
-            };
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let rel = if prefix.is_empty() {
-                    name.clone()
-                } else {
-                    format!("{prefix}/{name}")
-                };
-                let p = entry.path();
-                if p.is_dir() {
-                    walk(&p, &rel, out);
-                } else {
-                    out.push(rel);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, "", &mut out);
-        out.sort();
-        out
+        self.root.list()
     }
 
     fn stats(&self) -> Arc<IoStats> {

@@ -13,12 +13,11 @@
 //! (throttle accounting, receive waits) and phases with too few samples
 //! are excluded.
 //!
-//! The loop is opt-in: launch with
-//! [`PandaConfig::with_auto_retune`](panda_core::PandaConfig::with_auto_retune)
-//! and drive [`service_drift_pass`] periodically — when the drift score
-//! crosses the configured threshold it recalibrates through the same
-//! [`Calibrate`] trait the manual tuner uses and rebases the detector
-//! on the fresh fit.
+//! The loop is opt-in: drive [`service_drift_pass`] periodically — when
+//! the drift score crosses the detector's threshold it recalibrates
+//! through the same [`Calibrate`] trait the manual tuner uses and
+//! rebases the detector on the fresh fit. [`DriftDetector::check`]
+//! alone only ever reports.
 
 use panda_core::{ArrayMeta, PandaError, PandaService};
 use panda_obs::{MetricsSnapshot, Phase, Recorder};
@@ -221,18 +220,15 @@ pub struct DriftPass {
     /// The drift report, when the service's recorder keeps a metrics
     /// store.
     pub report: Option<DriftReport>,
-    /// The fresh calibration, when the score crossed the service's
-    /// configured auto-retune threshold and recalibration ran.
+    /// The fresh calibration, when the score crossed the detector's
+    /// threshold and recalibration ran.
     pub recalibrated: Option<Calibration>,
 }
 
 /// Drive one detector pass against a live service: score the window,
-/// and — when the service was launched with
-/// [`PandaConfig::with_auto_retune`](panda_core::PandaConfig::with_auto_retune)
-/// and the score crosses that threshold — recalibrate through
-/// [`Calibrate`] (probes borrow an idle session slot) and rebase the
-/// detector on the fresh fit. Services launched without the opt-in
-/// only ever report.
+/// and — when the report says [`DriftReport::drifted`] — recalibrate
+/// through [`Calibrate`] (probes borrow an idle session slot) and rebase
+/// the detector on the fresh fit.
 pub fn service_drift_pass(
     detector: &mut DriftDetector,
     service: &mut PandaService,
@@ -240,11 +236,7 @@ pub fn service_drift_pass(
     opts: &TunerOptions,
 ) -> Result<DriftPass, PandaError> {
     let report = detector.check(service.system().recorder().as_ref());
-    let fire = match (&report, service.system().auto_retune_threshold()) {
-        (Some(r), Some(threshold)) => r.score > threshold,
-        _ => false,
-    };
-    if !fire {
+    if !report.as_ref().is_some_and(|r| r.drifted) {
         return Ok(DriftPass {
             report,
             recalibrated: None,
