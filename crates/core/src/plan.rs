@@ -16,12 +16,14 @@
 //!    chunks intersect it; those intersections are the logical
 //!    sub-chunk requests exchanged with clients.
 //!
-//! The same functions serve both the real runtime's servers and the
-//! performance model (`panda-model`), which is what makes the simulated
-//! experiments faithful to the implementation. Clients never plan: a
-//! server's `Complete` tells each one how many pieces it was sent.
+//! [`CollectiveSchedule::build`] lowers these plans — a read's section
+//! already applied to the pieces — into the one step stream the real
+//! servers, the simulation and the tuner (`panda-model`) all walk, which
+//! keeps the model faithful to the implementation. Clients never plan:
+//! a server's `Complete` tells each one how many pieces it was sent.
 
 use panda_fs::SyncPolicy;
+use panda_schema::copy::is_contiguous_in;
 use panda_schema::{split_into_subchunks, Region};
 
 use crate::array::ArrayMeta;
@@ -57,7 +59,7 @@ pub struct PlanSubchunk {
     /// Subchunk size in bytes.
     pub bytes: usize,
     /// Client intersections, ordered by client rank. Their regions tile
-    /// the subchunk exactly.
+    /// the subchunk exactly (a section read's schedule: subchunk ∩ section).
     pub pieces: Vec<PlanPiece>,
 }
 
@@ -136,6 +138,18 @@ pub fn build_server_plan(
     num_servers: usize,
     subchunk_bytes: usize,
 ) -> ServerPlan {
+    plan_array(array, server, num_servers, subchunk_bytes, None)
+}
+
+/// [`build_server_plan`] for a read of `section` only: subchunks it
+/// misses are left out, pieces are clipped to it, file offsets stay.
+fn plan_array(
+    array: &ArrayMeta,
+    server: usize,
+    num_servers: usize,
+    subchunk_bytes: usize,
+    section: Option<&Region>,
+) -> ServerPlan {
     let subchunk_bytes = array.effective_subchunk(subchunk_bytes);
     let disk_grid = array.disk_grid();
     let mem_grid = array.memory_grid();
@@ -152,28 +166,30 @@ pub fn build_server_plan(
             split_into_subchunks(&region, elem, subchunk_bytes).expect("nonzero subchunk cap");
         let mut subchunks = Vec::with_capacity(pieces.len());
         for sub in pieces {
-            let mut plan_pieces = Vec::new();
-            for client in mem_grid.chunks_intersecting(&sub.region) {
+            let clipped = section.map(|s| s.intersect(&sub.region));
+            let wanted = match &clipped {
+                None => &sub.region,
+                Some(Some(wanted)) => wanted,
+                Some(None) => continue,
+            };
+            let piece = |client| {
                 let client_region = mem_grid.chunk_region(client);
-                let isect = client_region
-                    .intersect(&sub.region)
+                let region = client_region
+                    .intersect(wanted)
                     .expect("intersecting chunk must intersect");
-                let contiguous_in_client =
-                    panda_schema::copy::is_contiguous_in(&client_region, &isect);
-                let contiguous_in_subchunk =
-                    panda_schema::copy::is_contiguous_in(&sub.region, &isect);
-                plan_pieces.push(PlanPiece {
+                PlanPiece {
                     client,
-                    region: isect,
-                    contiguous_in_client,
-                    contiguous_in_subchunk,
-                });
-            }
+                    contiguous_in_client: is_contiguous_in(&client_region, &region),
+                    contiguous_in_subchunk: is_contiguous_in(&sub.region, &region),
+                    region,
+                }
+            };
+            let clients = mem_grid.chunks_intersecting(wanted);
             subchunks.push(PlanSubchunk {
                 file_offset: file_offset + sub.offset_in_chunk as u64,
                 bytes: sub.bytes,
+                pieces: clients.into_iter().map(piece).collect(),
                 region: sub.region,
-                pieces: plan_pieces,
             });
         }
         let chunk_bytes = region.num_bytes(elem) as u64;
@@ -212,17 +228,13 @@ pub struct ScheduleStep {
     pub file: usize,
     /// The array's element size in bytes.
     pub elem: usize,
-    /// The planned subchunk: region, file offset, size, client pieces.
+    /// The planned subchunk: region, file offset, size, and the client
+    /// pieces — exactly the messages exchanged (section reads: clipped).
     pub sub: PlanSubchunk,
-    /// Read-section trim: pieces are intersected with this region
-    /// before being pushed. Always `None` on the write direction.
-    pub section: Option<Region>,
     /// True iff the step needs no reorganization on the server: its one
-    /// piece *is* the subchunk (natural chunking) and no read section
-    /// trims it. The executor passes such a step's buffer straight
-    /// through — wire to disk on writes, disk to wire on reads — instead
-    /// of copying it piece by piece. Decided here, once, so every
-    /// consumer of the schedule agrees.
+    /// piece *is* the subchunk (natural chunking, uncut by a section), so
+    /// the executor passes the buffer straight through — wire to disk on
+    /// writes, disk to wire on reads — instead of copying piece by piece.
     pub identity: bool,
 }
 
@@ -268,9 +280,9 @@ impl CollectiveSchedule {
     ///
     /// For writes every array contributes a file (empty plans land in
     /// [`CollectiveSchedule::empty_files`]); for reads arrays without
-    /// selected subchunks are skipped entirely, and a step's subchunks
-    /// are filtered to those overlapping the array's section up front
-    /// so the prefetcher and the scatter loop stay in lockstep.
+    /// selected subchunks are skipped entirely, and a section keeps
+    /// only the subchunks it overlaps and the part of each piece inside
+    /// it, so prefetcher, scatter loop and models see the same messages.
     pub fn build(
         arrays: &[ArrayOp],
         op: OpKind,
@@ -286,20 +298,12 @@ impl CollectiveSchedule {
             sync_policy,
         };
         for (idx, array_op) in arrays.iter().enumerate() {
-            let plan = build_server_plan(&array_op.meta, server, num_servers, subchunk_bytes);
-            let section = match op {
-                // Section writes are rejected at the protocol layer.
-                OpKind::Write => None,
-                OpKind::Read => array_op.section.clone(),
-            };
-            let selected: Vec<&PlanSubchunk> = plan
-                .subchunks()
-                .filter(|sub| match &section {
-                    None => true,
-                    Some(section) => sub.region.overlaps(section),
-                })
-                .collect();
-            if selected.is_empty() {
+            // Section writes are rejected at the protocol layer.
+            let section = array_op.section.as_ref().filter(|_| op == OpKind::Read);
+            let meta = &array_op.meta;
+            let plan = plan_array(meta, server, num_servers, subchunk_bytes, section);
+            let steps = plan.subchunks().count();
+            if steps == 0 {
                 if matches!(op, OpKind::Write) {
                     schedule.empty_files.push(array_op.file_tag.clone());
                 }
@@ -308,28 +312,24 @@ impl CollectiveSchedule {
             let file = schedule.files.len();
             schedule.files.push(ScheduleFile {
                 tag: array_op.file_tag.clone(),
-                steps: selected.len(),
-                bytes: selected
-                    .iter()
+                steps,
+                bytes: plan
+                    .subchunks()
                     .map(|sub| sub.file_offset + sub.bytes as u64)
                     .max()
                     .unwrap_or(0),
             });
-            let elem = array_op.meta.elem_size();
-            for (si, sub) in selected.into_iter().enumerate() {
-                schedule.steps.push(ScheduleStep {
+            let subs = plan.chunks.into_iter().flat_map(|c| c.subchunks);
+            schedule
+                .steps
+                .extend(subs.enumerate().map(|(si, sub)| ScheduleStep {
                     array: idx as u32,
                     subchunk: si,
                     file,
-                    elem,
-                    sub: sub.clone(),
-                    section: section.clone(),
-                    identity: matches!(&sub.pieces[..], [p] if p.region == sub.region)
-                        && section
-                            .as_ref()
-                            .is_none_or(|s| s.contains_region(&sub.region)),
-                });
-            }
+                    elem: meta.elem_size(),
+                    identity: matches!(&sub.pieces[..], [p] if p.region == sub.region),
+                    sub,
+                }));
         }
         schedule
     }
@@ -619,7 +619,9 @@ mod tests {
         assert!(trimmed.steps.len() < full.steps.len());
         for step in &trimmed.steps {
             assert!(step.sub.region.overlaps(&section));
-            assert_eq!(step.section.as_ref(), Some(&section));
+            for piece in &step.sub.pieces {
+                assert!(section.contains_region(&piece.region));
+            }
         }
         // Server 1 owns only the bottom slab, disjoint from the section:
         // it contributes no file at all.

@@ -139,8 +139,7 @@ struct RequestRun {
     /// plan piece's mesh-local `client`.
     participants: Vec<u32>,
     /// `Fetch`/`Data` messages sent to each participant so far — what
-    /// this server's `Complete` attests to. Counted where they are sent,
-    /// so section trimming is already in it.
+    /// this server's `Complete` attests to. Counted where they are sent.
     sent: Vec<u32>,
     dir: OpDir,
     depth: usize,
@@ -999,9 +998,9 @@ impl ServerNode {
     /// is. A reorganizing step packs all of its pieces in parallel on
     /// the worker pool (large pieces additionally split along their
     /// outermost dimension inside [`IoPool::pack_region_par`]) into
-    /// free-list buffers, trimming each to the requested section, then
-    /// sends them in piece order so the per-client message stream
-    /// matches the serial schedule.
+    /// free-list buffers, then sends them in piece order so the
+    /// per-client message stream matches the serial schedule. The
+    /// schedule already clipped the pieces to a requested section.
     #[allow(clippy::too_many_arguments)]
     fn scatter_step(
         transport: &mut dyn Transport,
@@ -1017,8 +1016,9 @@ impl ServerNode {
         seq: &mut u64,
     ) -> Result<(), PandaError> {
         let key = SubchunkKey::scoped(request, server_idx, step.array, step.subchunk);
-        let mut push = |pi: usize, target: &Region, data: Vec<u8>| -> Result<(), PandaError> {
-            let dst = piece_dst(participants, sent, step.sub.pieces[pi].client)?;
+        let pieces = &step.sub.pieces;
+        let mut push = |pi: usize, data: Vec<u8>| -> Result<(), PandaError> {
+            let dst = piece_dst(participants, sent, pieces[pi].client)?;
             let bytes = data.len() as u64;
             send_data(
                 transport,
@@ -1026,7 +1026,7 @@ impl ServerNode {
                 request,
                 key.array,
                 *seq,
-                target,
+                &pieces[pi].region,
                 data,
             )?;
             if recorder.enabled() {
@@ -1044,40 +1044,28 @@ impl ServerNode {
             Ok(())
         };
         if step.identity {
-            return push(0, &step.sub.region, buf);
+            return push(0, buf);
         }
-        let targets: Vec<(usize, Region)> = step
-            .sub
-            .pieces
+        let mut packed: Vec<Vec<u8>> = pieces
             .iter()
-            .enumerate()
-            .filter_map(|(pi, piece)| {
-                let target = match &step.section {
-                    None => Some(piece.region.clone()),
-                    Some(section) => piece.region.intersect(section),
-                };
-                target.map(|t| (pi, t))
-            })
-            .collect();
-        let mut packed: Vec<Vec<u8>> = targets
-            .iter()
-            .map(|(_, target)| freelist::take(target.num_bytes(step.elem)))
+            .map(|piece| freelist::take(piece.region.num_bytes(step.elem)))
             .collect();
         {
             let src = &buf[..];
             let jobs: Vec<Box<dyn FnOnce() -> Result<(), SchemaError> + Send + '_>> = packed
                 .iter_mut()
-                .zip(&targets)
-                .map(|(out, (pi, target))| {
+                .zip(pieces)
+                .enumerate()
+                .map(|(pi, (out, piece))| {
                     Box::new(move || {
                         let t_pack = recorder.enabled().then(Instant::now);
-                        pool.pack_region_par(out, src, &step.sub.region, target, step.elem)?;
+                        pool.pack_region_par(out, src, &step.sub.region, &piece.region, step.elem)?;
                         if let Some(t) = t_pack {
                             recorder.record(
                                 node,
                                 &Event::ReorgWorker {
                                     key,
-                                    piece: *pi as u32,
+                                    piece: pi as u32,
                                     bytes: out.len() as u64,
                                     dur: t.elapsed(),
                                 },
@@ -1091,8 +1079,8 @@ impl ServerNode {
             pool.run_scoped_result(jobs)?;
         }
         freelist::give(buf);
-        for ((pi, target), data) in targets.into_iter().zip(packed) {
-            push(pi, &target, data)?;
+        for (pi, data) in packed.into_iter().enumerate() {
+            push(pi, data)?;
         }
         Ok(())
     }

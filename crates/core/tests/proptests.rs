@@ -1,14 +1,17 @@
 //! Property tests: write-then-read through the full threaded runtime is
 //! the identity for arbitrary valid schema pairs, traditional-order
-//! files always concatenate to the row-major array, and the planner's
-//! pieces tile every array cell exactly once across all servers.
+//! files always concatenate to the row-major array, the planner's
+//! pieces tile every array cell exactly once across all servers, and a
+//! section read's lowered schedule tiles exactly the section.
 
 mod common;
 
 use common::*;
-use panda_core::{build_server_plan, ArrayMeta};
-use panda_fs::FileSystem as _;
-use panda_schema::{DataSchema, Dist, ElementType, Mesh, SchemaError, Shape};
+use panda_core::protocol::{ArrayOp, OpKind};
+use panda_core::{build_server_plan, ArrayMeta, CollectiveSchedule};
+use panda_fs::{FileSystem as _, SyncPolicy};
+use panda_schema::copy::is_contiguous_in;
+use panda_schema::{DataSchema, Dist, ElementType, Mesh, Region, SchemaError, Shape};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -203,6 +206,78 @@ proptest! {
                 "some cell covered != once across {} servers",
                 servers
             );
+        }
+    }
+
+    /// The lowered schedule is the message list: over all servers a
+    /// section read's pieces lie inside the section, are pairwise
+    /// disjoint and cover it (each section cell exactly once, so bytes
+    /// sum to the section's), every piece carries the flags of its own
+    /// (clipped) region, and `identity` means exactly "one piece that is
+    /// the subchunk". The write schedule ignores the section: its steps
+    /// are `build_server_plan`'s subchunks, pieces tiling each.
+    #[test]
+    fn section_schedules_tile_exactly_the_section(
+        scenario in scenario(),
+        corners in prop::collection::vec((0usize..8, 0usize..8), 3..=3),
+    ) {
+        let meta = build(&scenario);
+        let (lo, hi): (Vec<usize>, Vec<usize>) = scenario
+            .dims
+            .iter()
+            .zip(&corners)
+            .map(|(&dim, &(a, b))| {
+                let lo = a.min(b) % dim;
+                (lo, lo + 1 + a.max(b) % (dim - lo))
+            })
+            .unzip();
+        let section = Region::new(&lo, &hi).unwrap();
+        let arrays = [ArrayOp {
+            meta: meta.clone(),
+            file_tag: "prop".into(),
+            section: Some(section.clone()),
+        }];
+        let build = |op, server| {
+            let policy = SyncPolicy::PerCollective;
+            CollectiveSchedule::build(&arrays, op, server, scenario.servers, scenario.subchunk, policy)
+        };
+        let shape = meta.shape();
+        let mut counts = vec![0u32; shape.num_elements()];
+        for server in 0..scenario.servers {
+            for step in &build(OpKind::Read, server).steps {
+                prop_assert!(step.sub.region.overlaps(&section));
+                prop_assert!(!step.sub.pieces.is_empty());
+                let whole = matches!(&step.sub.pieces[..], [p] if p.region == step.sub.region);
+                prop_assert_eq!(step.identity, whole);
+                for p in &step.sub.pieces {
+                    prop_assert!(section.contains_region(&p.region));
+                    prop_assert!(step.sub.region.contains_region(&p.region));
+                    let client = meta.memory_grid().chunk_region(p.client);
+                    prop_assert_eq!(p.contiguous_in_client, is_contiguous_in(&client, &p.region));
+                    prop_assert_eq!(
+                        p.contiguous_in_subchunk,
+                        is_contiguous_in(&step.sub.region, &p.region)
+                    );
+                    for local in p.region.shape().unwrap().iter_indices() {
+                        let global: Vec<usize> =
+                            local.iter().zip(p.region.lo()).map(|(&l, &o)| l + o).collect();
+                        counts[shape.linearize(&global)] += 1;
+                    }
+                }
+            }
+            let plan = build_server_plan(&meta, server, scenario.servers, scenario.subchunk);
+            let written = build(OpKind::Write, server);
+            prop_assert_eq!(written.steps.len(), plan.subchunks().count());
+            for (step, sub) in written.steps.iter().zip(plan.subchunks()) {
+                prop_assert_eq!(&step.sub, sub);
+                let bytes: usize =
+                    sub.pieces.iter().map(|p| p.region.num_bytes(step.elem)).sum();
+                prop_assert_eq!(bytes, sub.bytes);
+            }
+        }
+        for (cell, &count) in counts.iter().enumerate() {
+            let inside = section.contains_index(&shape.delinearize(cell));
+            prop_assert_eq!(count, inside as u32, "cell {}", cell);
         }
     }
 }

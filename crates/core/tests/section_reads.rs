@@ -5,8 +5,9 @@
 mod common;
 
 use common::*;
-use panda_core::{PandaClient, ReadSet};
-use panda_fs::FileSystem as _;
+use panda_core::protocol::{ArrayOp, OpKind};
+use panda_core::{CollectiveSchedule, PandaClient, ReadSet};
+use panda_fs::{FileSystem as _, SyncPolicy};
 use panda_schema::copy::offset_in_region;
 use panda_schema::{ElementType, Region};
 use proptest::prelude::*;
@@ -73,6 +74,52 @@ fn interior_box_section() {
     let (system, mut clients, _mems) = launch_mem(4, 2, 128);
     collective_write(&mut clients, &meta, "t");
     let section = Region::new(&[3, 5], &[13, 11]).unwrap();
+    let bufs = run_section_read(&mut clients, &meta, "t", &section);
+    for (r, buf) in bufs.iter().enumerate() {
+        assert_eq!(buf, &pattern_section(&meta, r, &section), "client {r}");
+    }
+    system.shutdown(clients).unwrap();
+}
+
+#[test]
+fn natural_chunking_section_that_clips_subchunks_is_not_passed_through() {
+    // Natural chunking with a cap above the chunk size: every step is
+    // one piece that *is* the subchunk — the identity pass-through —
+    // unless a section cuts it. This box cuts all four chunks, so every
+    // step must reorganize and each client gets exactly its share.
+    let meta = make_array(
+        "t",
+        &[16, 16],
+        ElementType::F64,
+        &[2, 2],
+        DiskSchema::Natural,
+    );
+    let section = Region::new(&[3, 5], &[13, 11]).unwrap();
+    let schedule = |section: Option<Region>, server| {
+        let arrays = [ArrayOp {
+            meta: meta.clone(),
+            file_tag: "t".into(),
+            section,
+        }];
+        let policy = SyncPolicy::PerCollective;
+        CollectiveSchedule::build(&arrays, OpKind::Read, server, 2, 1 << 20, policy)
+    };
+    let mut sent = 0;
+    for server in 0..2 {
+        let whole = schedule(None, server);
+        let clipped = schedule(Some(section.clone()), server);
+        assert_eq!(whole.steps.len(), 2);
+        assert!(whole.steps.iter().all(|step| step.identity));
+        assert_eq!(clipped.steps.len(), 2);
+        assert!(clipped.steps.iter().all(|step| !step.identity));
+        for step in &clipped.steps {
+            sent += step.sub.pieces[0].region.num_bytes(step.elem);
+        }
+    }
+    assert_eq!(sent, section.num_bytes(meta.elem_size()));
+
+    let (system, mut clients, _mems) = launch_mem(4, 2, 1 << 20);
+    collective_write(&mut clients, &meta, "t");
     let bufs = run_section_read(&mut clients, &meta, "t", &section);
     for (r, buf) in bufs.iter().enumerate() {
         assert_eq!(buf, &pattern_section(&meta, r, &section), "client {r}");

@@ -1,7 +1,9 @@
 //! DES actors replaying the Panda protocol through the machine model.
 //!
-//! One actor per compute node and one per I/O node. The servers execute
-//! the *real* planner's subchunk schedule; clients respond to requests
+//! One actor per compute node and one per I/O node. Each server actor
+//! walks the very [`CollectiveSchedule`] the real server would execute
+//! ([`CollectiveSpec::schedule`] — steps, pieces and read-section
+//! clipping all come from `panda-core`); clients respond to requests
 //! exactly as the real runtime does. Time comes from the calibrated
 //! [`Sp2Machine`]: control messages cost latency + small overhead, data
 //! messages reserve both endpoints' network ports for
@@ -10,8 +12,10 @@
 //! cost nothing in "infinitely fast disk" mode, reproducing the paper's
 //! commented-out-I/O experiment).
 
-use panda_core::{build_server_plan, ArrayMeta, OpKind};
+use panda_core::protocol::ArrayOp;
+use panda_core::{ArrayMeta, CollectiveSchedule, OpKind, ScheduleStep};
 use panda_fs::aix::IoDirection;
+use panda_fs::SyncPolicy;
 use panda_sim::{secs_to_ns, Actor, ActorId, Context, Engine, Resource, SimTime};
 
 use crate::machine::Sp2Machine;
@@ -35,20 +39,30 @@ pub struct CollectiveSpec {
     pub section: Option<panda_schema::Region>,
 }
 
-/// One client piece of a subchunk, precomputed from the plan.
-#[derive(Debug, Clone)]
-struct SimPiece {
-    client: usize,
-    bytes: usize,
-    strided_client: bool,
-    strided_server: bool,
-}
-
-/// One subchunk of a server's schedule.
-#[derive(Debug, Clone)]
-struct SimSub {
-    bytes: usize,
-    pieces: Vec<SimPiece>,
+impl CollectiveSpec {
+    /// The schedule the real I/O node `server` would execute for this
+    /// collective. Every model in this crate — the DES actors and the
+    /// tuner's stage sums — walks this and nothing else. (The flush
+    /// policy rides the schedule without shaping its steps.)
+    pub fn schedule(&self, server: usize) -> CollectiveSchedule {
+        let arrays: Vec<ArrayOp> = self
+            .arrays
+            .iter()
+            .map(|meta| ArrayOp {
+                meta: meta.clone(),
+                file_tag: meta.name().to_string(),
+                section: self.section.clone(),
+            })
+            .collect();
+        CollectiveSchedule::build(
+            &arrays,
+            self.op,
+            server,
+            self.num_servers,
+            self.subchunk_bytes,
+            SyncPolicy::default(),
+        )
+    }
 }
 
 /// Shared world state: the machine's serial resources plus counters.
@@ -62,28 +76,27 @@ struct World {
     server_disk: Vec<Resource>,
     data_msgs: u64,
     ctrl_msgs: u64,
-    /// Completion time of each application's last server (one entry per
-    /// concurrent collective; single-collective runs have one).
+    /// Completion time of each application's last server.
     app_done: Vec<SimTime>,
 }
 
 /// Simulation events.
 #[derive(Debug, Clone)]
 enum Ev {
-    /// Server: begin the next subchunk of the schedule.
+    /// Server: begin the next step of the schedule.
     Begin,
     /// Client: a server requests a piece (write path).
     Fetch {
         server: usize,
-        sub: u32,
+        step: u32,
         piece: u32,
         bytes: usize,
         strided_client: bool,
     },
     /// Server: a piece arrived (write path).
-    WriteData { sub: u32, piece: u32 },
+    WriteData { step: u32, piece: u32 },
     /// Server: the disk finished reading a subchunk (read path).
-    DiskReadDone { sub: u32 },
+    DiskReadDone { step: u32 },
     /// Client: a piece arrived (read path).
     ReadData { bytes: usize, strided_client: bool },
     /// Terminal no-op pinning the engine clock to a completion time.
@@ -95,10 +108,9 @@ struct ClientActor {
     index: usize,
     /// ActorId base of this application's server actors.
     server_actor_base: usize,
-    /// Map app-relative server index → resource index in
-    /// `World::server_nic`/`server_disk` (identity for single runs;
-    /// shared or disjoint ranges for concurrent runs).
-    server_resource: Vec<usize>,
+    /// Index in `World::server_nic`/`server_disk` of this application's
+    /// server 0 (shared or disjoint ranges across applications).
+    server_resource_base: usize,
 }
 
 impl Actor<Ev, World> for ClientActor {
@@ -106,7 +118,7 @@ impl Actor<Ev, World> for ClientActor {
         match event {
             Ev::Fetch {
                 server,
-                sub,
+                step,
                 piece,
                 bytes,
                 strided_client,
@@ -126,7 +138,7 @@ impl Actor<Ev, World> for ClientActor {
                 };
                 // Gather on this node, then hold both network ports for
                 // the transfer.
-                let res = self.server_resource[server];
+                let res = self.server_resource_base + server;
                 let (_, gather_end) = ctx.state.clients[self.index].acquire(now, gather_ns);
                 let start = gather_end.max(ctx.state.server_nic[res].free_at());
                 let (_, end) = ctx.state.clients[self.index].acquire(start, dur_ns);
@@ -135,7 +147,7 @@ impl Actor<Ev, World> for ClientActor {
                 ctx.send_at(
                     end + latency_ns,
                     ActorId(self.server_actor_base + server),
-                    Ev::WriteData { sub, piece },
+                    Ev::WriteData { step, piece },
                 );
             }
             Ev::ReadData {
@@ -160,20 +172,22 @@ struct ServerActor {
     index: usize,
     /// Which concurrent collective this server belongs to.
     app: usize,
-    /// ActorId base of this application's client actors.
-    client_actor_base: usize,
+    /// ActorId (and `World::clients` index) of this application's
+    /// client 0.
+    client_base: usize,
     /// App-relative server index, echoed to clients in `Fetch`.
     server_pos: usize,
     op: OpKind,
     fast_disk: bool,
-    subs: Vec<SimSub>,
-    /// Next subchunk to begin.
+    /// The lowered schedule, replayed step by step.
+    steps: Vec<ScheduleStep>,
+    /// Next step to begin.
     cur: usize,
-    /// Pieces still in flight for the current subchunk (write path).
+    /// Pieces still in flight for the current step (write path).
     outstanding: usize,
-    /// When the current subchunk's assembly becomes complete.
+    /// When the current step's assembly becomes complete.
     assembly_ready: SimTime,
-    /// Disk (write) / network (read) completion time per subchunk.
+    /// Disk (write) / network (read) completion time per step.
     stage_end: Vec<SimTime>,
 }
 
@@ -188,12 +202,27 @@ impl ServerActor {
             assembled
         };
         let me = ctx.self_id();
-        if self.cur < self.subs.len() {
+        if self.cur < self.steps.len() {
             ctx.send_at(next_begin.max(ctx.now()), me, Ev::Begin);
         } else {
             // Pin the engine clock to this server's completion.
             ctx.send_at(self.stage_end[k].max(ctx.now()), me, Ev::Done);
         }
+    }
+
+    /// Disk time of step `k`, queued behind the disk's earlier work from
+    /// `ready`; free on an infinitely fast disk.
+    fn disk_access(&self, k: usize, ready: SimTime, ctx: &mut Context<'_, Ev, World>) -> SimTime {
+        if self.fast_disk {
+            return ready;
+        }
+        let dir = match self.op {
+            OpKind::Write => IoDirection::Write,
+            OpKind::Read => IoDirection::Read,
+        };
+        let bytes = self.steps[k].sub.bytes;
+        let dur = secs_to_ns(ctx.state.machine.disk.access_time(bytes, dir));
+        ctx.state.server_disk[self.index].acquire(ready, dur).1
     }
 }
 
@@ -202,58 +231,48 @@ impl Actor<Ev, World> for ServerActor {
         match event {
             Ev::Begin => {
                 let k = self.cur;
-                if k >= self.subs.len() {
+                let Some(step) = self.steps.get(k) else {
                     return;
-                }
+                };
                 match self.op {
                     OpKind::Write => {
-                        // Request every piece of subchunk k.
-                        self.outstanding = self.subs[k].pieces.len();
+                        // Request every piece of step k.
+                        self.outstanding = step.sub.pieces.len();
                         self.assembly_ready = ctx.now();
                         let control = secs_to_ns(ctx.state.machine.net.control_time());
-                        for (pi, piece) in self.subs[k].pieces.iter().enumerate() {
+                        for (pi, piece) in step.sub.pieces.iter().enumerate() {
                             ctx.state.ctrl_msgs += 1;
                             ctx.send_at(
                                 ctx.now() + control,
-                                ActorId(self.client_actor_base + piece.client),
+                                ActorId(self.client_base + piece.client),
                                 Ev::Fetch {
                                     server: self.server_pos,
-                                    sub: k as u32,
+                                    step: k as u32,
                                     piece: pi as u32,
-                                    bytes: piece.bytes,
-                                    strided_client: piece.strided_client,
+                                    bytes: piece.region.num_bytes(step.elem),
+                                    strided_client: !piece.contiguous_in_client,
                                 },
                             );
                         }
                     }
                     OpKind::Read => {
-                        // Issue the sequential disk read for subchunk k.
-                        let end = if self.fast_disk {
-                            ctx.now()
-                        } else {
-                            let dur = secs_to_ns(
-                                ctx.state
-                                    .machine
-                                    .disk
-                                    .access_time(self.subs[k].bytes, IoDirection::Read),
-                            );
-                            let now = ctx.now();
-                            ctx.state.server_disk[self.index].acquire(now, dur).1
-                        };
+                        // Issue the sequential disk read for step k.
+                        let end = self.disk_access(k, ctx.now(), ctx);
                         let me = ctx.self_id();
-                        ctx.send_at(end, me, Ev::DiskReadDone { sub: k as u32 });
+                        ctx.send_at(end, me, Ev::DiskReadDone { step: k as u32 });
                     }
                 }
             }
-            Ev::WriteData { sub, piece } => {
-                let k = sub as usize;
+            Ev::WriteData { step, piece } => {
+                let k = step as usize;
                 debug_assert_eq!(k, self.cur, "blocking protocol: one subchunk at a time");
-                let p = &self.subs[k].pieces[piece as usize];
+                let step = &self.steps[k];
+                let p = &step.sub.pieces[piece as usize];
                 // Scatter into the subchunk buffer (traditional order).
-                let scatter_ns = if p.strided_server {
-                    secs_to_ns(ctx.state.machine.memcpy_time(p.bytes))
-                } else {
+                let scatter_ns = if p.contiguous_in_subchunk {
                     0
+                } else {
+                    secs_to_ns(ctx.state.machine.memcpy_time(p.region.num_bytes(step.elem)))
                 };
                 let now = ctx.now();
                 let (_, end) = ctx.state.server_nic[self.index].acquire(now, scatter_ns);
@@ -262,53 +281,46 @@ impl Actor<Ev, World> for ServerActor {
                 if self.outstanding == 0 {
                     let assembled =
                         self.assembly_ready + secs_to_ns(ctx.state.machine.per_subchunk_overhead);
-                    let disk_end = if self.fast_disk {
-                        assembled
-                    } else {
-                        let dur = secs_to_ns(
-                            ctx.state
-                                .machine
-                                .disk
-                                .access_time(self.subs[k].bytes, IoDirection::Write),
-                        );
-                        ctx.state.server_disk[self.index].acquire(assembled, dur).1
-                    };
+                    let disk_end = self.disk_access(k, assembled, ctx);
                     self.stage_end.push(disk_end);
                     debug_assert_eq!(self.stage_end.len(), k + 1);
                     self.cur += 1;
                     self.schedule_next(assembled, k, ctx);
                 }
             }
-            Ev::DiskReadDone { sub } => {
-                let k = sub as usize;
+            Ev::DiskReadDone { step } => {
+                let k = step as usize;
                 let m_overhead = secs_to_ns(ctx.state.machine.per_subchunk_overhead);
                 let latency_ns = secs_to_ns(ctx.state.machine.net.latency);
                 let now = ctx.now();
                 ctx.state.server_nic[self.index].acquire(now, m_overhead);
-                for piece in self.subs[k].pieces.clone() {
+                let step = &self.steps[k];
+                for piece in &step.sub.pieces {
+                    let bytes = piece.region.num_bytes(step.elem);
+                    let client = self.client_base + piece.client;
                     let (pack_ns, dur_ns) = {
                         let m = &ctx.state.machine;
                         (
-                            if piece.strided_server {
-                                secs_to_ns(m.memcpy_time(piece.bytes))
-                            } else {
+                            if piece.contiguous_in_subchunk {
                                 0
+                            } else {
+                                secs_to_ns(m.memcpy_time(bytes))
                             },
-                            secs_to_ns(m.net.transfer_time(piece.bytes)),
+                            secs_to_ns(m.net.transfer_time(bytes)),
                         )
                     };
                     // Pack out of the subchunk buffer, then transfer.
                     let (_, pack_end) = ctx.state.server_nic[self.index].acquire(now, pack_ns);
-                    let start = pack_end.max(ctx.state.clients[piece.client].free_at());
+                    let start = pack_end.max(ctx.state.clients[client].free_at());
                     let (_, end) = ctx.state.server_nic[self.index].acquire(start, dur_ns);
-                    ctx.state.clients[piece.client].acquire(start, dur_ns);
+                    ctx.state.clients[client].acquire(start, dur_ns);
                     ctx.state.data_msgs += 1;
                     ctx.send_at(
                         end + latency_ns,
-                        ActorId(self.client_actor_base + piece.client),
+                        ActorId(client),
                         Ev::ReadData {
-                            bytes: piece.bytes,
-                            strided_client: piece.strided_client,
+                            bytes,
+                            strided_client: !piece.contiguous_in_client,
                         },
                     );
                 }
@@ -328,51 +340,8 @@ impl Actor<Ev, World> for ServerActor {
     }
 }
 
-/// Flatten a server's plans (all arrays, in order) into the simulation
-/// schedule.
-fn server_schedule(spec: &CollectiveSpec, server: usize) -> Vec<SimSub> {
-    let mut subs = Vec::new();
-    for array in &spec.arrays {
-        let plan = build_server_plan(array, server, spec.num_servers, spec.subchunk_bytes);
-        for chunk in &plan.chunks {
-            for sub in &chunk.subchunks {
-                // Section reads skip non-overlapping subchunks and trim
-                // pieces, exactly as the real server does.
-                if let Some(section) = &spec.section {
-                    if !sub.region.overlaps(section) {
-                        continue;
-                    }
-                }
-                let pieces: Vec<SimPiece> = sub
-                    .pieces
-                    .iter()
-                    .filter_map(|p| {
-                        let target = match &spec.section {
-                            None => Some(p.region.clone()),
-                            Some(section) => p.region.intersect(section),
-                        }?;
-                        Some(SimPiece {
-                            client: p.client,
-                            bytes: target.num_bytes(array.elem_size()),
-                            strided_client: !p.contiguous_in_client,
-                            strided_server: !p.contiguous_in_subchunk,
-                        })
-                    })
-                    .collect();
-                if pieces.is_empty() && spec.section.is_some() {
-                    continue;
-                }
-                subs.push(SimSub {
-                    bytes: sub.bytes,
-                    pieces,
-                });
-            }
-        }
-    }
-    subs
-}
-
-/// Simulate one collective operation and report its performance.
+/// Simulate one collective operation and report its performance: the
+/// one-application case of [`simulate_concurrent`].
 ///
 /// ```
 /// use panda_model::{simulate, CollectiveSpec, Sp2Machine};
@@ -391,83 +360,16 @@ fn server_schedule(spec: &CollectiveSpec, server: usize) -> Vec<SimSub> {
 /// assert!(report.normalized > 0.85 && report.normalized < 1.0);
 /// ```
 pub fn simulate(machine: &Sp2Machine, spec: &CollectiveSpec) -> SimReport {
-    assert!(
-        !spec.arrays.is_empty(),
-        "collective needs at least one array"
-    );
-    let num_clients = spec.arrays[0].num_clients();
-    assert!(
-        spec.arrays.iter().all(|a| a.num_clients() == num_clients),
-        "all arrays in a collective share the compute mesh"
-    );
-
-    let world = World {
-        machine: machine.clone(),
-        clients: (0..num_clients)
-            .map(|c| Resource::new(format!("client{c}")))
-            .collect(),
-        server_nic: (0..spec.num_servers)
-            .map(|s| Resource::new(format!("nic{s}")))
-            .collect(),
-        server_disk: (0..spec.num_servers)
-            .map(|s| Resource::new(format!("disk{s}")))
-            .collect(),
-        data_msgs: 0,
-        ctrl_msgs: 0,
-        app_done: vec![0],
-    };
-    let mut engine: Engine<Ev, World> = Engine::new(world);
-    for c in 0..num_clients {
-        engine.add_actor(Box::new(ClientActor {
-            index: c,
-            server_actor_base: num_clients,
-            server_resource: (0..spec.num_servers).collect(),
-        }));
-    }
-    let mut total_bytes = 0u64;
-    for s in 0..spec.num_servers {
-        let subs = server_schedule(spec, s);
-        total_bytes += subs.iter().map(|x| x.bytes as u64).sum::<u64>();
-        let id = engine.add_actor(Box::new(ServerActor {
-            index: s,
-            app: 0,
-            client_actor_base: 0,
-            server_pos: s,
-            op: spec.op,
-            fast_disk: spec.fast_disk,
-            subs,
-            cur: 0,
-            outstanding: 0,
-            assembly_ready: 0,
-            stage_end: Vec::new(),
-        }));
-        // Every server starts after the collective's startup overhead
-        // (request propagation + plan formation, §3: ≈ 13 ms).
-        engine.schedule(secs_to_ns(machine.startup), id, Ev::Begin);
-    }
-    let end_events = engine.run();
-    // Account for work that extends past the last event (e.g. a final
-    // client-side scatter).
-    let mut final_ns = end_events;
-    for r in engine
-        .state
-        .clients
-        .iter()
-        .chain(engine.state.server_nic.iter())
-        .chain(engine.state.server_disk.iter())
-    {
-        final_ns = final_ns.max(r.free_at());
-    }
-
+    let (outcomes, world) = run(machine, std::slice::from_ref(spec), false);
     SimReport::new(
         machine,
         spec.op,
         spec.fast_disk,
         spec.num_servers,
-        total_bytes,
-        panda_sim::ns_to_secs(final_ns),
-        engine.state.data_msgs,
-        engine.state.ctrl_msgs,
+        outcomes[0].total_bytes,
+        outcomes[0].elapsed,
+        world.data_msgs,
+        world.ctrl_msgs,
     )
 }
 
@@ -492,109 +394,124 @@ pub struct ConcurrentOutcome {
 /// `num_servers` I/O nodes (which must therefore be equal across
 /// specs); with `false`, each collective gets its own dedicated set.
 /// Compute nodes are always dedicated per application.
+///
+/// Panics on what the runtime refuses: a collective without arrays,
+/// arrays on different compute meshes, a section *write*.
 pub fn simulate_concurrent(
     machine: &Sp2Machine,
     specs: &[CollectiveSpec],
     share_servers: bool,
 ) -> Vec<ConcurrentOutcome> {
+    run(machine, specs, share_servers).0
+}
+
+/// The one simulation entry: lay the applications' actors out over the
+/// machine's resources, replay every server's schedule, and return the
+/// per-application outcomes with the final world (message counters).
+fn run(
+    machine: &Sp2Machine,
+    specs: &[CollectiveSpec],
+    share_servers: bool,
+) -> (Vec<ConcurrentOutcome>, World) {
     assert!(!specs.is_empty());
-    if share_servers {
+    for spec in specs {
         assert!(
-            specs.iter().all(|s| s.num_servers == specs[0].num_servers),
+            !spec.arrays.is_empty(),
+            "collective needs at least one array"
+        );
+        let num_clients = spec.arrays[0].num_clients();
+        assert!(
+            spec.arrays.iter().all(|a| a.num_clients() == num_clients),
+            "all arrays in a collective share the compute mesh"
+        );
+        assert!(
+            spec.op == OpKind::Read || spec.section.is_none(),
+            "section writes are not supported"
+        );
+        assert!(
+            !share_servers || spec.num_servers == specs[0].num_servers,
             "shared i/o nodes require equal num_servers across collectives"
         );
     }
-    let client_counts: Vec<usize> = specs.iter().map(|s| s.arrays[0].num_clients()).collect();
-    let total_clients: usize = client_counts.iter().sum();
-    let total_server_resources = if share_servers {
+    // Client actors first (all apps), then server actors app-major, so
+    // a client's ActorId is its `World::clients` index. Per app: its
+    // first client, first server resource, first server actor.
+    let total_clients: usize = specs.iter().map(|s| s.arrays[0].num_clients()).sum();
+    let mut layout = Vec::with_capacity(specs.len());
+    let (mut client_base, mut resource_base, mut actor_base) = (0, 0, total_clients);
+    for spec in specs {
+        layout.push((client_base, resource_base, actor_base));
+        client_base += spec.arrays[0].num_clients();
+        actor_base += spec.num_servers;
+        if !share_servers {
+            resource_base += spec.num_servers;
+        }
+    }
+    let server_resources = if share_servers {
         specs[0].num_servers
     } else {
-        specs.iter().map(|s| s.num_servers).sum()
+        resource_base
     };
-
-    let world = World {
+    let resources = |kind: &str, n: usize| -> Vec<Resource> {
+        (0..n)
+            .map(|i| Resource::new(format!("{kind}{i}")))
+            .collect()
+    };
+    let mut engine: Engine<Ev, World> = Engine::new(World {
         machine: machine.clone(),
-        clients: (0..total_clients)
-            .map(|c| Resource::new(format!("client{c}")))
-            .collect(),
-        server_nic: (0..total_server_resources)
-            .map(|s| Resource::new(format!("nic{s}")))
-            .collect(),
-        server_disk: (0..total_server_resources)
-            .map(|s| Resource::new(format!("disk{s}")))
-            .collect(),
+        clients: resources("client", total_clients),
+        server_nic: resources("nic", server_resources),
+        server_disk: resources("disk", server_resources),
         data_msgs: 0,
         ctrl_msgs: 0,
         app_done: vec![0; specs.len()],
-    };
-    let mut engine: Engine<Ev, World> = Engine::new(world);
-
-    // Client actors first (all apps), then server actors (all apps),
-    // with per-app bases recorded.
-    let mut client_base = Vec::with_capacity(specs.len());
-    let mut resource_base = Vec::with_capacity(specs.len());
-    {
-        let mut cb = 0usize;
-        let mut rb = 0usize;
-        for (app, spec) in specs.iter().enumerate() {
-            client_base.push(cb);
-            resource_base.push(if share_servers { 0 } else { rb });
-            cb += client_counts[app];
-            if !share_servers {
-                rb += spec.num_servers;
-            }
-        }
-    }
-    let server_actor_start = total_clients;
-    // Server actors are laid out app-major.
-    let mut server_actor_base = Vec::with_capacity(specs.len());
-    {
-        let mut sb = server_actor_start;
-        for spec in specs {
-            server_actor_base.push(sb);
-            sb += spec.num_servers;
-        }
-    }
-    for (app, spec) in specs.iter().enumerate() {
-        for c in 0..client_counts[app] {
+    });
+    for (spec, &(client_base, resource_base, actor_base)) in specs.iter().zip(&layout) {
+        for c in 0..spec.arrays[0].num_clients() {
             engine.add_actor(Box::new(ClientActor {
-                index: client_base[app] + c,
-                server_actor_base: server_actor_base[app],
-                server_resource: (0..spec.num_servers)
-                    .map(|s| resource_base[app] + s)
-                    .collect(),
+                index: client_base + c,
+                server_actor_base: actor_base,
+                server_resource_base: resource_base,
             }));
         }
     }
     let mut total_bytes = vec![0u64; specs.len()];
-    for (app, spec) in specs.iter().enumerate() {
+    for (app, (spec, &(client_base, resource_base, _))) in specs.iter().zip(&layout).enumerate() {
         for s in 0..spec.num_servers {
-            let subs = server_schedule(spec, s);
-            total_bytes[app] += subs.iter().map(|x| x.bytes as u64).sum::<u64>();
+            let schedule = spec.schedule(s);
+            total_bytes[app] += schedule.total_bytes();
             let id = engine.add_actor(Box::new(ServerActor {
-                index: resource_base[app] + s,
+                index: resource_base + s,
                 app,
-                client_actor_base: client_base[app],
+                client_base,
                 server_pos: s,
                 op: spec.op,
                 fast_disk: spec.fast_disk,
-                subs,
+                steps: schedule.steps,
                 cur: 0,
                 outstanding: 0,
                 assembly_ready: 0,
                 stage_end: Vec::new(),
             }));
+            // Every server starts after the collective's startup
+            // overhead (request propagation + plan formation, §3:
+            // ≈ 13 ms).
             engine.schedule(secs_to_ns(machine.startup), id, Ev::Begin);
         }
     }
     engine.run();
-    // Per-app completion: server Done times plus trailing client work.
-    (0..specs.len())
-        .map(|app| {
-            let mut end = engine.state.app_done[app];
-            for c in 0..client_counts[app] {
-                end = end.max(engine.state.clients[client_base[app] + c].free_at());
-            }
+    // Per-app completion: server Done times plus trailing client work
+    // (e.g. a final client-side scatter).
+    let outcomes = specs
+        .iter()
+        .zip(&layout)
+        .enumerate()
+        .map(|(app, (spec, &(client_base, _, _)))| {
+            let clients = &engine.state.clients[client_base..][..spec.arrays[0].num_clients()];
+            let end = clients
+                .iter()
+                .map(Resource::free_at)
+                .fold(engine.state.app_done[app], SimTime::max);
             let elapsed = panda_sim::ns_to_secs(end);
             ConcurrentOutcome {
                 elapsed,
@@ -602,7 +519,8 @@ pub fn simulate_concurrent(
                 aggregate_mbs: total_bytes[app] as f64 / (1024.0 * 1024.0) / elapsed,
             }
         })
-        .collect()
+        .collect();
+    (outcomes, engine.state)
 }
 
 #[cfg(test)]
@@ -729,13 +647,17 @@ mod tests {
 
     #[test]
     fn dedicated_io_nodes_are_isolated() {
-        // Two identical apps on dedicated servers must match the solo run.
+        // Two identical apps on dedicated servers must match the solo
+        // run — in both directions (a read pushes to its *own* app's
+        // compute nodes, not to application 0's).
         let m = Sp2Machine::nas_sp2();
-        let s1 = spec(64, &[2, 2, 2], 2, OpKind::Write, false);
-        let solo = simulate(&m, &s1);
-        let both = simulate_concurrent(&m, &[s1.clone(), s1.clone()], false);
-        assert!((both[0].elapsed - solo.elapsed).abs() < 1e-6);
-        assert!((both[1].elapsed - solo.elapsed).abs() < 1e-6);
+        for op in [OpKind::Write, OpKind::Read] {
+            let s1 = spec(64, &[2, 2, 2], 2, op, false);
+            let solo = simulate(&m, &s1);
+            let both = simulate_concurrent(&m, &[s1.clone(), s1.clone()], false);
+            assert!((both[0].elapsed - solo.elapsed).abs() < 1e-6, "{op:?}");
+            assert!((both[1].elapsed - solo.elapsed).abs() < 1e-6, "{op:?}");
+        }
     }
 
     #[test]
@@ -750,6 +672,16 @@ mod tests {
             let slowdown = o.elapsed / solo.elapsed;
             assert!(slowdown > 1.6 && slowdown < 2.4, "slowdown {slowdown}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "section writes are not supported")]
+    fn section_writes_are_refused_like_the_runtime_refuses_them() {
+        // `ServerNode::start_run` answers a section write with a typed
+        // protocol error; the model must not simulate one either.
+        let mut s = spec(16, &[2, 2, 2], 2, OpKind::Write, false);
+        s.section = Some(panda_schema::Region::new(&[0, 0, 0], &[8, 512, 512]).unwrap());
+        simulate(&Sp2Machine::nas_sp2(), &s);
     }
 
     #[test]

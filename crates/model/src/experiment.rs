@@ -69,6 +69,8 @@ pub struct FigureSpec {
     pub figure: u32,
     /// Human description, printed by the harness.
     pub title: &'static str,
+    /// The band the paper reports for this figure, printed beside it.
+    pub band: &'static str,
     /// Compute nodes.
     pub compute_nodes: usize,
     /// I/O node counts on the x-axis.
@@ -81,79 +83,55 @@ pub struct FigureSpec {
     pub fast_disk: bool,
 }
 
-/// The paper's seven figures.
-pub fn figure_spec(figure: u32) -> FigureSpec {
-    match figure {
-        3 => FigureSpec {
-            figure: 3,
-            title: "reading 16-512 MB arrays, 8 compute nodes, natural chunking",
-            compute_nodes: 8,
-            io_node_counts: &[2, 4, 8],
-            disk: DiskKind::Natural,
-            op: OpKind::Read,
-            fast_disk: false,
-        },
-        4 => FigureSpec {
-            figure: 4,
-            title: "writing 16-512 MB arrays, 8 compute nodes, natural chunking",
-            compute_nodes: 8,
-            io_node_counts: &[2, 4, 8],
-            disk: DiskKind::Natural,
-            op: OpKind::Write,
-            fast_disk: false,
-        },
-        5 => FigureSpec {
-            figure: 5,
-            title: "reading, 32 compute nodes, natural chunking, infinitely fast disk",
-            compute_nodes: 32,
-            io_node_counts: &[2, 4, 8],
-            disk: DiskKind::Natural,
-            op: OpKind::Read,
-            fast_disk: true,
-        },
-        6 => FigureSpec {
-            figure: 6,
-            title: "writing, 32 compute nodes, natural chunking, infinitely fast disk",
-            compute_nodes: 32,
-            io_node_counts: &[2, 4, 8],
-            disk: DiskKind::Natural,
-            op: OpKind::Write,
-            fast_disk: true,
-        },
-        7 => FigureSpec {
-            figure: 7,
-            title: "reading, 32 compute nodes, traditional order on disk",
-            compute_nodes: 32,
-            io_node_counts: &[2, 4, 6, 8],
-            disk: DiskKind::Traditional,
-            op: OpKind::Read,
-            fast_disk: false,
-        },
-        8 => FigureSpec {
-            figure: 8,
-            title: "writing, 32 compute nodes, traditional order on disk",
-            compute_nodes: 32,
-            io_node_counts: &[2, 4, 6, 8],
-            disk: DiskKind::Traditional,
-            op: OpKind::Write,
-            fast_disk: false,
-        },
-        9 => FigureSpec {
-            figure: 9,
-            title: "writing, 16 compute nodes, traditional order, infinitely fast disk",
-            compute_nodes: 16,
-            io_node_counts: &[2, 4, 6, 8],
-            disk: DiskKind::Traditional,
-            op: OpKind::Write,
-            fast_disk: true,
-        },
-        _ => panic!("the paper's evaluation figures are 3..=9"),
-    }
-}
+/// The paper's seven figures, one row each: figure, compute nodes, I/O
+/// node counts, disk schema, direction, fast disk, title, paper band.
+#[rustfmt::skip]
+type FigureRow = (u32, usize, &'static [usize], DiskKind, OpKind, bool, &'static str, &'static str);
+#[rustfmt::skip]
+const FIGURES: [FigureRow; 7] = {
+    use DiskKind::{Natural, Traditional};
+    use OpKind::{Read, Write};
+    [
+        (3, 8, &[2, 4, 8], Natural, Read, false,
+         "reading 16-512 MB arrays, 8 compute nodes, natural chunking",
+         "85-98% of peak AIX read throughput per i/o node"),
+        (4, 8, &[2, 4, 8], Natural, Write, false,
+         "writing 16-512 MB arrays, 8 compute nodes, natural chunking",
+         "85-98% of peak AIX write throughput per i/o node"),
+        (5, 32, &[2, 4, 8], Natural, Read, true,
+         "reading, 32 compute nodes, natural chunking, infinitely fast disk",
+         "~90% of peak MPI bandwidth, declining at small sizes (startup)"),
+        (6, 32, &[2, 4, 8], Natural, Write, true,
+         "writing, 32 compute nodes, natural chunking, infinitely fast disk",
+         "~90% of peak MPI bandwidth, declining at small sizes (startup)"),
+        (7, 32, &[2, 4, 6, 8], Traditional, Read, false,
+         "reading, 32 compute nodes, traditional order on disk",
+         "68-95% of peak AIX read throughput per i/o node"),
+        (8, 32, &[2, 4, 6, 8], Traditional, Write, false,
+         "writing, 32 compute nodes, traditional order on disk",
+         "68-95% of peak AIX write throughput per i/o node"),
+        (9, 16, &[2, 4, 6, 8], Traditional, Write, true,
+         "writing, 16 compute nodes, traditional order, infinitely fast disk",
+         "38-86% of peak MPI bandwidth (reorganization cost visible)"),
+    ]
+};
 
-/// Run one figure's full sweep.
-pub fn run_figure(machine: &Sp2Machine, spec: &FigureSpec) -> Vec<FigPoint> {
-    run_figure_sized(machine, spec, &PAPER_SIZES_MB)
+/// The paper's figure `figure` (3..=9).
+pub fn figure_spec(figure: u32) -> FigureSpec {
+    let &(figure, compute_nodes, io_node_counts, disk, op, fast_disk, title, band) = FIGURES
+        .iter()
+        .find(|row| row.0 == figure)
+        .expect("the paper's evaluation figures are 3..=9");
+    FigureSpec {
+        figure,
+        title,
+        band,
+        compute_nodes,
+        io_node_counts,
+        disk,
+        op,
+        fast_disk,
+    }
 }
 
 /// Run a figure's sweep over custom sizes (tests use a subset).

@@ -25,9 +25,14 @@
 //! hide behind) disk time; depth 2 is exposed as an ablation knob and
 //! corresponds to the paper's "non-blocking communication" future work.
 //!
-//! The simulated servers execute exactly the plans the real servers
-//! execute — same chunks, same subchunks, same piece regions, same
-//! order — so the model cannot drift from the implementation.
+//! The simulated servers replay exactly the schedule the real servers
+//! execute: [`CollectiveSpec::schedule`] is the only place this crate
+//! lowers a plan (a `panda_core::CollectiveSchedule`), and both the DES
+//! actors and the tuner's stage sums walk its steps as they are — same
+//! chunks, same subchunks, same piece regions (a read's section already
+//! clipped into them at plan time), same order — so neither model holds
+//! a private copy of the plan that could drift from the implementation.
+//! [`simulate`] is the one-application case of [`simulate_concurrent`].
 
 #![warn(missing_docs)]
 

@@ -16,8 +16,9 @@ pub struct NetworkModel {
     /// one-subchunk-at-a-time protocol reaches ≈ 90 % of peak MPI
     /// bandwidth with 1 MB messages, matching Figures 5/6.
     pub per_msg_overhead: f64,
-    /// Cost of a small control message (request, done, release) from
-    /// send call to delivery, *excluding* latency, seconds.
+    /// Cost of a small control message (request relay, `Fetch`,
+    /// `Complete`) from send call to delivery, *excluding* latency,
+    /// seconds.
     pub small_msg_overhead: f64,
 }
 

@@ -13,10 +13,10 @@
 //!    probe request, condense it to per-phase least-squares moments
 //!    ([`panda_obs::CalibrationSummary`]), and fit affine cost lines
 //!    plus a startup/per-step residual ([`crate::fit`]).
-//! 3. **Search.** Walk the real planner's
-//!    [`CollectiveSchedule`] for every
-//!    candidate `(subchunk, depth, workers)` and predict its wall time
-//!    analytically: per server, serial time shrinks toward the
+//! 3. **Search.** Walk the schedule the servers would execute
+//!    ([`CollectiveSpec::schedule`], the one the simulation replays) for
+//!    every candidate `(subchunk, depth, workers)` and predict its wall
+//!    time analytically: per server, serial time shrinks toward the
 //!    bottleneck stage as the pipeline deepens.
 //! 4. **Apply.** The winning [`TunedConfig`] either seeds the next
 //!    launch ([`TunedConfig::apply`]) or rides individual requests
@@ -31,14 +31,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use panda_core::protocol::ArrayOp;
 use panda_core::{
-    ArrayMeta, CollectiveSchedule, ConfigIssue, OpKind, PandaClient, PandaError, PandaService,
-    PandaSystem, ReadSet, Session, TunedConfig, WriteSet,
+    ArrayMeta, ConfigIssue, OpKind, PandaClient, PandaError, PandaService, PandaSystem, ReadSet,
+    Session, TunedConfig, WriteSet,
 };
 use panda_fs::{AixModel, SyncPolicy};
 use panda_obs::{Recorder, RunReport};
 
+use crate::actors::CollectiveSpec;
 use crate::fit::{DirectionCosts, FittedCosts, ProbeObservation};
 use crate::machine::{NetworkModel, Sp2Machine};
 
@@ -146,20 +146,14 @@ impl Calibration {
         pipeline_depth: usize,
         io_workers: usize,
     ) -> f64 {
-        let arrays = probe_arrays(meta);
         let costs = match op {
             OpKind::Write => &self.costs.write,
             OpKind::Read => &self.costs.read,
         };
+        let cfg = TunedConfig::new(subchunk_bytes, pipeline_depth, io_workers);
         predict_direction(
             costs,
-            &arrays,
-            op,
-            self.costs.num_servers,
-            subchunk_bytes,
-            pipeline_depth,
-            io_workers,
-            self.sync_policy,
+            &OperatingPoint::new(meta, op, self.costs.num_servers, &cfg),
         )
     }
 
@@ -230,23 +224,19 @@ impl Calibrate for Session {
         opts: &TunerOptions,
     ) -> Result<Calibration, PandaError> {
         let recorder = Arc::clone(self.recorder());
-        let num_servers = self.num_servers();
-        let sync_policy = self.sync_policy();
-        let workers = opts.launch_io_workers.max(1);
-        let data = vec![0u8; meta.client_bytes(0)];
+        let (num_servers, sync_policy) = (self.num_servers(), self.sync_policy());
         let mut buf = vec![0u8; meta.client_bytes(0)];
         run_probes(
             recorder.as_ref(),
             meta,
             num_servers,
-            workers,
             sync_policy,
             opts,
             |op, cfg| {
                 let start = Instant::now();
                 let id = match op {
                     OpKind::Write => {
-                        self.write_set(&WriteSet::new().array(meta, PROBE_TAG, &data).tuned(cfg))?
+                        self.write_set(&WriteSet::new().array(meta, PROBE_TAG, &buf).tuned(cfg))?
                     }
                     OpKind::Read => self.read_set(
                         &mut ReadSet::new().array(meta, PROBE_TAG, &mut buf).tuned(cfg),
@@ -292,27 +282,19 @@ pub fn calibrate_fleet(
     let first = clients.first().ok_or(PandaError::Config {
         issue: ConfigIssue::NoClientHandles,
     })?;
-    let num_servers = system.num_servers();
     let sync_policy = first.sync_policy();
-    let workers = system.io_workers();
     let mut opts = opts.clone();
-    opts.launch_io_workers = workers;
-
-    let datas: Vec<Vec<u8>> = (0..clients.len())
+    opts.launch_io_workers = system.io_workers();
+    let mut bufs: Vec<Vec<u8>> = (0..clients.len())
         .map(|r| vec![0u8; meta.client_bytes(r)])
         .collect();
-    let mut bufs: Vec<Vec<u8>> = datas.clone();
     let result = run_probes(
         system.recorder().as_ref(),
         meta,
-        num_servers,
-        workers,
+        system.num_servers(),
         sync_policy,
         &opts,
-        |op, cfg| match op {
-            OpKind::Write => fleet_write(clients, meta, &datas, cfg),
-            OpKind::Read => fleet_read(clients, meta, &mut bufs, cfg),
-        },
+        |op, cfg| fleet_probe(clients, meta, op, &mut bufs, cfg),
     );
     remove_probe_files(system);
     result
@@ -323,46 +305,36 @@ pub fn calibrate_fleet(
 /// through the recorder, then the optional deep-pipeline pair, then
 /// the fit and search. `probe(op, cfg)` submits one collective at
 /// `cfg` and returns its request id and wall seconds; every probe is
-/// min-of-`opts.probe_reps`.
+/// min-of-`opts.probe_reps`, at `opts.launch_io_workers` workers.
 fn run_probes(
     recorder: &dyn Recorder,
     meta: &ArrayMeta,
     num_servers: usize,
-    workers: usize,
     sync_policy: SyncPolicy,
     opts: &TunerOptions,
     mut probe: impl FnMut(OpKind, &TunedConfig) -> Result<(u64, f64), PandaError>,
 ) -> Result<Calibration, PandaError> {
     require_timeline(recorder)?;
     let reps = opts.probe_reps;
-    let arrays = probe_arrays(meta);
     let mut write_probes = Vec::new();
     let mut read_probes = Vec::new();
     for &sub in &[opts.probe_subchunk_bytes.0, opts.probe_subchunk_bytes.1] {
-        let cfg = TunedConfig::new(sub, 1, workers.max(1));
+        let cfg = TunedConfig::new(sub, 1, opts.launch_io_workers.max(1));
         for (op, probes) in [
             (OpKind::Write, &mut write_probes),
             (OpKind::Read, &mut read_probes),
         ] {
             let (id, wall) = fleet_min_of_reps(reps, || probe(op, &cfg))?;
-            probes.push(observe(
-                recorder,
-                id,
-                wall,
-                &arrays,
-                op,
-                num_servers,
-                sub,
-                sync_policy,
-            ));
+            let point = OperatingPoint::new(meta, op, num_servers, &cfg);
+            probes.push(observe(recorder, id, wall, &point));
         }
     }
-    let depth_probe = match depth_probe_config(opts, sync_policy, workers) {
+    let depth_probe = match depth_probe_config(opts, sync_policy) {
         Some(cfg) => {
             let (_, write_wall_s) = fleet_min_of_reps(reps, || probe(OpKind::Write, &cfg))?;
             let (_, read_wall_s) = fleet_min_of_reps(reps, || probe(OpKind::Read, &cfg))?;
             Some(DepthProbe {
-                depth: cfg.pipeline_depth,
+                cfg,
                 write_wall_s,
                 read_wall_s,
             })
@@ -375,56 +347,32 @@ fn run_probes(
         depth_probe,
         meta,
         num_servers,
-        workers,
         sync_policy,
         opts,
     )
 }
 
-/// One fleet-wide probe collective, write direction: every client
-/// submits under scoped threads (exactly like an application), and the
-/// leader's request id plus the fleet wall come back for scoping.
-fn fleet_write(
+/// One fleet-wide probe collective: every client submits under scoped
+/// threads (exactly like an application) — writes send `bufs`, reads
+/// fill them — and the leader's request id plus the fleet wall come
+/// back for scoping.
+fn fleet_probe(
     clients: &mut [PandaClient],
     meta: &ArrayMeta,
-    datas: &[Vec<u8>],
-    cfg: &TunedConfig,
-) -> Result<(u64, f64), PandaError> {
-    let start = Instant::now();
-    let results: Vec<Result<(), PandaError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(datas)
-            .map(|(client, data)| {
-                s.spawn(move || {
-                    client.write_set(&WriteSet::new().array(meta, PROBE_TAG, data).tuned(cfg))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    results.into_iter().collect::<Result<(), _>>()?;
-    let wall = start.elapsed().as_secs_f64();
-    Ok((clients[0].last_request_id().unwrap_or(0), wall))
-}
-
-/// One fleet-wide probe collective, read direction.
-fn fleet_read(
-    clients: &mut [PandaClient],
-    meta: &ArrayMeta,
+    op: OpKind,
     bufs: &mut [Vec<u8>],
     cfg: &TunedConfig,
 ) -> Result<(u64, f64), PandaError> {
+    let submit = |client: &mut PandaClient, buf: &mut Vec<u8>| match op {
+        OpKind::Write => client.write_set(&WriteSet::new().array(meta, PROBE_TAG, buf).tuned(cfg)),
+        OpKind::Read => client.read_set(&mut ReadSet::new().array(meta, PROBE_TAG, buf).tuned(cfg)),
+    };
     let start = Instant::now();
     let results: Vec<Result<(), PandaError>> = std::thread::scope(|s| {
         let handles: Vec<_> = clients
             .iter_mut()
             .zip(bufs.iter_mut())
-            .map(|(client, buf)| {
-                s.spawn(move || {
-                    client.read_set(&mut ReadSet::new().array(meta, PROBE_TAG, buf).tuned(cfg))
-                })
-            })
+            .map(|(client, buf)| s.spawn(move || submit(client, buf)))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -448,20 +396,16 @@ fn fleet_min_of_reps(
     Ok(best.expect("at least one probe rep"))
 }
 
-/// Measured walls of the deep-pipeline probe pair.
+/// The deep-pipeline probe pair: its operating point, measured walls.
 struct DepthProbe {
-    depth: usize,
+    cfg: TunedConfig,
     write_wall_s: f64,
     read_wall_s: f64,
 }
 
 /// The deep probe's operating point, or `None` when the options or the
 /// flush policy rule it out.
-fn depth_probe_config(
-    opts: &TunerOptions,
-    sync_policy: SyncPolicy,
-    workers: usize,
-) -> Option<TunedConfig> {
+fn depth_probe_config(opts: &TunerOptions, sync_policy: SyncPolicy) -> Option<TunedConfig> {
     let depth = opts.depth_probe?;
     if depth <= 1 || sync_policy == SyncPolicy::PerWrite {
         return None;
@@ -469,7 +413,7 @@ fn depth_probe_config(
     Some(TunedConfig::new(
         opts.probe_subchunk_bytes.0.max(1),
         depth,
-        workers.max(1),
+        opts.launch_io_workers.max(1),
     ))
 }
 
@@ -482,86 +426,94 @@ fn require_timeline(recorder: &dyn Recorder) -> Result<(), PandaError> {
     Ok(())
 }
 
-fn probe_arrays(meta: &ArrayMeta) -> Vec<ArrayOp> {
-    vec![ArrayOp {
-        meta: meta.clone(),
-        file_tag: PROBE_TAG.to_string(),
-        section: None,
-    }]
+/// One collective at one operating point — the single value every cost
+/// walk below takes. `spec` fixes the schedule (array, direction, server
+/// count, subchunk cap: [`CollectiveSpec::schedule`]); depth and workers
+/// only rescale its sums.
+struct OperatingPoint {
+    spec: CollectiveSpec,
+    pipeline_depth: usize,
+    io_workers: usize,
 }
 
-/// Scope the recorder to one probe request and package the observation.
-#[allow(clippy::too_many_arguments)]
+impl OperatingPoint {
+    fn new(meta: &ArrayMeta, op: OpKind, num_servers: usize, cfg: &TunedConfig) -> Self {
+        OperatingPoint {
+            spec: CollectiveSpec {
+                arrays: vec![meta.clone()],
+                op,
+                num_servers,
+                subchunk_bytes: cfg.subchunk_bytes,
+                fast_disk: false,
+                section: None,
+            },
+            pipeline_depth: cfg.pipeline_depth,
+            io_workers: cfg.io_workers,
+        }
+    }
+
+    /// Stage sums of every server that has steps at this point. The
+    /// per-step overhead rides the exchange stage (control round trips
+    /// happen there); disk and reorg hide behind it.
+    fn stage_sums<'a>(&'a self, costs: &'a DirectionCosts) -> impl Iterator<Item = StageSums> + 'a {
+        (0..self.spec.num_servers).filter_map(move |server| {
+            let schedule = self.spec.schedule(server);
+            let steps = schedule.steps.len();
+            if steps == 0 {
+                return None;
+            }
+            let (mut exchange_bytes, mut disk, mut reorg) = (0.0, 0.0, 0.0);
+            for step in &schedule.steps {
+                let bytes = step.sub.bytes as u64;
+                exchange_bytes += costs.exchange.per_byte_s * bytes as f64;
+                disk += costs.disk.eval(bytes);
+                reorg += costs.reorg.eval(bytes);
+            }
+            Some(StageSums {
+                exchange_bytes,
+                exchange_ops: (costs.exchange.per_op_s + costs.step_overhead_s) * steps as f64,
+                disk,
+                reorg: reorg / self.io_workers.max(1) as f64,
+                steps,
+            })
+        })
+    }
+}
+
+/// Scope the recorder to one probe request and package the observation
+/// (steps: the busiest server's, under the probe's schedule).
 fn observe(
     recorder: &dyn Recorder,
     request: u64,
     wall_s: f64,
-    arrays: &[ArrayOp],
-    op: OpKind,
-    num_servers: usize,
-    subchunk_bytes: usize,
-    sync_policy: SyncPolicy,
+    point: &OperatingPoint,
 ) -> ProbeObservation {
     let report = RunReport::for_request(recorder, request);
     ProbeObservation {
         summary: report.calibration_summary(),
         wall_s,
-        steps: max_server_steps(arrays, op, num_servers, subchunk_bytes, sync_policy),
+        steps: max_server_steps(&point.spec),
     }
 }
 
-/// Steps on the busiest server for this operation at this subchunk cap.
-fn max_server_steps(
-    arrays: &[ArrayOp],
-    op: OpKind,
-    num_servers: usize,
-    subchunk_bytes: usize,
-    sync_policy: SyncPolicy,
-) -> usize {
-    (0..num_servers)
-        .map(|s| {
-            CollectiveSchedule::build(arrays, op, s, num_servers, subchunk_bytes, sync_policy)
-                .steps
-                .len()
-        })
-        .max()
-        .unwrap_or(0)
+/// Steps on the busiest server for this collective.
+fn max_server_steps(spec: &CollectiveSpec) -> usize {
+    let steps = |server| spec.schedule(server).steps.len();
+    (0..spec.num_servers).map(steps).max().unwrap_or(0)
 }
 
 /// Predict one direction's wall seconds at an operating point by
 /// walking the real schedule per server: the serial per-step costs sum,
 /// and a depth-`d` window converges the sum toward the bottleneck
 /// stage, `T = bound + (serial − bound)/min(d, steps)`.
-#[allow(clippy::too_many_arguments)]
-fn predict_direction(
-    costs: &DirectionCosts,
-    arrays: &[ArrayOp],
-    op: OpKind,
-    num_servers: usize,
-    subchunk_bytes: usize,
-    pipeline_depth: usize,
-    io_workers: usize,
-    sync_policy: SyncPolicy,
-) -> f64 {
-    let mut worst: f64 = 0.0;
-    for server in 0..num_servers {
-        let Some(stages) = stage_sums(
-            costs,
-            arrays,
-            op,
-            server,
-            num_servers,
-            subchunk_bytes,
-            io_workers,
-            sync_policy,
-        ) else {
-            continue;
-        };
-        let depth = pipeline_depth.min(stages.steps).max(1) as f64;
+fn predict_direction(costs: &DirectionCosts, point: &OperatingPoint) -> f64 {
+    let server_wall = |stages: StageSums| {
+        let depth = point.pipeline_depth.min(stages.steps).max(1) as f64;
         let serial = stages.serial();
         let bound = stages.bound(costs.overlap).clamp(0.0, serial);
-        worst = worst.max(bound + (serial - bound) / depth);
-    }
+        bound + (serial - bound) / depth
+    };
+    let worst = point.stage_sums(costs).map(server_wall).fold(0.0, f64::max);
     costs.startup_s + worst
 }
 
@@ -595,44 +547,6 @@ impl StageSums {
     }
 }
 
-/// One server's stage sums at an operating point. The per-step
-/// overhead rides the exchange stage (control round trips happen
-/// there); disk and reorg hide behind it.
-#[allow(clippy::too_many_arguments)]
-fn stage_sums(
-    costs: &DirectionCosts,
-    arrays: &[ArrayOp],
-    op: OpKind,
-    server: usize,
-    num_servers: usize,
-    subchunk_bytes: usize,
-    io_workers: usize,
-    sync_policy: SyncPolicy,
-) -> Option<StageSums> {
-    let schedule =
-        CollectiveSchedule::build(arrays, op, server, num_servers, subchunk_bytes, sync_policy);
-    let n = schedule.steps.len();
-    if n == 0 {
-        return None;
-    }
-    let (mut exchange_bytes, mut disk, mut reorg) = (0.0, 0.0, 0.0);
-    for step in &schedule.steps {
-        let bytes = step.sub.bytes as u64;
-        exchange_bytes += costs.exchange.per_byte_s * bytes as f64;
-        disk += costs.disk.eval(bytes);
-        reorg += costs.reorg.eval(bytes);
-    }
-    reorg /= io_workers.max(1) as f64;
-    let exchange_ops = (costs.exchange.per_op_s + costs.step_overhead_s) * n as f64;
-    Some(StageSums {
-        exchange_bytes,
-        exchange_ops,
-        disk,
-        reorg,
-        steps: n,
-    })
-}
-
 /// Invert the depth formula at the deep-pipeline probe: with the
 /// depth-1 fit in hand and a measured wall at depth `d`, solve
 /// `measured = startup + b' + (serial − b')/min(d, n)` for the
@@ -640,44 +554,16 @@ fn stage_sums(
 /// as a multiple of the modeled bound (clamped so predictions stay in
 /// `[serial/m, serial]`). Returns 1.0 — the fully-serial assumption —
 /// when the probe carries no depth signal (one step, zero bound).
-#[allow(clippy::too_many_arguments)]
-fn solve_overlap(
-    costs: &DirectionCosts,
-    arrays: &[ArrayOp],
-    op: OpKind,
-    num_servers: usize,
-    subchunk_bytes: usize,
-    pipeline_depth: usize,
-    io_workers: usize,
-    sync_policy: SyncPolicy,
-    measured_wall_s: f64,
-) -> f64 {
-    let mut dominant: Option<StageSums> = None;
-    for server in 0..num_servers {
-        let stages = stage_sums(
-            costs,
-            arrays,
-            op,
-            server,
-            num_servers,
-            subchunk_bytes,
-            io_workers,
-            sync_policy,
-        );
-        if let Some(stages) = stages {
-            if dominant
-                .as_ref()
-                .is_none_or(|d| stages.serial() > d.serial())
-            {
-                dominant = Some(stages);
-            }
-        }
-    }
+fn solve_overlap(costs: &DirectionCosts, point: &OperatingPoint, measured_wall_s: f64) -> f64 {
+    // The dominant server: the (first) largest serial sum.
+    let dominant = point
+        .stage_sums(costs)
+        .reduce(|d, s| if s.serial() > d.serial() { s } else { d });
     let Some(stages) = dominant else {
         return 1.0;
     };
     let serial = stages.serial();
-    let m = pipeline_depth.min(stages.steps).max(1) as f64;
+    let m = point.pipeline_depth.min(stages.steps).max(1) as f64;
     if m <= 1.0 || serial <= f64::EPSILON || stages.exchange_ops <= f64::EPSILON {
         return 1.0;
     }
@@ -694,14 +580,12 @@ fn solve_overlap(
 }
 
 /// Fit the model from the probes and score the whole candidate grid.
-#[allow(clippy::too_many_arguments)]
 fn finish(
     write_probes: &[ProbeObservation],
     read_probes: &[ProbeObservation],
     depth_probe: Option<DepthProbe>,
     meta: &ArrayMeta,
     num_servers: usize,
-    launch_io_workers: usize,
     sync_policy: SyncPolicy,
     opts: &TunerOptions,
 ) -> Result<Calibration, PandaError> {
@@ -714,31 +598,20 @@ fn finish(
             issue: ConfigIssue::CalibrationNeedsTimeline,
         });
     }
-    let workers = launch_io_workers.max(1);
+    let workers = opts.launch_io_workers.max(1);
     let mut costs = FittedCosts {
         write: DirectionCosts::fit(write_probes, num_servers, workers),
         read: DirectionCosts::fit(read_probes, num_servers, workers),
         num_servers,
         probe_io_workers: workers,
     };
-    let arrays = probe_arrays(meta);
+    let point = |op, cfg: &TunedConfig| OperatingPoint::new(meta, op, num_servers, cfg);
     if let Some(dp) = depth_probe {
-        let sub = opts.probe_subchunk_bytes.0.max(1);
         for (dir, op, wall) in [
             (&mut costs.write, OpKind::Write, dp.write_wall_s),
             (&mut costs.read, OpKind::Read, dp.read_wall_s),
         ] {
-            dir.overlap = solve_overlap(
-                dir,
-                &arrays,
-                op,
-                num_servers,
-                sub,
-                dp.depth,
-                workers,
-                sync_policy,
-                wall,
-            );
+            dir.overlap = solve_overlap(dir, &point(op, &dp.cfg), wall);
         }
     }
     let mut candidates = Vec::new();
@@ -754,26 +627,9 @@ fn finish(
                 if io_workers == 0 {
                     continue;
                 }
-                let write_s = predict_direction(
-                    &costs.write,
-                    &arrays,
-                    OpKind::Write,
-                    num_servers,
-                    sub,
-                    depth,
-                    io_workers,
-                    sync_policy,
-                );
-                let read_s = predict_direction(
-                    &costs.read,
-                    &arrays,
-                    OpKind::Read,
-                    num_servers,
-                    sub,
-                    depth,
-                    io_workers,
-                    sync_policy,
-                );
+                let cfg = TunedConfig::new(sub, depth, io_workers);
+                let write_s = predict_direction(&costs.write, &point(OpKind::Write, &cfg));
+                let read_s = predict_direction(&costs.read, &point(OpKind::Read, &cfg));
                 candidates.push(Candidate {
                     subchunk_bytes: sub,
                     pipeline_depth: depth,
@@ -826,6 +682,12 @@ mod tests {
         ArrayMeta::new("t", mem, disk).unwrap()
     }
 
+    /// A write of `meta()` over two servers at one operating point.
+    fn point(sub: usize, depth: usize, workers: usize) -> OperatingPoint {
+        let cfg = TunedConfig::new(sub, depth, workers);
+        OperatingPoint::new(&meta(), OpKind::Write, 2, &cfg)
+    }
+
     fn synthetic_costs() -> FittedCosts {
         let dir = DirectionCosts {
             exchange: CostLine {
@@ -855,19 +717,7 @@ mod tests {
     #[test]
     fn deeper_pipelines_predict_monotonically_faster() {
         let costs = synthetic_costs();
-        let arrays = probe_arrays(&meta());
-        let predict = |depth| {
-            predict_direction(
-                &costs.write,
-                &arrays,
-                OpKind::Write,
-                2,
-                16 << 10,
-                depth,
-                1,
-                SyncPolicy::PerCollective,
-            )
-        };
+        let predict = |depth| predict_direction(&costs.write, &point(16 << 10, depth, 1));
         let t1 = predict(1);
         let t2 = predict(2);
         let t4 = predict(4);
@@ -899,58 +749,19 @@ mod tests {
             startup_s: 1e-3,
             overlap: 1.0,
         };
-        let arrays = probe_arrays(&meta());
         let (sub, depth, workers) = (16 << 10, 4, 1);
         // Pretend the deep probe measured exactly what a half-serial
         // bottleneck predicts; the solve must recover that fraction,
         // and predictions must interpolate below the serial-bound fit.
         costs.overlap = 0.5;
-        let measured = predict_direction(
-            &costs,
-            &arrays,
-            OpKind::Write,
-            2,
-            sub,
-            depth,
-            workers,
-            SyncPolicy::PerCollective,
-        );
+        let measured = predict_direction(&costs, &point(sub, depth, workers));
         costs.overlap = 1.0;
-        let serial_bound = predict_direction(
-            &costs,
-            &arrays,
-            OpKind::Write,
-            2,
-            sub,
-            depth,
-            workers,
-            SyncPolicy::PerCollective,
-        );
+        let serial_bound = predict_direction(&costs, &point(sub, depth, workers));
         assert!(measured < serial_bound);
-        let solved = solve_overlap(
-            &costs,
-            &arrays,
-            OpKind::Write,
-            2,
-            sub,
-            depth,
-            workers,
-            SyncPolicy::PerCollective,
-            measured,
-        );
+        let solved = solve_overlap(&costs, &point(sub, depth, workers), measured);
         assert!((solved - 0.5).abs() < 1e-9, "solved {solved}");
         // A probe with no depth signal keeps the serial assumption.
-        let flat = solve_overlap(
-            &costs,
-            &arrays,
-            OpKind::Write,
-            2,
-            sub,
-            1,
-            workers,
-            SyncPolicy::PerCollective,
-            measured,
-        );
+        let flat = solve_overlap(&costs, &point(sub, 1, workers), measured);
         assert_eq!(flat, 1.0);
     }
 
@@ -979,7 +790,6 @@ mod tests {
             None,
             &meta(),
             2,
-            1,
             SyncPolicy::PerWrite,
             &TunerOptions::default(),
         )
@@ -1026,9 +836,11 @@ mod tests {
             None,
             &meta(),
             2,
-            2,
             SyncPolicy::PerCollective,
-            &TunerOptions::default(),
+            &TunerOptions {
+                launch_io_workers: 2,
+                ..TunerOptions::default()
+            },
         )
         .unwrap();
         let preds: Vec<f64> = calibration
@@ -1060,7 +872,6 @@ mod tests {
             None,
             &meta(),
             2,
-            1,
             SyncPolicy::PerCollective,
             &TunerOptions::default(),
         )

@@ -143,7 +143,8 @@ pub enum Event<'a> {
     PushSent {
         /// Which subchunk.
         key: SubchunkKey,
-        /// Piece index within the subchunk.
+        /// Piece index within the step's piece list (a section read's
+        /// list holds only the pieces the section touches, clipped).
         piece: u32,
         /// Client rank the piece was pushed to.
         client: u32,
@@ -269,7 +270,8 @@ pub enum Event<'a> {
     ReorgWorker {
         /// Which subchunk.
         key: SubchunkKey,
-        /// Piece index within the subchunk.
+        /// Piece index within the step's piece list (as in
+        /// [`Event::PushSent`]: a section read's trimmed list).
         piece: u32,
         /// Bytes moved.
         bytes: u64,
