@@ -72,6 +72,34 @@ print(f"message budget: {sent} messages / {ops} operations = {per_op:.2f} per op
 PY
 fi
 
+# Durability counts: the write path got faster by paying for a
+# checkpoint file once (create_sized), not by skipping a sync or a
+# write. On a traced group_submit run, per
+# operation (a checkpoint or a restart; each opens 8 files under the
+# per-collective policy): 8 fs.sync calls; per checkpoint: 64 one-MiB
+# submits + 2 marker writes = 66 write calls and 64 MiB + 70 marker
+# bytes; every user byte crosses the file system once. Counts, not
+# timings, and the same at the commit before the in-place rewrite.
+if command -v python3 >/dev/null; then
+  python3 - <<'PY'
+import json, subprocess
+ops = 4
+cmd = ["cargo", "run", "--release", "--offline", "-q", "--manifest-path", "benchmark/Cargo.toml",
+       "--", "--workload", "group_submit", "--seed", "1", "--seconds", "2", "--trace", "1",
+       "--traced-ops", str(ops)]
+out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+m = {k: v["value"] for k, v in json.loads(out.strip().splitlines()[-1])["metrics"].items()}
+checkpoints = ops // 2
+want = {"fs.syncs": 8 * ops, "fs.write_ops": 66 * checkpoints,
+        "fs.write_bytes": (64 * 1024 * 1024 + 70) * checkpoints}
+for name, count in want.items():
+    assert m[name] == count, f"group_submit: {name} = {m[name]:.0f}, not {count}"
+per_byte = m["fs.bytes_per_user_byte"]
+assert abs(per_byte - 1) < 1e-4, f"group_submit: fs.bytes_per_user_byte = {per_byte}, not 1"
+print(f"durability counts: {want} over {ops} operations, {per_byte:.4f} fs bytes per user byte ok")
+PY
+fi
+
 # Experiment smokes: each bin below runs --quick end to end. Every bin
 # validates each JSON line it writes (panda_obs::json::validate) and
 # asserts its own invariants (byte-identical files across the modes it

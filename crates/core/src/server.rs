@@ -53,7 +53,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use panda_fs::{FileHandle, FileSystem, FsError, SyncPolicy};
+use panda_fs::{create_sized, FileHandle, FileSystem, FsError, SyncPolicy};
 use panda_msg::{freelist, Bytes, MatchSpec, NodeId, Transport};
 use panda_obs::{Event, OpDir, Recorder, SubchunkKey};
 use panda_schema::{copy, Region, SchemaError};
@@ -231,9 +231,10 @@ struct OpenSpec {
 /// interleave freely — the task's arrival-order processing preserves
 /// per-request (and hence per-file) FIFO either way.
 enum DiskCmd {
-    /// Begin a request: create/open its files (preallocating written
-    /// ones), create-and-sync its empty files, set its sync policy and
-    /// completion window.
+    /// Begin a request: open its files (written ones through
+    /// `create_sized`: kept when already the right length, else created
+    /// and preallocated), create-and-sync its empty files, set its sync
+    /// policy and completion window.
     Open {
         request: u64,
         write: bool,
@@ -357,15 +358,15 @@ fn run_disk_task(
                 // Arrays with no data on this server still get their
                 // (empty) file created and synced.
                 for name in &empty_files {
-                    let mut file = fs.create(name)?;
-                    file.sync()?;
+                    create_sized(fs.as_ref(), name, 0)?.sync()?;
                 }
                 let mut table = Vec::with_capacity(files.len());
                 for spec in files {
                     let handle = if write {
-                        let mut h = fs.create(&spec.name)?;
-                        h.preallocate(spec.bytes)?;
-                        h
+                        // The schedule's steps tile `[0, spec.bytes)`,
+                        // so a file already that long is overwritten in
+                        // place, byte for byte.
+                        create_sized(fs.as_ref(), &spec.name, spec.bytes)?
                     } else {
                         fs.open(&spec.name)?
                     };
@@ -1126,7 +1127,11 @@ impl ServerNode {
                 offset,
                 len,
                 seq,
-            } => self.raw_read(src, &file, offset, len as usize, seq),
+            } => {
+                // A length no buffer can have fails the bound check below.
+                let len = usize::try_from(len).unwrap_or(usize::MAX);
+                self.raw_read(src, &file, offset, len, seq)
+            }
             Msg::RawDone => self.raw_done(src),
             Msg::RawStat { file, seq } => {
                 let len = if self.fs.exists(&file) {
@@ -1432,8 +1437,23 @@ impl ServerNode {
         len: usize,
         seq: u64,
     ) -> Result<(), PandaError> {
-        let mut payload = vec![0u8; len];
         let handle = self.raw_handle(file)?;
+        // `len` is straight off the wire: bound it by the file before
+        // allocating for it.
+        let file_len = handle.len();
+        if u64::try_from(len)
+            .ok()
+            .and_then(|len| offset.checked_add(len))
+            .is_none_or(|end| end > file_len)
+        {
+            return Err(FsError::ReadPastEnd {
+                offset,
+                len,
+                file_len,
+            }
+            .into());
+        }
+        let mut payload = vec![0u8; len];
         handle.read_at(offset, &mut payload)?;
         send_msg(&mut *self.transport, src, &Msg::RawData { seq, payload })?;
         Ok(())

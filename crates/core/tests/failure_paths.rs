@@ -97,6 +97,43 @@ fn unexpected_tag_is_a_protocol_error() {
     assert!(matches!(err, PandaError::Protocol { .. }), "got {err}");
 }
 
+/// A `RawRead` whose length is garbage must be bounded by the file
+/// before the server allocates a reply buffer: a typed error, not a
+/// capacity-overflow abort of the I/O node.
+#[test]
+fn raw_read_with_a_garbage_length_is_read_past_end() {
+    let config = PandaConfig::new(1, 1).with_recv_timeout(Duration::from_millis(300));
+    let mem = Arc::new(MemFs::new());
+    mem.create("f").unwrap().write_at(0, b"abc").unwrap();
+    let fs = Arc::clone(&mem);
+    let (system, mut clients) = PandaSystem::builder()
+        .config(config.clone())
+        .launch(move |_| Arc::clone(&fs) as Arc<dyn FileSystem>)
+        .unwrap();
+    let wild = Msg::RawRead {
+        file: "f".to_string(),
+        offset: 1,
+        len: u64::MAX,
+        seq: 0,
+    };
+    clients[0]
+        .transport_mut_for_tests()
+        .send(NodeId(1), wild.tag(), wild.encode())
+        .unwrap();
+    let err = system.shutdown(clients).map(|_| ()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PandaError::Fs(panda_fs::FsError::ReadPastEnd {
+                offset: 1,
+                file_len: 3,
+                ..
+            })
+        ),
+        "got {err}"
+    );
+}
+
 #[test]
 fn read_of_missing_files_surfaces_fs_error() {
     let meta = make_array("t", &[8, 8], ElementType::F64, &[2, 2], DiskSchema::Natural);

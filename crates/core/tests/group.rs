@@ -1,18 +1,23 @@
 //! Group-concurrent collectives: a batched multi-array request must
 //! produce byte-identical files to one collective per array, at every
 //! pipeline depth and on both MemFs and LocalFs; the scheduler must
-//! advertise itself through `GroupSubmit`/`ReorgWorker` events; and
-//! `restart` must refuse a group whose generation marker never landed.
+//! advertise itself through `GroupSubmit`/`ReorgWorker` events;
+//! `restart` must refuse a group whose generation marker never landed;
+//! and a tag written again is rewritten in place when its shape is the
+//! same (no `create`, the seed's bytes) and from scratch when it is not
+//! (exactly the new length, no stale tail).
 
 mod common;
 
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use common::*;
 use panda_core::{
     ArrayGroup, ArrayMeta, PandaClient, PandaConfig, PandaError, PandaSystem, ReadSet, WriteSet,
 };
-use panda_fs::{FileSystem, MemFs, SubmitFs, SyncPolicy};
+use panda_fs::{FileHandle, FileSystem, FsError, MemFs, SubmitFs, SyncPolicy};
 use panda_obs::{EventKind, Recorder, TelemetryRecorder};
 use panda_schema::ElementType;
 
@@ -55,8 +60,18 @@ fn test_arrays() -> Vec<ArrayMeta> {
 /// One batched collective covering every array (the group-concurrent
 /// path at depth ≥ 2).
 fn concurrent_write(clients: &mut [PandaClient], metas: &[ArrayMeta], tags: &[String]) {
+    concurrent_write_of(clients, metas, tags, pattern_chunk);
+}
+
+/// As [`concurrent_write`], with client `r` writing `chunk(meta, r)`.
+fn concurrent_write_of(
+    clients: &mut [PandaClient],
+    metas: &[ArrayMeta],
+    tags: &[String],
+    chunk: impl Fn(&ArrayMeta, usize) -> Vec<u8>,
+) {
     let datas: Vec<Vec<Vec<u8>>> = (0..clients.len())
-        .map(|r| metas.iter().map(|m| pattern_chunk(m, r)).collect())
+        .map(|r| metas.iter().map(|m| chunk(m, r)).collect())
         .collect();
     std::thread::scope(|s| {
         for (client, per_array) in clients.iter_mut().zip(&datas) {
@@ -351,6 +366,190 @@ fn unified_engine_matches_seed_golden_checksums_submitfs() {
         assert_seed_golden(depth, |name, s| {
             std::fs::read(roots[s].join(format!("{name}.s{s}"))).unwrap()
         });
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The backends a rewrite must behave the same over.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    Mem,
+    Local,
+    Submit,
+}
+
+impl Backend {
+    const ALL: [Backend; 3] = [Backend::Mem, Backend::Local, Backend::Submit];
+
+    fn make(self, root: &Path) -> Arc<dyn FileSystem> {
+        match self {
+            Backend::Mem => Arc::new(MemFs::new()),
+            Backend::Local => Arc::new(panda_fs::LocalFs::new(root).unwrap()),
+            Backend::Submit => Arc::new(SubmitFs::new(root, 2).unwrap()),
+        }
+    }
+}
+
+/// Depth × sync policy, without the one pair the config refuses
+/// (per-write syncs cannot be pipelined).
+const REWRITE_CONFIGS: [(usize, SyncPolicy); 5] = [
+    (1, SyncPolicy::PerWrite),
+    (1, SyncPolicy::PerFile),
+    (1, SyncPolicy::PerCollective),
+    (3, SyncPolicy::PerFile),
+    (3, SyncPolicy::PerCollective),
+];
+
+/// A backend that counts the `create` calls it forwards.
+struct CountingFs {
+    inner: Arc<dyn FileSystem>,
+    creates: AtomicUsize,
+}
+
+impl FileSystem for CountingFs {
+    fn create(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
+        self.creates.fetch_add(1, Ordering::SeqCst);
+        self.inner.create(path)
+    }
+    fn open(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
+        self.inner.open(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn remove(&self, path: &str) -> Result<(), FsError> {
+        self.inner.remove(path)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn stats(&self) -> Arc<panda_fs::IoStats> {
+        self.inner.stats()
+    }
+    fn set_recorder(&self, recorder: Arc<dyn Recorder>, node: u32) {
+        self.inner.set_recorder(recorder, node);
+    }
+}
+
+/// One counting backend of `kind` per server under `root`, and a
+/// deployment over them.
+fn launch_counting(
+    kind: Backend,
+    root: &Path,
+    depth: usize,
+    policy: SyncPolicy,
+) -> (PandaSystem, Vec<PandaClient>, Vec<Arc<CountingFs>>) {
+    let backends: Vec<Arc<CountingFs>> = (0..SERVERS)
+        .map(|s| {
+            Arc::new(CountingFs {
+                inner: kind.make(&root.join(format!("ionode{s}"))),
+                creates: AtomicUsize::new(0),
+            })
+        })
+        .collect();
+    let handles = backends.clone();
+    let config = PandaConfig::new(CLIENTS, SERVERS)
+        .with_subchunk_bytes(256)
+        .with_pipeline_depth(depth)
+        .with_sync_policy(policy)
+        .with_disk_completion_threads(2);
+    let (system, clients) = PandaSystem::builder()
+        .config(config)
+        .launch(move |s| Arc::clone(&handles[s]) as Arc<dyn FileSystem>)
+        .unwrap();
+    (system, clients, backends)
+}
+
+fn file_bytes(fs: &dyn FileSystem, name: &str) -> Vec<u8> {
+    let mut h = fs.open(name).unwrap();
+    let mut bytes = vec![0u8; h.len() as usize];
+    h.read_at(0, &mut bytes).unwrap();
+    bytes
+}
+
+#[test]
+fn a_second_write_of_a_tag_creates_nothing_and_lands_the_seed_bytes() {
+    let root = std::env::temp_dir().join(format!("panda-inplace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let metas = test_arrays();
+    let tags: Vec<String> = metas.iter().map(|m| m.name().to_string()).collect();
+    for kind in Backend::ALL {
+        for (depth, policy) in REWRITE_CONFIGS {
+            let what = format!("{kind:?} depth {depth} {}", policy.name());
+            let (system, mut clients, backends) =
+                launch_counting(kind, &root.join(&what), depth, policy);
+            let creates = || -> usize {
+                backends
+                    .iter()
+                    .map(|b| b.creates.load(Ordering::SeqCst))
+                    .sum()
+            };
+            // First the same shapes with every byte wrong, so that a
+            // byte the rewrite skipped would show.
+            concurrent_write_of(&mut clients, &metas, &tags, |m, r| {
+                pattern_chunk(m, r).iter().map(|b| !b).collect()
+            });
+            assert_eq!(creates(), SERVERS * metas.len(), "{what}: first write");
+            concurrent_write(&mut clients, &metas, &tags);
+            assert_eq!(
+                creates(),
+                SERVERS * metas.len(),
+                "{what}: a same-shape rewrite called create"
+            );
+            concurrent_read_check(&mut clients, &metas, &tags);
+            system.shutdown(clients).unwrap();
+            assert_seed_golden(depth, |name, s| {
+                file_bytes(backends[s].as_ref(), &format!("{name}.s{s}"))
+            });
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_rewrite_at_another_shape_leaves_exactly_the_new_file() {
+    let root = std::env::temp_dir().join(format!("panda-reshape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let array = |rows: usize| {
+        vec![make_array(
+            "field",
+            &[rows, 16],
+            ElementType::F64,
+            &[2, 2],
+            DiskSchema::Traditional(SERVERS),
+        )]
+    };
+    let tags = vec!["field".to_string()];
+    let files = |backends: &[Arc<CountingFs>]| -> Vec<Vec<u8>> {
+        (0..SERVERS)
+            .map(|s| file_bytes(backends[s].as_ref(), &format!("field.s{s}")))
+            .collect()
+    };
+    for kind in Backend::ALL {
+        for (depth, policy) in REWRITE_CONFIGS {
+            let what = format!("{kind:?} depth {depth} {}", policy.name());
+            // What a first-time write of each shape leaves behind.
+            let fresh = |rows: usize| {
+                let at = root.join(format!("{what}/fresh{rows}"));
+                let (system, mut clients, backends) = launch_counting(kind, &at, depth, policy);
+                concurrent_write(&mut clients, &array(rows), &tags);
+                system.shutdown(clients).unwrap();
+                files(&backends)
+            };
+            let (system, mut clients, backends) =
+                launch_counting(kind, &root.join(format!("{what}/reused")), depth, policy);
+            // 16 rows, then fewer (a stale tail would show), then more.
+            for rows in [16, 8, 32] {
+                concurrent_write(&mut clients, &array(rows), &tags);
+                let got = files(&backends);
+                assert_eq!(got[0].len(), rows * 16 * 8 / SERVERS, "{what}: {rows} rows");
+                assert!(
+                    got == fresh(rows),
+                    "{what}: {rows} rows differ from a first write"
+                );
+            }
+            system.shutdown(clients).unwrap();
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }

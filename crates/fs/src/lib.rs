@@ -6,7 +6,9 @@
 //! used by the performance harness:
 //!
 //! * [`FileSystem`] / [`FileHandle`] — positioned read/write/sync over
-//!   named files, one instance per I/O node;
+//!   named files, one instance per I/O node; [`create_sized`] opens a
+//!   file for a writer that will overwrite all of it, keeping one that
+//!   is already the right length (a checkpoint file is paid for once);
 //! * [`MemFs`] — in-memory backend for deterministic tests;
 //! * [`LocalFs`] — real files under a root directory (the examples use
 //!   it; integration tests verify on-disk traditional order);
@@ -63,4 +65,4 @@ pub use null::NullFs;
 pub use stats::IoStats;
 pub use submit::SubmitFs;
 pub use throttle::ThrottledFs;
-pub use traits::{FileHandle, FileSystem, SyncPolicy};
+pub use traits::{create_sized, FileHandle, FileSystem, SyncPolicy};

@@ -200,16 +200,7 @@ mod tests {
     #[test]
     fn conformance_suite() {
         let fs = MemFs::new();
-        conformance::basic_roundtrip(&fs);
-        conformance::read_past_end_errors(&fs);
-        conformance::open_missing_errors(&fs);
-        conformance::create_truncates(&fs);
-        conformance::create_truncates_under_an_open_handle(&fs);
-        conformance::wild_offsets_are_typed_errors(&fs);
-        conformance::sparse_write_zero_fills(&fs);
-        conformance::remove_and_list(&fs);
-        conformance::submit_path_roundtrip(&fs);
-        conformance::stats_track_sequentiality(&fs);
+        conformance::all(&fs);
     }
 
     #[test]

@@ -1,9 +1,21 @@
-//! The rooted directory behind the real-file backends.
+//! The rooted directory behind the real-file backends, and the checked
+//! end of a write.
 
 use std::fs;
 use std::path::{Component, Path, PathBuf};
 
 use crate::error::FsError;
+
+/// `offset + len` as a file position the kernel accepts (it fits
+/// `off_t`); anything else is what `pwrite` calls `EINVAL`. Offsets
+/// arrive off the wire, so the sum is checked, never wrapped.
+pub(crate) fn end_of(offset: u64, len: usize) -> Result<u64, FsError> {
+    u64::try_from(len)
+        .ok()
+        .and_then(|len| offset.checked_add(len))
+        .filter(|&end| i64::try_from(end).is_ok())
+        .ok_or_else(|| FsError::Io(std::io::ErrorKind::InvalidInput.into()))
+}
 
 /// A directory every backend path is resolved under. [`crate::LocalFs`]
 /// and [`crate::SubmitFs`] differ in how a file's bytes move, not in
@@ -108,5 +120,17 @@ impl RootDir {
             });
         }
         Ok(full)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn end_of_checks_the_sum() {
+        assert_eq!(end_of(4, 6).unwrap(), 10);
+        assert!(end_of(u64::MAX - 1, 3).is_err());
+        assert!(end_of(i64::MAX as u64, 1).is_err());
     }
 }

@@ -133,12 +133,41 @@ pub trait FileHandle: Send {
     }
 
     /// Hint that the file will grow to `len` bytes, so the backend can
-    /// preallocate the extent up front (`fallocate` style) instead of
-    /// growing the file write by write. Never shrinks the file. The
-    /// default is a no-op.
+    /// set its length once up front instead of growing it write by
+    /// write. On the real-file backends this is a sparse `ftruncate`-up
+    /// (`File::set_len`): it reserves no blocks, which are allocated as
+    /// the writes land. Never shrinks the file. The default is a no-op.
     fn preallocate(&mut self, len: u64) -> Result<(), FsError> {
         let _ = len;
         Ok(())
+    }
+}
+
+/// A handle on `path` for a writer about to overwrite all `len` bytes
+/// of it: the existing file when it is already exactly that long,
+/// otherwise a fresh one (`create` + `preallocate`).
+///
+/// A file is paid for once. A checkpoint rewritten at the same shape
+/// keeps its pages and its extents, where truncating and rewriting
+/// would free and re-allocate both every time and turn each overwrite
+/// into a delayed allocation the closing `sync` must commit. The caller
+/// must overwrite every byte (a collective write schedule tiles the
+/// file), since nothing is cleared; a file of any other length takes
+/// the truncating path, so a changed shape leaves no stale tail.
+pub fn create_sized(
+    fs: &dyn FileSystem,
+    path: &str,
+    len: u64,
+) -> Result<Box<dyn FileHandle>, FsError> {
+    match fs.open(path) {
+        Ok(existing) if existing.len() == len => Ok(existing),
+        // Missing, or another length. An `open` error `create` shares
+        // (a bad path) is reported by `create`.
+        _ => {
+            let mut fresh = fs.create(path)?;
+            fresh.preallocate(len)?;
+            Ok(fresh)
+        }
     }
 }
 
@@ -147,7 +176,23 @@ pub trait FileHandle: Send {
 pub(crate) mod conformance {
     use super::*;
 
-    pub(crate) fn basic_roundtrip(fs: &dyn FileSystem) {
+    /// Every check, for a backend that keeps the bytes it is given
+    /// (`NullFs` runs the subset that does not read data back).
+    pub(crate) fn all(fs: &dyn FileSystem) {
+        basic_roundtrip(fs);
+        read_past_end_errors(fs);
+        open_missing_errors(fs);
+        create_truncates(fs);
+        create_truncates_under_an_open_handle(fs);
+        wild_offsets_are_typed_errors(fs);
+        sparse_write_zero_fills(fs);
+        remove_and_list(fs);
+        submit_path_roundtrip(fs);
+        stats_track_sequentiality(fs);
+        create_sized_keeps_a_same_length_file(fs);
+    }
+
+    fn basic_roundtrip(fs: &dyn FileSystem) {
         let mut h = fs.create("a.dat").unwrap();
         h.write_at(0, b"hello ").unwrap();
         h.write_at(6, b"world").unwrap();
@@ -194,7 +239,7 @@ pub(crate) mod conformance {
     /// `create` is `O_TRUNC`: it truncates the file itself, not a copy
     /// of it, so a handle opened earlier sees length 0 and then the new
     /// contents.
-    pub(crate) fn create_truncates_under_an_open_handle(fs: &dyn FileSystem) {
+    fn create_truncates_under_an_open_handle(fs: &dyn FileSystem) {
         let mut old = fs.create("t.dat").unwrap();
         old.write_at(0, b"0123456789").unwrap();
         let mut new = fs.create("t.dat").unwrap();
@@ -208,11 +253,14 @@ pub(crate) mod conformance {
     /// overflows is a typed error — what `pwrite` calls `EINVAL` for
     /// writes and preallocation, past-the-end for reads — never a wrap
     /// or a panic, and the file is left as it was.
-    pub(crate) fn wild_offsets_are_typed_errors(fs: &dyn FileSystem) {
+    fn wild_offsets_are_typed_errors(fs: &dyn FileSystem) {
         let invalid = |e: FsError| matches!(e, FsError::Io(io) if io.kind() == std::io::ErrorKind::InvalidInput);
         let mut h = fs.create("w.dat").unwrap();
         h.write_at(0, b"abc").unwrap();
         assert!(invalid(h.write_at(u64::MAX - 1, b"xyz").unwrap_err()));
+        assert!(invalid(
+            h.submit_write(u64::MAX - 1, b"xyz".to_vec()).unwrap_err()
+        ));
         assert!(invalid(h.preallocate(u64::MAX).unwrap_err()));
         let mut buf = [0u8; 3];
         assert!(matches!(
@@ -224,7 +272,7 @@ pub(crate) mod conformance {
         assert_eq!(&buf, b"abc");
     }
 
-    pub(crate) fn sparse_write_zero_fills(fs: &dyn FileSystem) {
+    fn sparse_write_zero_fills(fs: &dyn FileSystem) {
         let mut h = fs.create("d.dat").unwrap();
         h.write_at(4, b"xy").unwrap();
         assert_eq!(h.len(), 6);
@@ -248,7 +296,7 @@ pub(crate) mod conformance {
         ));
     }
 
-    pub(crate) fn submit_path_roundtrip(fs: &dyn FileSystem) {
+    fn submit_path_roundtrip(fs: &dyn FileSystem) {
         let mut h = fs.create("q.dat").unwrap();
         h.preallocate(12).unwrap();
         let mut returned = 0usize;
@@ -275,6 +323,31 @@ pub(crate) mod conformance {
         assert_eq!(&all, b"abcdefghijkl");
         // A blocking drain with nothing pending must not block.
         assert!(h.drain_completions(true).unwrap().is_empty());
+    }
+
+    /// [`create_sized`] hands back the file itself when the length
+    /// matches (the bytes are still there to overwrite) and a truncated,
+    /// preallocated one when it does not — shorter or longer, no tail.
+    fn create_sized_keeps_a_same_length_file(fs: &dyn FileSystem) {
+        let mut h = create_sized(fs, "k.dat", 8).unwrap();
+        assert_eq!(h.len(), 8, "a missing file is created at its length");
+        h.write_at(0, b"01234567").unwrap();
+        drop(h);
+        let mut h = create_sized(fs, "k.dat", 8).unwrap();
+        let mut buf = [0u8; 8];
+        h.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"01234567", "a same-length file was truncated");
+        h.write_at(0, b"abcdefgh").unwrap();
+        drop(h);
+        for len in [5, 11] {
+            let mut h = create_sized(fs, "k.dat", len).unwrap();
+            assert_eq!(h.len(), len);
+            let mut buf = vec![9u8; len as usize];
+            h.read_at(0, &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == 0), "stale bytes at length {len}");
+            h.write_at(0, &vec![7u8; len as usize]).unwrap();
+        }
+        assert_eq!(fs.open("k.dat").unwrap().len(), 11);
     }
 
     pub(crate) fn stats_track_sequentiality(fs: &dyn FileSystem) {
