@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use panda_fs::SyncPolicy;
 use panda_msg::{freelist, MatchSpec, NodeId, Transport};
-use panda_obs::{Event, OpDir, Recorder};
+use panda_obs::{Event, Recorder};
 use panda_schema::{copy, Region, SchemaError};
 
 use crate::array::ArrayMeta;
@@ -273,7 +273,7 @@ impl PandaClient {
         if let Some(t) = t_op {
             self.emit(&Event::CollectiveDone {
                 request,
-                op: OpDir::Write,
+                op: OpKind::Write,
                 dur: t.elapsed(),
             });
         }
@@ -352,7 +352,7 @@ impl PandaClient {
         if let Some(t) = t_op {
             self.emit(&Event::CollectiveDone {
                 request,
-                op: OpDir::Read,
+                op: OpKind::Read,
                 dur: t.elapsed(),
             });
         }
@@ -610,10 +610,7 @@ impl PandaClient {
         // request stream carries every array, and the servers interleave
         // their subchunks through one pipeline window.
         self.emit(&Event::GroupSubmit {
-            op: match op {
-                OpKind::Write => OpDir::Write,
-                OpKind::Read => OpDir::Read,
-            },
+            op,
             arrays: arrays.len() as u32,
             pipeline_depth: pipeline_depth as u32,
         });

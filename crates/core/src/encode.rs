@@ -1,265 +1,344 @@
-//! Wire encoding for the Panda protocol.
+//! Wire encoding: the [`Wire`] trait and the types that implement it.
 //!
 //! Messages cross the `panda-msg` transport as bytes (as they would with
-//! real MPI), so the protocol types need a serialization. The format is
-//! a simple little-endian TLV-free layout: fixed-width integers,
-//! length-prefixed byte strings, and composite types written field by
-//! field. It is not a public interchange format — both ends are always
-//! the same library version.
+//! real MPI), and group manifests and checkpoint markers are stored as
+//! bytes, so every type that travels has one encoding, given by its
+//! [`Wire`] impl: little-endian fixed-width integers (`usize` as `u64`),
+//! sequences and strings behind a `u64` count, enums behind a one-byte
+//! code, composites field by field in a fixed order — no tags, no
+//! padding, no self-description. It is not a public interchange format:
+//! both ends are always the same library version.
+//!
+//! Decoding is where a value from outside the program is checked, once:
+//! [`Wire::get`] builds every composite through its validating
+//! constructor, and every count prefix is held to one bound — it cannot
+//! promise more elements than the bytes left could hold
+//! ([`Wire::MIN_LEN`]) — so a hostile length never sizes an allocation.
+//!
+//! A composite states its layout once: `wire_struct!` declares a
+//! struct and derives its encoding from the field list, `wire_enum!`
+//! does the same for a coded enum, and the message table in
+//! [`crate::protocol`] is built from both.
 
 use panda_schema::{DataSchema, Dist, ElementType, Mesh, Region, Shape};
 
 use crate::array::ArrayMeta;
 use crate::error::PandaError;
 
-/// Append-only byte writer.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// Fresh empty writer.
-    pub fn new() -> Self {
-        Writer::default()
-    }
-
-    /// Consume the writer, returning the encoded bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Write a single byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Write a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Write a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Write a usize as u64.
-    pub fn size(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Write a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.size(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Write a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Write a slice of usizes (length-prefixed).
-    pub fn sizes(&mut self, v: &[usize]) {
-        self.size(v.len());
-        for &x in v {
-            self.size(x);
-        }
-    }
-
-    /// Write a region (lo then hi corners).
-    pub fn region(&mut self, r: &Region) {
-        self.sizes(r.lo());
-        self.sizes(r.hi());
-    }
-
-    /// Write an element type.
-    pub fn elem(&mut self, e: ElementType) {
-        match e {
-            ElementType::U8 => self.u8(0),
-            ElementType::I32 => self.u8(1),
-            ElementType::I64 => self.u8(2),
-            ElementType::F32 => self.u8(3),
-            ElementType::F64 => self.u8(4),
-            ElementType::Opaque(n) => {
-                self.u8(5);
-                self.u32(n);
-            }
-        }
-    }
-
-    /// Write a distribution directive.
-    pub fn dist(&mut self, d: Dist) {
-        match d {
-            Dist::Block => self.u8(0),
-            Dist::Star => self.u8(1),
-            Dist::Cyclic(b) => {
-                self.u8(2);
-                self.size(b);
-            }
-        }
-    }
-
-    /// Write a complete data schema.
-    pub fn schema(&mut self, s: &DataSchema) {
-        self.sizes(s.shape().dims());
-        self.elem(s.elem());
-        self.size(s.dists().len());
-        for &d in s.dists() {
-            self.dist(d);
-        }
-        self.sizes(s.mesh().dims());
-    }
-
-    /// Write array metadata (name + both schemas + subchunk override).
-    pub fn array_meta(&mut self, a: &ArrayMeta) {
-        self.str(a.name());
-        self.schema(a.memory());
-        self.schema(a.disk());
-        self.u64(a.subchunk_override().map(|b| b as u64).unwrap_or(0));
-    }
-}
-
-/// Sequential byte reader over an encoded message.
+/// A cursor over encoded bytes.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
-    pos: usize,
+    /// `Some` when a message's trailing [`Reader::body`] is to stay in
+    /// its frame: the length its prefix gave.
+    detached: Option<usize>,
 }
 
 impl<'a> Reader<'a> {
     /// Read from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            detached: None,
+        }
+    }
+
+    /// Read a frame's head, leaving the body where it is: [`Reader::body`]
+    /// consumes only the length prefix and reports it through
+    /// [`Reader::body_len`], so the caller can move the body's buffer
+    /// into the decoded message instead of copying out of it.
+    pub fn head_of(buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            detached: Some(0),
+        }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len()
+    }
+
+    /// The length of the body a [`Reader::head_of`] cursor stepped over.
+    pub fn body_len(&self) -> usize {
+        self.detached.unwrap_or(0)
     }
 
     fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], PandaError> {
-        if self.remaining() < n {
+        if self.buf.len() < n {
             return Err(PandaError::Decode { context });
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (taken, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(taken)
     }
 
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, PandaError> {
-        Ok(self.take(1, "u8")?[0])
-    }
-
-    /// Read a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, PandaError> {
-        Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, PandaError> {
-        Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
-    }
-
-    /// Read a usize (encoded as u64).
-    pub fn size(&mut self) -> Result<usize, PandaError> {
-        Ok(self.u64()? as usize)
-    }
-
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, PandaError> {
-        let n = self.size()?;
-        Ok(self.take(n, "bytes")?.to_vec())
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, PandaError> {
-        String::from_utf8(self.bytes()?).map_err(|_| PandaError::Decode { context: "utf8" })
-    }
-
-    /// Read a slice of usizes.
-    pub fn sizes(&mut self) -> Result<Vec<usize>, PandaError> {
-        let n = self.size()?;
-        // Sanity-bound: each element takes 8 bytes.
-        if n > self.remaining() / 8 {
-            return Err(PandaError::Decode {
-                context: "sizes length",
-            });
+    /// A count prefix for elements of at least `min` encoded bytes each.
+    fn count(&mut self, min: usize) -> Result<usize, PandaError> {
+        let n = usize::get(self)?;
+        if n > self.remaining() / min {
+            return Err(PandaError::Decode { context: "count" });
         }
-        (0..n).map(|_| self.size()).collect()
+        Ok(n)
     }
 
-    /// Read a region.
-    pub fn region(&mut self) -> Result<Region, PandaError> {
-        let lo = self.sizes()?;
-        let hi = self.sizes()?;
+    /// A length-prefixed byte string, still in the buffer.
+    fn bytes(&mut self) -> Result<&'a [u8], PandaError> {
+        let n = self.count(1)?;
+        self.take(n, "bytes")
+    }
+
+    /// A message's trailing byte string, copied out in one piece — or,
+    /// under [`Reader::head_of`], left where it is.
+    pub fn body<B: From<Vec<u8>>>(&mut self) -> Result<B, PandaError> {
+        Ok(B::from(match self.detached {
+            None => self.bytes()?.to_vec(),
+            Some(_) => {
+                self.detached = Some(usize::get(self)?);
+                Vec::new()
+            }
+        }))
+    }
+
+    /// The value is complete: anything left over is an error.
+    pub fn finish(&self) -> Result<(), PandaError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(PandaError::Decode {
+                context: "trailing bytes",
+            })
+        }
+    }
+}
+
+/// A type with one byte encoding.
+pub trait Wire: Sized {
+    /// The fewest bytes an encoded value takes; what bounds a count
+    /// prefix of such values by the bytes that are left.
+    const MIN_LEN: usize;
+
+    /// Append the encoding of `self`.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Decode one value, checking it.
+    fn get(r: &mut Reader<'_>) -> Result<Self, PandaError>;
+}
+
+/// Encode a sequence: its count, then its elements.
+fn put_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    items.len().put(out);
+    for item in items {
+        item.put(out);
+    }
+}
+
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = size_of::<$ty>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, PandaError> {
+                let bytes = r.take(Self::MIN_LEN, stringify!($ty))?;
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("took MIN_LEN bytes")))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+impl Wire for usize {
+    const MIN_LEN: usize = u64::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PandaError> {
+        Ok(u64::get(r)? as usize)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = usize::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PandaError> {
+        let n = r.count(T::MIN_LEN)?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+/// Encode a string: its length, then its bytes.
+fn put_str(s: &str, out: &mut Vec<u8>) {
+    s.len().put(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = usize::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(self, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PandaError> {
+        match std::str::from_utf8(r.bytes()?) {
+            Ok(s) => Ok(s.to_string()),
+            Err(_) => Err(PandaError::Decode { context: "utf8" }),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => 0u8.put(out),
+            Some(v) => {
+                1u8.put(out);
+                v.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PandaError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => T::get(r).map(Some),
+            _ => Err(PandaError::Decode {
+                context: "option flag",
+            }),
+        }
+    }
+}
+
+/// Derive [`Wire`] for an enum from one row per variant: the one-byte
+/// code, then the variant with its fields (named for both the tuple and
+/// the struct form), encoded in the order written.
+macro_rules! wire_enum {
+    ($ty:ty, $context:literal, {
+        $( $code:literal => $variant:ident
+            $( ( $( $t:ident : $tty:ty ),* ) )?
+            $( { $( $f:ident : $fty:ty ),* } )? ),* $(,)?
+    }) => {
+        impl $crate::encode::Wire for $ty {
+            const MIN_LEN: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( Self::$variant $( ( $( $t ),* ) )? $( { $( $f ),* } )? => {
+                        u8::put(&$code, out);
+                        $( $( $t.put(out); )* )?
+                        $( $( $f.put(out); )* )?
+                    } )*
+                }
+            }
+            fn get(
+                r: &mut $crate::encode::Reader<'_>,
+            ) -> Result<Self, $crate::error::PandaError> {
+                Ok(match u8::get(r)? {
+                    $( $code => Self::$variant
+                        $( ( $( <$tty>::get(r)? ),* ) )?
+                        $( { $( $f: <$fty>::get(r)? ),* } )?, )*
+                    _ => return Err($crate::error::PandaError::Decode { context: $context }),
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+/// Declare a struct whose [`Wire`] encoding is its fields in the order
+/// written. An optional `valid |v| <condition>, "<what>";` after the
+/// fields is checked on decode and failing it is a decode error.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty, )*
+        }
+        $( valid |$v:ident| $valid:expr, $context:literal; )?
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $fty, )*
+        }
+
+        impl $crate::encode::Wire for $name {
+            const MIN_LEN: usize = 0 $( + <$fty as $crate::encode::Wire>::MIN_LEN )*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $( self.$field.put(out); )*
+            }
+            fn get(
+                r: &mut $crate::encode::Reader<'_>,
+            ) -> Result<Self, $crate::error::PandaError> {
+                let value = $name { $( $field: $crate::encode::Wire::get(r)?, )* };
+                $( let $v = &value;
+                if !$valid {
+                    return Err($crate::error::PandaError::Decode { context: $context });
+                } )?
+                Ok(value)
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+wire_enum!(ElementType, "elem tag", {
+    0 => U8, 1 => I32, 2 => I64, 3 => F32, 4 => F64, 5 => Opaque(bytes: u32),
+});
+
+wire_enum!(Dist, "dist tag", { 0 => Block, 1 => Star, 2 => Cyclic(block: usize) });
+
+impl Wire for Region {
+    const MIN_LEN: usize = 2 * usize::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self.lo(), out);
+        put_seq(self.hi(), out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PandaError> {
+        let (lo, hi) = (Vec::get(r)?, Vec::get(r)?);
         Region::new(&lo, &hi).map_err(|_| PandaError::Decode { context: "region" })
     }
+}
 
-    /// Read an element type.
-    pub fn elem(&mut self) -> Result<ElementType, PandaError> {
-        Ok(match self.u8()? {
-            0 => ElementType::U8,
-            1 => ElementType::I32,
-            2 => ElementType::I64,
-            3 => ElementType::F32,
-            4 => ElementType::F64,
-            5 => ElementType::Opaque(self.u32()?),
-            _ => {
-                return Err(PandaError::Decode {
-                    context: "elem tag",
-                })
-            }
-        })
+impl Wire for DataSchema {
+    const MIN_LEN: usize = 3 * usize::MIN_LEN + ElementType::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self.shape().dims(), out);
+        self.elem().put(out);
+        put_seq(self.dists(), out);
+        put_seq(self.mesh().dims(), out);
     }
-
-    /// Read a distribution directive.
-    pub fn dist(&mut self) -> Result<Dist, PandaError> {
-        Ok(match self.u8()? {
-            0 => Dist::Block,
-            1 => Dist::Star,
-            2 => Dist::Cyclic(self.size()?),
-            _ => {
-                return Err(PandaError::Decode {
-                    context: "dist tag",
-                })
-            }
-        })
-    }
-
-    /// Read a complete data schema.
-    pub fn schema(&mut self) -> Result<DataSchema, PandaError> {
-        let dims = self.sizes()?;
-        let elem = self.elem()?;
-        let ndists = self.size()?;
-        if ndists > 64 {
-            return Err(PandaError::Decode {
-                context: "dists length",
-            });
-        }
-        let dists: Vec<Dist> = (0..ndists).map(|_| self.dist()).collect::<Result<_, _>>()?;
-        let mesh_dims = self.sizes()?;
+    fn get(r: &mut Reader<'_>) -> Result<Self, PandaError> {
+        let dims = Vec::get(r)?;
+        let elem = ElementType::get(r)?;
+        let dists: Vec<Dist> = Vec::get(r)?;
+        let mesh_dims = Vec::get(r)?;
         let shape = Shape::new(&dims).map_err(|_| PandaError::Decode { context: "shape" })?;
         let mesh = Mesh::new(&mesh_dims).map_err(|_| PandaError::Decode { context: "mesh" })?;
         DataSchema::new(shape, elem, &dists, mesh)
             .map_err(|_| PandaError::Decode { context: "schema" })
     }
+}
 
-    /// Read array metadata.
-    pub fn array_meta(&mut self) -> Result<ArrayMeta, PandaError> {
-        let name = self.str()?;
-        let memory = self.schema()?;
-        let disk = self.schema()?;
-        let override_bytes = self.u64()?;
-        let mut meta = ArrayMeta::new(name, memory, disk).map_err(|_| PandaError::Decode {
+/// Name, memory schema, disk schema, subchunk override in bytes (0 for
+/// none).
+impl Wire for ArrayMeta {
+    const MIN_LEN: usize = String::MIN_LEN + 2 * DataSchema::MIN_LEN + u64::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(self.name(), out);
+        self.memory().put(out);
+        self.disk().put(out);
+        self.subchunk_override().unwrap_or(0).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PandaError> {
+        let (name, memory, disk) = (String::get(r)?, DataSchema::get(r)?, DataSchema::get(r)?);
+        let meta = ArrayMeta::new(name, memory, disk).map_err(|_| PandaError::Decode {
             context: "array meta",
         })?;
-        if override_bytes > 0 {
-            meta = meta.with_subchunk_bytes(override_bytes as usize);
-        }
-        Ok(meta)
+        Ok(match usize::get(r)? {
+            0 => meta,
+            bytes => meta.with_subchunk_bytes(bytes),
+        })
     }
 }
 
@@ -267,35 +346,44 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
+        let mut buf = Vec::new();
+        value.put(&mut buf);
+        assert!(
+            buf.len() >= T::MIN_LEN,
+            "{value:?} encodes below its MIN_LEN"
+        );
+        let mut r = Reader::new(&buf);
+        assert_eq!(T::get(&mut r).unwrap(), value);
+        r.finish().unwrap();
+    }
+
     #[test]
     fn primitive_roundtrips() {
-        let mut w = Writer::new();
-        w.u8(7);
-        w.u32(0xdead_beef);
-        w.u64(u64::MAX - 1);
-        w.size(12345);
-        w.str("panda");
-        w.bytes(&[1, 2, 3]);
-        w.sizes(&[9, 8, 7]);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        7u8.put(&mut buf);
+        0xdead_beef_u32.put(&mut buf);
+        (u64::MAX - 1).put(&mut buf);
+        12345usize.put(&mut buf);
+        "panda".to_string().put(&mut buf);
+        vec![1u8, 2, 3].put(&mut buf);
+        vec![9usize, 8, 7].put(&mut buf);
         let mut r = Reader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.size().unwrap(), 12345);
-        assert_eq!(r.str().unwrap(), "panda");
-        assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.sizes().unwrap(), vec![9, 8, 7]);
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(u8::get(&mut r).unwrap(), 7);
+        assert_eq!(u32::get(&mut r).unwrap(), 0xdead_beef);
+        assert_eq!(u64::get(&mut r).unwrap(), u64::MAX - 1);
+        assert_eq!(usize::get(&mut r).unwrap(), 12345);
+        assert_eq!(String::get(&mut r).unwrap(), "panda");
+        assert_eq!(Vec::<u8>::get(&mut r).unwrap(), vec![1, 2, 3]);
+        assert_eq!(Vec::<usize>::get(&mut r).unwrap(), vec![9, 8, 7]);
+        r.finish().unwrap();
     }
 
     #[test]
     fn region_roundtrip() {
-        let reg = Region::new(&[1, 2, 3], &[4, 5, 6]).unwrap();
-        let mut w = Writer::new();
-        w.region(&reg);
-        let buf = w.finish();
-        assert_eq!(Reader::new(&buf).region().unwrap(), reg);
+        roundtrip(Region::new(&[1, 2, 3], &[4, 5, 6]).unwrap());
+        roundtrip(Some(Region::new(&[0], &[2]).unwrap()));
+        roundtrip(None::<Region>);
     }
 
     #[test]
@@ -310,11 +398,8 @@ mod tests {
         .unwrap();
         let disk = DataSchema::traditional_order(shape, ElementType::F64, 3).unwrap();
         let meta = ArrayMeta::new("density", mem, disk).unwrap();
-        let mut w = Writer::new();
-        w.array_meta(&meta);
-        let buf = w.finish();
-        let got = Reader::new(&buf).array_meta().unwrap();
-        assert_eq!(got, meta);
+        roundtrip(meta.clone());
+        roundtrip(meta.with_subchunk_bytes(4096));
     }
 
     #[test]
@@ -327,36 +412,54 @@ mod tests {
             ElementType::F64,
             ElementType::Opaque(24),
         ] {
-            let mut w = Writer::new();
-            w.elem(e);
-            let buf = w.finish();
-            assert_eq!(Reader::new(&buf).elem().unwrap(), e);
+            roundtrip(e);
+        }
+        for d in [Dist::Block, Dist::Star, Dist::Cyclic(3)] {
+            roundtrip(d);
         }
     }
 
     #[test]
     fn truncated_input_errors() {
-        let mut w = Writer::new();
-        w.u64(42);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        42u64.put(&mut buf);
         let mut r = Reader::new(&buf[..4]);
-        assert!(matches!(r.u64(), Err(PandaError::Decode { .. })));
+        assert!(matches!(u64::get(&mut r), Err(PandaError::Decode { .. })));
     }
 
     #[test]
     fn bogus_tags_error() {
         let buf = [9u8];
-        assert!(Reader::new(&buf).elem().is_err());
-        assert!(Reader::new(&buf).dist().is_err());
+        assert!(ElementType::get(&mut Reader::new(&buf)).is_err());
+        assert!(Dist::get(&mut Reader::new(&buf)).is_err());
+        assert!(Option::<u8>::get(&mut Reader::new(&buf)).is_err());
     }
 
     #[test]
     fn hostile_length_prefix_is_rejected() {
-        // A length prefix far larger than the buffer must not allocate.
-        let mut w = Writer::new();
-        w.size(usize::MAX / 2);
-        let buf = w.finish();
-        assert!(Reader::new(&buf).sizes().is_err());
-        assert!(Reader::new(&buf).bytes().is_err());
+        // A count far larger than the buffer must not allocate, whatever
+        // the element: one rule, the bytes left over the element's MIN_LEN.
+        let mut buf = Vec::new();
+        (usize::MAX / 2).put(&mut buf);
+        assert!(Vec::<usize>::get(&mut Reader::new(&buf)).is_err());
+        assert!(Vec::<u8>::get(&mut Reader::new(&buf)).is_err());
+        assert!(Vec::<ArrayMeta>::get(&mut Reader::new(&buf)).is_err());
+        assert!(String::get(&mut Reader::new(&buf)).is_err());
+        // Three u32s promised, bytes for two and a half.
+        let mut buf = Vec::new();
+        3usize.put(&mut buf);
+        buf.extend_from_slice(&[0; 10]);
+        assert!(Vec::<u32>::get(&mut Reader::new(&buf)).is_err());
+    }
+
+    #[test]
+    fn a_detached_body_stays_in_its_frame() {
+        let mut buf = Vec::new();
+        5u32.put(&mut buf);
+        vec![1u8, 2, 3].put(&mut buf);
+        let mut r = Reader::head_of(&buf);
+        assert_eq!(u32::get(&mut r).unwrap(), 5);
+        assert!(r.body::<Vec<u8>>().unwrap().is_empty());
+        assert_eq!((r.body_len(), r.remaining()), (3, 3));
     }
 }

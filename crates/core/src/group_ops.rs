@@ -11,7 +11,7 @@ use panda_msg::{MatchSpec, NodeId, Transport};
 
 use crate::array::ArrayMeta;
 use crate::client::PandaClient;
-use crate::encode::{Reader, Writer};
+use crate::encode::{wire_struct, Reader, Wire};
 use crate::error::PandaError;
 use crate::protocol::{recv_msg, send_msg, tags, Msg};
 use crate::request::{ReadSet, WriteSet};
@@ -49,24 +49,41 @@ impl CollectiveHandle for PandaClient {
     }
 }
 
-/// A named group of arrays written and read together.
-///
-/// All compute nodes must hold identical group definitions (same name,
-/// same arrays, same order) and call the collective methods together —
-/// Panda "assumes all clients will participate in the collective i/o at
-/// approximately the same time" (paper §2). The timestep counter
-/// advances identically on every node because every node calls
-/// [`ArrayGroup::timestep`].
-#[derive(Debug, Clone)]
-pub struct ArrayGroup {
-    name: String,
-    arrays: Vec<ArrayMeta>,
-    timesteps_taken: usize,
-    /// Number of checkpoints taken. Checkpoints alternate between two
-    /// file generations (`ckpt-a`/`ckpt-b`) so that a crash *during* a
-    /// checkpoint can never destroy the previous good one; `restart`
-    /// reads the generation of the last completed checkpoint.
-    checkpoints_taken: usize,
+wire_struct! {
+    /// A named group of arrays written and read together.
+    ///
+    /// All compute nodes must hold identical group definitions (same name,
+    /// same arrays, same order) and call the collective methods together —
+    /// Panda "assumes all clients will participate in the collective i/o at
+    /// approximately the same time" (paper §2). The timestep counter
+    /// advances identically on every node because every node calls
+    /// [`ArrayGroup::timestep`].
+    ///
+    /// The fields, in this order, are the group's schema manifest
+    /// ([`ArrayGroup::encode_manifest`]).
+    #[derive(Debug, Clone)]
+    pub struct ArrayGroup {
+        name: String,
+        timesteps_taken: usize,
+        /// Number of checkpoints taken. Checkpoints alternate between two
+        /// file generations (`ckpt-a`/`ckpt-b`) so that a crash *during* a
+        /// checkpoint can never destroy the previous good one; `restart`
+        /// reads the generation of the last completed checkpoint.
+        checkpoints_taken: usize,
+        arrays: Vec<ArrayMeta>,
+    }
+}
+
+wire_struct! {
+    /// The checkpoint generation marker ([`ArrayGroup::marker_file`]):
+    /// what `checkpoint` commits and `restart` trusts.
+    pub(crate) struct Marker {
+        pub(crate) group: String,
+        /// Checkpoints completed when the marker was written (≥ 1).
+        pub(crate) completed: usize,
+        pub(crate) timesteps_taken: usize,
+        pub(crate) arrays: usize,
+    }
 }
 
 impl ArrayGroup {
@@ -213,11 +230,14 @@ impl ArrayGroup {
         // is waiting on this client's pieces; per-source FIFO ordering
         // means any later stat/read from this client observes it.
         self.checkpoints_taken += 1;
-        let mut w = Writer::new();
-        w.str(&self.name);
-        w.size(self.checkpoints_taken);
-        w.size(self.timesteps_taken);
-        w.size(self.arrays.len());
+        let mut marker = Vec::new();
+        Marker {
+            group: self.name.clone(),
+            completed: self.checkpoints_taken,
+            timesteps_taken: self.timesteps_taken,
+            arrays: self.arrays.len(),
+        }
+        .put(&mut marker);
         let (transport, server0) = handle.control();
         send_msg(
             transport,
@@ -225,7 +245,7 @@ impl ArrayGroup {
             &Msg::RawWrite {
                 file: self.marker_file(),
                 offset: 0,
-                payload: w.finish(),
+                payload: marker,
             },
         )?;
         Ok(())
@@ -347,38 +367,17 @@ impl ArrayGroup {
     /// counters, every array's schemas). Offline tools use this pair to
     /// read/write `.schema` files without a running deployment.
     pub fn encode_manifest(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.str(&self.name);
-        w.size(self.timesteps_taken);
-        w.size(self.checkpoints_taken);
-        w.size(self.arrays.len());
-        for meta in &self.arrays {
-            w.array_meta(meta);
-        }
-        w.finish()
+        let mut out = Vec::new();
+        self.put(&mut out);
+        out
     }
 
     /// Inverse of [`ArrayGroup::encode_manifest`].
     pub fn decode_manifest(payload: &[u8]) -> Result<ArrayGroup, PandaError> {
-        let mut r = Reader::new(payload);
-        let name = r.str()?;
-        let timesteps_taken = r.size()?;
-        let checkpoints_taken = r.size()?;
-        let count = r.size()?;
-        if count > 4096 {
-            return Err(PandaError::Decode {
-                context: "manifest array count",
-            });
-        }
-        let arrays: Vec<ArrayMeta> = (0..count)
-            .map(|_| r.array_meta())
-            .collect::<Result<_, _>>()?;
-        Ok(ArrayGroup {
-            name,
-            arrays,
-            timesteps_taken,
-            checkpoints_taken,
-        })
+        // Unlike a message, a control file may carry a tail: `RawWrite`
+        // does not truncate, so a manifest rewritten shorter leaves the
+        // end of the longer one behind it. Hence no `Reader::finish`.
+        ArrayGroup::get(&mut Reader::new(payload))
     }
 
     /// Fetch and validate the generation marker from I/O node 0,
@@ -397,13 +396,11 @@ impl ArrayGroup {
             // never landed: no generation is known-complete.
             return Err(incomplete());
         };
-        let mut r = Reader::new(&payload);
-        let name = r.str()?;
-        let completed = r.size()?;
-        if name != self.name || completed == 0 {
+        let marker = Marker::get(&mut Reader::new(&payload))?;
+        if marker.group != self.name || marker.completed == 0 {
             return Err(incomplete());
         }
-        Ok(completed)
+        Ok(marker.completed)
     }
 
     fn check_arity(&self, n: usize) -> Result<(), PandaError> {

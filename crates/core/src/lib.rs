@@ -27,8 +27,9 @@
 //!   request (one array or many) into the step stream the server's
 //!   staged engine executes. Shared verbatim with the performance model
 //!   in `panda-model`;
-//! * [`protocol`] + [`encode`] — the typed client/server message set and
-//!   its wire encoding;
+//! * [`protocol`] + [`encode`] — the client/server message set, written
+//!   down once as a table of rows, and the [`encode::Wire`] trait each
+//!   field encodes itself through;
 //! * [`client`], [`server`], [`runtime`] — the threaded runtime over
 //!   `panda-msg` transports and `panda-fs` file systems; every
 //!   collective, at every pipeline depth and in both directions, runs

@@ -1,4 +1,4 @@
-//! The typed Panda message set and its tags.
+//! The Panda message set: one table, one row per message.
 //!
 //! One collective operation exchanges these messages (paper §2):
 //!
@@ -22,148 +22,217 @@
 //!
 //! The `Raw*` messages implement the comparison baselines (naive
 //! client-directed I/O and two-phase I/O), where compute nodes — not
-//! servers — decide where in each file data lands.
+//! servers — decide where in each file data lands, and carry the
+//! out-of-band control files (schema manifests, checkpoint markers).
+//!
+//! # The table
+//!
+//! The wire format is written down once, in the `messages!` table
+//! below. A row gives a message's tag number, its tag constant, its
+//! stable lower-case name, and the [`Msg`] variant with its typed
+//! fields in wire order; [`Msg`], [`tags`], [`Msg::tag`],
+//! [`Msg::encode`] and [`Msg::decode`] are all generated from the rows,
+//! and each field encodes itself through [`Wire`]. Adding a message is
+//! adding a row and handling the new variant; the generated `decode`
+//! refuses a tag used twice at compile time. `decode` is also the one
+//! place a frame is checked: every count is bounded by the bytes that
+//! carry it, every composite goes through its validating constructor,
+//! and a frame with bytes left over is refused, whatever its kind.
+//!
+//! Receivers match on `(src, tag)` only. Batching several arrays into
+//! one request added no tags — a `Collective` carries a
+//! `Vec<ArrayOp>`, and `Fetch`/`Data` name the array by index — which
+//! keeps concurrent collectives interleavable on one pairwise-FIFO
+//! transport. Tags 4 and 6 belonged to a retired completion chain and
+//! stay unassigned, so per-tag series remain comparable across
+//! versions.
 
 use panda_fs::SyncPolicy;
 use panda_msg::{Bytes, Envelope, MatchSpec, NodeId, Payload, Transport};
 use panda_schema::Region;
 
 use crate::array::ArrayMeta;
-use crate::encode::{Reader, Writer};
+use crate::encode::{wire_enum, wire_struct, Reader, Wire};
 use crate::error::{AdmissionIssue, PandaError};
 
-/// Message tags, one per message kind (used for selective receive).
-///
-/// # Tag namespace
-///
-/// The space is split into two planes:
-///
-/// * **1–7, collective plane** — the server-directed protocol (4 and 6
-///   belonged to a retired completion chain and stay unassigned, so
-///   per-tag series remain comparable across versions). Since
-///   array groups became the unit of scheduling, one [`COLLECTIVE`](tags::COLLECTIVE)
-///   request carries *every* array of a group (its body holds a
-///   `Vec<ArrayOp>`), and the per-piece traffic ([`FETCH`](tags::FETCH), [`DATA`](tags::DATA))
-///   disambiguates arrays by the `array` index plus a request-global
-///   `seq` — batching added **no** new tags, which is what keeps
-///   in-flight collectives from different arrays safely interleavable
-///   on one pairwise-FIFO transport.
-/// * **8–14, raw plane** — positioned-I/O messages used by the
-///   comparison baselines and by out-of-band metadata (schema
-///   manifests, checkpoint markers).
-///
-/// [`DATA`](tags::DATA) payloads may additionally travel *framed* (a protocol head
-/// plus an uncopied data body via `Transport::send_vectored`); framing
-/// never changes the logical bytes, so tags stay a complete routing key.
-///
-/// Every tag must be unique — receivers match on `(src, tag)` only.
-/// [`ALL`](tags::ALL) enumerates the namespace; a unit test asserts uniqueness.
-pub mod tags {
-    /// Collective request broadcast.
-    pub const COLLECTIVE: u32 = 1;
-    /// Server asks a client for a region (write path).
-    pub const FETCH: u32 = 2;
-    /// Region payload (either direction).
-    pub const DATA: u32 = 3;
-    /// Server tells a participant its share of the collective is done.
-    pub const COMPLETE: u32 = 5;
-    /// Orderly server shutdown.
-    pub const SHUTDOWN: u32 = 7;
-    /// Baselines: positioned write request.
-    pub const RAW_WRITE: u32 = 8;
-    /// Baselines: positioned read request.
-    pub const RAW_READ: u32 = 9;
-    /// Baselines: read reply payload.
-    pub const RAW_DATA: u32 = 10;
-    /// Baselines: client finished issuing raw operations.
-    pub const RAW_DONE: u32 = 11;
-    /// Baselines: acknowledgement / barrier reply.
-    pub const RAW_ACK: u32 = 12;
-    /// File length query (schema manifests, tools).
-    pub const RAW_STAT: u32 = 13;
-    /// Reply to [`RAW_STAT`].
-    pub const RAW_STAT_REPLY: u32 = 14;
-    /// Master server → submitter: collective request refused admission.
-    pub const REJECT: u32 = 15;
+/// Direction of a collective operation: the one spelling of "write or
+/// read" the runtime, its events and its reports share.
+pub use panda_obs::OpDir as OpKind;
 
-    /// The complete tag namespace, with stable names (reports, tests).
-    pub const ALL: [(u32, &str); 13] = [
-        (COLLECTIVE, "collective"),
-        (FETCH, "fetch"),
-        (DATA, "data"),
-        (COMPLETE, "complete"),
-        (SHUTDOWN, "shutdown"),
-        (RAW_WRITE, "raw_write"),
-        (RAW_READ, "raw_read"),
-        (RAW_DATA, "raw_data"),
-        (RAW_DONE, "raw_done"),
-        (RAW_ACK, "raw_ack"),
-        (RAW_STAT, "raw_stat"),
-        (RAW_STAT_REPLY, "raw_stat_reply"),
-        (REJECT, "reject"),
-    ];
+wire_enum!(OpKind, "op kind", { 0 => Write, 1 => Read });
+
+wire_enum!(SyncPolicy, "sync policy", { 0 => PerWrite, 1 => PerFile, 2 => PerCollective });
+
+wire_enum!(AdmissionIssue, "admission reason", {
+    0 => Saturated { live: usize, max: usize },
+    1 => QueueFull { queued: usize, max: usize },
+});
+
+wire_struct! {
+    /// One array inside a collective request, with the file tag its per-
+    /// server files are derived from (`"<tag>.s<server>"`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ArrayOp {
+        /// Array metadata (both schemas).
+        pub meta: ArrayMeta,
+        /// Base file name for this operation.
+        pub file_tag: String,
+        /// For section reads: restrict the collective to this global-array
+        /// region. `None` moves the whole array. Only valid for reads.
+        pub section: Option<Region>,
+    }
 }
 
-/// Direction of a collective operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// Write arrays from compute-node memory to disk.
-    Write,
-    /// Read arrays from disk into compute-node memory.
-    Read,
+wire_struct! {
+    /// The single high-level request that starts a collective operation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CollectiveRequest {
+        /// Submitter-unique request id. Every per-request message (`Fetch`,
+        /// `Data`, `Complete`, `Reject`) echoes it,
+        /// which is what lets concurrent collectives demultiplex on shared
+        /// pairwise-FIFO transports.
+        pub request: u64,
+        /// Scheduling priority on the servers (higher runs first; equal
+        /// priorities round-robin).
+        pub priority: u8,
+        /// Fabric ranks of the compute nodes holding the data, in mesh
+        /// order: a plan piece's `client` index selects
+        /// `participants[piece.client]`. A fleet-wide collective lists
+        /// `0..num_clients`; a session collective lists just the
+        /// submitter's own rank.
+        pub participants: Vec<u32>,
+        /// Write or read.
+        pub op: OpKind,
+        /// Subchunk subdivision cap in bytes (never 0: submitters refuse
+        /// it as a configuration error, decoders as a corrupt frame).
+        pub subchunk_bytes: usize,
+        /// Number of subchunks each server keeps in flight (1 = the
+        /// unpipelined transfer order; ≥ 2 overlaps client exchange with
+        /// disk I/O).
+        pub pipeline_depth: usize,
+        /// When the disk stage flushes written data to stable storage.
+        pub sync_policy: SyncPolicy,
+        /// The arrays, in execution order.
+        pub arrays: Vec<ArrayOp>,
+    }
+    valid |req| req.subchunk_bytes > 0, "zero subchunk cap";
 }
 
-/// One array inside a collective request, with the file tag its per-
-/// server files are derived from (`"<tag>.s<server>"`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrayOp {
-    /// Array metadata (both schemas).
-    pub meta: ArrayMeta,
-    /// Base file name for this operation.
-    pub file_tag: String,
-    /// For section reads: restrict the collective to this global-array
-    /// region. `None` moves the whole array. Only valid for reads.
-    pub section: Option<Region>,
+/// Build the message set from its table. A row is
+///
+/// ```text
+/// /// docs (shared by the tag constant and the variant, so no links)
+/// <tag number> <TAG_CONST> <stable_name> => <Variant> <shape>,
+/// ```
+///
+/// where the shape is nothing (no fields), `(binding: Type)` for a
+/// variant wrapping one [`Wire`] value, or `{ field: Type, .. }` for
+/// named fields, encoded in the order written. The last field may be
+/// introduced by `+`: it is the message's *body*, a length-prefixed
+/// byte string copied in one piece — or, for `DATA`, not at all:
+/// [`send_data`] and [`Msg::decode_envelope`] move it between the
+/// message and the transport.
+macro_rules! messages {
+    ($(
+        $(#[$doc:meta])*
+        $num:literal $TAG:ident $name:ident => $Variant:ident
+        $( ( $inner:ident : $ity:ty ) )?
+        $( {
+            $( $(#[$fdoc:meta])* $field:ident : $fty:ty, )*
+            $( + $(#[$bdoc:meta])* $body:ident : $bty:ty, )?
+        } )?
+    ),* $(,)?) => {
+        /// Message tags, one per message kind (used for selective
+        /// receive); generated from the message table.
+        pub mod tags {
+            $( $(#[$doc])* pub const $TAG: u32 = $num; )*
+
+            /// The complete tag namespace, with stable names (reports, tests).
+            pub const ALL: [(u32, &str); [$($num),*].len()] =
+                [$( ($TAG, stringify!($name)) ),*];
+        }
+
+        /// A protocol message.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Msg {
+            $(
+                $(#[$doc])*
+                $Variant $( ($ity) )? $( {
+                    $( $(#[$fdoc])* $field: $fty, )*
+                    $( $(#[$bdoc])* $body: $bty, )?
+                } )?,
+            )*
+        }
+
+        /// One encoder per message, named as the message is and taking
+        /// its fields by reference (a body by its length: the caller
+        /// appends the bytes, or sends them behind the head uncopied).
+        // A message without fields leaves `out` untouched.
+        #[allow(unused_variables, clippy::ptr_arg)]
+        mod put {
+            use super::*;
+            $(
+                pub(super) fn $name(
+                    out: &mut Vec<u8>
+                    $(, $inner: &$ity)?
+                    $( $(, $field: &$fty)* $(, $body: usize)? )?
+                ) {
+                    $( $inner.put(out); )?
+                    $( $( $field.put(out); )* $( $body.put(out); )? )?
+                }
+            )*
+        }
+
+        impl Msg {
+            /// The transport tag for this message kind.
+            pub fn tag(&self) -> u32 {
+                match self {
+                    $( Msg::$Variant { .. } => tags::$TAG, )*
+                }
+            }
+
+            /// Encode the message body (the tag travels separately).
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::with_capacity(64);
+                match self {
+                    $(
+                        Msg::$Variant $( ($inner) )? $( { $( $field, )* $( $body, )? } )? => {
+                            put::$name(
+                                &mut out
+                                $(, $inner)?
+                                $( $(, $field)* $(, $body.len())? )?
+                            );
+                            $( $( out.extend_from_slice($body); )? )?
+                        }
+                    )*
+                }
+                out
+            }
+
+            /// Decode the fields of a `tag` message off `r`.
+            #[deny(unreachable_patterns)] // a tag number used by two rows
+            fn get(tag: u32, r: &mut Reader<'_>) -> Result<Msg, PandaError> {
+                Ok(match tag {
+                    $(
+                        tags::$TAG => Msg::$Variant $( (<$ity>::get(r)?) )? $( {
+                            $( $field: Wire::get(r)?, )*
+                            $( $body: r.body()?, )?
+                        } )?,
+                    )*
+                    _ => return Err(PandaError::Decode { context: "unknown tag" }),
+                })
+            }
+        }
+    };
 }
 
-/// The single high-level request that starts a collective operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollectiveRequest {
-    /// Submitter-unique request id. Every per-request message (`Fetch`,
-    /// `Data`, `Complete`, `Reject`) echoes it,
-    /// which is what lets concurrent collectives demultiplex on shared
-    /// pairwise-FIFO transports.
-    pub request: u64,
-    /// Fabric ranks of the compute nodes holding the data, in mesh
-    /// order: a plan piece's `client` index selects
-    /// `participants[piece.client]`. A fleet-wide collective lists
-    /// `0..num_clients`; a session collective lists just the
-    /// submitter's own rank.
-    pub participants: Vec<u32>,
-    /// Scheduling priority on the servers (higher runs first; equal
-    /// priorities round-robin).
-    pub priority: u8,
-    /// Write or read.
-    pub op: OpKind,
-    /// The arrays, in execution order.
-    pub arrays: Vec<ArrayOp>,
-    /// Subchunk subdivision cap in bytes.
-    pub subchunk_bytes: usize,
-    /// Number of subchunks each server keeps in flight (1 = the
-    /// unpipelined transfer order; ≥ 2 overlaps client exchange with
-    /// disk I/O).
-    pub pipeline_depth: usize,
-    /// When the disk stage flushes written data to stable storage.
-    pub sync_policy: SyncPolicy,
-}
-
-/// A protocol message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Msg {
-    /// Start a collective operation.
-    Collective(CollectiveRequest),
-    /// Server → client: send me this region of array `array`.
-    Fetch {
+messages! {
+    /// Start a collective operation (master client → master server →
+    /// every other server).
+    1 COLLECTIVE collective => Collective(req: CollectiveRequest),
+    /// Server → client: send me this region of array `array` (write
+    /// path).
+    2 FETCH fetch => Fetch {
         /// The collective request this fetch serves; the client echoes
         /// it in the matching [`Msg::Data`] so servers running several
         /// collectives can route the reply.
@@ -178,7 +247,7 @@ pub enum Msg {
     },
     /// Region payload, client → server (write) or server → client
     /// (read). The payload is the region packed in row-major order.
-    Data {
+    3 DATA data => Data {
         /// The collective request the payload belongs to (0 on the raw
         /// two-phase exchange plane, which has no request ids).
         request: u64,
@@ -189,6 +258,7 @@ pub enum Msg {
         seq: u64,
         /// The region carried.
         region: Region,
+        +
         /// Packed row-major bytes of the region. A [`Bytes`] so a
         /// framed arrival (or a shared disk buffer on the send side)
         /// reaches the consumer without a copy.
@@ -196,7 +266,7 @@ pub enum Msg {
     },
     /// Server → each participant: my share of the collective is
     /// complete (on disk per the sync policy, or fully pushed).
-    Complete {
+    5 COMPLETE complete => Complete {
         /// Which collective.
         request: u64,
         /// How many [`Msg::Fetch`] (write) or [`Msg::Data`] (read)
@@ -205,28 +275,22 @@ pub enum Msg {
         /// duplicated piece is a typed error rather than a short buffer.
         pieces: u32,
     },
-    /// Master server → submitter: the collective was refused admission
-    /// (the node is at capacity). Surfaced to the caller as
-    /// [`PandaError::Admission`].
-    Reject {
-        /// Which collective.
-        request: u64,
-        /// Why it was turned away.
-        reason: AdmissionIssue,
-    },
     /// Terminate a server thread.
-    Shutdown,
-    /// Baselines: write `payload` at `offset` of `file`.
-    RawWrite {
+    7 SHUTDOWN shutdown => Shutdown,
+    /// Baselines and control files: write `payload` at `offset` of
+    /// `file` (client → server, unacknowledged).
+    8 RAW_WRITE raw_write => RawWrite {
         /// Server-local file name.
         file: String,
         /// Byte offset.
         offset: u64,
+        +
         /// Data to write.
         payload: Vec<u8>,
     },
-    /// Baselines: read `len` bytes at `offset` of `file`.
-    RawRead {
+    /// Baselines and control files: read `len` bytes at `offset` of
+    /// `file` (client → server).
+    9 RAW_READ raw_read => RawRead {
         /// Server-local file name.
         file: String,
         /// Byte offset.
@@ -236,334 +300,76 @@ pub enum Msg {
         /// Request id echoed in the [`Msg::RawData`] reply.
         seq: u64,
     },
-    /// Baselines: reply to [`Msg::RawRead`].
-    RawData {
+    /// Server → client: reply to `RawRead`.
+    10 RAW_DATA raw_data => RawData {
         /// Echoed request id.
         seq: u64,
+        +
         /// The bytes read.
         payload: Vec<u8>,
     },
     /// Baselines: this client has issued all its raw operations for the
-    /// current logical op; the server replies [`Msg::RawAck`] once all
+    /// current logical op; the server replies `RawAck` once all
     /// clients have done so and files are synced.
-    RawDone,
-    /// Baselines: completion barrier reply.
-    RawAck,
-    /// Query a file's length (used for schema manifests whose size the
-    /// reader does not know in advance).
-    RawStat {
+    11 RAW_DONE raw_done => RawDone,
+    /// Baselines: completion barrier reply (server → client).
+    12 RAW_ACK raw_ack => RawAck,
+    /// Query a file's length (client → server; used for schema
+    /// manifests whose size the reader does not know in advance).
+    13 RAW_STAT raw_stat => RawStat {
         /// Server-local file name.
         file: String,
         /// Request id echoed in the reply.
         seq: u64,
     },
-    /// Reply to [`Msg::RawStat`].
-    RawStatReply {
+    /// Server → client: reply to `RawStat`.
+    14 RAW_STAT_REPLY raw_stat_reply => RawStatReply {
         /// Echoed request id.
         seq: u64,
         /// File length in bytes, or `u64::MAX` if the file does not
         /// exist.
         len: u64,
     },
+    /// Master server → submitter: the collective was refused admission
+    /// (the node is at capacity). Surfaced to the caller as
+    /// `PandaError::Admission`.
+    15 REJECT reject => Reject {
+        /// Which collective.
+        request: u64,
+        /// Why it was turned away.
+        reason: AdmissionIssue,
+    },
 }
 
 impl Msg {
-    /// The transport tag for this message kind.
-    pub fn tag(&self) -> u32 {
-        match self {
-            Msg::Collective(_) => tags::COLLECTIVE,
-            Msg::Fetch { .. } => tags::FETCH,
-            Msg::Data { .. } => tags::DATA,
-            Msg::Complete { .. } => tags::COMPLETE,
-            Msg::Reject { .. } => tags::REJECT,
-            Msg::Shutdown => tags::SHUTDOWN,
-            Msg::RawWrite { .. } => tags::RAW_WRITE,
-            Msg::RawRead { .. } => tags::RAW_READ,
-            Msg::RawData { .. } => tags::RAW_DATA,
-            Msg::RawDone => tags::RAW_DONE,
-            Msg::RawAck => tags::RAW_ACK,
-            Msg::RawStat { .. } => tags::RAW_STAT,
-            Msg::RawStatReply { .. } => tags::RAW_STAT_REPLY,
-        }
-    }
-
-    /// Encode the message body (the tag travels separately).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            Msg::Collective(req) => {
-                w.u64(req.request);
-                w.u8(req.priority);
-                w.size(req.participants.len());
-                for &p in &req.participants {
-                    w.u32(p);
-                }
-                w.u8(match req.op {
-                    OpKind::Write => 0,
-                    OpKind::Read => 1,
-                });
-                w.size(req.subchunk_bytes);
-                w.size(req.pipeline_depth);
-                w.u8(match req.sync_policy {
-                    SyncPolicy::PerWrite => 0,
-                    SyncPolicy::PerFile => 1,
-                    SyncPolicy::PerCollective => 2,
-                });
-                w.size(req.arrays.len());
-                for a in &req.arrays {
-                    w.array_meta(&a.meta);
-                    w.str(&a.file_tag);
-                    match &a.section {
-                        None => w.u8(0),
-                        Some(sec) => {
-                            w.u8(1);
-                            w.region(sec);
-                        }
-                    }
-                }
-            }
-            Msg::Fetch {
-                request,
-                array,
-                seq,
-                region,
-            } => {
-                w.u64(*request);
-                w.u32(*array);
-                w.u64(*seq);
-                w.region(region);
-            }
-            Msg::Data {
-                request,
-                array,
-                seq,
-                region,
-                payload,
-            } => {
-                w.u64(*request);
-                w.u32(*array);
-                w.u64(*seq);
-                w.region(region);
-                w.bytes(payload);
-            }
-            Msg::Complete { request, pieces } => {
-                w.u64(*request);
-                w.u32(*pieces);
-            }
-            Msg::Reject { request, reason } => {
-                w.u64(*request);
-                match reason {
-                    AdmissionIssue::Saturated { live, max } => {
-                        w.u8(0);
-                        w.size(*live);
-                        w.size(*max);
-                    }
-                    AdmissionIssue::QueueFull { queued, max } => {
-                        w.u8(1);
-                        w.size(*queued);
-                        w.size(*max);
-                    }
-                }
-            }
-            Msg::Shutdown | Msg::RawDone | Msg::RawAck => {}
-            Msg::RawWrite {
-                file,
-                offset,
-                payload,
-            } => {
-                w.str(file);
-                w.u64(*offset);
-                w.bytes(payload);
-            }
-            Msg::RawRead {
-                file,
-                offset,
-                len,
-                seq,
-            } => {
-                w.str(file);
-                w.u64(*offset);
-                w.u64(*len);
-                w.u64(*seq);
-            }
-            Msg::RawData { seq, payload } => {
-                w.u64(*seq);
-                w.bytes(payload);
-            }
-            Msg::RawStat { file, seq } => {
-                w.str(file);
-                w.u64(*seq);
-            }
-            Msg::RawStatReply { seq, len } => {
-                w.u64(*seq);
-                w.u64(*len);
-            }
-        }
-        w.finish()
-    }
-
-    /// Decode a message from its tag and body.
+    /// Decode a message from its tag and body. The whole body must be
+    /// the message: bytes left over are a decode error.
     pub fn decode(tag: u32, payload: &[u8]) -> Result<Msg, PandaError> {
         let mut r = Reader::new(payload);
-        let msg = match tag {
-            tags::COLLECTIVE => {
-                let request = r.u64()?;
-                let priority = r.u8()?;
-                let np = r.size()?;
-                if np > 4096 {
-                    return Err(PandaError::Decode {
-                        context: "participant count",
-                    });
-                }
-                let mut participants = Vec::with_capacity(np);
-                for _ in 0..np {
-                    participants.push(r.u32()?);
-                }
-                let op = match r.u8()? {
-                    0 => OpKind::Write,
-                    1 => OpKind::Read,
-                    _ => return Err(PandaError::Decode { context: "op kind" }),
-                };
-                let subchunk_bytes = r.size()?;
-                let pipeline_depth = r.size()?;
-                let sync_policy = match r.u8()? {
-                    0 => SyncPolicy::PerWrite,
-                    1 => SyncPolicy::PerFile,
-                    2 => SyncPolicy::PerCollective,
-                    _ => {
-                        return Err(PandaError::Decode {
-                            context: "sync policy",
-                        })
-                    }
-                };
-                let n = r.size()?;
-                if n > 4096 {
-                    return Err(PandaError::Decode {
-                        context: "array count",
-                    });
-                }
-                let mut arrays = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let meta = r.array_meta()?;
-                    let file_tag = r.str()?;
-                    let section = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.region()?),
-                        _ => {
-                            return Err(PandaError::Decode {
-                                context: "section flag",
-                            })
-                        }
-                    };
-                    arrays.push(ArrayOp {
-                        meta,
-                        file_tag,
-                        section,
-                    });
-                }
-                Msg::Collective(CollectiveRequest {
-                    request,
-                    participants,
-                    priority,
-                    op,
-                    arrays,
-                    subchunk_bytes,
-                    pipeline_depth,
-                    sync_policy,
-                })
-            }
-            tags::FETCH => Msg::Fetch {
-                request: r.u64()?,
-                array: r.u32()?,
-                seq: r.u64()?,
-                region: r.region()?,
-            },
-            tags::DATA => Msg::Data {
-                request: r.u64()?,
-                array: r.u32()?,
-                seq: r.u64()?,
-                region: r.region()?,
-                payload: r.bytes()?.into(),
-            },
-            tags::COMPLETE => Msg::Complete {
-                request: r.u64()?,
-                pieces: r.u32()?,
-            },
-            tags::REJECT => {
-                let request = r.u64()?;
-                let reason = match r.u8()? {
-                    0 => AdmissionIssue::Saturated {
-                        live: r.size()?,
-                        max: r.size()?,
-                    },
-                    1 => AdmissionIssue::QueueFull {
-                        queued: r.size()?,
-                        max: r.size()?,
-                    },
-                    _ => {
-                        return Err(PandaError::Decode {
-                            context: "admission reason",
-                        })
-                    }
-                };
-                Msg::Reject { request, reason }
-            }
-            tags::SHUTDOWN => Msg::Shutdown,
-            tags::RAW_WRITE => Msg::RawWrite {
-                file: r.str()?,
-                offset: r.u64()?,
-                payload: r.bytes()?,
-            },
-            tags::RAW_READ => Msg::RawRead {
-                file: r.str()?,
-                offset: r.u64()?,
-                len: r.u64()?,
-                seq: r.u64()?,
-            },
-            tags::RAW_DATA => Msg::RawData {
-                seq: r.u64()?,
-                payload: r.bytes()?,
-            },
-            tags::RAW_DONE => Msg::RawDone,
-            tags::RAW_ACK => Msg::RawAck,
-            tags::RAW_STAT => Msg::RawStat {
-                file: r.str()?,
-                seq: r.u64()?,
-            },
-            tags::RAW_STAT_REPLY => Msg::RawStatReply {
-                seq: r.u64()?,
-                len: r.u64()?,
-            },
-            _ => {
-                return Err(PandaError::Decode {
-                    context: "unknown tag",
-                })
-            }
-        };
+        let msg = Msg::get(tag, &mut r)?;
+        r.finish()?;
         Ok(msg)
     }
 
     /// Decode a delivered envelope, consuming it.
     ///
     /// A [`tags::DATA`] arrival is decoded without copying the packed
-    /// region: framed (head = the fixed fields + byte length, body = the
-    /// region), the body's `Bytes` moves straight into [`Msg::Data`];
-    /// inline (one buffer off a socket), the head is cut off the front
-    /// of that same buffer, which becomes the payload. Every other
-    /// message falls back to [`Msg::decode`] over the contiguous bytes.
+    /// region: the row is read with its body left in the frame, and the
+    /// frame's own buffer then becomes the payload — framed, the body's
+    /// `Bytes` moves straight into [`Msg::Data`]; inline (one buffer off
+    /// a socket), the head is cut off the front of that buffer. Every
+    /// other message is [`Msg::decode`] over the contiguous bytes.
     pub fn decode_envelope(env: Envelope) -> Result<Msg, PandaError> {
         if env.tag != tags::DATA {
             return Msg::decode(env.tag, &env.payload.into_contiguous());
         }
-        let (head, _) = env.payload.as_parts();
-        let mut r = Reader::new(head);
-        let request = r.u64()?;
-        let array = r.u32()?;
-        let seq = r.u64()?;
-        let region = r.region()?;
-        let len = r.size()?;
-        let rest = r.remaining();
-        let payload = match env.payload {
+        let mut r = Reader::head_of(env.payload.as_parts().0);
+        let mut msg = Msg::get(env.tag, &mut r)?;
+        let (len, rest) = (r.body_len(), r.remaining());
+        let Msg::Data { payload, .. } = &mut msg else {
+            unreachable!("the DATA row is Msg::Data");
+        };
+        *payload = match env.payload {
             Payload::Framed { body, .. } if rest == 0 && len == body.len() => body,
             Payload::Inline(mut buf) if len == rest => {
                 buf.drain(..buf.len() - len);
@@ -575,13 +381,7 @@ impl Msg {
                 })
             }
         };
-        Ok(Msg::Data {
-            request,
-            array,
-            seq,
-            region,
-            payload,
-        })
+        Ok(msg)
     }
 }
 
@@ -596,11 +396,11 @@ pub fn send_msg<T: Transport + ?Sized>(
 }
 
 /// Send a [`Msg::Data`] without building the owned message or copying
-/// the payload into an envelope buffer: the fixed fields and the byte
-/// length-prefix are encoded into a small head, and the payload rides
-/// behind it through the transport's vectored path. This is the hot
-/// path of both transfer directions; a shared (`Arc`) payload reaches
-/// an in-process receiver as the same allocation.
+/// the payload into an envelope buffer: the `DATA` row's head is encoded
+/// on its own, and the payload rides behind it through the transport's
+/// vectored path. This is the hot path of both transfer directions; a
+/// shared (`Arc`) payload reaches an in-process receiver as the same
+/// allocation.
 ///
 /// The logical message is byte-identical to sending an owned
 /// [`Msg::Data`] — framing never changes the wire format.
@@ -614,14 +414,15 @@ pub fn send_data<T: Transport + ?Sized>(
     payload: impl Into<Bytes>,
 ) -> Result<(), PandaError> {
     let payload = payload.into();
-    let mut w = Writer::new();
-    w.u64(request);
-    w.u32(array);
-    w.u64(seq);
-    w.region(region);
-    w.size(payload.len());
-    t.send_vectored(dst, tags::DATA, w.finish(), payload)?;
+    let mut head = Vec::with_capacity(64);
+    put::data(&mut head, &request, &array, &seq, region, payload.len());
+    t.send_vectored(dst, tags::DATA, head, payload)?;
     Ok(())
+}
+
+fn decoded(env: Envelope) -> Result<(NodeId, Msg), PandaError> {
+    let src = env.src;
+    Ok((src, Msg::decode_envelope(env)?))
 }
 
 /// Receive and decode the next message matching `spec`.
@@ -629,10 +430,7 @@ pub fn recv_msg<T: Transport + ?Sized>(
     t: &mut T,
     spec: MatchSpec,
 ) -> Result<(NodeId, Msg), PandaError> {
-    let env = t.recv_matching(spec)?;
-    let src = env.src;
-    let msg = Msg::decode_envelope(env)?;
-    Ok((src, msg))
+    decoded(t.recv_matching(spec)?)
 }
 
 /// Non-blocking [`recv_msg`]: `Ok(None)` when no matching message has
@@ -643,20 +441,15 @@ pub fn try_recv_msg<T: Transport + ?Sized>(
     t: &mut T,
     spec: MatchSpec,
 ) -> Result<Option<(NodeId, Msg)>, PandaError> {
-    match t.try_recv_matching(spec)? {
-        None => Ok(None),
-        Some(env) => {
-            let src = env.src;
-            let msg = Msg::decode_envelope(env)?;
-            Ok(Some((src, msg)))
-        }
-    }
+    t.try_recv_matching(spec)?.map(decoded).transpose()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use panda_schema::{DataSchema, ElementType, Mesh, Shape};
+    use crate::group_ops::{ArrayGroup, Marker};
+    use panda_msg::InProcFabric;
+    use panda_schema::{DataSchema, Dist, ElementType, Mesh, Shape};
 
     fn sample_meta() -> ArrayMeta {
         let shape = Shape::new(&[8, 8]).unwrap();
@@ -667,174 +460,271 @@ mod tests {
         ArrayMeta::new("t", mem, disk).unwrap()
     }
 
-    fn roundtrip(msg: Msg) {
-        let tag = msg.tag();
-        let bytes = msg.encode();
-        let back = Msg::decode(tag, &bytes).unwrap();
-        assert_eq!(back, msg);
+    /// Opaque elements, a `Star` dimension and a subchunk override.
+    fn odd_meta() -> ArrayMeta {
+        let shape = Shape::new(&[12, 6]).unwrap();
+        let elem = ElementType::Opaque(24);
+        let schema = |dists: &[Dist], mesh: usize| {
+            DataSchema::new(shape.clone(), elem, dists, Mesh::new(&[mesh]).unwrap()).unwrap()
+        };
+        let mem = schema(&[Dist::Block, Dist::Star], 3);
+        let disk = schema(&[Dist::Star, Dist::Block], 2);
+        ArrayMeta::new("odd", mem, disk)
+            .unwrap()
+            .with_subchunk_bytes(4096)
     }
 
-    #[test]
-    fn all_variants_roundtrip() {
-        roundtrip(Msg::Collective(CollectiveRequest {
-            request: (1 << 32) | 7,
-            participants: vec![0, 1, 2, 3],
-            priority: 3,
-            op: OpKind::Write,
-            arrays: vec![
-                ArrayOp {
-                    meta: sample_meta(),
-                    file_tag: "t.ts0".into(),
-                    section: None,
-                },
-                ArrayOp {
-                    meta: sample_meta(),
-                    file_tag: "t.ckpt".into(),
-                    section: Some(Region::new(&[0, 2], &[4, 6]).unwrap()),
-                },
-            ],
-            subchunk_bytes: 1 << 20,
-            pipeline_depth: 1,
-            sync_policy: SyncPolicy::PerWrite,
-        }));
-        roundtrip(Msg::Collective(CollectiveRequest {
-            request: 0,
-            participants: vec![],
-            priority: 0,
-            op: OpKind::Read,
-            arrays: vec![],
-            subchunk_bytes: 4096,
-            pipeline_depth: 4,
-            sync_policy: SyncPolicy::PerCollective,
-        }));
-        roundtrip(Msg::Fetch {
-            request: 42,
-            array: 3,
-            seq: 99,
-            region: Region::new(&[0, 1], &[4, 5]).unwrap(),
-        });
-        roundtrip(Msg::Data {
-            request: 42,
-            array: 0,
-            seq: 7,
-            region: Region::new(&[2], &[6]).unwrap(),
-            payload: vec![1, 2, 3, 4].into(),
-        });
-        roundtrip(Msg::Complete {
-            request: 42,
-            pieces: 17,
-        });
-        roundtrip(Msg::Reject {
-            request: 42,
-            reason: AdmissionIssue::Saturated { live: 4, max: 4 },
-        });
-        roundtrip(Msg::Reject {
-            request: 43,
-            reason: AdmissionIssue::QueueFull {
-                queued: 16,
-                max: 16,
-            },
-        });
-        roundtrip(Msg::Shutdown);
-        roundtrip(Msg::RawWrite {
-            file: "a.s0".into(),
-            offset: 512,
-            payload: vec![9; 16],
-        });
-        roundtrip(Msg::RawRead {
-            file: "a.s0".into(),
-            offset: 0,
-            len: 64,
-            seq: 5,
-        });
-        roundtrip(Msg::RawData {
-            seq: 5,
-            payload: vec![0; 64],
-        });
-        roundtrip(Msg::RawDone);
-        roundtrip(Msg::RawAck);
-        roundtrip(Msg::RawStat {
-            file: "g/g.schema".into(),
-            seq: 11,
-        });
-        roundtrip(Msg::RawStatReply { seq: 11, len: 42 });
-    }
-
-    #[test]
-    fn tag_namespace_is_complete_and_distinct() {
-        // Every tag in the namespace is unique ...
-        let mut sorted: Vec<u32> = tags::ALL.iter().map(|&(t, _)| t).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), tags::ALL.len());
-        // ... names are unique too ...
-        let mut names: Vec<&str> = tags::ALL.iter().map(|&(_, n)| n).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), tags::ALL.len());
-        // ... and every Msg variant's tag appears in the namespace.
-        let variants = [
+    /// At least one message of every kind in the table (checked by
+    /// `tag_namespace_is_complete_and_distinct`); [`GOLDEN`] holds their
+    /// bytes in the same order.
+    fn samples() -> Vec<Msg> {
+        vec![
+            Msg::Collective(CollectiveRequest {
+                request: (1 << 32) | 7,
+                participants: vec![0, 1, 2, 3],
+                priority: 3,
+                op: OpKind::Read,
+                arrays: vec![
+                    ArrayOp {
+                        meta: sample_meta(),
+                        file_tag: "t.ts0".into(),
+                        section: None,
+                    },
+                    ArrayOp {
+                        meta: odd_meta(),
+                        file_tag: "t.ckpt".into(),
+                        section: Some(Region::new(&[0, 2], &[4, 6]).unwrap()),
+                    },
+                ],
+                subchunk_bytes: 1 << 20,
+                pipeline_depth: 2,
+                sync_policy: SyncPolicy::PerCollective,
+            }),
             Msg::Collective(CollectiveRequest {
                 request: 0,
                 participants: vec![],
                 priority: 0,
                 op: OpKind::Write,
                 arrays: vec![],
-                subchunk_bytes: 1,
-                pipeline_depth: 1,
+                subchunk_bytes: 4096,
+                pipeline_depth: 4,
                 sync_policy: SyncPolicy::PerFile,
             }),
             Msg::Fetch {
-                request: 0,
-                array: 0,
-                seq: 0,
-                region: Region::new(&[0], &[1]).unwrap(),
+                request: 42,
+                array: 3,
+                seq: 99,
+                region: Region::new(&[0, 1], &[4, 5]).unwrap(),
             },
             Msg::Data {
-                request: 0,
+                request: 42,
                 array: 0,
-                seq: 0,
-                region: Region::new(&[0], &[1]).unwrap(),
-                payload: vec![].into(),
+                seq: 7,
+                region: Region::new(&[2], &[6]).unwrap(),
+                payload: vec![1, 2, 3, 4].into(),
             },
             Msg::Complete {
-                request: 0,
-                pieces: 0,
+                request: 42,
+                pieces: 17,
             },
             Msg::Reject {
-                request: 0,
-                reason: AdmissionIssue::Saturated { live: 0, max: 0 },
+                request: 42,
+                reason: AdmissionIssue::Saturated { live: 4, max: 5 },
+            },
+            Msg::Reject {
+                request: 43,
+                reason: AdmissionIssue::QueueFull {
+                    queued: 16,
+                    max: 17,
+                },
             },
             Msg::Shutdown,
             Msg::RawWrite {
-                file: String::new(),
-                offset: 0,
-                payload: vec![],
+                file: "a.s0".into(),
+                offset: 512,
+                payload: vec![9; 6],
             },
             Msg::RawRead {
-                file: String::new(),
-                offset: 0,
-                len: 0,
-                seq: 0,
+                file: "a.s0".into(),
+                offset: 1,
+                len: 64,
+                seq: 5,
             },
             Msg::RawData {
-                seq: 0,
-                payload: vec![],
+                seq: 5,
+                payload: vec![0, 1, 2],
             },
             Msg::RawDone,
             Msg::RawAck,
             Msg::RawStat {
-                file: String::new(),
-                seq: 0,
+                file: "g/g.schema".into(),
+                seq: 11,
             },
-            Msg::RawStatReply { seq: 0, len: 0 },
-        ];
-        assert_eq!(variants.len(), tags::ALL.len());
-        for v in &variants {
-            assert!(
-                tags::ALL.iter().any(|&(t, _)| t == v.tag()),
-                "variant {v:?} has a tag outside the documented namespace"
-            );
+            Msg::RawStatReply { seq: 11, len: 42 },
+        ]
+    }
+
+    /// `encode()` of each of [`samples`], in order, captured at the commit
+    /// before the message table (hand-written `encode`/`decode` arms).
+    const GOLDEN: [&str; 15] = [
+        // collective (read, two arrays, one a section)
+        "\
+         0700000001000000030400000000000000000000000100000002000000030000\
+         0001000010000000000002000000000000000202000000000000000100000000\
+         0000007402000000000000000800000000000000080000000000000004020000\
+         0000000000000002000000000000000200000000000000020000000000000002\
+         0000000000000008000000000000000800000000000000040200000000000000\
+         0001010000000000000002000000000000000000000000000000050000000000\
+         0000742e7473300003000000000000006f646402000000000000000c00000000\
+         0000000600000000000000051800000002000000000000000001010000000000\
+         0000030000000000000002000000000000000c00000000000000060000000000\
+         0000051800000002000000000000000100010000000000000002000000000000\
+         0000100000000000000600000000000000742e636b7074010200000000000000\
+         0000000000000000020000000000000002000000000000000400000000000000\
+         0600000000000000\
+        ",
+        // collective (write, no arrays)
+        "\
+         0000000000000000000000000000000000000010000000000000040000000000\
+         0000010000000000000000\
+        ",
+        // fetch
+        "\
+         2a00000000000000030000006300000000000000020000000000000000000000\
+         0000000001000000000000000200000000000000040000000000000005000000\
+         00000000\
+        ",
+        // data
+        "\
+         2a00000000000000000000000700000000000000010000000000000002000000\
+         0000000001000000000000000600000000000000040000000000000001020304\
+        ",
+        // complete
+        "2a0000000000000011000000",
+        // reject (saturated)
+        "2a000000000000000004000000000000000500000000000000",
+        // reject (queue full)
+        "2b000000000000000110000000000000001100000000000000",
+        // shutdown
+        "",
+        // raw_write
+        "\
+         0400000000000000612e73300002000000000000060000000000000009090909\
+         0909\
+        ",
+        // raw_read
+        "\
+         0400000000000000612e73300100000000000000400000000000000005000000\
+         00000000\
+        ",
+        // raw_data
+        "05000000000000000300000000000000000102",
+        // raw_done
+        "",
+        // raw_ack
+        "",
+        // raw_stat
+        "0a00000000000000672f672e736368656d610b00000000000000",
+        // raw_stat_reply
+        "0b000000000000002a00000000000000",
+    ];
+
+    /// `encode_manifest()` of group `sim2` (3 timesteps, 2 checkpoints,
+    /// arrays `t` and `odd`), captured at the same commit.
+    const GOLDEN_MANIFEST: &str = "\
+     040000000000000073696d320300000000000000020000000000000002000000\
+     0000000001000000000000007402000000000000000800000000000000080000\
+     0000000000040200000000000000000002000000000000000200000000000000\
+     0200000000000000020000000000000008000000000000000800000000000000\
+     0402000000000000000001010000000000000002000000000000000000000000\
+     00000003000000000000006f646402000000000000000c000000000000000600\
+     0000000000000518000000020000000000000000010100000000000000030000\
+     000000000002000000000000000c000000000000000600000000000000051800\
+     0000020000000000000001000100000000000000020000000000000000100000\
+     00000000\
+    ";
+
+    /// The marker `sim2`'s second checkpoint commits, same commit.
+    const GOLDEN_MARKER: &str = "\
+     040000000000000073696d320200000000000000030000000000000002000000\
+     00000000\
+    ";
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn is_decode_error<T: std::fmt::Debug>(r: Result<T, PandaError>) -> bool {
+        matches!(r, Err(PandaError::Decode { .. }))
+    }
+
+    /// The formats are pinned, not asserted: a row, a `Wire` impl or a
+    /// macro that changes a byte on the wire or on disk fails here.
+    #[test]
+    fn wire_and_disk_bytes_are_golden() {
+        let samples = samples();
+        assert_eq!(samples.len(), GOLDEN.len());
+        for (msg, golden) in samples.iter().zip(GOLDEN) {
+            assert_eq!(hex(&msg.encode()), golden, "{msg:?}");
+            assert_eq!(&Msg::decode(msg.tag(), &unhex(golden)).unwrap(), msg);
+        }
+
+        let manifest = unhex(GOLDEN_MANIFEST);
+        let group = ArrayGroup::decode_manifest(&manifest).unwrap();
+        assert_eq!(group.name(), "sim2");
+        assert_eq!((group.timesteps_taken(), group.checkpoints_taken()), (3, 2));
+        assert_eq!(group.arrays(), [sample_meta(), odd_meta()]);
+        assert_eq!(group.encode_manifest(), manifest);
+
+        let mut marker = Vec::new();
+        Marker {
+            group: "sim2".into(),
+            completed: 2,
+            timesteps_taken: 3,
+            arrays: 2,
+        }
+        .put(&mut marker);
+        assert_eq!(hex(&marker), GOLDEN_MARKER);
+    }
+
+    #[test]
+    fn all_variants_roundtrip() {
+        for msg in samples() {
+            let bytes = msg.encode();
+            assert_eq!(Msg::decode(msg.tag(), &bytes).unwrap(), msg);
+            // One strictness rule for every kind: the frame is exactly
+            // the message.
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(is_decode_error(Msg::decode(msg.tag(), &long)), "{msg:?}");
+            if let Some((_, short)) = bytes.split_last() {
+                assert!(is_decode_error(Msg::decode(msg.tag(), short)), "{msg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn tag_namespace_is_complete_and_distinct() {
+        // Two rows with one tag number do not compile (`Msg::get`); the
+        // stable names must differ too ...
+        let mut names: Vec<&str> = tags::ALL.iter().map(|&(_, n)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), tags::ALL.len());
+        // ... and the samples cover exactly the table's rows.
+        let samples = samples();
+        for (tag, name) in tags::ALL {
+            assert!(samples.iter().any(|m| m.tag() == tag), "no {name} sample");
+        }
+        for msg in &samples {
+            assert!(tags::ALL.iter().any(|&(t, _)| t == msg.tag()), "{msg:?}");
         }
     }
 
@@ -842,16 +732,22 @@ mod tests {
     fn decode_rejects_unknown_tag() {
         // 4 and 6 are the retired completion chain's tags: unassigned.
         for tag in [4, 6, 999] {
-            assert!(matches!(
-                Msg::decode(tag, &8u64.to_le_bytes()),
-                Err(PandaError::Decode { .. })
-            ));
+            assert!(is_decode_error(Msg::decode(tag, &[])));
         }
     }
 
     #[test]
+    fn a_collective_with_a_zero_subchunk_cap_does_not_decode() {
+        let Msg::Collective(mut req) = samples().swap_remove(0) else {
+            unreachable!("the first sample is a Collective");
+        };
+        req.subchunk_bytes = 0;
+        let bytes = Msg::Collective(req).encode();
+        assert!(is_decode_error(Msg::decode(tags::COLLECTIVE, &bytes)));
+    }
+
+    #[test]
     fn send_recv_over_fabric() {
-        use panda_msg::InProcFabric;
         let (mut eps, _) = InProcFabric::new(2);
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
@@ -869,28 +765,35 @@ mod tests {
 
     #[test]
     fn send_data_is_wire_identical_to_owned_data() {
-        use panda_msg::InProcFabric;
         let (mut eps, _) = InProcFabric::new(2);
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let region = Region::new(&[1, 0], &[3, 4]).unwrap();
+        let msg = Msg::Data {
+            request: 8,
+            array: 2,
+            seq: 9,
+            region: region.clone(),
+            payload: vec![5u8; 16].into(),
+        };
         send_data(&mut a, NodeId(1), 8, 2, 9, &region, vec![5u8; 16]).unwrap();
-        let (_, got) = recv_msg(&mut b, MatchSpec::tag(tags::DATA)).unwrap();
-        assert_eq!(
-            got,
-            Msg::Data {
-                request: 8,
-                array: 2,
-                seq: 9,
-                region,
-                payload: vec![5u8; 16].into(),
-            }
-        );
+        send_msg(&mut a, NodeId(1), &msg).unwrap();
+        let framed = b.recv_matching(MatchSpec::tag(tags::DATA)).unwrap();
+        let inline = b.recv_matching(MatchSpec::tag(tags::DATA)).unwrap();
+        assert!(matches!(framed.payload, Payload::Framed { .. }));
+        assert!(matches!(inline.payload, Payload::Inline(_)));
+        // Same logical bytes, and the same message through either
+        // decoder, whichever way it travelled.
+        assert_eq!(framed.payload, inline.payload);
+        for env in [framed, inline] {
+            let bytes = env.payload.contiguous().into_owned();
+            assert_eq!(Msg::decode(env.tag, &bytes).unwrap(), msg);
+            assert_eq!(Msg::decode_envelope(env).unwrap(), msg);
+        }
     }
 
     #[test]
     fn framed_data_decodes_without_copying_the_body() {
-        use panda_msg::InProcFabric;
         use std::sync::Arc;
         let (mut eps, _) = InProcFabric::new(2);
         let mut b = eps.pop().unwrap();
@@ -923,6 +826,22 @@ mod tests {
             }
             other => panic!("expected shared Data payload, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn framed_data_with_bad_length_is_rejected() {
+        let region = Region::new(&[0], &[4]).unwrap();
+        let mut head = Vec::new();
+        put::data(&mut head, &0, &0, &1, &region, 99); // lies about the body length
+        let env = Envelope {
+            src: NodeId(0),
+            tag: tags::DATA,
+            payload: Payload::Framed {
+                head,
+                body: vec![1, 2, 3, 4].into(),
+            },
+        };
+        assert!(is_decode_error(Msg::decode_envelope(env)));
     }
 
     #[test]
@@ -959,33 +878,7 @@ mod tests {
         let mut short = msg.encode();
         short.pop();
         for bad in [long, short] {
-            assert!(matches!(
-                Msg::decode_envelope(inline(bad)),
-                Err(PandaError::Decode { .. })
-            ));
+            assert!(is_decode_error(Msg::decode_envelope(inline(bad))));
         }
-    }
-
-    #[test]
-    fn framed_data_with_bad_length_is_rejected() {
-        let region = Region::new(&[0], &[4]).unwrap();
-        let mut w = Writer::new();
-        w.u64(0); // request id
-        w.u32(0);
-        w.u64(1);
-        w.region(&region);
-        w.size(99); // lies about the body length
-        let env = Envelope {
-            src: NodeId(0),
-            tag: tags::DATA,
-            payload: Payload::Framed {
-                head: w.finish(),
-                body: vec![1, 2, 3, 4].into(),
-            },
-        };
-        assert!(matches!(
-            Msg::decode_envelope(env),
-            Err(PandaError::Decode { .. })
-        ));
     }
 }

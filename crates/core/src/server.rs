@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use panda_fs::{create_sized, FileHandle, FileSystem, FsError, SyncPolicy};
 use panda_msg::{freelist, Bytes, MatchSpec, NodeId, Transport};
-use panda_obs::{Event, OpDir, Recorder, SubchunkKey};
+use panda_obs::{Event, Recorder, SubchunkKey};
 use panda_schema::{copy, Region, SchemaError};
 
 use crate::error::{AdmissionIssue, PandaError};
@@ -100,13 +100,6 @@ pub struct ServerNode {
     pool: IoPool,
 }
 
-fn op_dir(op: OpKind) -> OpDir {
-    match op {
-        OpKind::Write => OpDir::Write,
-        OpKind::Read => OpDir::Read,
-    }
-}
-
 /// A subchunk being assembled inside a write run's window.
 struct InFlight {
     /// The subchunk's bytes. Empty until the first piece arrives: an
@@ -141,7 +134,7 @@ struct RequestRun {
     /// `Fetch`/`Data` messages sent to each participant so far — what
     /// this server's `Complete` attests to. Counted where they are sent.
     sent: Vec<u32>,
-    dir: OpDir,
+    dir: OpKind,
     depth: usize,
     sched: CollectiveSchedule,
     /// Start instant, for the `CollectiveDone` duration.
@@ -185,7 +178,7 @@ impl RequestRun {
             priority: req.priority,
             sent: vec![0; req.participants.len()],
             participants: req.participants,
-            dir: op_dir(req.op),
+            dir: req.op,
             depth,
             sched,
             t_op,
@@ -765,8 +758,8 @@ impl ServerNode {
         run: &mut RequestRun,
     ) -> Result<bool, PandaError> {
         match run.dir {
-            OpDir::Write => self.pump_write(disk_pending, cmd_tx, run),
-            OpDir::Read => self.pump_read(disk_pending, cmd_tx, run),
+            OpKind::Write => self.pump_write(disk_pending, cmd_tx, run),
+            OpKind::Read => self.pump_read(disk_pending, cmd_tx, run),
         }
     }
 
@@ -1222,7 +1215,7 @@ impl ServerNode {
         let t_op = self.obs_on().then(Instant::now);
         self.emit(&Event::RequestIssued {
             request: req.request,
-            op: op_dir(req.op),
+            op: req.op,
             arrays: req.arrays.len() as u32,
             pipeline_depth: depth as u32,
         });

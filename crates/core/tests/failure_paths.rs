@@ -77,6 +77,42 @@ fn garbage_message_to_server_is_a_decode_error() {
     assert!(matches!(err, PandaError::Decode { .. }), "got {err}");
 }
 
+/// A `Collective` with a zero subchunk cap cannot come from a client
+/// (launch and submit refuse the configuration), so it is a corrupt or
+/// hostile frame. The planner's `expect("nonzero subchunk cap")` must
+/// never see it: the I/O node ends with a typed error, not a panic that
+/// takes every tenant down with it.
+#[test]
+fn collective_with_a_zero_subchunk_cap_is_a_decode_error() {
+    use panda_core::protocol::{ArrayOp, CollectiveRequest};
+    let meta = make_array("t", &[8, 8], ElementType::F64, &[1, 1], DiskSchema::Natural);
+    let config = PandaConfig::new(1, 1).with_recv_timeout(Duration::from_millis(300));
+    let (system, mut clients) = PandaSystem::builder()
+        .config(config.clone())
+        .launch(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>)
+        .unwrap();
+    let hostile = Msg::Collective(CollectiveRequest {
+        request: 1,
+        participants: vec![0],
+        priority: 0,
+        op: panda_core::OpKind::Write,
+        arrays: vec![ArrayOp {
+            meta,
+            file_tag: "t".into(),
+            section: None,
+        }],
+        subchunk_bytes: 0,
+        pipeline_depth: 1,
+        sync_policy: panda_fs::SyncPolicy::PerFile,
+    });
+    clients[0]
+        .transport_mut_for_tests()
+        .send(NodeId(1), hostile.tag(), hostile.encode())
+        .unwrap();
+    let err = system.shutdown(clients).map(|_| ()).unwrap_err();
+    assert!(matches!(err, PandaError::Decode { .. }), "got {err}");
+}
+
 #[test]
 fn unexpected_tag_is_a_protocol_error() {
     let config = PandaConfig::new(1, 1).with_recv_timeout(Duration::from_millis(300));

@@ -35,8 +35,9 @@ impl SubchunkKey {
     }
 }
 
-/// Direction of a collective operation (mirror of `panda_core::OpKind`,
-/// redeclared here so this crate stays dependency-free).
+/// Direction of a collective operation. Declared here because this
+/// crate depends on nothing; `panda_core` re-exports it as `OpKind`, so
+/// requests, events and reports share the one type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpDir {
     /// Compute-node memory → disk.
