@@ -18,13 +18,19 @@
 //! message carries its request id so the flows never blend. The request
 //! id is minted here as `(rank + 1) << 32 | counter` — unique across
 //! submitters without coordination.
+//!
+//! A session write whose chunks total less than a free-list piece
+//! (`panda_msg::freelist::PIECE_MIN_BYTES`) is submitted as a
+//! [`Msg::OneShot`]: the chunks ride behind the request, no server
+//! fetches anything, and the client only waits for each server's
+//! `Complete` — which attests zero pieces, and is held to that.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 use panda_fs::SyncPolicy;
-use panda_msg::{freelist, MatchSpec, NodeId, Transport};
+use panda_msg::{freelist, Bytes, MatchSpec, NodeId, Transport};
 use panda_obs::{Event, Recorder};
 use panda_schema::{copy, Region, SchemaError};
 
@@ -33,7 +39,9 @@ use crate::error::PandaError;
 use crate::request::{ReadSet, WriteSet};
 use crate::tuned::TunedConfig;
 
-use crate::protocol::{recv_msg, send_data, send_msg, ArrayOp, CollectiveRequest, Msg, OpKind};
+use crate::protocol::{
+    recv_msg, send_data, send_msg, send_request, ArrayOp, CollectiveRequest, Msg, OpKind,
+};
 
 /// How a collective request enters the system.
 #[derive(Debug, Clone, Copy)]
@@ -251,8 +259,28 @@ impl PandaClient {
             set.items.iter().map(|i| (i.meta, i.tag.as_str())).collect();
         let lens: Vec<usize> = set.items.iter().map(|i| i.data.len()).collect();
         self.check_buffers(&heads, &lens, mesh)?;
+        // A session write smaller than a free-list piece rides its own
+        // request: the servers cut their pieces out of it and never
+        // fetch. Shared, so the master's in-process relay is a refcount.
+        let total: usize = lens.iter().sum();
+        let carried = (matches!(mode, SubmitMode::Session { .. })
+            && total < freelist::PIECE_MIN_BYTES)
+            .then(|| {
+                let mut body = Vec::with_capacity(total);
+                for item in &set.items {
+                    body.extend_from_slice(item.data);
+                }
+                Bytes::Shared(body.into())
+            });
         let t_op = self.obs_on().then(Instant::now);
-        let want = self.start_collective(OpKind::Write, &heads, None, mode, set.tuning.as_ref())?;
+        let want = self.start_collective(
+            OpKind::Write,
+            &heads,
+            None,
+            mode,
+            set.tuning.as_ref(),
+            carried,
+        )?;
 
         let mut xfer: Vec<XferArray<'_>> = set
             .items
@@ -330,6 +358,7 @@ impl PandaClient {
             Some(&sections),
             mode,
             set.tuning.as_ref(),
+            None,
         )?;
 
         let mut xfer: Vec<XferArray<'_>> = set
@@ -583,6 +612,10 @@ impl PandaClient {
     /// submit time, with the same typed checks [`crate::PandaConfig`]
     /// applies at launch — the servers never see values the launch path
     /// would have rejected.
+    ///
+    /// `carried` is the submitter's chunks when the request is to be a
+    /// one-shot (see [`Msg::OneShot`]); the caller passes it only in
+    /// session mode, where this client is the submitter.
     fn start_collective(
         &mut self,
         op: OpKind,
@@ -590,6 +623,7 @@ impl PandaClient {
         sections: Option<&[Option<Region>]>,
         mode: SubmitMode,
         tuning: Option<&TunedConfig>,
+        carried: Option<Bytes>,
     ) -> Result<Option<u64>, PandaError> {
         if let Some(t) = tuning {
             t.validate(self.sync_policy)?;
@@ -633,18 +667,23 @@ impl PandaClient {
             sync_policy: self.sync_policy,
         };
         let dst = self.master_server();
-        send_msg(self.transport_mut(), dst, &Msg::Collective(req))?;
+        send_request(self.transport_mut(), dst, &req, carried)?;
         self.last_request = Some(request);
         Ok(Some(request))
     }
 
     /// Ask all servers to shut down (used by
     /// [`crate::runtime::PandaSystem::shutdown`]; master client only).
+    ///
+    /// Every server is told, even after one could not be (it has
+    /// stopped already, and the others must not be left running); the
+    /// first failure is returned.
     pub(crate) fn send_shutdown(&mut self) -> Result<(), PandaError> {
+        let mut told = Ok(());
         for s in 0..self.num_servers {
             let dst = NodeId(self.num_clients + s);
-            send_msg(self.transport_mut(), dst, &Msg::Shutdown)?;
+            told = told.and(send_msg(self.transport_mut(), dst, &Msg::Shutdown));
         }
-        Ok(())
+        told
     }
 }

@@ -5,6 +5,8 @@
 //! ```text
 //! master client ── Collective ──► master server
 //! master server ── Collective ──► every other server      (broadcast)
+//! submitter     ── OneShot ─────► master server ──► every other server
+//!                                 (a small session write: request + bytes)
 //! server        ── Fetch ───────► client                  (write path)
 //! client        ── Data ────────► server                  (write path)
 //! server        ── Data ────────► client                  (read path)
@@ -19,6 +21,11 @@
 //! know how many pieces to wait for. (Between requests too: what a
 //! server sends a client after its `Complete` belongs to a later
 //! request, and the client keeps it for that one.)
+//!
+//! A session write smaller than a free-list piece skips the
+//! `Fetch`/`Data` exchange altogether: its `OneShot` carries the bytes
+//! behind the request, every server cuts its own pieces out of them,
+//! and each `Complete` attests zero pieces.
 //!
 //! The `Raw*` messages implement the comparison baselines (naive
 //! client-directed I/O and two-phase I/O), where compute nodes — not
@@ -129,9 +136,10 @@ wire_struct! {
 /// variant wrapping one [`Wire`] value, or `{ field: Type, .. }` for
 /// named fields, encoded in the order written. The last field may be
 /// introduced by `+`: it is the message's *body*, a length-prefixed
-/// byte string copied in one piece — or, for `DATA`, not at all:
-/// [`send_data`] and [`Msg::decode_envelope`] move it between the
-/// message and the transport.
+/// byte string copied in one piece — or, for a [`Bytes`] body (`DATA`,
+/// `ONE_SHOT`), not at all: [`send_data`], [`send_request`] and
+/// [`Msg::decode_envelope`] move it between the message and the
+/// transport.
 macro_rules! messages {
     ($(
         $(#[$doc:meta])*
@@ -339,6 +347,25 @@ messages! {
         /// Why it was turned away.
         reason: AdmissionIssue,
     },
+    /// Start a small single-participant write and deliver its bytes
+    /// with it (submitter → master server → every other server): the
+    /// paper's one-shot high-level request, taken literally. Admitted,
+    /// queued and relayed as a `Collective` is; no `Fetch` follows, and
+    /// every server's `Complete` attests zero pieces. Submitters use it
+    /// for a session write whose chunks total less than
+    /// `panda_msg::freelist::PIECE_MIN_BYTES`.
+    16 ONE_SHOT one_shot => OneShot {
+        /// The request, as a `Collective` carries it: a write with one
+        /// participant.
+        req: CollectiveRequest,
+        +
+        /// The submitter's chunk of each array, concatenated in array
+        /// order: exactly the sum of the arrays' `client_bytes(0)`.
+        /// Every server receives all of it and packs its own plan
+        /// pieces out of it. A [`Bytes`] so the master's relay shares
+        /// the allocation it received.
+        payload: Bytes,
+    },
 }
 
 impl Msg {
@@ -353,21 +380,22 @@ impl Msg {
 
     /// Decode a delivered envelope, consuming it.
     ///
-    /// A [`tags::DATA`] arrival is decoded without copying the packed
-    /// region: the row is read with its body left in the frame, and the
-    /// frame's own buffer then becomes the payload — framed, the body's
-    /// `Bytes` moves straight into [`Msg::Data`]; inline (one buffer off
-    /// a socket), the head is cut off the front of that buffer. Every
-    /// other message is [`Msg::decode`] over the contiguous bytes.
+    /// A [`tags::DATA`] or [`tags::ONE_SHOT`] arrival is decoded without
+    /// copying its body: the row is read with the body left in the
+    /// frame, and the frame's own buffer then becomes the payload —
+    /// framed, the body's `Bytes` moves straight into the message;
+    /// inline (one buffer off a socket), the head is cut off the front
+    /// of that buffer. Every other message is [`Msg::decode`] over the
+    /// contiguous bytes.
     pub fn decode_envelope(env: Envelope) -> Result<Msg, PandaError> {
-        if env.tag != tags::DATA {
+        if !matches!(env.tag, tags::DATA | tags::ONE_SHOT) {
             return Msg::decode(env.tag, &env.payload.into_contiguous());
         }
         let mut r = Reader::head_of(env.payload.as_parts().0);
         let mut msg = Msg::get(env.tag, &mut r)?;
         let (len, rest) = (r.body_len(), r.remaining());
-        let Msg::Data { payload, .. } = &mut msg else {
-            unreachable!("the DATA row is Msg::Data");
+        let (Msg::Data { payload, .. } | Msg::OneShot { payload, .. }) = &mut msg else {
+            unreachable!("the rows with a `Bytes` body");
         };
         *payload = match env.payload {
             Payload::Framed { body, .. } if rest == 0 && len == body.len() => body,
@@ -377,7 +405,7 @@ impl Msg {
             }
             _ => {
                 return Err(PandaError::Decode {
-                    context: "data length",
+                    context: "body length",
                 })
             }
         };
@@ -417,6 +445,31 @@ pub fn send_data<T: Transport + ?Sized>(
     let mut head = Vec::with_capacity(64);
     put::data(&mut head, &request, &array, &seq, region, payload.len());
     t.send_vectored(dst, tags::DATA, head, payload)?;
+    Ok(())
+}
+
+/// Submit or relay a collective request: a `Collective`, or — when the
+/// request carries its own bytes — a `OneShot` with `carried` riding
+/// behind the head through the vectored path, as a `Data` body does (a
+/// shared payload reaches an in-process receiver as the same
+/// allocation).
+pub fn send_request<T: Transport + ?Sized>(
+    t: &mut T,
+    dst: NodeId,
+    req: &CollectiveRequest,
+    carried: Option<Bytes>,
+) -> Result<(), PandaError> {
+    let mut head = Vec::with_capacity(256);
+    match carried {
+        None => {
+            put::collective(&mut head, req);
+            t.send(dst, tags::COLLECTIVE, head)?;
+        }
+        Some(body) => {
+            put::one_shot(&mut head, req, body.len());
+            t.send_vectored(dst, tags::ONE_SHOT, head, body)?;
+        }
+    }
     Ok(())
 }
 
@@ -472,6 +525,17 @@ mod tests {
         ArrayMeta::new("odd", mem, disk)
             .unwrap()
             .with_subchunk_bytes(4096)
+    }
+
+    /// A session's array: the whole of it in one node's memory.
+    fn solo_meta() -> ArrayMeta {
+        let mem = DataSchema::block_all(
+            Shape::new(&[2, 3]).unwrap(),
+            ElementType::U8,
+            Mesh::new(&[1, 1]).unwrap(),
+        )
+        .unwrap();
+        ArrayMeta::natural("s", mem).unwrap()
     }
 
     /// At least one message of every kind in the table (checked by
@@ -561,12 +625,30 @@ mod tests {
                 seq: 11,
             },
             Msg::RawStatReply { seq: 11, len: 42 },
+            Msg::OneShot {
+                req: CollectiveRequest {
+                    request: (3 << 32) | 1,
+                    participants: vec![2],
+                    priority: 1,
+                    op: OpKind::Write,
+                    arrays: vec![ArrayOp {
+                        meta: solo_meta(),
+                        file_tag: "s.ts0".into(),
+                        section: None,
+                    }],
+                    subchunk_bytes: 1 << 20,
+                    pipeline_depth: 2,
+                    sync_policy: SyncPolicy::PerFile,
+                },
+                payload: vec![1, 2, 3, 4, 5, 6].into(),
+            },
         ]
     }
 
     /// `encode()` of each of [`samples`], in order, captured at the commit
-    /// before the message table (hand-written `encode`/`decode` arms).
-    const GOLDEN: [&str; 15] = [
+    /// before the message table (hand-written `encode`/`decode` arms);
+    /// `one_shot` at the commit that added the row.
+    const GOLDEN: [&str; 16] = [
         // collective (read, two arrays, one a section)
         "\
          0700000001000000030400000000000000000000000100000002000000030000\
@@ -627,6 +709,16 @@ mod tests {
         "0a00000000000000672f672e736368656d610b00000000000000",
         // raw_stat_reply
         "0b000000000000002a00000000000000",
+        // one_shot (a session's 2 x 3 bytes behind their request)
+        "\
+         0100000003000000010100000000000000020000000000001000000000000200\
+         0000000000000101000000000000000100000000000000730200000000000000\
+         0200000000000000030000000000000000020000000000000000000200000000\
+         0000000100000000000000010000000000000002000000000000000200000000\
+         0000000300000000000000000200000000000000000002000000000000000100\
+         000000000000010000000000000000000000000000000500000000000000732e\
+         747330000600000000000000010203040506\
+        ",
     ];
 
     /// `encode_manifest()` of group `sim2` (3 timesteps, 2 checkpoints,
@@ -825,6 +917,45 @@ mod tests {
                 assert_eq!(r, region);
             }
             other => panic!("expected shared Data payload, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn send_request_is_wire_identical_and_shares_a_carried_body() {
+        use std::sync::Arc;
+        let (mut eps, _) = InProcFabric::new(2);
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let Some(Msg::OneShot { req, payload }) = samples().pop() else {
+            unreachable!("the last sample is the OneShot");
+        };
+        let body: Arc<[u8]> = Arc::from(&payload[..]);
+        send_request(&mut a, NodeId(1), &req, None).unwrap();
+        send_request(&mut a, NodeId(1), &req, Some(body.clone().into())).unwrap();
+
+        let plain = b.recv().unwrap();
+        assert_eq!(plain.tag, tags::COLLECTIVE);
+        let owned = Msg::Collective(req.clone());
+        assert_eq!(plain.payload, owned.encode());
+        assert_eq!(Msg::decode_envelope(plain).unwrap(), owned);
+
+        let shot = b.recv().unwrap();
+        assert_eq!(shot.tag, tags::ONE_SHOT);
+        let owned = Msg::OneShot { req, payload };
+        assert_eq!(shot.payload, owned.encode());
+        // Head and body in one buffer, as a socket reader delivers them.
+        let inline = Envelope {
+            src: NodeId(0),
+            tag: tags::ONE_SHOT,
+            payload: Payload::Inline(owned.encode()),
+        };
+        assert_eq!(Msg::decode_envelope(inline).unwrap(), owned);
+        match Msg::decode_envelope(shot).unwrap() {
+            Msg::OneShot {
+                payload: Bytes::Shared(arc),
+                ..
+            } => assert!(Arc::ptr_eq(&arc, &body), "the carried body was copied"),
+            other => panic!("expected a shared OneShot payload, got {other:?}"),
         }
     }
 

@@ -465,18 +465,22 @@ impl PandaSystem {
 
     /// Shut the deployment down: the master client tells every server to
     /// exit, then the server threads are joined. Any error raised by a
-    /// server thread during its lifetime is surfaced here.
+    /// server thread during its lifetime is surfaced here — ahead of a
+    /// failure to tell a server that has already stopped, which is only
+    /// that error's echo.
     pub fn shutdown(self, mut clients: Vec<PandaClient>) -> Result<(), PandaError> {
         let master = clients.first_mut().ok_or(PandaError::Config {
             issue: ConfigIssue::NoClientHandles,
         })?;
-        master.send_shutdown()?;
+        // A server that cannot be told has stopped already, and why is
+        // its own thread's result: join before reporting the send.
+        let told = master.send_shutdown();
         for handle in self.handles {
             handle.join().map_err(|_| PandaError::Protocol {
                 detail: "server thread panicked".to_string(),
             })??;
         }
-        Ok(())
+        told
     }
 }
 

@@ -8,15 +8,20 @@
 //! `RequestRun` state machine. One pass of the loop
 //!
 //! 1. **pumps** every live run (priority order, round-robin within a
-//!    priority): issuing fetches, assembling reply bursts on the
+//!    priority): issuing fetches — or cutting a one-shot's pieces out
+//!    of the bytes it carried — assembling arrived pieces on the
 //!    [`IoPool`], queueing completed subchunks to the disk task,
-//!    scattering prefetched read buffers;
+//!    scattering prefetched read buffers, and flagging a read retired
+//!    once its last piece is pushed;
 //! 2. **drains the transport** without blocking, routing `Data` replies
 //!    to their run by the request id they echo, admitting new
 //!    collectives, and serving the baseline raw plane;
 //! 3. **drains disk completions** (recycled write buffers, filled read
-//!    buffers, close acknowledgements) from the shared disk task;
-//! 4. blocks only when nothing progressed — on the disk channel when
+//!    buffers, a write's close acknowledgement, which flags it retired)
+//!    from the shared disk task;
+//! 4. **retires** every flagged run — the one place a run ends — by
+//!    sending its `Complete`s and admitting from the wait queue;
+//! 5. blocks only when nothing progressed — on the disk channel when
 //!    disk work is outstanding, on the transport otherwise.
 //!
 //! The **disk task** is one named thread (`panda-disk-<server>`) per
@@ -32,11 +37,25 @@
 //! coalesced barrier at the request's close) — per-request fsync
 //! accounting, not fleet-global.
 //!
-//! **Completion** is each server's own business: when a run's disk
-//! state retires, the server sends every participant one
-//! [`Msg::Complete`] carrying the number of `Fetch`/`Data` messages it
-//! sent that participant. There is no server-to-server completion
+//! **Completion** is each server's own business: when a run retires,
+//! the server sends every participant one [`Msg::Complete`] carrying
+//! the number of `Fetch`/`Data` messages it sent that participant. A
+//! write retires when the disk task acknowledges its `Close` — every
+//! byte written and synced per the policy. A read retires where its
+//! last byte leaves: its `Close` only drops file handles, so it is sent
+//! and not waited for — it syncs nothing and cannot fail, and because
+//! the disk task serves one FIFO command channel, any later `Open` of
+//! the same files is behind it. There is no server-to-server completion
 //! traffic and no client-to-client release.
+//!
+//! **Small requests** arrive whole: a [`Msg::OneShot`] is a
+//! single-participant write with its bytes behind it (submitters choose
+//! it below `panda_msg::freelist::PIECE_MIN_BYTES`). It is admitted,
+//! queued and relayed — body and all — exactly as a `Collective`, and
+//! its run differs from a fetching run in one place: where a step's
+//! `Fetch`es would go out, its pieces are packed out of the carried
+//! bytes and handed to the same arrival code a `Data` reply ends in.
+//! Its `Complete`s therefore attest zero pieces.
 //!
 //! **Admission** happens at the master server: a request beyond the
 //! live cap waits in a bounded queue, and a single-participant
@@ -63,7 +82,7 @@ use crate::health::ServiceHealth;
 use crate::plan::{CollectiveSchedule, ScheduleStep};
 use crate::pool::IoPool;
 use crate::protocol::{
-    recv_msg, send_data, send_msg, try_recv_msg, CollectiveRequest, Msg, OpKind,
+    recv_msg, send_data, send_msg, send_request, try_recv_msg, CollectiveRequest, Msg, OpKind,
 };
 
 /// How long the scheduler parks on the disk channel before re-polling
@@ -121,6 +140,57 @@ struct PendingPiece {
     payload: Bytes,
 }
 
+/// A one-shot write's bytes ([`Msg::OneShot`]): what its run packs plan
+/// pieces out of where another run would send `Fetch`es.
+struct Carried {
+    /// The submitter's chunks, concatenated in array order.
+    body: Bytes,
+    /// Per array of the request: where its chunk lies in `body`, and the
+    /// region that chunk covers.
+    chunks: Vec<(std::ops::Range<usize>, Region)>,
+}
+
+impl Carried {
+    /// Hold a one-shot to what it claims to be before any of its bytes
+    /// is written on the strength of the plan: a write, by one
+    /// participant, carrying exactly that participant's chunk of every
+    /// array.
+    fn new(req: &CollectiveRequest, body: Bytes) -> Result<Self, PandaError> {
+        if !matches!(req.op, OpKind::Write) || req.participants.len() != 1 {
+            return Err(PandaError::Protocol {
+                detail: format!(
+                    "one-shot request {} is a {:?} by {} participants; \
+                     only a single-participant write may carry its bytes",
+                    req.request,
+                    req.op,
+                    req.participants.len()
+                ),
+            });
+        }
+        let mut end = 0usize;
+        let chunks = req
+            .arrays
+            .iter()
+            .map(|a| {
+                let start = end;
+                // Saturated, a hostile shape fails the length check.
+                end = end.saturating_add(a.meta.client_bytes(0));
+                (start..end, a.meta.client_region(0))
+            })
+            .collect();
+        if end != body.len() {
+            return Err(PandaError::Protocol {
+                detail: format!(
+                    "one-shot request {} carries {} bytes; its arrays' chunks total {end}",
+                    req.request,
+                    body.len()
+                ),
+            });
+        }
+        Ok(Carried { body, chunks })
+    }
+}
+
 /// One live collective on this server: the per-request state that used
 /// to be the whole server's state. Everything here is scoped to a
 /// single request id, which is what lets N of these interleave on the
@@ -163,6 +233,12 @@ struct RequestRun {
     ready_bufs: VecDeque<Vec<u8>>,
     /// Whether `DiskCmd::Close` has been sent.
     close_sent: bool,
+    /// The run is over on this server — a write's `Closed` came back, a
+    /// read's last piece was pushed — and the next sweep in
+    /// [`ServerNode::serve`] sends its `Complete`s.
+    retired: bool,
+    /// The bytes of a one-shot write; `None` for a run that fetches.
+    carried: Option<Carried>,
 }
 
 impl RequestRun {
@@ -172,6 +248,7 @@ impl RequestRun {
         depth: usize,
         sched: CollectiveSchedule,
         t_op: Option<Instant>,
+        carried: Option<Carried>,
     ) -> Self {
         RequestRun {
             request: req.request,
@@ -193,6 +270,48 @@ impl RequestRun {
             next_scatter: 0,
             ready_bufs: VecDeque::new(),
             close_sent: false,
+            retired: false,
+            carried,
+        }
+    }
+
+    /// Cut plan piece `pi` of step `si` out of the carried bytes: what
+    /// the submitter would have packed for the matching `Fetch`.
+    fn pack_carried(&self, si: usize, pi: usize) -> Result<Bytes, PandaError> {
+        let carried = self.carried.as_ref().expect("a one-shot run");
+        let step = &self.sched.steps[si];
+        let piece = &step.sub.pieces[pi];
+        if piece.client != 0 {
+            return Err(no_such_participant(piece.client, 1));
+        }
+        let (at, chunk) = &carried.chunks[step.array as usize];
+        let mut packed = freelist::take(piece.region.num_bytes(step.elem));
+        copy::pack_region_into(
+            &mut packed,
+            &carried.body[at.clone()],
+            chunk,
+            &piece.region,
+            step.elem,
+        )?;
+        Ok(packed.into())
+    }
+
+    /// The bytes of write piece `pi` of step `si` are here, fetched or
+    /// carried. An identity step is complete with them: the piece is
+    /// the subchunk, so the buffer goes to the disk task as it is. A
+    /// reorganizing step's assembly happens on the next pump, one
+    /// parallel pass per burst.
+    fn piece_arrived(&mut self, si: usize, pi: usize, payload: Bytes) {
+        if self.sched.steps[si].identity {
+            let slot = &mut self.window[si - self.front];
+            slot.buf = payload.into_vec();
+            slot.remaining = 0;
+        } else {
+            self.pending.push(PendingPiece {
+                step: si,
+                piece: pi,
+                payload,
+            });
         }
     }
 }
@@ -202,11 +321,13 @@ struct SchedState {
     /// Live runs in pump order: highest priority first, and within a
     /// priority class the run whose turn it is first.
     live: Vec<RequestRun>,
-    /// Admitted-but-waiting requests (master only).
-    queue: VecDeque<CollectiveRequest>,
+    /// Admitted-but-waiting requests (master only), a one-shot with the
+    /// bytes it carries.
+    queue: VecDeque<(CollectiveRequest, Option<Bytes>)>,
     /// Set by `Msg::Shutdown`; the loop exits once drained.
     draining: bool,
-    /// Disk commands awaiting a completion (`Free`/`Full`/`Closed`).
+    /// Disk commands awaiting a completion (`Free`/`Full`/`Closed`): every
+    /// `Write` and `Read`, and a write run's `Close`.
     disk_pending: usize,
 }
 
@@ -254,8 +375,10 @@ enum DiskCmd {
         offset: u64,
         bytes: usize,
     },
-    /// End a request: drain its in-flight writes, run its
-    /// per-collective sync barrier, drop its file table.
+    /// End a request: drop its file table. A write run first drains its
+    /// in-flight writes and runs its per-collective sync barrier, and
+    /// answers `Closed`; a read run has nothing to make durable and
+    /// nothing that can fail, and answers nothing.
     Close { request: u64 },
 }
 
@@ -265,7 +388,7 @@ enum DiskOut {
     Free { request: u64, buf: Vec<u8> },
     /// A read buffer was filled and is ready to scatter.
     Full { request: u64, buf: Vec<u8> },
-    /// The request's disk work is fully retired (synced per policy).
+    /// A write request's disk work is fully retired (synced per policy).
     Closed { request: u64 },
 }
 
@@ -282,6 +405,8 @@ struct DiskFile {
 
 /// The disk task's per-request state.
 struct DiskRun {
+    /// Write direction: its `Close` syncs and is acknowledged.
+    write: bool,
     files: Vec<DiskFile>,
     sync_policy: SyncPolicy,
     window: usize,
@@ -325,9 +450,19 @@ fn timed_sync(
     Ok(())
 }
 
+/// A disk command named a request the disk task holds no file table
+/// for: it was never opened, or its `Close` overtook the command. The
+/// scheduler counts on an answer to every `Write`/`Read`, so dropping
+/// the command would park it forever; fail instead.
+fn not_open(cmd: &str, request: u64) -> PandaError {
+    PandaError::Protocol {
+        detail: format!("disk {cmd} for request {request}, which is not open on the disk task"),
+    }
+}
+
 /// The engine's disk task: the single thread that touches this
 /// server's files, for every request it ever serves. Runs until the
-/// command channel closes. An `FsError` is fatal for the server (as it
+/// command channel closes. An error is fatal for the server (as it
 /// always was): the task exits and the scheduler surfaces the error
 /// through the join.
 fn run_disk_task(
@@ -336,7 +471,7 @@ fn run_disk_task(
     fs: Arc<dyn FileSystem>,
     cmds: mpsc::Receiver<DiskCmd>,
     out: mpsc::Sender<DiskOut>,
-) -> Result<(), FsError> {
+) -> Result<(), PandaError> {
     let mut runs: HashMap<u64, DiskRun> = HashMap::new();
     for cmd in cmds.iter() {
         match cmd {
@@ -372,6 +507,7 @@ fn run_disk_task(
                 runs.insert(
                     request,
                     DiskRun {
+                        write,
                         files: table,
                         sync_policy,
                         window,
@@ -386,9 +522,9 @@ fn run_disk_task(
                 offset,
                 buf,
             } => {
-                let Some(run) = runs.get_mut(&request) else {
-                    continue; // request already closed (cannot happen)
-                };
+                let run = runs
+                    .get_mut(&request)
+                    .ok_or_else(|| not_open("write", request))?;
                 let bytes = buf.len() as u64;
                 let t_disk = recorder.enabled().then(Instant::now);
                 // Hand the buffer to the backend and move on.
@@ -461,9 +597,9 @@ fn run_disk_task(
                 offset,
                 bytes,
             } => {
-                let Some(run) = runs.get_mut(&request) else {
-                    continue;
-                };
+                let run = runs
+                    .get_mut(&request)
+                    .ok_or_else(|| not_open("read", request))?;
                 // `read_at` fills all of it or fails.
                 let mut buf = freelist::take(bytes);
                 let t_disk = recorder.enabled().then(Instant::now);
@@ -494,9 +630,14 @@ fn run_disk_task(
                 }
             }
             DiskCmd::Close { request } => {
-                let Some(mut run) = runs.remove(&request) else {
+                let mut run = runs
+                    .remove(&request)
+                    .ok_or_else(|| not_open("close", request))?;
+                if !run.write {
+                    // The scheduler already retired it: the handles drop
+                    // here, ahead of any later `Open` of the same files.
                     continue;
-                };
+                }
                 if matches!(run.sync_policy, SyncPolicy::PerCollective) {
                     // One coalesced barrier for the whole request:
                     // every fsync happens after every write has been
@@ -531,17 +672,20 @@ fn run_disk_task(
     Ok(())
 }
 
+/// A plan piece belongs to a mesh position the request named no
+/// participant for.
+fn no_such_participant(client: usize, participants: usize) -> PandaError {
+    PandaError::Protocol {
+        detail: format!("plan piece for client {client} outside the {participants} participants"),
+    }
+}
+
 /// The fabric rank plan piece `client` goes to, counting the message
 /// about to be sent there.
 fn piece_dst(participants: &[u32], sent: &mut [u32], client: usize) -> Result<u32, PandaError> {
     let dst = *participants
         .get(client)
-        .ok_or_else(|| PandaError::Protocol {
-            detail: format!(
-                "plan piece for client {client} outside the {} participants",
-                participants.len()
-            ),
-        })?;
+        .ok_or_else(|| no_such_participant(client, participants.len()))?;
     sent[client] += 1;
     Ok(dst)
 }
@@ -676,14 +820,10 @@ impl ServerNode {
         let disk = disk.join().map_err(|_| PandaError::Protocol {
             detail: "disk task panicked".to_string(),
         })?;
-        match (run, disk) {
-            (Ok(()), disk) => Ok(disk?),
-            (Err(_), Err(disk)) => Err(disk.into()),
-            (Err(run), Ok(())) => Err(run),
-        }
+        disk.and(run)
     }
 
-    /// The scheduler loop (see the module docs for its four phases).
+    /// The scheduler loop (see the module docs for its five phases).
     fn serve(
         &mut self,
         st: &mut SchedState,
@@ -697,7 +837,15 @@ impl ServerNode {
                 progress = true;
             }
             while let Ok(done) = out_rx.try_recv() {
-                self.disk_done(st, cmd_tx, done)?;
+                self.disk_done(st, done)?;
+                progress = true;
+            }
+            // Retire what this pass finished — a read whose last piece
+            // the pump pushed, a write whose `Closed` just drained. A
+            // retirement admits from the queue; the next pass pumps
+            // what it started.
+            while let Some(idx) = st.live.iter().position(|r| r.retired) {
+                self.finish_run(st, cmd_tx, idx)?;
                 progress = true;
             }
             self.publish_health(st);
@@ -712,7 +860,7 @@ impl ServerNode {
                 // side, so park briefly on the disk channel and re-poll
                 // the transport.
                 match out_rx.recv_timeout(DISK_PARK) {
-                    Ok(done) => self.disk_done(st, cmd_tx, done)?,
+                    Ok(done) => self.disk_done(st, done)?,
                     Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Err(mpsc::RecvTimeoutError::Disconnected) => {
                         return Err(PandaError::Protocol {
@@ -764,9 +912,10 @@ impl ServerNode {
     }
 
     /// Advance one write-direction run as far as it will go without
-    /// blocking: assemble arrived replies in parallel, queue completed
+    /// blocking: assemble arrived pieces in parallel, queue completed
     /// head subchunks to the disk task, and keep up to `depth` steps'
-    /// fetches outstanding.
+    /// fetches outstanding — or, for a one-shot, up to `depth` steps cut
+    /// out of the bytes it carried.
     fn pump_write(
         &mut self,
         disk_pending: &mut usize,
@@ -880,30 +1029,40 @@ impl ServerNode {
                     break;
                 }
                 let step = &run.sched.steps[run.next];
-                for (pi, piece) in step.sub.pieces.iter().enumerate() {
-                    let dst = piece_dst(&run.participants, &mut run.sent, piece.client)?;
-                    send_msg(
-                        &mut *self.transport,
-                        NodeId(dst as usize),
-                        &Msg::Fetch {
-                            request: run.request,
-                            array: step.array,
-                            seq: run.seq,
-                            region: piece.region.clone(),
-                        },
-                    )?;
-                    self.emit(&Event::FetchSent {
-                        key: self.key_of(run.request, step),
-                        piece: pi as u32,
-                        client: dst,
-                    });
-                    run.seq_map.insert(run.seq, (run.next, pi));
-                    run.seq += 1;
-                }
                 run.window.push_back(InFlight {
                     buf: Vec::new(),
                     remaining: step.sub.pieces.len(),
                 });
+                if run.carried.is_some() {
+                    // One-shot: the step's bytes came with the request,
+                    // so its pieces arrive here and now. Nothing is
+                    // sent, and nothing counted towards `Complete`.
+                    for pi in 0..step.sub.pieces.len() {
+                        let payload = run.pack_carried(run.next, pi)?;
+                        run.piece_arrived(run.next, pi, payload);
+                    }
+                } else {
+                    for (pi, piece) in step.sub.pieces.iter().enumerate() {
+                        let dst = piece_dst(&run.participants, &mut run.sent, piece.client)?;
+                        send_msg(
+                            &mut *self.transport,
+                            NodeId(dst as usize),
+                            &Msg::Fetch {
+                                request: run.request,
+                                array: step.array,
+                                seq: run.seq,
+                                region: piece.region.clone(),
+                            },
+                        )?;
+                        self.emit(&Event::FetchSent {
+                            key: self.key_of(run.request, step),
+                            piece: pi as u32,
+                            client: dst,
+                        });
+                        run.seq_map.insert(run.seq, (run.next, pi));
+                        run.seq += 1;
+                    }
+                }
                 run.next += 1;
                 moved = true;
             }
@@ -915,8 +1074,8 @@ impl ServerNode {
     }
 
     /// Advance one read-direction run: scatter prefetched buffers in
-    /// schedule order and keep up to `depth` disk reads ahead of the
-    /// scatter point.
+    /// schedule order, keep up to `depth` disk reads ahead of the
+    /// scatter point, and retire the run once its last piece is pushed.
     fn pump_read(
         &mut self,
         disk_pending: &mut usize,
@@ -970,14 +1129,18 @@ impl ServerNode {
                 moved = true;
             }
             if run.next_scatter == run.sched.steps.len() && !run.close_sent {
+                // The last byte has left, so the read is over here. Its
+                // `Close` is not waited for: it syncs nothing, cannot
+                // fail, and any later `Open` of these files is behind it
+                // on the one command channel.
                 Self::disk_send(
                     cmd_tx,
                     DiskCmd::Close {
                         request: run.request,
                     },
                 )?;
-                *disk_pending += 1;
                 run.close_sent = true;
+                run.retired = true;
                 moved = true;
             }
             if !moved {
@@ -1102,7 +1265,8 @@ impl ServerNode {
                 st.draining = true;
                 Ok(())
             }
-            Msg::Collective(req) => self.admit(st, cmd_tx, req),
+            Msg::Collective(req) => self.admit(st, cmd_tx, req, None),
+            Msg::OneShot { req, payload } => self.admit(st, cmd_tx, req, Some(payload)),
             Msg::Data {
                 request,
                 seq,
@@ -1146,22 +1310,24 @@ impl ServerNode {
     /// its non-submitting participants are already blocked inside the
     /// collective with no abort path, so it queues however full the
     /// queue is. Single-participant (session) requests get the typed
-    /// rejection instead of unbounded queueing.
+    /// rejection instead of unbounded queueing. `carried` is a one-shot's
+    /// bytes: they are admitted, queued, relayed and refused with it.
     fn admit(
         &mut self,
         st: &mut SchedState,
         cmd_tx: &mpsc::Sender<DiskCmd>,
         req: CollectiveRequest,
+        carried: Option<Bytes>,
     ) -> Result<(), PandaError> {
         if !self.is_master() {
-            return self.start_run(st, cmd_tx, req);
+            return self.start_run(st, cmd_tx, req, carried);
         }
         if st.live.len() < self.max_concurrent {
-            self.relay(&req)?;
-            return self.start_run(st, cmd_tx, req);
+            self.relay(&req, carried.as_ref())?;
+            return self.start_run(st, cmd_tx, req, carried);
         }
         if req.participants.len() > 1 || st.queue.len() < self.max_queued {
-            st.queue.push_back(req);
+            st.queue.push_back((req, carried));
             self.publish_health(st);
             return Ok(());
         }
@@ -1193,23 +1359,31 @@ impl ServerNode {
         )
     }
 
-    /// Relay an admitted request to the peer servers (master only).
-    fn relay(&mut self, req: &CollectiveRequest) -> Result<(), PandaError> {
+    /// Relay an admitted request to the peer servers (master only). A
+    /// one-shot goes with all of its bytes: each peer cuts its own
+    /// pieces out of them.
+    fn relay(
+        &mut self,
+        req: &CollectiveRequest,
+        carried: Option<&Bytes>,
+    ) -> Result<(), PandaError> {
         for s in 1..self.num_servers {
             let dst = NodeId(self.num_clients + s);
-            send_msg(&mut *self.transport, dst, &Msg::Collective(req.clone()))?;
+            send_request(&mut *self.transport, dst, req, carried.cloned())?;
         }
         Ok(())
     }
 
     /// Lower an admitted request into a live [`RequestRun`]: build its
     /// schedule, open its files on the disk task, and enter it into the
-    /// scheduler.
+    /// scheduler. The next pump moves it — or, when its schedule is
+    /// empty, closes it straight away.
     fn start_run(
         &mut self,
         st: &mut SchedState,
         cmd_tx: &mpsc::Sender<DiskCmd>,
         req: CollectiveRequest,
+        carried: Option<Bytes>,
     ) -> Result<(), PandaError> {
         let depth = req.pipeline_depth.max(1);
         let t_op = self.obs_on().then(Instant::now);
@@ -1224,6 +1398,7 @@ impl ServerNode {
                 detail: "section writes are not supported".to_string(),
             });
         }
+        let carried = carried.map(|body| Carried::new(&req, body)).transpose()?;
         let sched = CollectiveSchedule::build(
             &req.arrays,
             req.op,
@@ -1263,28 +1438,15 @@ impl ServerNode {
                     .collect(),
             },
         )?;
-        let mut run = RequestRun::new(req, depth, sched, t_op);
-        if run.sched.is_empty() {
-            // Nothing to transfer: retire the request's (empty) disk
-            // state straight away.
-            Self::disk_send(
-                cmd_tx,
-                DiskCmd::Close {
-                    request: run.request,
-                },
-            )?;
-            st.disk_pending += 1;
-            run.close_sent = true;
-        }
+        let run = RequestRun::new(req, depth, sched, t_op, carried);
         // Behind every live run of its priority or higher.
         let at = st.live.partition_point(|r| r.priority >= run.priority);
         st.live.insert(at, run);
         Ok(())
     }
 
-    /// Route an arriving `Data` reply to its run and step. An identity
-    /// step is complete with it; a reorganizing step's assembly happens
-    /// on the next pump in one parallel pass per burst.
+    /// Route an arriving `Data` reply to its run and step, and hold it to
+    /// the plan before it counts as arrived.
     fn route_data(
         &mut self,
         st: &mut SchedState,
@@ -1332,29 +1494,12 @@ impl ServerNode {
                 },
             );
         }
-        if step.identity {
-            // Natural chunking: the piece is the subchunk, so the
-            // received buffer goes to the disk task as it is.
-            let slot = &mut run.window[si - run.front];
-            slot.buf = payload.into_vec();
-            slot.remaining = 0;
-        } else {
-            run.pending.push(PendingPiece {
-                step: si,
-                piece: pi,
-                payload,
-            });
-        }
+        run.piece_arrived(si, pi, payload);
         Ok(())
     }
 
     /// Process one disk completion.
-    fn disk_done(
-        &mut self,
-        st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
-        done: DiskOut,
-    ) -> Result<(), PandaError> {
+    fn disk_done(&mut self, st: &mut SchedState, done: DiskOut) -> Result<(), PandaError> {
         st.disk_pending -= 1;
         match done {
             DiskOut::Free { request, buf } => {
@@ -1362,35 +1507,37 @@ impl ServerNode {
                     run.disk_queued -= 1;
                 }
                 freelist::give(buf);
-                Ok(())
             }
             DiskOut::Full { request, buf } => {
                 if let Some(run) = st.live.iter_mut().find(|r| r.request == request) {
                     run.ready_bufs.push_back(buf);
                 }
-                Ok(())
             }
-            DiskOut::Closed { request } => self.finish_run(st, cmd_tx, request),
+            DiskOut::Closed { request } => {
+                st.live
+                    .iter_mut()
+                    .find(|r| r.request == request)
+                    .ok_or_else(|| PandaError::Protocol {
+                        detail: format!("disk close for unknown request {request}"),
+                    })?
+                    .retired = true;
+            }
         }
+        Ok(())
     }
 
-    /// A run's disk state is retired: the collective is complete on
-    /// this server. Tell every participant, then (master) pull the next
-    /// queued request into the freed slot.
+    /// Retire live run `idx`, flagged by a write's `Closed` or a read's
+    /// last push: the collective is complete on this server. Tell every
+    /// participant, then (master) pull the next queued request into the
+    /// freed slot.
     fn finish_run(
         &mut self,
         st: &mut SchedState,
         cmd_tx: &mpsc::Sender<DiskCmd>,
-        request: u64,
+        idx: usize,
     ) -> Result<(), PandaError> {
-        let idx = st
-            .live
-            .iter()
-            .position(|r| r.request == request)
-            .ok_or_else(|| PandaError::Protocol {
-                detail: format!("disk close for unknown request {request}"),
-            })?;
         let run = st.live.remove(idx);
+        let request = run.request;
         if let Some(t) = run.t_op {
             self.emit(&Event::CollectiveDone {
                 request,
@@ -1405,11 +1552,11 @@ impl ServerNode {
         // A live slot freed up: admit from the wait queue (empty on
         // every server but the master).
         while st.live.len() < self.max_concurrent {
-            let Some(req) = st.queue.pop_front() else {
+            let Some((req, carried)) = st.queue.pop_front() else {
                 break;
             };
-            self.relay(&req)?;
-            self.start_run(st, cmd_tx, req)?;
+            self.relay(&req, carried.as_ref())?;
+            self.start_run(st, cmd_tx, req, carried)?;
         }
         Ok(())
     }
@@ -1495,5 +1642,156 @@ impl ServerNode {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use panda_fs::MemFs;
+
+    /// The disk task alone, driven through its two channels.
+    struct DiskTask {
+        cmds: mpsc::Sender<DiskCmd>,
+        outs: mpsc::Receiver<DiskOut>,
+        task: std::thread::JoinHandle<Result<(), PandaError>>,
+    }
+
+    impl DiskTask {
+        fn spawn(fs: Arc<MemFs>) -> Self {
+            let (cmds, cmd_rx) = mpsc::channel();
+            let (out_tx, outs) = mpsc::channel();
+            let task = std::thread::spawn(move || {
+                run_disk_task(panda_obs::null_recorder(), 0, fs, cmd_rx, out_tx)
+            });
+            DiskTask { cmds, outs, task }
+        }
+
+        fn open(&self, request: u64, write: bool, name: &str, bytes: u64) {
+            self.send(DiskCmd::Open {
+                request,
+                write,
+                sync_policy: SyncPolicy::PerCollective,
+                window: 0,
+                files: vec![OpenSpec {
+                    name: name.to_string(),
+                    steps: 1,
+                    bytes,
+                }],
+                empty_files: vec![],
+            });
+        }
+
+        fn send(&self, cmd: DiskCmd) {
+            // A task that already failed has hung up; the join tells.
+            let _ = self.cmds.send(cmd);
+        }
+
+        /// Hang up and collect every answer and the task's result.
+        fn finish(self) -> (Vec<DiskOut>, Result<(), PandaError>) {
+            drop(self.cmds);
+            let result = self.task.join().unwrap();
+            (self.outs.iter().collect(), result)
+        }
+    }
+
+    fn key() -> SubchunkKey {
+        SubchunkKey::scoped(0, 0, 0, 0)
+    }
+
+    fn write(request: u64, buf: Vec<u8>) -> DiskCmd {
+        DiskCmd::Write {
+            request,
+            file: 0,
+            key: key(),
+            offset: 0,
+            buf,
+        }
+    }
+
+    fn read(request: u64, bytes: usize) -> DiskCmd {
+        DiskCmd::Read {
+            request,
+            file: 0,
+            key: key(),
+            offset: 0,
+            bytes,
+        }
+    }
+
+    #[test]
+    fn a_write_close_is_acknowledged_and_a_read_close_is_not() {
+        let fs = Arc::new(MemFs::new());
+        let disk = DiskTask::spawn(Arc::clone(&fs));
+        disk.open(1, true, "f", 4);
+        disk.send(write(1, vec![7; 4]));
+        disk.send(DiskCmd::Close { request: 1 });
+        disk.open(2, false, "f", 4);
+        disk.send(read(2, 4));
+        disk.send(DiskCmd::Close { request: 2 });
+        // Behind the read's close on the one channel: the same file,
+        // rewritten by a later request.
+        disk.open(3, true, "f", 4);
+        disk.send(write(3, vec![9; 4]));
+        disk.send(DiskCmd::Close { request: 3 });
+        let (outs, result) = disk.finish();
+        result.unwrap();
+        let seen: Vec<String> = outs
+            .iter()
+            .map(|out| match out {
+                DiskOut::Free { request, .. } => format!("free {request}"),
+                DiskOut::Full { request, buf } => format!("full {request} {buf:?}"),
+                DiskOut::Closed { request } => format!("closed {request}"),
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                "free 1",
+                "closed 1",
+                "full 2 [7, 7, 7, 7]",
+                "free 3",
+                "closed 3"
+            ]
+        );
+        assert_eq!(fs.contents("f").unwrap(), [9; 4]);
+        // The closing barrier ran for the two writes, not for the read.
+        assert_eq!(fs.stats().syncs(), 2);
+    }
+
+    /// A command for a request the task does not hold used to be
+    /// dropped, buffer and all, leaving the scheduler to wait for an
+    /// answer that never came. Now that a read's close is unacknowledged
+    /// this is also the only witness of a close that overtook its reads.
+    #[test]
+    fn a_command_for_a_request_that_is_not_open_fails_the_disk_task() {
+        type Case = fn(&DiskTask);
+        let cases: [(&str, Case); 4] = [
+            ("write", |d| d.send(write(5, vec![0; 4]))),
+            ("read", |d| d.send(read(5, 4))),
+            ("close", |d| d.send(DiskCmd::Close { request: 5 })),
+            ("read", |d| {
+                d.open(5, false, "f", 4);
+                d.send(DiskCmd::Close { request: 5 });
+                d.send(read(5, 4));
+            }),
+        ];
+        for (cmd, case) in cases {
+            let fs = Arc::new(MemFs::new());
+            fs.create("f").unwrap().write_at(0, &[1; 4]).unwrap();
+            let disk = DiskTask::spawn(fs);
+            case(&disk);
+            let (outs, result) = disk.finish();
+            assert!(outs.is_empty(), "{cmd}: answered a command it refused");
+            match result {
+                Err(PandaError::Protocol { detail }) => {
+                    assert!(
+                        detail.contains(&format!("disk {cmd} for request 5")),
+                        "{detail}"
+                    )
+                }
+                other => panic!("{cmd}: expected a protocol error, got {other:?}"),
+            }
+        }
     }
 }

@@ -301,14 +301,15 @@ impl Transport for Tampered {
     }
 }
 
-/// Launch `clients` x `servers` over the in-process fabric with client
-/// `rank`'s arrivals passing through `tamper`.
-fn launch_tampered(
+/// `clients` x `servers` over the in-process fabric and `MemFs`, with
+/// client `rank`'s arrivals passing through `tamper`: ready to `launch`
+/// as a fleet or `serve` sessions.
+fn tampered(
     clients: usize,
     servers: usize,
     rank: usize,
     tamper: impl FnMut(Envelope) -> Vec<Envelope> + Send + 'static,
-) -> (PandaSystem, Vec<panda_core::PandaClient>) {
+) -> panda_core::PandaSystemBuilder {
     let (eps, stats) =
         panda_msg::InProcFabric::with_timeout(clients + servers, Duration::from_secs(5));
     let mut tamper = Some(Box::new(tamper) as Box<_>);
@@ -327,7 +328,20 @@ fn launch_tampered(
     PandaSystem::builder()
         .config(PandaConfig::new(clients, servers))
         .transports(transports, stats)
-        .launch(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>)
+}
+
+fn mem_fs(_server: usize) -> Arc<dyn FileSystem> {
+    Arc::new(MemFs::new())
+}
+
+fn launch_tampered(
+    clients: usize,
+    servers: usize,
+    rank: usize,
+    tamper: impl FnMut(Envelope) -> Vec<Envelope> + Send + 'static,
+) -> (PandaSystem, Vec<panda_core::PandaClient>) {
+    tampered(clients, servers, rank, tamper)
+        .launch(mem_fs)
         .unwrap()
 }
 
@@ -431,4 +445,93 @@ fn the_next_collective_may_overtake_the_end_of_this_one() {
         }
     });
     system.shutdown(clients).unwrap();
+}
+
+/// A one-shot's bytes are written on the strength of the plan alone —
+/// no `Fetch` names a region, no `Data` echoes one — so an I/O node
+/// holds the message to what it must be before opening a file: a write,
+/// by one participant, carrying exactly that participant's chunks.
+#[test]
+fn a_one_shot_that_is_not_a_whole_single_participant_write_is_a_protocol_error() {
+    use panda_core::protocol::{send_request, ArrayOp, CollectiveRequest};
+    use panda_core::OpKind;
+
+    let meta = make_array("t", &[8, 8], ElementType::F64, &[1, 1], DiskSchema::Natural);
+    let whole = meta.client_bytes(0);
+    let honest = CollectiveRequest {
+        request: (1 << 32) | 1,
+        participants: vec![0],
+        priority: 0,
+        op: OpKind::Write,
+        arrays: vec![ArrayOp {
+            meta: meta.clone(),
+            file_tag: "t".to_string(),
+            section: None,
+        }],
+        subchunk_bytes: 1 << 20,
+        pipeline_depth: 2,
+        sync_policy: panda_fs::SyncPolicy::PerFile,
+    };
+    let two = CollectiveRequest {
+        participants: vec![0, 0],
+        ..honest.clone()
+    };
+    let read = CollectiveRequest {
+        op: OpKind::Read,
+        ..honest.clone()
+    };
+    let lies = [
+        ("one byte short", &honest, whole - 1),
+        ("one byte long", &honest, whole + 1),
+        ("two participants", &two, whole),
+        ("a read", &read, whole),
+    ];
+    for (lie, request, bytes) in lies {
+        let mem = Arc::new(MemFs::new());
+        let fs = Arc::clone(&mem);
+        // One I/O node: with a peer, the `Shutdown` below could reach it
+        // ahead of the master's relay and the relay find nobody there.
+        let config = PandaConfig::new(1, 1).with_recv_timeout(Duration::from_millis(300));
+        let (system, mut clients) = PandaSystem::builder()
+            .config(config)
+            .launch(move |_| Arc::clone(&fs) as Arc<dyn FileSystem>)
+            .unwrap();
+        let t = clients[0].transport_mut_for_tests();
+        send_request(t, NodeId(1), request, Some(vec![7u8; bytes].into())).unwrap();
+        let err = system.shutdown(clients).map(|_| ()).unwrap_err();
+        assert!(matches!(err, PandaError::Protocol { .. }), "{lie}: {err}");
+        assert!(mem.list().is_empty(), "{lie}: a file was touched");
+    }
+}
+
+/// A one-shot is answered by `Complete`s alone, each attesting zero
+/// pieces. The client has nothing else to check that against than the
+/// zero messages that arrived — and does.
+#[test]
+fn a_forged_complete_answering_a_one_shot_is_a_protocol_error() {
+    let mut service = tampered(1, 2, 0, |mut env| {
+        if let Some(Msg::Complete { request, pieces: 0 }) = collective_msg(&env) {
+            env.payload = panda_msg::Payload::Inline(Msg::Complete { request, pieces: 1 }.encode());
+        }
+        vec![env]
+    })
+    .serve(mem_fs)
+    .unwrap();
+    let mut session = service.open().unwrap();
+    let meta = make_array(
+        "t",
+        &[8, 8],
+        ElementType::F64,
+        &[1, 1],
+        DiskSchema::Traditional(2),
+    );
+    let data = pattern_chunk(&meta, 0);
+    let err = session
+        .write_set(&WriteSet::new().array(&meta, "t", data.as_slice()))
+        .unwrap_err();
+    assert!(matches!(err, PandaError::Protocol { .. }), "got {err}");
+    let stats = Arc::clone(&service.system().fabric_stats);
+    // The servers were honest throughout and shut down cleanly.
+    service.shutdown(vec![session]).unwrap();
+    assert_eq!(stats.tag_counts(tags::FETCH).msgs, 0, "it was a one-shot");
 }

@@ -263,6 +263,94 @@ fn queued_request_drains_when_slot_frees() {
     service.shutdown(vec![a, b]).unwrap();
 }
 
+/// The three tenants' 64-byte writes above are one-shots: each carries
+/// its bytes with its request. Here with two I/O nodes, so the master
+/// must hold a *queued* one-shot's bytes and relay them when the slot
+/// frees, and a *refused* one must still come back as typed flow
+/// control, not as a write that half happened.
+#[test]
+fn a_queued_one_shot_keeps_its_bytes_and_a_refused_one_its_typed_error() {
+    use panda_core::protocol::tags;
+
+    let mems: Vec<Arc<MemFs>> = (0..2).map(|_| Arc::new(MemFs::new())).collect();
+    let gate = Arc::new(Gate::default());
+    let (fss, g) = (mems.clone(), Arc::clone(&gate));
+    let mut service = PandaSystem::builder()
+        .config(
+            PandaConfig::new(3, 2)
+                .with_max_concurrent_collectives(1)
+                .with_max_queued_collectives(1)
+                .with_recv_timeout(Duration::from_secs(20)),
+        )
+        .serve(move |s| {
+            Arc::new(GateFs {
+                inner: Arc::clone(&fss[s]),
+                gate: Arc::clone(&g),
+            }) as Arc<dyn FileSystem>
+        })
+        .unwrap();
+    let a = service.open().unwrap();
+    let b = service.open().unwrap();
+    let mut c = service.open().unwrap();
+
+    // Rows over the two I/O nodes: each holds half of every file.
+    let shape = Shape::new(&[8, 8]).unwrap();
+    let mem = DataSchema::block_all(shape.clone(), ElementType::U8, Mesh::new(&[1, 1]).unwrap());
+    let disk = DataSchema::traditional_order(shape, ElementType::U8, 2).unwrap();
+    let meta = ArrayMeta::new("t", mem.unwrap(), disk).unwrap();
+    let datas: Vec<Vec<u8>> = (6..9).map(|seed| tenant_bytes(seed, 64)).collect();
+
+    let health = Arc::clone(service.system().health());
+    let (a, b) = std::thread::scope(|s| {
+        let submit = |mut sess: Session, tag: &'static str, data| {
+            let meta = &meta;
+            s.spawn(move || {
+                sess.write_set(&WriteSet::new().array(meta, tag, data))
+                    .unwrap();
+                sess
+            })
+        };
+        let ha = submit(a, "a", &datas[0]);
+        gate.wait_reached();
+        let hb = submit(b, "b", &datas[1]);
+        while health.snapshot().queued < 1 {
+            std::thread::yield_now();
+        }
+        let err = c
+            .write_set(&WriteSet::new().array(&meta, "c", &datas[2]))
+            .unwrap_err();
+        let full = AdmissionIssue::QueueFull { queued: 1, max: 1 };
+        gate.open();
+        assert!(
+            matches!(err, PandaError::Admission { issue } if issue == full),
+            "expected QueueFull, got {err}"
+        );
+        (ha.join().unwrap(), hb.join().unwrap())
+    });
+
+    for (tag, data) in [("a", &datas[0]), ("b", &datas[1])] {
+        for (s, half) in data.chunks(32).enumerate() {
+            assert_eq!(mems[s].contents(&format!("{tag}.s{s}")).unwrap(), half);
+        }
+    }
+    assert!(!mems
+        .iter()
+        .any(|m| m.list().iter().any(|f| f.starts_with("c."))));
+    // Three submissions and two relays, all with their bytes; nothing
+    // fetched, nothing sent back but completions and the refusal.
+    // (Counted once the I/O nodes have exited: a send is counted just
+    // after it is made, which its receiver need not wait for.)
+    let stats = Arc::clone(&service.system().fabric_stats);
+    service.shutdown(vec![a, b, c]).unwrap();
+    let msgs = |tag| stats.tag_counts(tag).msgs;
+    assert_eq!(msgs(tags::ONE_SHOT), 5);
+    assert_eq!(
+        (msgs(tags::COLLECTIVE), msgs(tags::FETCH), msgs(tags::DATA)),
+        (0, 0, 0)
+    );
+    assert_eq!((msgs(tags::COMPLETE), msgs(tags::REJECT)), (4, 1));
+}
+
 /// Eight tenants submitting at once, more than the concurrency limit:
 /// every request completes (queued ones drain, nobody starves), every
 /// request id is distinct, and every tenant reads its own bytes back.
