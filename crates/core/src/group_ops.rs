@@ -198,7 +198,9 @@ impl ArrayGroup {
     /// I/O node. The marker records the count of *completed*
     /// checkpoints; it is written only after a checkpoint's data files
     /// have been written and synced, so its presence certifies that the
-    /// generation it names is intact on disk.
+    /// generation it names is intact on disk. I/O node 0 syncs it before
+    /// the next collective write may start (see
+    /// [`ArrayGroup::checkpoint`]).
     pub fn marker_file(&self) -> String {
         format!("{}/{}.ckpt", self.name, self.name)
     }
@@ -211,6 +213,18 @@ impl ArrayGroup {
     /// clients commit the generation marker. A crash
     /// mid-checkpoint therefore loses nothing: [`ArrayGroup::restart`]
     /// trusts the marker, which still names the previous generation.
+    ///
+    /// The marker write is not acknowledged and this call does not wait
+    /// for it to be durable. The master I/O node does, on the
+    /// application's behalf: it syncs the marker before it relays or
+    /// starts the next collective write, which the submitting client's
+    /// connection delivers after that client's marker (every client
+    /// writes the same bytes). So the marker on the device names
+    /// checkpoint N before a byte of checkpoint N + 1 — which overwrites
+    /// generation N − 1 — is written anywhere. The last marker of a run
+    /// is only as durable as the kernel's own flush; that tears nothing,
+    /// because nothing is overwritten after it. (Checking the files a
+    /// marker names — footers, checksums — is not done here.)
     pub fn checkpoint<H: CollectiveHandle + ?Sized>(
         &mut self,
         handle: &mut H,
@@ -228,7 +242,9 @@ impl ArrayGroup {
         // deliberately unacknowledged — blocking here would deadlock
         // with a peer that has already entered the next collective and
         // is waiting on this client's pieces; per-source FIFO ordering
-        // means any later stat/read from this client observes it.
+        // means any later stat/read from this client observes it, and
+        // that the master server has the submitting client's marker in
+        // hand (and syncs it) before it relays that client's next write.
         self.checkpoints_taken += 1;
         let mut marker = Vec::new();
         Marker {

@@ -109,6 +109,8 @@ pub struct ServerNode {
     health: Arc<ServiceHealth>,
     /// Open handles for baseline raw operations, keyed by file name.
     raw_handles: HashMap<String, Box<dyn FileHandle>>,
+    /// A raw write has landed since the raw handles were last synced.
+    raw_dirty: bool,
     /// Per-client flag: has this client sent `RawDone` for the current
     /// baseline op? Indexed by client rank.
     raw_done: Vec<bool>,
@@ -746,6 +748,7 @@ impl ServerNode {
             recorder,
             health,
             raw_handles: HashMap::new(),
+            raw_dirty: false,
             raw_done: vec![false; num_clients],
             raw_done_count: 0,
             pool: IoPool::new(io_workers.saturating_sub(1)),
@@ -1362,11 +1365,26 @@ impl ServerNode {
     /// Relay an admitted request to the peer servers (master only). A
     /// one-shot goes with all of its bytes: each peer cuts its own
     /// pieces out of them.
+    ///
+    /// Both admission sites come through here before `start_run`, and no
+    /// peer learns of the request any other way, so this is where a
+    /// write waits for the raw plane: control files written since the
+    /// last raw sync are made durable before any server opens a file of
+    /// the write. A checkpoint's generation marker is an unacknowledged
+    /// `RawWrite` that precedes the submitter's next request on one FIFO
+    /// connection, so the marker naming generation N is on the device
+    /// before checkpoint N + 1 overwrites a byte of generation N − 1 —
+    /// with no acknowledgement for a client to block on. The last marker
+    /// of a deployment is only as durable as the kernel's own flush,
+    /// which tears nothing: nothing is overwritten after it.
     fn relay(
         &mut self,
         req: &CollectiveRequest,
         carried: Option<&Bytes>,
     ) -> Result<(), PandaError> {
+        if self.raw_dirty && matches!(req.op, OpKind::Write) {
+            self.sync_raw()?;
+        }
         for s in 1..self.num_servers {
             let dst = NodeId(self.num_clients + s);
             send_request(&mut *self.transport, dst, req, carried.cloned())?;
@@ -1565,6 +1583,16 @@ impl ServerNode {
     fn raw_write(&mut self, file: &str, offset: u64, payload: &[u8]) -> Result<(), PandaError> {
         let handle = self.raw_handle(file)?;
         handle.write_at(offset, payload)?;
+        self.raw_dirty = true;
+        Ok(())
+    }
+
+    /// Make every raw write so far durable.
+    fn sync_raw(&mut self) -> Result<(), PandaError> {
+        for handle in self.raw_handles.values_mut() {
+            handle.sync()?;
+        }
+        self.raw_dirty = false;
         Ok(())
     }
 
@@ -1628,9 +1656,7 @@ impl ServerNode {
         }
         self.raw_done_count += 1;
         if self.raw_done_count == self.num_clients {
-            for handle in self.raw_handles.values_mut() {
-                handle.sync()?;
-            }
+            self.sync_raw()?;
             // Drop the handle cache: the logical op is over, and fresh
             // handles restart sequentiality tracking for the next op.
             self.raw_handles.clear();

@@ -10,12 +10,12 @@
 mod common;
 
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use common::*;
 use panda_core::{
-    ArrayGroup, ArrayMeta, PandaClient, PandaConfig, PandaError, PandaSystem, ReadSet, WriteSet,
+    ArrayGroup, ArrayMeta, CollectiveHandle, PandaClient, PandaConfig, PandaError, PandaSystem,
+    ReadSet, WriteSet,
 };
 use panda_fs::{FileHandle, FileSystem, FsError, MemFs, SubmitFs, SyncPolicy};
 use panda_obs::{EventKind, Recorder, TelemetryRecorder};
@@ -400,19 +400,66 @@ const REWRITE_CONFIGS: [(usize, SyncPolicy); 5] = [
     (3, SyncPolicy::PerCollective),
 ];
 
-/// A backend that counts the `create` calls it forwards.
-struct CountingFs {
-    inner: Arc<dyn FileSystem>,
-    creates: AtomicUsize,
+/// What a [`LoggingFs`] saw, in the order it saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    Create,
+    /// A `write_at` or `submit_write`, logged before it is forwarded.
+    Write,
+    /// A `sync`, logged once the backend has returned from it.
+    Sync,
 }
 
-impl FileSystem for CountingFs {
+#[derive(Debug)]
+struct Entry {
+    node: usize,
+    access: Access,
+    file: String,
+    /// FNV-1a of a write's bytes (0 otherwise).
+    fnv: u64,
+}
+
+/// One log for a whole deployment: its order is the order the
+/// accesses happened in, across I/O nodes.
+type AccessLog = Arc<Mutex<Vec<Entry>>>;
+
+/// A backend that logs the creates, writes and syncs it forwards.
+struct LoggingFs {
+    inner: Arc<dyn FileSystem>,
+    node: usize,
+    log: AccessLog,
+}
+
+impl LoggingFs {
+    fn creates(&self) -> usize {
+        let log = self.log.lock().unwrap();
+        log.iter()
+            .filter(|e| e.node == self.node && e.access == Access::Create)
+            .count()
+    }
+
+    fn handle(&self, path: &str, inner: Box<dyn FileHandle>) -> Box<dyn FileHandle> {
+        Box::new(LoggingHandle {
+            inner,
+            node: self.node,
+            file: path.to_string(),
+            log: Arc::clone(&self.log),
+        })
+    }
+}
+
+impl FileSystem for LoggingFs {
     fn create(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
-        self.creates.fetch_add(1, Ordering::SeqCst);
-        self.inner.create(path)
+        self.log.lock().unwrap().push(Entry {
+            node: self.node,
+            access: Access::Create,
+            file: path.to_string(),
+            fnv: 0,
+        });
+        Ok(self.handle(path, self.inner.create(path)?))
     }
     fn open(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
-        self.inner.open(path)
+        Ok(self.handle(path, self.inner.open(path)?))
     }
     fn exists(&self, path: &str) -> bool {
         self.inner.exists(path)
@@ -431,22 +478,75 @@ impl FileSystem for CountingFs {
     }
 }
 
-/// One counting backend of `kind` per server under `root`, and a
+struct LoggingHandle {
+    inner: Box<dyn FileHandle>,
+    node: usize,
+    file: String,
+    log: AccessLog,
+}
+
+impl LoggingHandle {
+    fn note(&self, access: Access, fnv: u64) {
+        self.log.lock().unwrap().push(Entry {
+            node: self.node,
+            access,
+            file: self.file.clone(),
+            fnv,
+        });
+    }
+}
+
+impl FileHandle for LoggingHandle {
+    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), FsError> {
+        self.note(Access::Write, fnv1a64(data));
+        self.inner.write_at(offset, data)
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
+        self.inner.read_at(offset, buf)
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn sync(&mut self) -> Result<(), FsError> {
+        self.inner.sync()?;
+        self.note(Access::Sync, 0);
+        Ok(())
+    }
+    fn submit_write(&mut self, offset: u64, data: Vec<u8>) -> Result<Option<Vec<u8>>, FsError> {
+        self.note(Access::Write, fnv1a64(&data));
+        self.inner.submit_write(offset, data)
+    }
+    fn drain_completions(&mut self, block: bool) -> Result<Vec<Vec<u8>>, FsError> {
+        self.inner.drain_completions(block)
+    }
+    fn preallocate(&mut self, len: u64) -> Result<(), FsError> {
+        self.inner.preallocate(len)
+    }
+}
+
+/// One logging backend per server over `make(server)`, sharing a log.
+fn logging_backends(make: impl Fn(usize) -> Arc<dyn FileSystem>) -> Vec<Arc<LoggingFs>> {
+    let log = AccessLog::default();
+    (0..SERVERS)
+        .map(|node| {
+            Arc::new(LoggingFs {
+                inner: make(node),
+                node,
+                log: Arc::clone(&log),
+            })
+        })
+        .collect()
+}
+
+/// One logging backend of `kind` per server under `root`, and a
 /// deployment over them.
-fn launch_counting(
+fn launch_logging(
     kind: Backend,
     root: &Path,
     depth: usize,
     policy: SyncPolicy,
-) -> (PandaSystem, Vec<PandaClient>, Vec<Arc<CountingFs>>) {
-    let backends: Vec<Arc<CountingFs>> = (0..SERVERS)
-        .map(|s| {
-            Arc::new(CountingFs {
-                inner: kind.make(&root.join(format!("ionode{s}"))),
-                creates: AtomicUsize::new(0),
-            })
-        })
-        .collect();
+) -> (PandaSystem, Vec<PandaClient>, Vec<Arc<LoggingFs>>) {
+    let backends = logging_backends(|s| kind.make(&root.join(format!("ionode{s}"))));
     let handles = backends.clone();
     let config = PandaConfig::new(CLIENTS, SERVERS)
         .with_subchunk_bytes(256)
@@ -477,13 +577,8 @@ fn a_second_write_of_a_tag_creates_nothing_and_lands_the_seed_bytes() {
         for (depth, policy) in REWRITE_CONFIGS {
             let what = format!("{kind:?} depth {depth} {}", policy.name());
             let (system, mut clients, backends) =
-                launch_counting(kind, &root.join(&what), depth, policy);
-            let creates = || -> usize {
-                backends
-                    .iter()
-                    .map(|b| b.creates.load(Ordering::SeqCst))
-                    .sum()
-            };
+                launch_logging(kind, &root.join(&what), depth, policy);
+            let creates = || -> usize { backends.iter().map(|b| b.creates()).sum() };
             // First the same shapes with every byte wrong, so that a
             // byte the rewrite skipped would show.
             concurrent_write_of(&mut clients, &metas, &tags, |m, r| {
@@ -520,7 +615,7 @@ fn a_rewrite_at_another_shape_leaves_exactly_the_new_file() {
         )]
     };
     let tags = vec!["field".to_string()];
-    let files = |backends: &[Arc<CountingFs>]| -> Vec<Vec<u8>> {
+    let files = |backends: &[Arc<LoggingFs>]| -> Vec<Vec<u8>> {
         (0..SERVERS)
             .map(|s| file_bytes(backends[s].as_ref(), &format!("field.s{s}")))
             .collect()
@@ -531,13 +626,13 @@ fn a_rewrite_at_another_shape_leaves_exactly_the_new_file() {
             // What a first-time write of each shape leaves behind.
             let fresh = |rows: usize| {
                 let at = root.join(format!("{what}/fresh{rows}"));
-                let (system, mut clients, backends) = launch_counting(kind, &at, depth, policy);
+                let (system, mut clients, backends) = launch_logging(kind, &at, depth, policy);
                 concurrent_write(&mut clients, &array(rows), &tags);
                 system.shutdown(clients).unwrap();
                 files(&backends)
             };
             let (system, mut clients, backends) =
-                launch_counting(kind, &root.join(format!("{what}/reused")), depth, policy);
+                launch_logging(kind, &root.join(format!("{what}/reused")), depth, policy);
             // 16 rows, then fewer (a stale tail would show), then more.
             for rows in [16, 8, 32] {
                 concurrent_write(&mut clients, &array(rows), &tags);
@@ -681,4 +776,167 @@ fn restart_without_generation_marker_is_a_typed_error() {
         }
     });
     system.shutdown(clients).unwrap();
+}
+
+/// Drive `handles` (index == rank) through a timestep, three
+/// checkpoints with a restart after each, and two more timesteps, and
+/// hold the access log to the marker-before-relay rule: the marker that
+/// names checkpoint k − 1 is synced on I/O node 0 before either node
+/// writes a byte of checkpoint k, and nothing but a write that finds
+/// the raw plane dirty pays for it.
+fn marker_is_durable_before_the_next_checkpoint<H: CollectiveHandle + Send>(
+    handles: &mut [H],
+    metas: &[ArrayMeta],
+    log: &AccessLog,
+) {
+    let mut groups: Vec<ArrayGroup> = (0..handles.len())
+        .map(|_| {
+            let mut g = ArrayGroup::new("ord");
+            for m in metas {
+                g.include(m.clone());
+            }
+            g
+        })
+        .collect();
+    let marker = groups[0].marker_file();
+    // Client `r`'s buffers for operation `k`: every byte differs by `k`.
+    let datas = |r: usize, k: u8| -> Vec<Vec<u8>> {
+        metas
+            .iter()
+            .map(|m| pattern_chunk(m, r).iter().map(|b| b ^ k).collect())
+            .collect()
+    };
+    // One collective: `op` on every rank at once.
+    fn each<H: CollectiveHandle + Send>(
+        handles: &mut [H],
+        groups: &mut [ArrayGroup],
+        op: impl Fn(&mut H, &mut ArrayGroup, usize) + Sync,
+    ) {
+        std::thread::scope(|s| {
+            for (r, (h, g)) in handles.iter_mut().zip(groups.iter_mut()).enumerate() {
+                let op = &op;
+                s.spawn(move || op(h, g, r));
+            }
+        });
+    }
+    let timestep = |handles: &mut [H], groups: &mut [ArrayGroup], k: u8| {
+        each(handles, groups, |h, g, r| {
+            let d = datas(r, k);
+            let slices: Vec<&[u8]> = d.iter().map(Vec::as_slice).collect();
+            g.timestep(h, &slices).unwrap();
+        });
+    };
+    let marker_syncs = || {
+        let log = log.lock().unwrap();
+        log.iter()
+            .filter(|e| e.access == Access::Sync && e.file == marker)
+            .count()
+    };
+
+    // A write with no raw write before it syncs its own files only.
+    timestep(handles, &mut groups, 0);
+    assert!(log
+        .lock()
+        .unwrap()
+        .iter()
+        .all(|e| e.access != Access::Sync || e.file.contains(".ts0.")));
+
+    // Log positions between which checkpoint k's data writes fall.
+    let mut spans = Vec::new();
+    for k in 1..=3u8 {
+        let start = log.lock().unwrap().len();
+        each(handles, &mut groups, |h, g, r| {
+            let d = datas(r, k);
+            let slices: Vec<&[u8]> = d.iter().map(Vec::as_slice).collect();
+            g.checkpoint(h, &slices).unwrap();
+        });
+        spans.push(start..log.lock().unwrap().len());
+        // A read syncs nothing, however dirty the raw plane is.
+        let before = marker_syncs();
+        each(handles, &mut groups, |h, g, r| {
+            let mut out: Vec<Vec<u8>> = datas(r, k).iter().map(|d| vec![0; d.len()]).collect();
+            let mut slices: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+            g.restart(h, &mut slices).unwrap();
+            assert_eq!(out, datas(r, k), "rank {r} restart after checkpoint {k}");
+        });
+        assert_eq!(marker_syncs(), before, "restart {k} synced the marker");
+    }
+    // Every rank's last marker landed before its restart was answered:
+    // the next write finds the raw plane dirty, the one after it clean.
+    let before = marker_syncs();
+    timestep(handles, &mut groups, 4);
+    assert_eq!(marker_syncs(), before + 1);
+    timestep(handles, &mut groups, 5);
+    assert_eq!(marker_syncs(), before + 1, "a clean raw plane was synced");
+
+    let log = log.lock().unwrap();
+    // The markers' contents in order of first appearance: checkpoint
+    // 1's, 2's, 3's (every rank writes the same bytes).
+    let mut marker_fnvs: Vec<u64> = Vec::new();
+    for e in log.iter() {
+        if e.access == Access::Write && e.file == marker && !marker_fnvs.contains(&e.fnv) {
+            marker_fnvs.push(e.fnv);
+        }
+    }
+    assert_eq!(marker_fnvs.len(), 3);
+    for k in 2..=3usize {
+        let span = spans[k - 1].clone();
+        let data_write = |e: &Entry| e.access == Access::Write && e.file.contains(".ckpt-");
+        for node in 0..SERVERS {
+            assert!(
+                log[span.clone()]
+                    .iter()
+                    .any(|e| e.node == node && data_write(e)),
+                "checkpoint {k} wrote nothing on node {node}"
+            );
+        }
+        let first_write = span.start + log[span].iter().position(data_write).unwrap();
+        let marker_written = log
+            .iter()
+            .position(|e| e.file == marker && e.fnv == marker_fnvs[k - 2])
+            .unwrap();
+        assert!(
+            log[marker_written..first_write]
+                .iter()
+                .any(|e| e.node == 0 && e.access == Access::Sync && e.file == marker),
+            "checkpoint {k} wrote before checkpoint {}'s marker was synced",
+            k - 1
+        );
+    }
+}
+
+#[test]
+fn a_checkpoints_marker_is_synced_before_the_next_checkpoint_writes() {
+    let config = |clients: usize| {
+        PandaConfig::new(clients, SERVERS)
+            .with_subchunk_bytes(256)
+            .with_pipeline_depth(3)
+    };
+    // A fleet: four ranks, every one of them writes the marker.
+    let backends = logging_backends(|_| Arc::new(MemFs::new()));
+    let handles = backends.clone();
+    let (system, mut clients) = PandaSystem::builder()
+        .config(config(CLIENTS))
+        .launch(move |s| Arc::clone(&handles[s]) as Arc<dyn FileSystem>)
+        .unwrap();
+    marker_is_durable_before_the_next_checkpoint(&mut clients, &test_arrays(), &backends[0].log);
+    system.shutdown(clients).unwrap();
+
+    // A session: one tenant, its requests admitted by the master.
+    let metas = [make_array(
+        "field",
+        &[16, 16],
+        ElementType::F64,
+        &[1, 1],
+        DiskSchema::Traditional(SERVERS),
+    )];
+    let backends = logging_backends(|_| Arc::new(MemFs::new()));
+    let handles = backends.clone();
+    let mut service = PandaSystem::builder()
+        .config(config(1))
+        .serve(move |s| Arc::clone(&handles[s]) as Arc<dyn FileSystem>)
+        .unwrap();
+    let mut sessions = vec![service.open().unwrap()];
+    marker_is_durable_before_the_next_checkpoint(&mut sessions, &metas, &backends[0].log);
+    service.shutdown(sessions).unwrap();
 }

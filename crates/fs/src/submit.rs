@@ -21,9 +21,20 @@
 //! * **Preallocation.** [`crate::FileHandle::preallocate`] maps to
 //!   `ftruncate`-up (`File::set_len`), so a collective whose per-file
 //!   extent is known from the schedule grows each file exactly once.
+//! * **Early writeback.** A completion thread follows each `pwrite` of
+//!   at least 64 KiB (`WRITEBACK_MIN_BYTES`) with a writeback hint for
+//!   that range (`sync_file_range(SYNC_FILE_RANGE_WRITE)` on Linux,
+//!   nothing elsewhere), so a *completed* submission is one whose bytes
+//!   are queued to the device, not merely copied into the page cache:
+//!   the device works while the caller assembles the next subchunk. The
+//!   hint promises nothing and reports nothing; a direct
+//!   [`FileHandle::write_at`] does not give it.
 //!
-//! `sync` is a barrier: it waits for every submitted write on the
-//! handle to complete, surfaces any deferred error, then `fdatasync`s.
+//! `sync` is a barrier and the only durability point: it waits for
+//! every submitted write on the handle to complete, surfaces any
+//! deferred error, then `fdatasync`s — which, after the hints, mostly
+//! waits for writeback already in flight instead of starting it, and is
+//! the one place a write-back error shows.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -51,6 +62,9 @@ pub struct SubmitFs {
     root: RootDir,
     obs: Arc<FsObs>,
     pool: Arc<SubmitPool>,
+    /// Writeback hints given on this backend's files.
+    #[cfg(test)]
+    hints: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl std::fmt::Debug for SubmitFs {
@@ -90,6 +104,8 @@ impl SubmitFs {
             root: RootDir::create(root.into())?,
             obs: Arc::new(FsObs::with_recorder(recorder, node)),
             pool: Arc::new(SubmitPool::spawn(completion_threads)),
+            #[cfg(test)]
+            hints: Arc::default(),
         })
     }
 
@@ -115,6 +131,8 @@ impl SubmitFs {
                 }),
                 cv: Condvar::new(),
                 len: AtomicU64::new(len),
+                #[cfg(test)]
+                hints: Arc::clone(&self.hints),
             }),
             pool: Arc::clone(&self.pool),
             tracker: SeqTracker::default(),
@@ -216,6 +234,48 @@ impl SubmitPool {
     }
 }
 
+/// Smallest completed write that is followed by a writeback hint.
+/// Below it the call and the small device request it makes cost more
+/// than the overlap returns; Panda's subchunks sit well above it, and
+/// the raw plane's control files (a few hundred bytes, written through
+/// `write_at`) never reach the completion threads at all.
+const WRITEBACK_MIN_BYTES: usize = 64 * 1024;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    /// `sync_file_range(2)`, from the C library `std` already links.
+    fn sync_file_range(
+        fd: std::os::raw::c_int,
+        offset: i64,
+        nbytes: i64,
+        flags: std::os::raw::c_uint,
+    ) -> std::os::raw::c_int;
+}
+
+/// Ask the kernel to start writing `len` bytes at `offset` of `file` to
+/// the device, without waiting for them. A hint: the result is ignored,
+/// `sync` stays the durability point and the place an error surfaces.
+#[cfg(target_os = "linux")]
+fn start_writeback(file: &fs::File, offset: u64, len: usize) {
+    use std::os::unix::io::AsRawFd;
+    const SYNC_FILE_RANGE_WRITE: std::os::raw::c_uint = 2;
+    // `end_of` held offset + len inside `off_t` before the write was
+    // queued, so neither cast can wrap.
+    // SAFETY: the descriptor is open for as long as `file` is borrowed,
+    // the other arguments are plain integers, and no memory is passed.
+    unsafe {
+        sync_file_range(
+            file.as_raw_fd(),
+            offset as i64,
+            len as i64,
+            SYNC_FILE_RANGE_WRITE,
+        );
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn start_writeback(_file: &fs::File, _offset: u64, _len: usize) {}
+
 /// One queued write.
 struct SubmitOp {
     offset: u64,
@@ -258,6 +318,8 @@ struct FileState {
     /// Logical file length: grows at *submission* time so `len()` and
     /// read bounds see every queued write immediately.
     len: AtomicU64,
+    #[cfg(test)]
+    hints: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl FileState {
@@ -279,11 +341,19 @@ impl FileState {
         }
     }
 
-    /// Complete one write: positional `pwrite`, events, bookkeeping.
+    /// Complete one write: positional `pwrite`, the writeback hint,
+    /// events, bookkeeping. Both spans end after the hint: a write is
+    /// complete when its bytes are queued to the device, and a
+    /// congested device queue is charged to the write that met it.
     fn perform(&self, op: SubmitOp) {
         let start = self.obs.timed().then(Instant::now);
         let res = self.file.write_all_at(&op.buf, op.offset);
         if res.is_ok() {
+            if op.buf.len() >= WRITEBACK_MIN_BYTES {
+                #[cfg(test)]
+                self.hints.fetch_add(1, Ordering::SeqCst);
+                start_writeback(&self.file, op.offset, op.buf.len());
+            }
             self.obs.emit(&Event::FsWrite {
                 file: &self.name,
                 offset: op.offset,
@@ -592,6 +662,76 @@ mod tests {
         h.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf[..4], b"data");
         assert!(buf[4..].iter().all(|&b| b == 0));
+        let root = fs.root().to_path_buf();
+        drop((h, fs));
+        let _ = fs::remove_dir_all(root);
+    }
+
+    const MIB: usize = 1 << 20;
+
+    fn hints(fs: &SubmitFs) -> usize {
+        fs.hints.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_writeback_hint_follows_each_large_completion_and_nothing_else() {
+        let fs = tmp_fs("hint", 2);
+        let mut h = fs.create("h.dat").unwrap();
+        for i in 0..3 {
+            let at = (i * MIB) as u64;
+            assert!(h.submit_write(at, vec![i as u8; MIB]).unwrap().is_none());
+        }
+        for i in 0..2u64 {
+            let at = 3 * MIB as u64 + i * 4096;
+            assert!(h.submit_write(at, vec![9; 4096]).unwrap().is_none());
+        }
+        h.sync().unwrap();
+        assert_eq!(hints(&fs), 3, "one per 1 MiB completion, none per 4 KiB");
+        // The direct path writes the same bytes and gives no hint.
+        h.write_at(0, &vec![7u8; MIB]).unwrap();
+        h.sync().unwrap();
+        assert_eq!(hints(&fs), 3);
+        assert_eq!(fs.stats().writes(), 6);
+        assert_eq!(fs.stats().bytes_written(), (4 * MIB + 2 * 4096) as u64);
+        let root = fs.root().to_path_buf();
+        drop((h, fs));
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_failed_write_gives_no_hint_and_surfaces_its_error_once() {
+        let fs = tmp_fs("rofail", 1);
+        drop(fs.create("ro.dat").unwrap());
+        // A handle whose descriptor cannot write: every `pwrite` fails.
+        let read_only = fs::File::open(fs.root().join("ro.dat")).unwrap();
+        let mut h = fs.handle("ro.dat", read_only, 0);
+        assert!(h.submit_write(0, vec![1u8; MIB]).unwrap().is_none());
+        assert!(matches!(h.drain_completions(true), Err(FsError::Io(_))));
+        assert_eq!(hints(&fs), 0);
+        // Reported once; the buffer still comes back.
+        assert_eq!(h.drain_completions(false).unwrap().len(), 1);
+        h.sync().unwrap();
+        let root = fs.root().to_path_buf();
+        drop((h, fs));
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_rewrite_over_hinted_unsynced_bytes_reads_back_new() {
+        let fs = tmp_fs("rehint", 2);
+        let mut h = fs.create("r.dat").unwrap();
+        assert!(h.submit_write(0, vec![0xAA; MIB]).unwrap().is_none());
+        // Completed means hinted: writeback of the old bytes may be in
+        // flight while the same range is written again.
+        assert_eq!(h.drain_completions(true).unwrap().len(), 1);
+        assert_eq!(hints(&fs), 1);
+        assert!(h.submit_write(0, vec![0x55; MIB]).unwrap().is_none());
+        h.sync().unwrap();
+        assert_eq!(hints(&fs), 2);
+        assert_eq!(h.len(), MIB as u64);
+        let mut buf = vec![0u8; MIB];
+        fs.open("r.dat").unwrap().read_at(0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0x55));
         let root = fs.root().to_path_buf();
         drop((h, fs));
         let _ = fs::remove_dir_all(root);

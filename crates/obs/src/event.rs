@@ -224,7 +224,11 @@ pub enum Event<'a> {
         /// Device time of the call (zero when timing is disabled).
         dur: Duration,
     },
-    /// A file-system backend served a positioned write.
+    /// A file-system backend served a positioned write. On a `SubmitFs`
+    /// completion thread `dur` covers the `pwrite` and the writeback
+    /// hint that follows it — the time until the bytes are queued to the
+    /// device — so a congested device queue is charged to the write that
+    /// met it.
     FsWrite {
         /// File name within the backend.
         file: &'a str,
@@ -282,7 +286,8 @@ pub enum Event<'a> {
     /// A write was queued on a submission-queue backend (`SubmitFs`):
     /// ownership of the buffer moved to the backend; the matching
     /// [`Event::FsWrite`] (and [`Event::FsComplete`]) fire when a
-    /// completion thread lands it.
+    /// completion thread lands it — after its writeback hint, so
+    /// `FsComplete.queued` ends when the bytes are queued to the device.
     FsSubmit {
         /// File name within the backend.
         file: &'a str,
