@@ -31,6 +31,15 @@ benchmark run -q -- run --quick --runs 3 --out "$ledger"
 benchmark run -q -- compare benchmark/results/baseline.json "$ledger"
 rm -f "$ledger"
 
+# Purity gate: the collective window (crates/core/src/window.rs) decides
+# when a step may start and nothing else. The runtime and the DES can
+# share it only while it has no transport, file system, recorder, clock,
+# channel or thread to reach for; a mention of one fails here.
+if grep -nE 'panda_msg|panda_fs|panda_obs|std::time|mpsc|std::thread' crates/core/src/window.rs; then
+  echo "ci: window.rs must stay a pure state machine (see the hits above)" >&2
+  exit 1
+fi
+
 # Page-fault budget: natural chunking recycles its piece-sized buffers
 # (panda_msg::freelist) and MemFs rewrites a re-created file's pages in
 # place, so a steady-state bulk_mem operation faults in almost nothing.
@@ -60,8 +69,9 @@ fi
 # Fetch and a Data per server). A count, not a timing: protocol growth
 # fails here, and ROADMAP item 3's "<= 4 per op" tightens this number.
 # The same run holds the bytes, not only the count: those 9 934
-# messages are 13 402 680 bytes (6701.3 per operation). That is MORE
-# than the 9 452 488 (4726.2 per operation) of the fetching protocol,
+# messages are 13 398 680 bytes (6699.3 per operation; 13 402 680 until
+# the 2 x 2 000 request frames lost their unused priority byte). That is
+# MORE than the 9 452 488 (4726.2 per operation) of the fetching protocol,
 # and meant: a one-shot delivers the whole 4 KiB to each I/O node, the
 # master's relay included, where a Fetch drew only the node's own
 # 2 KiB half — fewer hand-offs bought with bytes that are cheap at this
@@ -80,7 +90,7 @@ metrics = json.loads(out.strip().splitlines()[-1])["metrics"]
 sent, sent_bytes = (metrics[name]["value"] for name in ("msg.sent", "msg.sent_bytes"))
 per_op = sent / ops
 assert per_op <= 5.1, f"small_sessions: {per_op:.2f} messages per operation exceeds the budget of 5.1"
-assert sent_bytes == 13402680, f"small_sessions: {sent_bytes:.0f} bytes sent over {ops} operations, not 13402680"
+assert sent_bytes == 13398680, f"small_sessions: {sent_bytes:.0f} bytes sent over {ops} operations, not 13398680"
 print(f"message budget: {sent} messages, {sent_bytes} bytes / {ops} operations = {per_op:.2f} per operation ok")
 PY
 fi

@@ -49,12 +49,8 @@ pub(crate) enum SubmitMode {
     /// The paper's SPMD model: all compute nodes participate, rank 0
     /// submits.
     Fleet,
-    /// Service model: this client alone participates, at the given
-    /// scheduling priority.
-    Session {
-        /// Scheduling priority (higher pumps first on the servers).
-        priority: u8,
-    },
+    /// Service model: this client alone participates.
+    Session,
 }
 
 /// One array's side of the exchange, as the serve loop sees it: the
@@ -219,7 +215,7 @@ impl PandaClient {
     fn mesh_rank(&self, mode: SubmitMode) -> usize {
         match mode {
             SubmitMode::Fleet => self.rank,
-            SubmitMode::Session { .. } => 0,
+            SubmitMode::Session => 0,
         }
     }
 
@@ -263,8 +259,7 @@ impl PandaClient {
         // request: the servers cut their pieces out of it and never
         // fetch. Shared, so the master's in-process relay is a refcount.
         let total: usize = lens.iter().sum();
-        let carried = (matches!(mode, SubmitMode::Session { .. })
-            && total < freelist::PIECE_MIN_BYTES)
+        let carried = (matches!(mode, SubmitMode::Session) && total < freelist::PIECE_MIN_BYTES)
             .then(|| {
                 let mut body = Vec::with_capacity(total);
                 for item in &set.items {
@@ -630,14 +625,14 @@ impl PandaClient {
         }
         let subchunk_bytes = tuning.map_or(self.subchunk_bytes, |t| t.subchunk_bytes);
         let pipeline_depth = tuning.map_or(self.pipeline_depth, |t| t.pipeline_depth);
-        let (participants, priority): (Vec<u32>, u8) = match mode {
+        let participants: Vec<u32> = match mode {
             SubmitMode::Fleet => {
                 if !self.is_master() {
                     return Ok(None);
                 }
-                ((0..self.num_clients as u32).collect(), 0)
+                (0..self.num_clients as u32).collect()
             }
-            SubmitMode::Session { priority } => (vec![self.rank as u32], priority),
+            SubmitMode::Session => vec![self.rank as u32],
         };
         let request = self.fresh_request_id();
         // The group — not the array — is the unit of scheduling: one
@@ -651,7 +646,6 @@ impl PandaClient {
         let req = CollectiveRequest {
             request,
             participants,
-            priority,
             op,
             arrays: arrays
                 .iter()

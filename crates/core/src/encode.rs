@@ -247,15 +247,15 @@ macro_rules! wire_enum {
 pub(crate) use wire_enum;
 
 /// Declare a struct whose [`Wire`] encoding is its fields in the order
-/// written. An optional `valid |v| <condition>, "<what>";` after the
-/// fields is checked on decode and failing it is a decode error.
+/// written. Each `valid |v| <condition>, "<what>";` after the fields
+/// is checked on decode and failing it is a decode error.
 macro_rules! wire_struct {
     (
         $(#[$meta:meta])*
         $vis:vis struct $name:ident {
             $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty, )*
         }
-        $( valid |$v:ident| $valid:expr, $context:literal; )?
+        $( valid |$v:ident| $valid:expr, $context:literal; )*
     ) => {
         $(#[$meta])*
         $vis struct $name {
@@ -274,7 +274,7 @@ macro_rules! wire_struct {
                 $( let $v = &value;
                 if !$valid {
                     return Err($crate::error::PandaError::Decode { context: $context });
-                } )?
+                } )*
                 Ok(value)
             }
         }

@@ -27,6 +27,10 @@
 //!   request (one array or many) into the step stream the server's
 //!   staged engine executes. Shared verbatim with the performance model
 //!   in `panda-model`;
+//! * [`window`] — *when* each step of that stream may start: the
+//!   depth-`d` collective window as a state machine without bytes,
+//!   sockets or a clock ([`Window`]), driven by [`server`] with real
+//!   messages and by `panda-model`'s DES under the virtual clock;
 //! * [`protocol`] + [`encode`] — the client/server message set, written
 //!   down once as a table of rows, and the [`encode::Wire`] trait each
 //!   field encodes itself through;
@@ -111,6 +115,7 @@ pub mod scrape;
 pub mod server;
 pub mod session;
 pub mod tuned;
+pub mod window;
 
 pub use array::ArrayMeta;
 pub use client::PandaClient;
@@ -125,3 +130,4 @@ pub use runtime::{PandaConfig, PandaSystem, PandaSystemBuilder};
 pub use scrape::MetricsServer;
 pub use session::{PandaService, Session};
 pub use tuned::TunedConfig;
+pub use window::{Action, Input, Window};

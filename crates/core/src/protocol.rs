@@ -99,14 +99,12 @@ wire_struct! {
         /// which is what lets concurrent collectives demultiplex on shared
         /// pairwise-FIFO transports.
         pub request: u64,
-        /// Scheduling priority on the servers (higher runs first; equal
-        /// priorities round-robin).
-        pub priority: u8,
         /// Fabric ranks of the compute nodes holding the data, in mesh
         /// order: a plan piece's `client` index selects
         /// `participants[piece.client]`. A fleet-wide collective lists
         /// `0..num_clients`; a session collective lists just the
-        /// submitter's own rank.
+        /// submitter's own rank. Never empty: the first is the submitter,
+        /// and decoders refuse a request nobody takes part in.
         pub participants: Vec<u32>,
         /// Write or read.
         pub op: OpKind,
@@ -123,6 +121,7 @@ wire_struct! {
         pub arrays: Vec<ArrayOp>,
     }
     valid |req| req.subchunk_bytes > 0, "zero subchunk cap";
+    valid |req| !req.participants.is_empty(), "no participants";
 }
 
 /// Build the message set from its table. A row is
@@ -546,7 +545,6 @@ mod tests {
             Msg::Collective(CollectiveRequest {
                 request: (1 << 32) | 7,
                 participants: vec![0, 1, 2, 3],
-                priority: 3,
                 op: OpKind::Read,
                 arrays: vec![
                     ArrayOp {
@@ -566,8 +564,7 @@ mod tests {
             }),
             Msg::Collective(CollectiveRequest {
                 request: 0,
-                participants: vec![],
-                priority: 0,
+                participants: vec![9],
                 op: OpKind::Write,
                 arrays: vec![],
                 subchunk_bytes: 4096,
@@ -629,7 +626,6 @@ mod tests {
                 req: CollectiveRequest {
                     request: (3 << 32) | 1,
                     participants: vec![2],
-                    priority: 1,
                     op: OpKind::Write,
                     arrays: vec![ArrayOp {
                         meta: solo_meta(),
@@ -647,28 +643,29 @@ mod tests {
 
     /// `encode()` of each of [`samples`], in order, captured at the commit
     /// before the message table (hand-written `encode`/`decode` arms);
-    /// `one_shot` at the commit that added the row.
+    /// `one_shot` at the commit that added the row. The three requests
+    /// have since lost their priority byte (the ninth) and nothing else.
     const GOLDEN: [&str; 16] = [
         // collective (read, two arrays, one a section)
         "\
-         0700000001000000030400000000000000000000000100000002000000030000\
-         0001000010000000000002000000000000000202000000000000000100000000\
-         0000007402000000000000000800000000000000080000000000000004020000\
-         0000000000000002000000000000000200000000000000020000000000000002\
-         0000000000000008000000000000000800000000000000040200000000000000\
-         0001010000000000000002000000000000000000000000000000050000000000\
-         0000742e7473300003000000000000006f646402000000000000000c00000000\
-         0000000600000000000000051800000002000000000000000001010000000000\
-         0000030000000000000002000000000000000c00000000000000060000000000\
-         0000051800000002000000000000000100010000000000000002000000000000\
-         0000100000000000000600000000000000742e636b7074010200000000000000\
-         0000000000000000020000000000000002000000000000000400000000000000\
-         0600000000000000\
+         0700000001000000040000000000000000000000010000000200000003000000\
+         0100001000000000000200000000000000020200000000000000010000000000\
+         0000740200000000000000080000000000000008000000000000000402000000\
+         0000000000000200000000000000020000000000000002000000000000000200\
+         0000000000000800000000000000080000000000000004020000000000000000\
+         0101000000000000000200000000000000000000000000000005000000000000\
+         00742e7473300003000000000000006f646402000000000000000c0000000000\
+         0000060000000000000005180000000200000000000000000101000000000000\
+         00030000000000000002000000000000000c0000000000000006000000000000\
+         0005180000000200000000000000010001000000000000000200000000000000\
+         00100000000000000600000000000000742e636b707401020000000000000000\
+         0000000000000002000000000000000200000000000000040000000000000006\
+         00000000000000\
         ",
         // collective (write, no arrays)
         "\
-         0000000000000000000000000000000000000010000000000000040000000000\
-         0000010000000000000000\
+         0000000000000000010000000000000009000000000010000000000000040000\
+         0000000000010000000000000000\
         ",
         // fetch
         "\
@@ -711,13 +708,13 @@ mod tests {
         "0b000000000000002a00000000000000",
         // one_shot (a session's 2 x 3 bytes behind their request)
         "\
-         0100000003000000010100000000000000020000000000001000000000000200\
-         0000000000000101000000000000000100000000000000730200000000000000\
-         0200000000000000030000000000000000020000000000000000000200000000\
-         0000000100000000000000010000000000000002000000000000000200000000\
-         0000000300000000000000000200000000000000000002000000000000000100\
-         000000000000010000000000000000000000000000000500000000000000732e\
-         747330000600000000000000010203040506\
+         0100000003000000010000000000000002000000000000100000000000020000\
+         0000000000010100000000000000010000000000000073020000000000000002\
+         0000000000000003000000000000000002000000000000000000020000000000\
+         0000010000000000000001000000000000000200000000000000020000000000\
+         0000030000000000000000020000000000000000000200000000000000010000\
+         0000000000010000000000000000000000000000000500000000000000732e74\
+         7330000600000000000000010203040506\
         ",
     ];
 

@@ -1,41 +1,44 @@
 //! The Panda server: the I/O-node side of collective operations.
 //!
-//! Each server runs [`ServerNode::run`] in its own thread. Since the
-//! multi-tenant service mode landed, that loop is a *request scheduler*
-//! rather than a one-collective-at-a-time handler: up to
-//! `max_concurrent_collectives` admitted requests are live at once,
-//! each lowered into its own [`CollectiveSchedule`] and advanced as a
-//! `RequestRun` state machine. One pass of the loop
+//! Each server runs [`ServerNode::run`] in its own thread, as a shared
+//! facility: up to `max_concurrent_collectives` admitted requests are
+//! live at once, each lowered into its own [`CollectiveSchedule`]. Three
+//! parts serve them:
 //!
-//! 1. **pumps** every live run (priority order, round-robin within a
-//!    priority): issuing fetches — or cutting a one-shot's pieces out
-//!    of the bytes it carried — assembling arrived pieces on the
-//!    [`IoPool`], queueing completed subchunks to the disk task,
-//!    scattering prefetched read buffers, and flagging a read retired
-//!    once its last piece is pushed;
-//! 2. **drains the transport** without blocking, routing `Data` replies
-//!    to their run by the request id they echo, admitting new
-//!    collectives, and serving the baseline raw plane;
-//! 3. **drains disk completions** (recycled write buffers, filled read
-//!    buffers, a write's close acknowledgement, which flags it retired)
-//!    from the shared disk task;
-//! 4. **retires** every flagged run — the one place a run ends — by
-//!    sending its `Complete`s and admitting from the wait queue;
-//! 5. blocks only when nothing progressed — on the disk channel when
-//!    disk work is outstanding, on the transport otherwise.
-//!
-//! The **disk task** is one named thread (`panda-disk-<server>`) per
-//! server, spawned in [`ServerNode::run`], and serves every request: it
-//! keeps a per-request file table and processes
-//! `DiskCmd`s strictly in arrival order, which interleaves requests
-//! at subchunk granularity while preserving each request's per-file
-//! FIFO — so every file is still written/read in exactly the serial
-//! schedule's order and files stay byte-identical at any depth and any
-//! concurrency. Write submission uses the `depth - 1` completion
-//! window per request, and fsync placement honours each request's own
-//! [`SyncPolicy`] (per write, per file as its last step lands, or one
-//! coalesced barrier at the request's close) — per-request fsync
-//! accounting, not fleet-global.
+//! * **The window** ([`Window`], one per live run) knows
+//!   *when* each step of a schedule may start — how many fetches may be
+//!   outstanding, when an assembled subchunk goes to the disk, when a
+//!   read may run ahead, when the run closes and retires — and nothing
+//!   else: it has no bytes, no socket, no channel and no clock.
+//! * **The driver** (this module's [`ServerNode`]) owns everything the
+//!   window does not: the transport, admission, the buffers, the
+//!   [`IoPool`] and the events. Whatever happens names one run — a
+//!   `Data` reply, a disk answer, an admission — so the driver looks
+//!   that run up once, feeds its window the one [`Input`], and performs
+//!   the [`Action`]s it answers: a `Fetch` is a message (or, for a
+//!   one-shot, a piece cut out of the bytes it carried and fed
+//!   straight back), a `Write`/`Read`/`Close` a command
+//!   to the disk task, a `Scatter` a pool pass and the pushes, a
+//!   `Retire` the `Complete`s and an admission from the wait queue. No
+//!   other run is touched; runs share nothing but the FIFO disk task,
+//!   so they take turns in the order their inputs arrive. The one thing
+//!   the driver batches is reorganization: the pieces one transport
+//!   drain delivers are assembled in one parallel pool pass before the
+//!   writes they complete are performed. The loop blocks only when
+//!   nothing arrived — on the disk channel when disk work is
+//!   outstanding, on the transport otherwise.
+//! * **The disk task** is one named thread (`panda-disk-<server>`) per
+//!   server, spawned in [`ServerNode::run`], and serves every request:
+//!   it keeps a per-request file table and processes `DiskCmd`s strictly
+//!   in arrival order, which interleaves requests at subchunk
+//!   granularity while preserving each request's per-file FIFO — so
+//!   every file is still written/read in exactly the serial schedule's
+//!   order and files stay byte-identical at any depth and any
+//!   concurrency. Write submission uses the `depth - 1` completion
+//!   window per request, and fsync placement honours each request's own
+//!   [`SyncPolicy`] (per write, per file as its last step lands, or one
+//!   coalesced barrier at the request's close) — per-request fsync
+//!   accounting, not fleet-global.
 //!
 //! **Completion** is each server's own business: when a run retires,
 //! the server sends every participant one [`Msg::Complete`] carrying
@@ -52,10 +55,10 @@
 //! single-participant write with its bytes behind it (submitters choose
 //! it below `panda_msg::freelist::PIECE_MIN_BYTES`). It is admitted,
 //! queued and relayed — body and all — exactly as a `Collective`, and
-//! its run differs from a fetching run in one place: where a step's
-//! `Fetch`es would go out, its pieces are packed out of the carried
-//! bytes and handed to the same arrival code a `Data` reply ends in.
-//! Its `Complete`s therefore attest zero pieces.
+//! its run differs from a fetching run in one place: the driver performs
+//! a `Fetch` by packing the piece out of the carried bytes and handing
+//! it to the same arrival code a `Data` reply ends in. Its `Complete`s
+//! therefore attest zero pieces.
 //!
 //! **Admission** happens at the master server: a request beyond the
 //! live cap waits in a bounded queue, and a single-participant
@@ -84,6 +87,7 @@ use crate::pool::IoPool;
 use crate::protocol::{
     recv_msg, send_data, send_msg, send_request, try_recv_msg, CollectiveRequest, Msg, OpKind,
 };
+use crate::window::{Action, Input, Unexpected, Window};
 
 /// How long the scheduler parks on the disk channel before re-polling
 /// the transport, when disk work is outstanding but nothing else moved.
@@ -119,16 +123,6 @@ pub struct ServerNode {
     /// Worker pool for the parallel reorganization passes: `io_workers`
     /// less the one thread the disk task is.
     pool: IoPool,
-}
-
-/// A subchunk being assembled inside a write run's window.
-struct InFlight {
-    /// The subchunk's bytes. Empty until the first piece arrives: an
-    /// identity step's buffer *is* the received payload, a reorganizing
-    /// step takes one from the free-list when it starts assembling.
-    buf: Vec<u8>,
-    /// Pieces still missing.
-    remaining: usize,
 }
 
 /// A fetched piece of a reorganizing step that arrived but has not
@@ -193,13 +187,13 @@ impl Carried {
     }
 }
 
-/// One live collective on this server: the per-request state that used
-/// to be the whole server's state. Everything here is scoped to a
-/// single request id, which is what lets N of these interleave on the
-/// shared transport, worker pool, and disk task.
+/// One live collective on this server: everything scoped to a single
+/// request id, which is what lets N of these interleave on the shared
+/// transport, worker pool, and disk task. The window says when each
+/// step may start; the rest is what the driver performs its actions
+/// with.
 struct RequestRun {
     request: u64,
-    priority: u8,
     /// Fabric ranks of the participating compute nodes, indexed by a
     /// plan piece's mesh-local `client`.
     participants: Vec<u32>,
@@ -207,7 +201,6 @@ struct RequestRun {
     /// this server's `Complete` attests to. Counted where they are sent.
     sent: Vec<u32>,
     dir: OpKind,
-    depth: usize,
     sched: CollectiveSchedule,
     /// Start instant, for the `CollectiveDone` duration.
     t_op: Option<Instant>,
@@ -216,29 +209,21 @@ struct RequestRun {
     seq: u64,
     /// seq → (step index, piece index) for in-flight fetches.
     seq_map: HashMap<u64, (usize, usize)>,
-    /// Write direction: subchunks being assembled, oldest first.
-    window: VecDeque<InFlight>,
-    /// Oldest step still in the window.
-    front: usize,
-    /// Next step to issue fetches for.
-    next: usize,
-    /// Write commands sent to the disk task whose buffer has not come
-    /// back yet — the per-request disk queue bound.
-    disk_queued: usize,
-    /// Replies awaiting this pump's parallel assembly pass.
+    win: Window,
+    /// What the window asked for and the driver has not done yet. Empty
+    /// between inputs, except while a transport drain collects the
+    /// pieces it will assemble in one pass.
+    acts: Vec<Action>,
+    /// Write direction: each step's subchunk bytes, from its first piece
+    /// until its `Write`. Empty otherwise: an identity step's buffer
+    /// *is* the received payload, a reorganizing step takes one from
+    /// the free-list when it starts assembling.
+    bufs: Vec<Vec<u8>>,
+    /// Replies awaiting the parallel assembly pass.
     pending: Vec<PendingPiece>,
-    /// Read direction: steps whose disk read has been issued.
-    reads_issued: usize,
-    /// Read direction: next step to scatter to clients.
-    next_scatter: usize,
-    /// Read direction: prefetched buffers, in schedule order.
-    ready_bufs: VecDeque<Vec<u8>>,
-    /// Whether `DiskCmd::Close` has been sent.
-    close_sent: bool,
-    /// The run is over on this server — a write's `Closed` came back, a
-    /// read's last piece was pushed — and the next sweep in
-    /// [`ServerNode::serve`] sends its `Complete`s.
-    retired: bool,
+    /// Read direction: the buffer the disk task just filled, until its
+    /// `Scatter` is performed.
+    filled: Option<Vec<u8>>,
     /// The bytes of a one-shot write; `None` for a run that fetches.
     carried: Option<Carried>,
 }
@@ -247,34 +232,39 @@ impl RequestRun {
     /// A freshly admitted run: nothing fetched, issued or queued yet.
     fn new(
         req: CollectiveRequest,
-        depth: usize,
         sched: CollectiveSchedule,
         t_op: Option<Instant>,
         carried: Option<Carried>,
     ) -> Self {
+        let pieces = sched.steps.iter().map(|s| s.sub.pieces.len());
         RequestRun {
             request: req.request,
-            priority: req.priority,
             sent: vec![0; req.participants.len()],
             participants: req.participants,
             dir: req.op,
-            depth,
+            win: Window::new(pieces, req.op, req.pipeline_depth),
+            bufs: vec![Vec::new(); sched.steps.len()],
             sched,
             t_op,
             seq: 0,
             seq_map: HashMap::new(),
-            window: VecDeque::new(),
-            front: 0,
-            next: 0,
-            disk_queued: 0,
+            acts: Vec::new(),
             pending: Vec::new(),
-            reads_issued: 0,
-            next_scatter: 0,
-            ready_bufs: VecDeque::new(),
-            close_sent: false,
-            retired: false,
+            filled: None,
             carried,
         }
+    }
+
+    /// Tell the window what happened; what it answers joins `acts`. An
+    /// input it was not waiting for is a protocol violation by whoever
+    /// delivered it.
+    fn feed(&mut self, input: Input) -> Result<(), PandaError> {
+        let request = self.request;
+        self.win
+            .on(input, &mut self.acts)
+            .map_err(|Unexpected(input)| PandaError::Protocol {
+                detail: format!("request {request} is not waiting for {input:?}"),
+            })
     }
 
     /// Cut plan piece `pi` of step `si` out of the carried bytes: what
@@ -301,13 +291,11 @@ impl RequestRun {
     /// The bytes of write piece `pi` of step `si` are here, fetched or
     /// carried. An identity step is complete with them: the piece is
     /// the subchunk, so the buffer goes to the disk task as it is. A
-    /// reorganizing step's assembly happens on the next pump, one
-    /// parallel pass per burst.
-    fn piece_arrived(&mut self, si: usize, pi: usize, payload: Bytes) {
+    /// reorganizing step's pieces wait for the assembly pass, one
+    /// parallel pass per burst. Either way the window hears of it.
+    fn piece_arrived(&mut self, si: usize, pi: usize, payload: Bytes) -> Result<(), PandaError> {
         if self.sched.steps[si].identity {
-            let slot = &mut self.window[si - self.front];
-            slot.buf = payload.into_vec();
-            slot.remaining = 0;
+            self.bufs[si] = payload.into_vec();
         } else {
             self.pending.push(PendingPiece {
                 step: si,
@@ -315,22 +303,39 @@ impl RequestRun {
                 payload,
             });
         }
+        self.feed(Input::Piece {
+            step: si,
+            piece: pi,
+        })
     }
 }
 
 /// Scheduler state local to one [`ServerNode::run`] call.
 struct SchedState {
-    /// Live runs in pump order: highest priority first, and within a
-    /// priority class the run whose turn it is first.
+    /// Live runs, in admission order.
     live: Vec<RequestRun>,
     /// Admitted-but-waiting requests (master only), a one-shot with the
     /// bytes it carries.
     queue: VecDeque<(CollectiveRequest, Option<Bytes>)>,
     /// Set by `Msg::Shutdown`; the loop exits once drained.
     draining: bool,
+    /// The disk task's command channel.
+    cmd_tx: mpsc::Sender<DiskCmd>,
     /// Disk commands awaiting a completion (`Free`/`Full`/`Closed`): every
     /// `Write` and `Read`, and a write run's `Close`.
     disk_pending: usize,
+}
+
+impl SchedState {
+    /// Send one disk command, counting it if the task will answer it. A
+    /// closed channel means the disk task already died — the join in
+    /// [`ServerNode::run`] has the cause.
+    fn disk_send(&mut self, cmd: DiskCmd, answered: bool) -> Result<(), PandaError> {
+        self.disk_pending += usize::from(answered);
+        self.cmd_tx.send(cmd).map_err(|_| PandaError::Protocol {
+            detail: "disk task stopped early".to_string(),
+        })
+    }
 }
 
 /// A file to open at the start of a request's disk work.
@@ -815,40 +820,41 @@ impl ServerNode {
             live: Vec::new(),
             queue: VecDeque::new(),
             draining: false,
+            cmd_tx,
             disk_pending: 0,
         };
-        let run = self.serve(&mut st, &cmd_tx, &out_rx);
+        let run = self.serve(&mut st, &out_rx);
         // Closing the command channel lets the disk task drain and exit.
-        drop(cmd_tx);
+        drop(st);
         let disk = disk.join().map_err(|_| PandaError::Protocol {
             detail: "disk task panicked".to_string(),
         })?;
         disk.and(run)
     }
 
-    /// The scheduler loop (see the module docs for its five phases).
+    /// The driver loop (see the module docs): feed what arrives to the
+    /// run it names, block when nothing did.
     fn serve(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
         out_rx: &mpsc::Receiver<DiskOut>,
     ) -> Result<(), PandaError> {
         loop {
-            let mut progress = self.pump_all(st, cmd_tx)?;
+            let mut progress = false;
             while let Some((src, msg)) = try_recv_msg(&mut *self.transport, MatchSpec::any())? {
-                self.dispatch(st, cmd_tx, src, msg, Duration::ZERO)?;
+                self.dispatch(st, src, msg, Duration::ZERO)?;
                 progress = true;
+            }
+            // `Data` replies only joined their runs: assemble what this
+            // drain delivered in one pool pass per run, then perform the
+            // writes (and further fetches) the pieces made due. Highest
+            // index first: a retiring run leaves the lower ones in place.
+            for idx in (0..st.live.len()).rev() {
+                self.assemble(&mut st.live[idx])?;
+                self.perform(st, idx)?;
             }
             while let Ok(done) = out_rx.try_recv() {
                 self.disk_done(st, done)?;
-                progress = true;
-            }
-            // Retire what this pass finished — a read whose last piece
-            // the pump pushed, a write whose `Closed` just drained. A
-            // retirement admits from the queue; the next pass pumps
-            // what it started.
-            while let Some(idx) = st.live.iter().position(|r| r.retired) {
-                self.finish_run(st, cmd_tx, idx)?;
                 progress = true;
             }
             self.publish_health(st);
@@ -879,303 +885,179 @@ impl ServerNode {
                 let t_wait = self.obs_on().then(Instant::now);
                 let (src, msg) = recv_msg(&mut *self.transport, MatchSpec::any())?;
                 let wait = t_wait.map_or(Duration::ZERO, |t| t.elapsed());
-                self.dispatch(st, cmd_tx, src, msg, wait)?;
+                self.dispatch(st, src, msg, wait)?;
             }
         }
     }
 
-    /// Pump every live run once, in `live`'s order, then give the next
-    /// run of each priority class the first turn of the next pass — so
-    /// equal priorities round-robin and no request starves.
-    fn pump_all(
-        &mut self,
-        st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
-    ) -> Result<bool, PandaError> {
-        let mut progress = false;
-        for run in st.live.iter_mut() {
-            progress |= self.pump_run(&mut st.disk_pending, cmd_tx, run)?;
-        }
-        for class in st.live.chunk_by_mut(|a, b| a.priority == b.priority) {
-            class.rotate_left(1);
-        }
-        Ok(progress)
-    }
-
-    fn pump_run(
-        &mut self,
-        disk_pending: &mut usize,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
-        run: &mut RequestRun,
-    ) -> Result<bool, PandaError> {
-        match run.dir {
-            OpKind::Write => self.pump_write(disk_pending, cmd_tx, run),
-            OpKind::Read => self.pump_read(disk_pending, cmd_tx, run),
-        }
-    }
-
-    /// Advance one write-direction run as far as it will go without
-    /// blocking: assemble arrived pieces in parallel, queue completed
-    /// head subchunks to the disk task, and keep up to `depth` steps'
-    /// fetches outstanding — or, for a one-shot, up to `depth` steps cut
-    /// out of the bytes it carried.
-    fn pump_write(
-        &mut self,
-        disk_pending: &mut usize,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
-        run: &mut RequestRun,
-    ) -> Result<bool, PandaError> {
-        let mut progress = false;
-        loop {
-            let mut moved = false;
-            // Assemble the arrived batch of reorganizing steps (an
-            // identity step's payload became its slot's buffer on
-            // arrival), window slots in parallel: each job owns one
-            // slot's buffer (disjoint via `iter_mut`); pieces within a
-            // slot stay serial.
-            if !run.pending.is_empty() {
-                moved = true;
-                let front = run.front;
-                let mut per_slot: Vec<Vec<PendingPiece>> =
-                    (0..run.window.len()).map(|_| Vec::new()).collect();
-                for p in run.pending.drain(..) {
-                    per_slot[p.step - front].push(p);
-                }
-                let steps = &run.sched.steps;
-                let recorder = &self.recorder;
-                let node = self.my_rank();
-                let request = run.request;
-                let server_idx = self.server_idx;
-                let mut jobs: Vec<Box<dyn FnOnce() -> Result<(), SchemaError> + Send + '_>> =
-                    Vec::new();
-                for (off, (slot, items)) in run.window.iter_mut().zip(per_slot).enumerate() {
-                    if items.is_empty() {
-                        continue;
-                    }
-                    let step = &steps[front + off];
-                    slot.remaining -= items.len();
-                    if slot.buf.is_empty() {
-                        // Not zero-filled: a write step's pieces
-                        // partition its subchunk, so assembly
-                        // overwrites every byte.
-                        slot.buf = freelist::take(step.sub.bytes);
-                    }
-                    let buf = &mut slot.buf;
-                    let key = SubchunkKey::scoped(request, server_idx, step.array, step.subchunk);
-                    jobs.push(Box::new(move || {
-                        for p in items {
-                            assemble_piece(
-                                recorder.as_ref(),
-                                node,
-                                key,
-                                p.piece as u32,
-                                buf,
-                                &step.sub.region,
-                                &step.sub.pieces[p.piece].region,
-                                &p.payload,
-                                step.elem,
-                            )?;
-                            p.payload.recycle();
-                        }
-                        Ok(())
-                    }));
-                }
-                self.pool.run_scoped_result(jobs)?;
-            }
-            // Queue completed head subchunks to the disk task: it
-            // writes step k while replies for k+1.. assemble here. The
-            // per-request bound keeps one run from monopolizing the
-            // shared task.
-            while run.window.front().is_some_and(|s| s.remaining == 0)
-                && run.disk_queued < run.depth
-            {
-                let done = run.window.pop_front().expect("checked front");
-                let step = &run.sched.steps[run.front];
-                self.emit(&Event::DiskWriteQueued {
-                    key: self.key_of(run.request, step),
-                    bytes: done.buf.len() as u64,
-                });
-                Self::disk_send(
-                    cmd_tx,
-                    DiskCmd::Write {
+    /// Do what live run `idx`'s window asked for, in the order it asked.
+    /// Two actions answer themselves — a one-shot's `Fetch` is its
+    /// piece's arrival, a `Scatter` returns once the pieces are pushed —
+    /// and what the window makes of that joins the same list. `Retire`
+    /// is a run's last action: it leaves `live` here.
+    fn perform(&mut self, st: &mut SchedState, idx: usize) -> Result<(), PandaError> {
+        let mut at = 0;
+        while let Some(&action) = st.live[idx].acts.get(at) {
+            at += 1;
+            let run = &mut st.live[idx];
+            match action {
+                Action::Fetch { step, piece } => self.fetch(run, step, piece)?,
+                Action::Write { step } => {
+                    // The disk task writes step k while replies for
+                    // k + 1.. assemble here.
+                    self.assemble(run)?;
+                    let buf = std::mem::take(&mut run.bufs[step]);
+                    let step = &run.sched.steps[step];
+                    let key = self.key_of(run.request, step);
+                    self.emit(&Event::DiskWriteQueued {
+                        key,
+                        bytes: buf.len() as u64,
+                    });
+                    let cmd = DiskCmd::Write {
                         request: run.request,
                         file: step.file,
-                        key: self.key_of(run.request, step),
+                        key,
                         offset: step.sub.file_offset,
-                        buf: done.buf,
-                    },
-                )?;
-                *disk_pending += 1;
-                run.disk_queued += 1;
-                run.front += 1;
-                moved = true;
-            }
-            if run.front == run.sched.steps.len() && !run.close_sent {
-                Self::disk_send(
-                    cmd_tx,
-                    DiskCmd::Close {
-                        request: run.request,
-                    },
-                )?;
-                *disk_pending += 1;
-                run.close_sent = true;
-                moved = true;
-            }
-            // Keep up to `depth` steps' fetches outstanding.
-            while run.next < run.sched.steps.len() && run.next - run.front < run.depth {
-                if run.depth == 1 && run.disk_queued > 0 {
-                    // Depth 1 is the strictly serialized oracle: the
-                    // next fetch waits for the disk write to land (its
-                    // `Free`). Deeper windows keep fetching while the
-                    // disk task works; the per-request disk queue bound
-                    // is the backpressure.
-                    break;
+                        buf,
+                    };
+                    st.disk_send(cmd, true)?;
                 }
-                let step = &run.sched.steps[run.next];
-                run.window.push_back(InFlight {
-                    buf: Vec::new(),
-                    remaining: step.sub.pieces.len(),
-                });
-                if run.carried.is_some() {
-                    // One-shot: the step's bytes came with the request,
-                    // so its pieces arrive here and now. Nothing is
-                    // sent, and nothing counted towards `Complete`.
-                    for pi in 0..step.sub.pieces.len() {
-                        let payload = run.pack_carried(run.next, pi)?;
-                        run.piece_arrived(run.next, pi, payload);
-                    }
-                } else {
-                    for (pi, piece) in step.sub.pieces.iter().enumerate() {
-                        let dst = piece_dst(&run.participants, &mut run.sent, piece.client)?;
-                        send_msg(
-                            &mut *self.transport,
-                            NodeId(dst as usize),
-                            &Msg::Fetch {
-                                request: run.request,
-                                array: step.array,
-                                seq: run.seq,
-                                region: piece.region.clone(),
-                            },
-                        )?;
-                        self.emit(&Event::FetchSent {
-                            key: self.key_of(run.request, step),
-                            piece: pi as u32,
-                            client: dst,
-                        });
-                        run.seq_map.insert(run.seq, (run.next, pi));
-                        run.seq += 1;
-                    }
-                }
-                run.next += 1;
-                moved = true;
-            }
-            if !moved {
-                return Ok(progress);
-            }
-            progress = true;
-        }
-    }
-
-    /// Advance one read-direction run: scatter prefetched buffers in
-    /// schedule order, keep up to `depth` disk reads ahead of the
-    /// scatter point, and retire the run once its last piece is pushed.
-    fn pump_read(
-        &mut self,
-        disk_pending: &mut usize,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
-        run: &mut RequestRun,
-    ) -> Result<bool, PandaError> {
-        let mut progress = false;
-        loop {
-            let mut moved = false;
-            // Prefetched buffers arrive in schedule order (the disk
-            // task is per-request FIFO), so the front one always
-            // belongs to the next scatter step.
-            while let Some(buf) = run.ready_bufs.pop_front() {
-                let step = &run.sched.steps[run.next_scatter];
-                let node = self.my_rank();
-                Self::scatter_step(
-                    &mut *self.transport,
-                    &self.pool,
-                    &self.recorder,
-                    node,
-                    self.server_idx,
-                    run.request,
-                    &run.participants,
-                    &mut run.sent,
-                    step,
-                    buf,
-                    &mut run.seq,
-                )?;
-                run.next_scatter += 1;
-                moved = true;
-            }
-            // Keep up to `depth` reads ahead of the scatter point
-            // (counting ready buffers not yet scattered): depth 1 = no
-            // read-ahead, the strictly serialized schedule.
-            while run.reads_issued < run.sched.steps.len()
-                && run.reads_issued - run.next_scatter < run.depth
-            {
-                let step = &run.sched.steps[run.reads_issued];
-                Self::disk_send(
-                    cmd_tx,
-                    DiskCmd::Read {
+                Action::Read { step } => {
+                    let step = &run.sched.steps[step];
+                    let cmd = DiskCmd::Read {
                         request: run.request,
                         file: step.file,
                         key: self.key_of(run.request, step),
                         offset: step.sub.file_offset,
                         bytes: step.sub.bytes,
-                    },
-                )?;
-                *disk_pending += 1;
-                run.reads_issued += 1;
-                moved = true;
+                    };
+                    st.disk_send(cmd, true)?;
+                }
+                Action::Scatter { step } => {
+                    self.scatter_step(run, step)?;
+                    run.feed(Input::Pushed)?;
+                }
+                Action::Close => {
+                    // A read's close is not waited for: it syncs
+                    // nothing, cannot fail, and any later `Open` of
+                    // these files is behind it on the one command
+                    // channel.
+                    let (request, answered) = (run.request, matches!(run.dir, OpKind::Write));
+                    st.disk_send(DiskCmd::Close { request }, answered)?;
+                }
+                Action::Retire => {
+                    let run = st.live.remove(idx);
+                    return self.finish_run(st, run);
+                }
             }
-            if run.next_scatter == run.sched.steps.len() && !run.close_sent {
-                // The last byte has left, so the read is over here. Its
-                // `Close` is not waited for: it syncs nothing, cannot
-                // fail, and any later `Open` of these files is behind it
-                // on the one command channel.
-                Self::disk_send(
-                    cmd_tx,
-                    DiskCmd::Close {
-                        request: run.request,
-                    },
-                )?;
-                run.close_sent = true;
-                run.retired = true;
-                moved = true;
-            }
-            if !moved {
-                return Ok(progress);
-            }
-            progress = true;
         }
+        st.live[idx].acts.clear();
+        Ok(())
     }
 
-    /// Push one read step to its clients. An identity step's buffer —
-    /// the one the disk task filled — goes out as the `Data` body as it
-    /// is. A reorganizing step packs all of its pieces in parallel on
-    /// the worker pool (large pieces additionally split along their
-    /// outermost dimension inside [`IoPool::pack_region_par`]) into
-    /// free-list buffers, then sends them in piece order so the
-    /// per-client message stream matches the serial schedule. The
-    /// schedule already clipped the pieces to a requested section.
-    #[allow(clippy::too_many_arguments)]
-    fn scatter_step(
-        transport: &mut dyn Transport,
-        pool: &IoPool,
-        recorder: &Arc<dyn Recorder>,
-        node: u32,
-        server_idx: usize,
-        request: u64,
-        participants: &[u32],
-        sent: &mut [u32],
-        step: &ScheduleStep,
-        buf: Vec<u8>,
-        seq: &mut u64,
-    ) -> Result<(), PandaError> {
-        let key = SubchunkKey::scoped(request, server_idx, step.array, step.subchunk);
+    /// Perform a `Fetch`: ask the piece's participant for it — or, for a
+    /// one-shot, cut it out of the bytes the request carried, which is
+    /// its arrival: nothing is sent, and nothing counted towards
+    /// `Complete`.
+    fn fetch(&mut self, run: &mut RequestRun, si: usize, pi: usize) -> Result<(), PandaError> {
+        if run.carried.is_some() {
+            let payload = run.pack_carried(si, pi)?;
+            return run.piece_arrived(si, pi, payload);
+        }
+        let step = &run.sched.steps[si];
+        let piece = &step.sub.pieces[pi];
+        let dst = piece_dst(&run.participants, &mut run.sent, piece.client)?;
+        send_msg(
+            &mut *self.transport,
+            NodeId(dst as usize),
+            &Msg::Fetch {
+                request: run.request,
+                array: step.array,
+                seq: run.seq,
+                region: piece.region.clone(),
+            },
+        )?;
+        self.emit(&Event::FetchSent {
+            key: self.key_of(run.request, step),
+            piece: pi as u32,
+            client: dst,
+        });
+        run.seq_map.insert(run.seq, (si, pi));
+        run.seq += 1;
+        Ok(())
+    }
+
+    /// Assemble the arrived pieces of `run`'s reorganizing steps (an
+    /// identity step's payload became its buffer on arrival), steps in
+    /// parallel: each job owns one step's buffer (disjoint via
+    /// `iter_mut`); pieces within a step stay serial.
+    fn assemble(&self, run: &mut RequestRun) -> Result<(), PandaError> {
+        let Some(lo) = run.pending.iter().map(|p| p.step).min() else {
+            return Ok(());
+        };
+        let mut per_step: Vec<Vec<PendingPiece>> = Vec::new();
+        for p in run.pending.drain(..) {
+            let off = p.step - lo;
+            if per_step.len() <= off {
+                per_step.resize_with(off + 1, Vec::new);
+            }
+            per_step[off].push(p);
+        }
+        let recorder = &self.recorder;
+        let node = self.my_rank();
+        let mut jobs: Vec<Box<dyn FnOnce() -> Result<(), SchemaError> + Send + '_>> = Vec::new();
+        let slots = run.bufs[lo..].iter_mut().zip(&run.sched.steps[lo..]);
+        for ((buf, step), items) in slots.zip(per_step) {
+            if items.is_empty() {
+                continue;
+            }
+            if buf.is_empty() {
+                // Not zero-filled: a write step's pieces partition its
+                // subchunk, so assembly overwrites every byte.
+                *buf = freelist::take(step.sub.bytes);
+            }
+            let key = self.key_of(run.request, step);
+            jobs.push(Box::new(move || {
+                for p in items {
+                    assemble_piece(
+                        recorder.as_ref(),
+                        node,
+                        key,
+                        p.piece as u32,
+                        buf,
+                        &step.sub.region,
+                        &step.sub.pieces[p.piece].region,
+                        &p.payload,
+                        step.elem,
+                    )?;
+                    p.payload.recycle();
+                }
+                Ok(())
+            }));
+        }
+        self.pool.run_scoped_result(jobs)?;
+        Ok(())
+    }
+
+    /// Perform a `Scatter`: push read step `si` to its clients. An
+    /// identity step's buffer — the one the disk task filled — goes out
+    /// as the `Data` body as it is. A reorganizing step packs all of its
+    /// pieces in parallel on the worker pool (large pieces additionally
+    /// split along their outermost dimension inside
+    /// [`IoPool::pack_region_par`]) into free-list buffers, then sends
+    /// them in piece order so the per-client message stream matches the
+    /// serial schedule. The schedule already clipped the pieces to a
+    /// requested section.
+    fn scatter_step(&mut self, run: &mut RequestRun, si: usize) -> Result<(), PandaError> {
+        // Prefetched buffers arrive in schedule order (the disk task is
+        // per-request FIFO), and each `Filled` is scattered at once.
+        let buf = run.filled.take().expect("a Scatter answers a Filled");
+        let step = &run.sched.steps[si];
+        let key = self.key_of(run.request, step);
+        let node = self.my_rank();
+        let (transport, recorder, pool) = (&mut *self.transport, &self.recorder, &self.pool);
+        let (request, participants) = (run.request, &run.participants);
+        let (sent, seq) = (&mut run.sent, &mut run.seq);
         let pieces = &step.sub.pieces;
         let mut push = |pi: usize, data: Vec<u8>| -> Result<(), PandaError> {
             let dst = piece_dst(participants, sent, pieces[pi].client)?;
@@ -1245,20 +1127,11 @@ impl ServerNode {
         Ok(())
     }
 
-    /// Send one disk command; a closed channel means the disk task
-    /// already died — the join in [`ServerNode::run`] has the cause.
-    fn disk_send(cmd_tx: &mpsc::Sender<DiskCmd>, cmd: DiskCmd) -> Result<(), PandaError> {
-        cmd_tx.send(cmd).map_err(|_| PandaError::Protocol {
-            detail: "disk task stopped early".to_string(),
-        })
-    }
-
     /// Route one transport message. `wait` is the time the scheduler
     /// spent blocked for it (zero when it was drained non-blocking).
     fn dispatch(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
         src: NodeId,
         msg: Msg,
         wait: Duration,
@@ -1268,8 +1141,8 @@ impl ServerNode {
                 st.draining = true;
                 Ok(())
             }
-            Msg::Collective(req) => self.admit(st, cmd_tx, req, None),
-            Msg::OneShot { req, payload } => self.admit(st, cmd_tx, req, Some(payload)),
+            Msg::Collective(req) => self.admit(st, req, None),
+            Msg::OneShot { req, payload } => self.admit(st, req, Some(payload)),
             Msg::Data {
                 request,
                 seq,
@@ -1318,16 +1191,15 @@ impl ServerNode {
     fn admit(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
         req: CollectiveRequest,
         carried: Option<Bytes>,
     ) -> Result<(), PandaError> {
         if !self.is_master() {
-            return self.start_run(st, cmd_tx, req, carried);
+            return self.start_run(st, req, carried);
         }
         if st.live.len() < self.max_concurrent {
             self.relay(&req, carried.as_ref())?;
-            return self.start_run(st, cmd_tx, req, carried);
+            return self.start_run(st, req, carried);
         }
         if req.participants.len() > 1 || st.queue.len() < self.max_queued {
             st.queue.push_back((req, carried));
@@ -1351,7 +1223,8 @@ impl ServerNode {
             live: st.live.len() as u32,
         });
         self.health.note_reject(self.server_idx);
-        let submitter = NodeId(req.participants.first().map_or(0, |&r| r as usize));
+        // Decoding refused a request without participants.
+        let submitter = NodeId(req.participants[0] as usize);
         send_msg(
             &mut *self.transport,
             submitter,
@@ -1393,13 +1266,12 @@ impl ServerNode {
     }
 
     /// Lower an admitted request into a live [`RequestRun`]: build its
-    /// schedule, open its files on the disk task, and enter it into the
-    /// scheduler. The next pump moves it — or, when its schedule is
-    /// empty, closes it straight away.
+    /// schedule, open its files on the disk task, and start its window —
+    /// which asks for the first fetches or reads, or, when the schedule
+    /// is empty, closes it straight away.
     fn start_run(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
         req: CollectiveRequest,
         carried: Option<Bytes>,
     ) -> Result<(), PandaError> {
@@ -1433,8 +1305,7 @@ impl ServerNode {
                 });
             }
         }
-        Self::disk_send(
-            cmd_tx,
+        st.disk_send(
             DiskCmd::Open {
                 request: req.request,
                 write: matches!(req.op, OpKind::Write),
@@ -1455,16 +1326,19 @@ impl ServerNode {
                     .map(|t| Self::file_name(t, self.server_idx))
                     .collect(),
             },
+            false,
         )?;
-        let run = RequestRun::new(req, depth, sched, t_op, carried);
-        // Behind every live run of its priority or higher.
-        let at = st.live.partition_point(|r| r.priority >= run.priority);
-        st.live.insert(at, run);
-        Ok(())
+        let mut run = RequestRun::new(req, sched, t_op, carried);
+        run.feed(Input::Start)?;
+        st.live.push(run);
+        let idx = st.live.len() - 1;
+        self.perform(st, idx)
     }
 
     /// Route an arriving `Data` reply to its run and step, and hold it to
-    /// the plan before it counts as arrived.
+    /// the plan before it counts as arrived. What its arrival makes due
+    /// waits in the run's `acts` for the end of the transport drain (see
+    /// [`ServerNode::serve`]).
     fn route_data(
         &mut self,
         st: &mut SchedState,
@@ -1501,60 +1375,46 @@ impl ServerNode {
                 ),
             });
         }
-        if self.recorder.enabled() {
-            self.recorder.record(
-                self.my_rank(),
-                &Event::FetchReplied {
-                    key: SubchunkKey::scoped(request, self.server_idx, step.array, step.subchunk),
-                    bytes: payload.len() as u64,
-                    // Only the blocking receive actually waited.
-                    wait,
-                },
-            );
-        }
-        run.piece_arrived(si, pi, payload);
-        Ok(())
+        self.emit(&Event::FetchReplied {
+            key: self.key_of(request, step),
+            bytes: payload.len() as u64,
+            // Only the blocking receive actually waited.
+            wait,
+        });
+        run.piece_arrived(si, pi, payload)
     }
 
-    /// Process one disk completion.
+    /// Process one disk answer: feed it to the run it names. One for a
+    /// request that is not live is a protocol error whatever it answers
+    /// — a dropped `Full` would be a read that never scatters — and its
+    /// buffer still goes back to the free-list.
     fn disk_done(&mut self, st: &mut SchedState, done: DiskOut) -> Result<(), PandaError> {
         st.disk_pending -= 1;
-        match done {
-            DiskOut::Free { request, buf } => {
-                if let Some(run) = st.live.iter_mut().find(|r| r.request == request) {
-                    run.disk_queued -= 1;
-                }
-                freelist::give(buf);
-            }
-            DiskOut::Full { request, buf } => {
-                if let Some(run) = st.live.iter_mut().find(|r| r.request == request) {
-                    run.ready_bufs.push_back(buf);
-                }
-            }
-            DiskOut::Closed { request } => {
-                st.live
-                    .iter_mut()
-                    .find(|r| r.request == request)
-                    .ok_or_else(|| PandaError::Protocol {
-                        detail: format!("disk close for unknown request {request}"),
-                    })?
-                    .retired = true;
-            }
+        let (request, input, buf) = match done {
+            DiskOut::Free { request, buf } => (request, Input::Written, buf),
+            DiskOut::Full { request, buf } => (request, Input::Filled, buf),
+            DiskOut::Closed { request } => (request, Input::Closed, Vec::new()),
+        };
+        let Some(idx) = st.live.iter().position(|r| r.request == request) else {
+            freelist::give(buf);
+            return Err(PandaError::Protocol {
+                detail: format!("disk answered {input:?} for unknown request {request}"),
+            });
+        };
+        let run = &mut st.live[idx];
+        match input {
+            Input::Filled => run.filled = Some(buf),
+            _ => freelist::give(buf),
         }
-        Ok(())
+        run.feed(input)?;
+        self.perform(st, idx)
     }
 
-    /// Retire live run `idx`, flagged by a write's `Closed` or a read's
-    /// last push: the collective is complete on this server. Tell every
-    /// participant, then (master) pull the next queued request into the
-    /// freed slot.
-    fn finish_run(
-        &mut self,
-        st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
-        idx: usize,
-    ) -> Result<(), PandaError> {
-        let run = st.live.remove(idx);
+    /// Retire `run`, which just left `live` on its window's `Retire` (a
+    /// write's `Closed` came back, a read's last piece was pushed): the
+    /// collective is complete on this server. Tell every participant,
+    /// then (master) pull the next queued request into the freed slot.
+    fn finish_run(&mut self, st: &mut SchedState, run: RequestRun) -> Result<(), PandaError> {
         let request = run.request;
         if let Some(t) = run.t_op {
             self.emit(&Event::CollectiveDone {
@@ -1574,7 +1434,7 @@ impl ServerNode {
                 break;
             };
             self.relay(&req, carried.as_ref())?;
-            self.start_run(st, cmd_tx, req, carried)?;
+            self.start_run(st, req, carried)?;
         }
         Ok(())
     }
@@ -1783,6 +1643,58 @@ mod tests {
         assert_eq!(fs.contents("f").unwrap(), [9; 4]);
         // The closing barrier ran for the two writes, not for the read.
         assert_eq!(fs.stats().syncs(), 2);
+    }
+
+    /// The other direction: an answer for a request the driver does not
+    /// hold. `Free` and `Full` used to be dropped where `Closed` was an
+    /// error; now all three are the same error, and the buffer goes back
+    /// to the free-list first.
+    #[test]
+    fn a_disk_answer_for_a_request_that_is_not_live_is_a_protocol_error() {
+        // A size class of its own on the list this binary's tests share.
+        const LEN: usize = (3 << 20) + 4096;
+        let (mut eps, _) = panda_msg::InProcFabric::new(1);
+        let mut node = ServerNode::new(
+            Box::new(eps.pop().unwrap()),
+            Arc::new(MemFs::new()),
+            0,
+            0,
+            1,
+            1,
+            1,
+            0,
+            panda_obs::null_recorder(),
+            Arc::new(ServiceHealth::new(1, 1, 0)),
+        );
+        type Answer = fn(Vec<u8>) -> DiskOut;
+        let answers: [(&str, Answer); 3] = [
+            ("Written", |buf| DiskOut::Free { request: 5, buf }),
+            ("Filled", |buf| DiskOut::Full { request: 5, buf }),
+            ("Closed", |_| DiskOut::Closed { request: 5 }),
+        ];
+        for (name, answer) in answers {
+            let mut st = SchedState {
+                live: Vec::new(),
+                queue: VecDeque::new(),
+                draining: false,
+                cmd_tx: mpsc::channel().0,
+                disk_pending: 1,
+            };
+            let buf = freelist::take(LEN);
+            let ptr = buf.as_ptr();
+            match node.disk_done(&mut st, answer(buf)) {
+                Err(PandaError::Protocol { detail }) => assert!(
+                    detail.contains(&format!("disk answered {name} for unknown request 5")),
+                    "{detail}"
+                ),
+                other => panic!("{name}: expected a protocol error, got {other:?}"),
+            }
+            assert_eq!(st.disk_pending, 0);
+            if name != "Closed" {
+                let again = freelist::take(LEN);
+                assert_eq!(again.as_ptr(), ptr, "{name}: the buffer was lost");
+            }
+        }
     }
 
     /// A command for a request the task does not hold used to be

@@ -73,10 +73,7 @@ impl PandaService {
     /// taken. Each session owns one fabric endpoint and can be moved to
     /// its own thread.
     pub fn open(&mut self) -> Option<Session> {
-        self.idle.pop().map(|client| Session {
-            client,
-            priority: 0,
-        })
+        self.idle.pop().map(|client| Session { client })
     }
 
     /// Session slots still available.
@@ -131,25 +128,12 @@ impl PandaService {
 /// run concurrently with every other session's.
 pub struct Session {
     client: PandaClient,
-    priority: u8,
 }
 
 impl Session {
     /// This session's fabric rank (its slot index).
     pub fn rank(&self) -> usize {
         self.client.rank()
-    }
-
-    /// The scheduling priority attached to this session's requests.
-    pub fn priority(&self) -> u8 {
-        self.priority
-    }
-
-    /// Set the scheduling priority for subsequent requests: the
-    /// servers pump higher-priority requests first each scheduler pass
-    /// (equal priorities round-robin).
-    pub fn set_priority(&mut self, priority: u8) {
-        self.priority = priority;
     }
 
     /// Number of I/O nodes in the deployment this session talks to.
@@ -210,12 +194,7 @@ impl Session {
     /// service is at capacity (typed, retryable flow control).
     pub fn write_set(&mut self, set: &WriteSet<'_>) -> Result<u64, PandaError> {
         self.check_single_node(set.items.iter().map(|i| i.meta))?;
-        self.client.write_set_mode(
-            set,
-            SubmitMode::Session {
-                priority: self.priority,
-            },
-        )?;
+        self.client.write_set_mode(set, SubmitMode::Session)?;
         Ok(self.client.last_request_id().unwrap_or(0))
     }
 
@@ -223,12 +202,7 @@ impl Session {
     /// the request id; admission control as in [`Session::write_set`].
     pub fn read_set(&mut self, set: &mut ReadSet<'_>) -> Result<u64, PandaError> {
         self.check_single_node(set.items.iter().map(|i| i.meta))?;
-        self.client.read_set_mode(
-            set,
-            SubmitMode::Session {
-                priority: self.priority,
-            },
-        )?;
+        self.client.read_set_mode(set, SubmitMode::Session)?;
         Ok(self.client.last_request_id().unwrap_or(0))
     }
 }

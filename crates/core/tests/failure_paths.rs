@@ -77,13 +77,12 @@ fn garbage_message_to_server_is_a_decode_error() {
     assert!(matches!(err, PandaError::Decode { .. }), "got {err}");
 }
 
-/// A `Collective` with a zero subchunk cap cannot come from a client
-/// (launch and submit refuse the configuration), so it is a corrupt or
-/// hostile frame. The planner's `expect("nonzero subchunk cap")` must
-/// never see it: the I/O node ends with a typed error, not a panic that
-/// takes every tenant down with it.
-#[test]
-fn collective_with_a_zero_subchunk_cap_is_a_decode_error() {
+/// Send the I/O node an otherwise honest `Collective` that `spoil`
+/// made into something no client sends, and expect it to end with a
+/// typed decode error — not a panic that takes every tenant down.
+fn hostile_collective_is_a_decode_error(
+    spoil: impl FnOnce(&mut panda_core::protocol::CollectiveRequest),
+) {
     use panda_core::protocol::{ArrayOp, CollectiveRequest};
     let meta = make_array("t", &[8, 8], ElementType::F64, &[1, 1], DiskSchema::Natural);
     let config = PandaConfig::new(1, 1).with_recv_timeout(Duration::from_millis(300));
@@ -91,26 +90,44 @@ fn collective_with_a_zero_subchunk_cap_is_a_decode_error() {
         .config(config.clone())
         .launch(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>)
         .unwrap();
-    let hostile = Msg::Collective(CollectiveRequest {
+    let mut request = CollectiveRequest {
         request: 1,
         participants: vec![0],
-        priority: 0,
         op: panda_core::OpKind::Write,
         arrays: vec![ArrayOp {
             meta,
             file_tag: "t".into(),
             section: None,
         }],
-        subchunk_bytes: 0,
+        subchunk_bytes: 1 << 20,
         pipeline_depth: 1,
         sync_policy: panda_fs::SyncPolicy::PerFile,
-    });
+    };
+    spoil(&mut request);
+    let hostile = Msg::Collective(request);
     clients[0]
         .transport_mut_for_tests()
         .send(NodeId(1), hostile.tag(), hostile.encode())
         .unwrap();
     let err = system.shutdown(clients).map(|_| ()).unwrap_err();
     assert!(matches!(err, PandaError::Decode { .. }), "got {err}");
+}
+
+/// A `Collective` with a zero subchunk cap cannot come from a client
+/// (launch and submit refuse the configuration), so it is a corrupt or
+/// hostile frame. The planner's `expect("nonzero subchunk cap")` must
+/// never see it.
+#[test]
+fn collective_with_a_zero_subchunk_cap_is_a_decode_error() {
+    hostile_collective_is_a_decode_error(|req| req.subchunk_bytes = 0);
+}
+
+/// Nor does a client send a `Collective` nobody takes part in: admitted,
+/// its first plan piece would index an empty participant list (or its
+/// `Reject` go to whoever is rank 0).
+#[test]
+fn collective_without_participants_is_a_decode_error() {
+    hostile_collective_is_a_decode_error(|req| req.participants.clear());
 }
 
 #[test]
@@ -239,7 +256,6 @@ fn short_or_misregioned_data_for_an_identity_step_is_a_protocol_error() {
         let request = CollectiveRequest {
             request: (1 << 32) | 1,
             participants: vec![0],
-            priority: 0,
             op: panda_core::OpKind::Write,
             arrays: vec![ArrayOp {
                 meta: meta.clone(),
@@ -461,7 +477,6 @@ fn a_one_shot_that_is_not_a_whole_single_participant_write_is_a_protocol_error()
     let honest = CollectiveRequest {
         request: (1 << 32) | 1,
         participants: vec![0],
-        priority: 0,
         op: OpKind::Write,
         arrays: vec![ArrayOp {
             meta: meta.clone(),

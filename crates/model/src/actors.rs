@@ -3,8 +3,10 @@
 //! One actor per compute node and one per I/O node. Each server actor
 //! walks the very [`CollectiveSchedule`] the real server would execute
 //! ([`CollectiveSpec::schedule`] — steps, pieces and read-section
-//! clipping all come from `panda-core`); clients respond to requests
-//! exactly as the real runtime does. Time comes from the calibrated
+//! clipping all come from `panda-core`) through the very [`Window`] the
+//! real server drives, so the two cannot disagree about *when* a step
+//! may start, only about how long things take; clients respond to
+//! requests exactly as the real runtime does. Time comes from the calibrated
 //! [`Sp2Machine`]: control messages cost latency + small overhead, data
 //! messages reserve both endpoints' network ports for
 //! `per_msg_overhead + bytes/bandwidth`, strided gathers/scatters charge
@@ -13,7 +15,7 @@
 //! commented-out-I/O experiment).
 
 use panda_core::protocol::ArrayOp;
-use panda_core::{ArrayMeta, CollectiveSchedule, OpKind, ScheduleStep};
+use panda_core::{Action, ArrayMeta, CollectiveSchedule, Input, OpKind, ScheduleStep, Window};
 use panda_fs::aix::IoDirection;
 use panda_fs::SyncPolicy;
 use panda_sim::{secs_to_ns, Actor, ActorId, Context, Engine, Resource, SimTime};
@@ -78,13 +80,18 @@ struct World {
     ctrl_msgs: u64,
     /// Completion time of each application's last server.
     app_done: Vec<SimTime>,
+    /// Every fetch (write) or push (read) as `(server, step, piece)`,
+    /// in issue order.
+    issued: Vec<(usize, usize, usize)>,
 }
 
 /// Simulation events.
 #[derive(Debug, Clone)]
 enum Ev {
-    /// Server: begin the next step of the schedule.
-    Begin,
+    /// Server: what its window waits for happened — the collective
+    /// reached this I/O node, the disk finished its oldest write, read
+    /// or close, the last piece of its oldest scatter left.
+    Window(Input),
     /// Client: a server requests a piece (write path).
     Fetch {
         server: usize,
@@ -95,12 +102,8 @@ enum Ev {
     },
     /// Server: a piece arrived (write path).
     WriteData { step: u32, piece: u32 },
-    /// Server: the disk finished reading a subchunk (read path).
-    DiskReadDone { step: u32 },
     /// Client: a piece arrived (read path).
     ReadData { bytes: usize, strided_client: bool },
-    /// Terminal no-op pinning the engine clock to a completion time.
-    Done,
 }
 
 struct ClientActor {
@@ -179,37 +182,17 @@ struct ServerActor {
     server_pos: usize,
     op: OpKind,
     fast_disk: bool,
-    /// The lowered schedule, replayed step by step.
+    /// The lowered schedule, and when each of its steps may start.
     steps: Vec<ScheduleStep>,
-    /// Next step to begin.
-    cur: usize,
-    /// Pieces still in flight for the current step (write path).
-    outstanding: usize,
-    /// When the current step's assembly becomes complete.
-    assembly_ready: SimTime,
-    /// Disk (write) / network (read) completion time per step.
-    stage_end: Vec<SimTime>,
+    win: Window,
+    /// Per step: when its assembly becomes complete (write path).
+    assembly_ready: Vec<SimTime>,
+    /// When this server's last write ends: the disk answers in the order
+    /// it was asked, a close after every write.
+    disk_tail: SimTime,
 }
 
 impl ServerActor {
-    fn schedule_next(&self, assembled: SimTime, k: usize, ctx: &mut Context<'_, Ev, World>) {
-        let depth = ctx.state.machine.pipeline_depth;
-        let next_begin = if depth <= 1 {
-            self.stage_end[k]
-        } else if k + 1 >= depth {
-            assembled.max(self.stage_end[k + 1 - depth])
-        } else {
-            assembled
-        };
-        let me = ctx.self_id();
-        if self.cur < self.steps.len() {
-            ctx.send_at(next_begin.max(ctx.now()), me, Ev::Begin);
-        } else {
-            // Pin the engine clock to this server's completion.
-            ctx.send_at(self.stage_end[k].max(ctx.now()), me, Ev::Done);
-        }
-    }
-
     /// Disk time of step `k`, queued behind the disk's earlier work from
     /// `ready`; free on an infinitely fast disk.
     fn disk_access(&self, k: usize, ready: SimTime, ctx: &mut Context<'_, Ev, World>) -> SimTime {
@@ -224,50 +207,114 @@ impl ServerActor {
         let dur = secs_to_ns(ctx.state.machine.disk.access_time(bytes, dir));
         ctx.state.server_disk[self.index].acquire(ready, dur).1
     }
+
+    /// Tell the window what happened and perform what it answers
+    /// against the machine's resources, each answer an event at the
+    /// virtual time the work ends.
+    fn drive(&mut self, input: Input, ctx: &mut Context<'_, Ev, World>) {
+        let mut acts = Vec::new();
+        self.win
+            .on(input, &mut acts)
+            .expect("the model delivers what the window waits for");
+        let (now, me) = (ctx.now(), ctx.self_id());
+        for action in acts {
+            match action {
+                Action::Fetch { step: k, piece: pi } => {
+                    let step = &self.steps[k];
+                    let piece = &step.sub.pieces[pi];
+                    let control = secs_to_ns(ctx.state.machine.net.control_time());
+                    ctx.state.ctrl_msgs += 1;
+                    ctx.state.issued.push((self.server_pos, k, pi));
+                    ctx.send_at(
+                        now + control,
+                        ActorId(self.client_base + piece.client),
+                        Ev::Fetch {
+                            server: self.server_pos,
+                            step: k as u32,
+                            piece: pi as u32,
+                            bytes: piece.region.num_bytes(step.elem),
+                            strided_client: !piece.contiguous_in_client,
+                        },
+                    );
+                }
+                Action::Write { step: k } => {
+                    let assembled = self.assembly_ready[k]
+                        + secs_to_ns(ctx.state.machine.per_subchunk_overhead);
+                    self.disk_tail = self.disk_access(k, assembled, ctx);
+                    ctx.send_at(self.disk_tail, me, Ev::Window(Input::Written));
+                }
+                Action::Read { step: k } => {
+                    let end = self.disk_access(k, now, ctx);
+                    ctx.send_at(end, me, Ev::Window(Input::Filled));
+                }
+                Action::Scatter { step: k } => {
+                    let sends_end = self.scatter(k, ctx);
+                    ctx.send_at(sends_end, me, Ev::Window(Input::Pushed));
+                }
+                // A read's close costs nothing and is not waited for.
+                Action::Close => {
+                    if matches!(self.op, OpKind::Write) {
+                        ctx.send_at(self.disk_tail.max(now), me, Ev::Window(Input::Closed));
+                    }
+                }
+                Action::Retire => {
+                    let done = &mut ctx.state.app_done[self.app];
+                    *done = (*done).max(now);
+                }
+            }
+        }
+    }
+
+    /// Pack step `k`'s pieces out of the subchunk buffer and send them;
+    /// returns when the last has left this server's port.
+    fn scatter(&mut self, k: usize, ctx: &mut Context<'_, Ev, World>) -> SimTime {
+        let m_overhead = secs_to_ns(ctx.state.machine.per_subchunk_overhead);
+        let latency_ns = secs_to_ns(ctx.state.machine.net.latency);
+        let now = ctx.now();
+        ctx.state.server_nic[self.index].acquire(now, m_overhead);
+        let step = &self.steps[k];
+        for (pi, piece) in step.sub.pieces.iter().enumerate() {
+            let bytes = piece.region.num_bytes(step.elem);
+            let client = self.client_base + piece.client;
+            let (pack_ns, dur_ns) = {
+                let m = &ctx.state.machine;
+                (
+                    if piece.contiguous_in_subchunk {
+                        0
+                    } else {
+                        secs_to_ns(m.memcpy_time(bytes))
+                    },
+                    secs_to_ns(m.net.transfer_time(bytes)),
+                )
+            };
+            // Pack out of the subchunk buffer, then transfer.
+            let (_, pack_end) = ctx.state.server_nic[self.index].acquire(now, pack_ns);
+            let start = pack_end.max(ctx.state.clients[client].free_at());
+            let (_, end) = ctx.state.server_nic[self.index].acquire(start, dur_ns);
+            ctx.state.clients[client].acquire(start, dur_ns);
+            ctx.state.data_msgs += 1;
+            ctx.state.issued.push((self.server_pos, k, pi));
+            ctx.send_at(
+                end + latency_ns,
+                ActorId(client),
+                Ev::ReadData {
+                    bytes,
+                    strided_client: !piece.contiguous_in_client,
+                },
+            );
+        }
+        ctx.state.server_nic[self.index].free_at()
+    }
 }
 
 impl Actor<Ev, World> for ServerActor {
     fn handle(&mut self, event: Ev, ctx: &mut Context<'_, Ev, World>) {
         match event {
-            Ev::Begin => {
-                let k = self.cur;
-                let Some(step) = self.steps.get(k) else {
-                    return;
-                };
-                match self.op {
-                    OpKind::Write => {
-                        // Request every piece of step k.
-                        self.outstanding = step.sub.pieces.len();
-                        self.assembly_ready = ctx.now();
-                        let control = secs_to_ns(ctx.state.machine.net.control_time());
-                        for (pi, piece) in step.sub.pieces.iter().enumerate() {
-                            ctx.state.ctrl_msgs += 1;
-                            ctx.send_at(
-                                ctx.now() + control,
-                                ActorId(self.client_base + piece.client),
-                                Ev::Fetch {
-                                    server: self.server_pos,
-                                    step: k as u32,
-                                    piece: pi as u32,
-                                    bytes: piece.region.num_bytes(step.elem),
-                                    strided_client: !piece.contiguous_in_client,
-                                },
-                            );
-                        }
-                    }
-                    OpKind::Read => {
-                        // Issue the sequential disk read for step k.
-                        let end = self.disk_access(k, ctx.now(), ctx);
-                        let me = ctx.self_id();
-                        ctx.send_at(end, me, Ev::DiskReadDone { step: k as u32 });
-                    }
-                }
-            }
+            Ev::Window(input) => self.drive(input, ctx),
             Ev::WriteData { step, piece } => {
-                let k = step as usize;
-                debug_assert_eq!(k, self.cur, "blocking protocol: one subchunk at a time");
+                let (k, pi) = (step as usize, piece as usize);
                 let step = &self.steps[k];
-                let p = &step.sub.pieces[piece as usize];
+                let p = &step.sub.pieces[pi];
                 // Scatter into the subchunk buffer (traditional order).
                 let scatter_ns = if p.contiguous_in_subchunk {
                     0
@@ -276,64 +323,8 @@ impl Actor<Ev, World> for ServerActor {
                 };
                 let now = ctx.now();
                 let (_, end) = ctx.state.server_nic[self.index].acquire(now, scatter_ns);
-                self.assembly_ready = self.assembly_ready.max(end);
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    let assembled =
-                        self.assembly_ready + secs_to_ns(ctx.state.machine.per_subchunk_overhead);
-                    let disk_end = self.disk_access(k, assembled, ctx);
-                    self.stage_end.push(disk_end);
-                    debug_assert_eq!(self.stage_end.len(), k + 1);
-                    self.cur += 1;
-                    self.schedule_next(assembled, k, ctx);
-                }
-            }
-            Ev::DiskReadDone { step } => {
-                let k = step as usize;
-                let m_overhead = secs_to_ns(ctx.state.machine.per_subchunk_overhead);
-                let latency_ns = secs_to_ns(ctx.state.machine.net.latency);
-                let now = ctx.now();
-                ctx.state.server_nic[self.index].acquire(now, m_overhead);
-                let step = &self.steps[k];
-                for piece in &step.sub.pieces {
-                    let bytes = piece.region.num_bytes(step.elem);
-                    let client = self.client_base + piece.client;
-                    let (pack_ns, dur_ns) = {
-                        let m = &ctx.state.machine;
-                        (
-                            if piece.contiguous_in_subchunk {
-                                0
-                            } else {
-                                secs_to_ns(m.memcpy_time(bytes))
-                            },
-                            secs_to_ns(m.net.transfer_time(bytes)),
-                        )
-                    };
-                    // Pack out of the subchunk buffer, then transfer.
-                    let (_, pack_end) = ctx.state.server_nic[self.index].acquire(now, pack_ns);
-                    let start = pack_end.max(ctx.state.clients[client].free_at());
-                    let (_, end) = ctx.state.server_nic[self.index].acquire(start, dur_ns);
-                    ctx.state.clients[client].acquire(start, dur_ns);
-                    ctx.state.data_msgs += 1;
-                    ctx.send_at(
-                        end + latency_ns,
-                        ActorId(client),
-                        Ev::ReadData {
-                            bytes,
-                            strided_client: !piece.contiguous_in_client,
-                        },
-                    );
-                }
-                let sends_end = ctx.state.server_nic[self.index].free_at();
-                self.stage_end.push(sends_end);
-                debug_assert_eq!(self.stage_end.len(), k + 1);
-                self.cur += 1;
-                self.schedule_next(ctx.now(), k, ctx);
-            }
-            Ev::Done => {
-                let now = ctx.now();
-                let done = &mut ctx.state.app_done[self.app];
-                *done = (*done).max(now);
+                self.assembly_ready[k] = self.assembly_ready[k].max(end);
+                self.drive(Input::Piece { step: k, piece: pi }, ctx);
             }
             _ => unreachable!("server actor received a client event"),
         }
@@ -371,6 +362,13 @@ pub fn simulate(machine: &Sp2Machine, spec: &CollectiveSpec) -> SimReport {
         world.data_msgs,
         world.ctrl_msgs,
     )
+}
+
+/// Every fetch (write) or push (read) of `spec` as `(server, step,
+/// piece)`, in the order the model issues them — per server, what the
+/// runtime records as its `FetchSent`/`PushSent` events.
+pub fn issue_order(machine: &Sp2Machine, spec: &CollectiveSpec) -> Vec<(usize, usize, usize)> {
+    run(machine, std::slice::from_ref(spec), false).1.issued
 }
 
 /// Outcome of one collective inside a concurrent run.
@@ -465,6 +463,7 @@ fn run(
         data_msgs: 0,
         ctrl_msgs: 0,
         app_done: vec![0; specs.len()],
+        issued: Vec::new(),
     });
     for (spec, &(client_base, resource_base, actor_base)) in specs.iter().zip(&layout) {
         for c in 0..spec.arrays[0].num_clients() {
@@ -480,6 +479,7 @@ fn run(
         for s in 0..spec.num_servers {
             let schedule = spec.schedule(s);
             total_bytes[app] += schedule.total_bytes();
+            let pieces = schedule.steps.iter().map(|step| step.sub.pieces.len());
             let id = engine.add_actor(Box::new(ServerActor {
                 index: resource_base + s,
                 app,
@@ -487,16 +487,15 @@ fn run(
                 server_pos: s,
                 op: spec.op,
                 fast_disk: spec.fast_disk,
+                win: Window::new(pieces, spec.op, machine.pipeline_depth),
+                assembly_ready: vec![0; schedule.steps.len()],
                 steps: schedule.steps,
-                cur: 0,
-                outstanding: 0,
-                assembly_ready: 0,
-                stage_end: Vec::new(),
+                disk_tail: 0,
             }));
             // Every server starts after the collective's startup
             // overhead (request propagation + plan formation, §3:
             // ≈ 13 ms).
-            engine.schedule(secs_to_ns(machine.startup), id, Ev::Begin);
+            engine.schedule(secs_to_ns(machine.startup), id, Ev::Window(Input::Start));
         }
     }
     engine.run();

@@ -46,7 +46,7 @@ pub mod machine;
 pub mod report;
 pub mod tuner;
 
-pub use actors::{simulate, simulate_concurrent, CollectiveSpec, ConcurrentOutcome};
+pub use actors::{issue_order, simulate, simulate_concurrent, CollectiveSpec, ConcurrentOutcome};
 pub use drift::{service_drift_pass, DriftDetector, DriftPass, DriftReport, PhaseDrift};
 pub use fit::{CostLine, DirectionCosts, FittedCosts, ProbeObservation};
 pub use machine::{NetworkModel, Sp2Machine};

@@ -10,13 +10,19 @@
 //!   real `DATA` messages == model data messages;
 //! * read path: real `DATA` messages == model data messages;
 //! * `DATA` payload bytes == total array bytes in both.
+//!
+//! And on *order*, at pipeline depths 1, 2 and 3: both drive one
+//! `panda_core::Window`, so each I/O node's sequence of fetches (write)
+//! and pushes (read) in the DES is the sequence of `FetchSent` /
+//! `PushSent` events the runtime recorded.
 
 use std::sync::Arc;
 
 use panda_core::protocol::tags;
 use panda_core::{ArrayMeta, OpKind, PandaConfig, PandaSystem, ReadSet, WriteSet};
 use panda_fs::{FileSystem, MemFs};
-use panda_model::{simulate, CollectiveSpec, Sp2Machine};
+use panda_model::{issue_order, simulate, CollectiveSpec, Sp2Machine};
+use panda_obs::{EventKind, Recorder, TelemetryRecorder};
 use panda_schema::{DataSchema, Dist, ElementType, Mesh, Shape};
 
 struct Case {
@@ -280,5 +286,91 @@ fn read_path_message_counts_match_exactly() {
         );
         // The read path sends no per-piece control messages.
         assert_eq!(model_ctrl, 0, "{}", case.name);
+    }
+}
+
+/// One `Fetch` or pushed `Data`, as both sides can name it: array,
+/// subchunk, and the participant it went to.
+type Sent = (u32, u32, u32);
+
+/// Per I/O node, what the runtime's `kind` events say it sent, in order.
+fn real_order(
+    meta: &ArrayMeta,
+    servers: usize,
+    subchunk: usize,
+    depth: usize,
+) -> [Vec<Vec<Sent>>; 2] {
+    let rec = Arc::new(TelemetryRecorder::with_ring(1 << 16));
+    let config = PandaConfig::new(meta.num_clients(), servers)
+        .with_subchunk_bytes(subchunk)
+        .with_pipeline_depth(depth)
+        .with_recorder(rec.clone());
+    let (system, mut clients) = PandaSystem::builder()
+        .config(config)
+        .launch(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>)
+        .unwrap();
+    let datas: Vec<Vec<u8>> = (0..meta.num_clients())
+        .map(|r| vec![1u8; meta.client_bytes(r)])
+        .collect();
+    std::thread::scope(|s| {
+        for (client, data) in clients.iter_mut().zip(&datas) {
+            s.spawn(move || {
+                client
+                    .write_set(&WriteSet::new().array(meta, "x", data.as_slice()))
+                    .unwrap();
+                let mut buf = vec![0u8; data.len()];
+                client
+                    .read_set(&mut ReadSet::new().array(meta, "x", buf.as_mut_slice()))
+                    .unwrap();
+            });
+        }
+    });
+    system.shutdown(clients).unwrap();
+    assert_eq!(rec.dropped(), 0);
+    let events = rec.timeline().unwrap();
+    [EventKind::FetchSent, EventKind::PushSent].map(|kind| {
+        let mut per_server = vec![Vec::new(); servers];
+        for e in events.iter().filter(|e| e.kind == kind) {
+            let key = e.key.unwrap();
+            per_server[key.server as usize].push((key.array, key.subchunk, e.peer.unwrap()));
+        }
+        per_server
+    })
+}
+
+/// Per I/O node, what the DES issued, in order, named the same way.
+fn model_order(spec: &CollectiveSpec, depth: usize) -> Vec<Vec<Sent>> {
+    let m = Sp2Machine::nas_sp2().with_pipeline_depth(depth);
+    let steps: Vec<_> = (0..spec.num_servers)
+        .map(|s| spec.schedule(s).steps)
+        .collect();
+    let mut per_server = vec![Vec::new(); spec.num_servers];
+    for (server, step, piece) in issue_order(&m, spec) {
+        let step = &steps[server][step];
+        let client = step.sub.pieces[piece].client;
+        per_server[server].push((step.array, step.subchunk as u32, client as u32));
+    }
+    per_server
+}
+
+#[test]
+fn the_model_issues_fetches_and_pushes_in_the_runtimes_order() {
+    for case in cases() {
+        for depth in 1..=3 {
+            let [fetches, pushes] = real_order(&case.meta, case.servers, case.subchunk, depth);
+            for (op, real) in [(OpKind::Write, fetches), (OpKind::Read, pushes)] {
+                let spec = CollectiveSpec {
+                    arrays: vec![case.meta.clone()],
+                    op,
+                    num_servers: case.servers,
+                    subchunk_bytes: case.subchunk,
+                    fast_disk: false,
+                    section: None,
+                };
+                let model = model_order(&spec, depth);
+                assert!(model.iter().any(|s| s.len() > 1), "{}", case.name);
+                assert_eq!(real, model, "{}: {op:?} order at depth {depth}", case.name);
+            }
+        }
     }
 }
