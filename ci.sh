@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Repo gate: build, tests, lints, formatting. Run before every commit.
 #
-# Note: the workspace root is itself a package (panda-examples), so a
-# bare `cargo test` would only run the root package's tests — every
-# cargo invocation here must say --workspace to cover the crates.
+# Note: the workspace root is itself a package (panda-examples); its
+# `default-members` make a bare `cargo build` / `cargo test` cover every
+# crate under crates/ and the examples, but not the offline stand-ins
+# under third_party/ (their own tests), so every cargo invocation here
+# still says --workspace.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -83,6 +85,38 @@ spawns=$(grep -cE 'spawn|thread::scope' <<<"$server_code" || true)
 names=$(grep -oE '\.name\(format!\("[^"{]*' <<<"$server_code" | sed 's/.*"//' | tr '\n' ' ')
 if [ "$spawns" -ne 1 ] || [ "$names" != "panda-disk- " ]; then
   echo "ci: server.rs spawns $spawns thread(s) named '${names}'; only the disk task (panda-disk-)" >&2
+  exit 1
+fi
+
+# Polling gate: an I/O node waits by parking. Its one poll is the
+# bounded hand-off of a small run's disk work (`poll_handoff` in
+# crates/core/src/server.rs: at most HANDOFF_POLL, then the thread
+# parks), so the non-test code under crates/*/src names `yield_now` or
+# `spin_loop` nowhere else. A second poll would take a core from the
+# copies on a host with two, and its bound would be one more to keep.
+# Each hit is named by the innermost `fn` whose braces enclose it;
+# comment lines are skipped.
+polls=$(find crates/*/src -name '*.rs' | sort | while read -r file; do
+  sed '/^#\[cfg(test)\]/,$d' "$file" | awk -v file="$file" '
+    /^[[:space:]]*\/\// { next }
+    {
+      if (match($0, /fn [A-Za-z_][A-Za-z0-9_]*/)) pending = substr($0, RSTART + 3, RLENGTH - 3)
+      if ($0 ~ /yield_now|spin_loop/) {
+        inner = "(none)"
+        for (d = depth; d > 0; d--) if (d in fn) { inner = fn[d]; break }
+        if (inner == "(none)" && pending != "") inner = pending
+        print file ":" NR ": fn " inner ": " $0
+      }
+      for (i = 1; i <= length($0); i++) {
+        c = substr($0, i, 1)
+        if (c == "{") { depth++; if (pending != "") { fn[depth] = pending; pending = "" } }
+        if (c == "}") { delete fn[depth]; depth-- }
+      }
+      if ($0 ~ /;[[:space:]]*$/) pending = ""
+    }'
+done)
+if grep -vE '^crates/core/src/server\.rs:[0-9]+: fn poll_handoff: ' <<<"$polls" | grep .; then
+  echo "ci: yield_now/spin_loop only in server.rs's poll_handoff, the bounded hand-off poll (see the hits above)" >&2
   exit 1
 fi
 
@@ -348,5 +382,13 @@ for bin in group_timestep disk tenancy tuner obs; do
   fi
   rm -f "$out"
 done
+
+# Paired ratchet, on request: `PAIRS=N ./ci.sh` runs N interleaved
+# pairs of every workload, this tree against HEAD (pairs.sh), and fails
+# on a regressed row or a larger failed share. Not by default: ten pairs
+# of the four workloads take ~20 min.
+if [ -n "${PAIRS:-}" ]; then
+  ./pairs.sh --pairs "$PAIRS"
+fi
 
 echo "ci: all green"

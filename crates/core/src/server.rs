@@ -34,13 +34,19 @@
 //!   performed at once, as for a credit or a disk answer; a read piece
 //!   is packed where it is pushed, in piece order. The loop blocks only
 //!   when nothing arrived — on the disk channel when a live window is
-//!   owed a disk answer, on the transport otherwise.
+//!   owed a disk answer, on the transport otherwise. A small run (its
+//!   bytes here below `panda_msg::freelist::PIECE_MIN_BYTES`) owes
+//!   microseconds of disk work, so while only small runs are owed an
+//!   answer the driver first polls both sides for at most
+//!   `HANDOFF_POLL`, rather than be woken once per disk answer.
 //! * **The disk task** is one named thread (`panda-disk-<server>`) per
 //!   server, spawned in [`ServerNode::run`], and serves every request:
 //!   it keeps a per-request file table and schedule, and processes
-//!   `DiskCmd`s strictly in arrival order. A command names a request and
-//!   a step; the task reads the step's file, offset, length and sync
-//!   point off the request's schedule, which its `Open` shared with it.
+//!   `DiskCmd`s strictly in arrival order, polling for the next one for
+//!   at most `HANDOFF_POLL` after a small run's before it blocks. A
+//!   command names a request and a step; the task reads the step's
+//!   file, offset, length and sync point off the request's schedule,
+//!   which its `Open` shared with it.
 //!   Arrival order interleaves requests at subchunk
 //!   granularity while preserving each request's per-file FIFO — so
 //!   every file is still written/read in exactly the serial schedule's
@@ -123,9 +129,45 @@ use crate::protocol::{
 };
 use crate::window::{Action, Input, Unexpected, Window};
 
-/// How long the scheduler parks on the disk channel before re-polling
-/// the transport, when disk work is outstanding but nothing else moved.
+/// How long the driver parks on the disk channel before re-polling the
+/// transport, when disk work is outstanding but nothing else moved (and,
+/// when only small runs owe it, once the hand-off poll found nothing).
 const DISK_PARK: Duration = Duration::from_micros(200);
+
+/// How long each side of a small run's disk hand-off polls before it
+/// parks: the driver for the disk answer it is owed, the disk task for
+/// the run's next command. A small run's disk work takes microseconds,
+/// no longer than waking a parked thread on an idle CPU, so each side
+/// stays on its CPU for about three such wake-ups first. A bulk run's
+/// disk work is hundreds of microseconds of copying, which a poll would
+/// take CPU from, so its hand-offs park at once. Bounded, so an idle
+/// I/O node parks.
+const HANDOFF_POLL: Duration = Duration::from_micros(50);
+
+/// Whether a run is small: its bytes on this server (its schedule's
+/// files) are below `PIECE_MIN_BYTES`, the line below which a submitter
+/// sends a session write whole. A small run's disk hand-offs poll
+/// before they park ([`HANDOFF_POLL`]).
+fn is_small(sched: &CollectiveSchedule) -> bool {
+    let bytes: u64 = sched.files.iter().map(|f| f.bytes).sum();
+    bytes < freelist::PIECE_MIN_BYTES as u64
+}
+
+/// Run `probe` until it finds something, yielding the CPU between
+/// rounds, for at most [`HANDOFF_POLL`]; `None` when the time ran out
+/// and the caller should park. The one place an I/O node polls.
+fn poll_handoff<T>(mut probe: impl FnMut() -> Option<T>) -> Option<T> {
+    let until = Instant::now() + HANDOFF_POLL;
+    loop {
+        if let Some(found) = probe() {
+            return Some(found);
+        }
+        if Instant::now() >= until {
+            return None;
+        }
+        std::thread::yield_now();
+    }
+}
 
 /// One I/O node.
 pub struct ServerNode {
@@ -223,6 +265,9 @@ struct RequestRun {
     bufs: Vec<Vec<u8>>,
     /// The bytes of a one-shot write; `None` for a run that fetches.
     carried: Option<Carried>,
+    /// [`is_small`]: the driver polls for this run's disk answers before
+    /// it parks.
+    small: bool,
 }
 
 impl RequestRun {
@@ -243,6 +288,7 @@ impl RequestRun {
             dir: req.op,
             win: Window::new(clients, req.op, req.pipeline_depth),
             bufs: vec![Vec::new(); sched.steps.len()],
+            small: is_small(&sched),
             sched,
             t_op,
             acts: Vec::new(),
@@ -307,6 +353,13 @@ impl SchedState {
     fn disk_owed(&self) -> usize {
         self.live.iter().map(|run| run.win.disk_owed()).sum()
     }
+
+    /// Whether every run owed a disk answer is small.
+    fn owed_only_small(&self) -> bool {
+        self.live
+            .iter()
+            .all(|run| run.small || run.win.disk_owed() == 0)
+    }
 }
 
 /// One unit of work for the shared disk task. A command names a request
@@ -364,6 +417,9 @@ struct DiskRun {
     files: Vec<Box<dyn FileHandle>>,
     /// The schedule its commands' steps index.
     sched: Arc<CollectiveSchedule>,
+    /// [`is_small`]: after each of its commands the task polls for the
+    /// next before it blocks.
+    small: bool,
 }
 
 /// Run `sync` and report it as one `DiskSyncDone` over `files` files.
@@ -414,9 +470,11 @@ fn no_step(cmd: &str, request: u64, step: usize) -> PandaError {
 /// last when the next step names another file or there is none. One
 /// command in, its answers out, until the command channel closes: a
 /// `Write` is answered `Written` once it has landed, before the next
-/// command is served; its buffer goes back to the free-list here. An
-/// error is fatal for the server (as it always was): the task exits and
-/// the scheduler surfaces the error through the join.
+/// command is served; its buffer goes back to the free-list here. After
+/// a small run's command the task polls for the next before it blocks
+/// ([`HANDOFF_POLL`]). An error is fatal for the server (as it always
+/// was): the task exits and the scheduler surfaces the error through the
+/// join.
 fn run_disk_task(
     recorder: Arc<dyn Recorder>,
     node: u32,
@@ -426,8 +484,10 @@ fn run_disk_task(
     out: mpsc::Sender<DiskOut>,
 ) -> Result<(), PandaError> {
     let mut runs: HashMap<u64, DiskRun> = HashMap::new();
-    for cmd in cmds {
-        match cmd {
+    // Whether the command just served was a small run's.
+    let mut small = false;
+    while let Some(cmd) = next_cmd(&cmds, small) {
+        small = match cmd {
             DiskCmd::Open {
                 request,
                 write,
@@ -450,14 +510,15 @@ fn run_disk_task(
                         fs.open(&name)?
                     });
                 }
-                runs.insert(
-                    request,
-                    DiskRun {
-                        write,
-                        files,
-                        sched,
-                    },
-                );
+                let small = is_small(&sched);
+                let run = DiskRun {
+                    write,
+                    files,
+                    sched,
+                    small,
+                };
+                runs.insert(request, run);
+                small
             }
             DiskCmd::Write {
                 request,
@@ -501,6 +562,7 @@ fn run_disk_task(
                 if last_of_file && matches!(run.sched.sync_policy, SyncPolicy::PerFile) {
                     timed_sync(recorder.as_ref(), node, 1, || f.sync())?;
                 }
+                run.small
             }
             DiskCmd::Read { request, step: si } => {
                 let run = runs
@@ -532,30 +594,45 @@ fn run_disk_task(
                     // Scheduler bailed; nothing left to prefetch for.
                     return Ok(());
                 }
+                run.small
             }
             DiskCmd::Close { request } => {
                 let mut run = runs
                     .remove(&request)
                     .ok_or_else(|| not_open("close", request))?;
-                if !run.write {
-                    // The scheduler already retired it: the handles drop
-                    // here, ahead of any later `Open` of the same files.
-                    continue;
+                // A read's close is answered by nothing: the scheduler
+                // already retired it, and the handles drop here, ahead of
+                // any later `Open` of the same files.
+                if run.write {
+                    if matches!(run.sched.sync_policy, SyncPolicy::PerCollective) {
+                        // One coalesced barrier for the whole request:
+                        // every fsync happens after every write has
+                        // landed, so no flush ever sits between two writes.
+                        let n = run.files.len() as u32;
+                        timed_sync(recorder.as_ref(), node, n, || {
+                            run.files.iter_mut().try_for_each(|f| f.sync())
+                        })?;
+                    }
+                    let _ = out.send(DiskOut::Closed { request });
                 }
-                if matches!(run.sched.sync_policy, SyncPolicy::PerCollective) {
-                    // One coalesced barrier for the whole request:
-                    // every fsync happens after every write has landed,
-                    // so no flush ever sits between two writes.
-                    let n = run.files.len() as u32;
-                    timed_sync(recorder.as_ref(), node, n, || {
-                        run.files.iter_mut().try_for_each(|f| f.sync())
-                    })?;
-                }
-                let _ = out.send(DiskOut::Closed { request });
+                run.small
             }
-        }
+        };
     }
     Ok(())
+}
+
+/// The disk task's next command, or `None` once the driver hung up.
+/// After a small run's command (`poll`) the next is likely microseconds
+/// away, so the task polls for it before it blocks.
+fn next_cmd(cmds: &mpsc::Receiver<DiskCmd>, poll: bool) -> Option<DiskCmd> {
+    let polled = poll.then(|| {
+        poll_handoff(|| match cmds.try_recv() {
+            Err(mpsc::TryRecvError::Empty) => None,
+            got => Some(got.ok()),
+        })
+    });
+    polled.flatten().unwrap_or_else(|| cmds.recv().ok())
 }
 
 /// Hold a request's participants to what its plan pieces index before
@@ -738,8 +815,29 @@ impl ServerNode {
             }
             if st.disk_owed() > 0 {
                 // Disk work outstanding: progress may come from either
-                // side, so park briefly on the disk channel and re-poll
-                // the transport.
+                // side. A small run's disk answer is microseconds away,
+                // so when only small runs are owed one, poll both sides
+                // first (`HANDOFF_POLL`).
+                if st.owed_only_small() {
+                    let arrived = poll_handoff(|| {
+                        if let Ok(done) = out_rx.try_recv() {
+                            return Some(self.disk_done(st, done));
+                        }
+                        match try_recv_msg(&mut *self.transport, MatchSpec::any()) {
+                            Ok(Some((src, msg))) => {
+                                Some(self.dispatch(st, src, msg, Duration::ZERO))
+                            }
+                            Ok(None) => None,
+                            Err(e) => Some(Err(e)),
+                        }
+                    });
+                    if let Some(served) = arrived {
+                        served?;
+                        continue;
+                    }
+                }
+                // Then park briefly on the disk channel and re-poll the
+                // transport.
                 match out_rx.recv_timeout(DISK_PARK) {
                     Ok(done) => self.disk_done(st, done)?,
                     Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -1346,6 +1444,7 @@ impl ServerNode {
 mod tests {
     use super::*;
     use panda_fs::MemFs;
+    use panda_schema::ElementType;
 
     /// The disk task alone, driven through its two channels.
     struct DiskTask {
@@ -1453,6 +1552,85 @@ mod tests {
         assert_eq!(fs.contents("f.s0").unwrap(), [9; 4]);
         // The closing barrier ran for the two writes, not for the read.
         assert_eq!(fs.stats().syncs(), 2);
+    }
+
+    /// An array's shape, element type, memory mesh and whether its disk
+    /// layout is traditional order (else natural).
+    type Array<'a> = (&'a [usize], ElementType, &'a [usize], bool);
+
+    /// A write schedule on server `server` of `servers` for `arrays`.
+    fn schedule(arrays: &[Array], server: usize, servers: usize) -> CollectiveSchedule {
+        use panda_schema::{DataSchema, Mesh, Shape};
+        let arrays: Vec<_> = arrays
+            .iter()
+            .enumerate()
+            .map(|(i, &(dims, elem, mesh, traditional))| {
+                let shape = Shape::new(dims).unwrap();
+                let mem = DataSchema::block_all(shape.clone(), elem, Mesh::new(mesh).unwrap());
+                let disk = match traditional {
+                    true => DataSchema::traditional_order(shape, elem, servers),
+                    false => mem.clone(),
+                };
+                crate::protocol::ArrayOp {
+                    meta: crate::ArrayMeta::new(format!("a{i}"), mem.unwrap(), disk.unwrap())
+                        .unwrap(),
+                    file_tag: format!("a{i}"),
+                    section: None,
+                }
+            })
+            .collect();
+        let policy = SyncPolicy::PerFile;
+        CollectiveSchedule::build(&arrays, OpKind::Write, server, servers, 1 << 20, policy)
+    }
+
+    /// The size class is the one-shot line: a session write its client
+    /// sends whole is small on every I/O node, a run with exactly
+    /// `PIECE_MIN_BYTES` on one node is not, nor is the benchmark's
+    /// bulk array.
+    #[test]
+    fn a_run_is_small_below_the_one_shot_line_on_its_server() {
+        use panda_schema::ElementType::{F64, U8};
+        let line = freelist::PIECE_MIN_BYTES;
+        let whole: [&[Array]; 4] = [
+            &[(&[64, 64], U8, &[1, 1], true)],
+            &[(&[line - 1], U8, &[1], true)],
+            &[(&[line / 8 - 1], F64, &[1], false)],
+            &[
+                (&[100, 20], F64, &[1, 1], true),
+                (&[3, 7, 5], U8, &[1, 1, 1], false),
+            ],
+        ];
+        for arrays in whole {
+            let bytes: usize = arrays
+                .iter()
+                .map(|(dims, elem, ..)| dims.iter().product::<usize>() * elem.size_bytes())
+                .sum();
+            assert!(bytes < line, "a session sends {bytes} bytes whole");
+            for servers in [1, 2, 3] {
+                for server in 0..servers {
+                    let sched = schedule(arrays, server, servers);
+                    assert!(
+                        is_small(&sched),
+                        "{bytes} bytes, server {server} of {servers}"
+                    );
+                }
+            }
+        }
+        // Exactly the line on each of two I/O nodes, and on one.
+        for (len, servers) in [(2 * line, 2), (line, 1)] {
+            for server in 0..servers {
+                let sched = schedule(&[(&[len], U8, &[1], true)], server, servers);
+                let here: u64 = sched.files.iter().map(|f| f.bytes).sum();
+                assert_eq!(here, line as u64);
+                assert!(!is_small(&sched), "{len} bytes over {servers}");
+            }
+        }
+        // The benchmark's bulk array: 256 x 256 x 128 F64, traditional
+        // order over two I/O nodes.
+        for server in 0..2 {
+            let sched = schedule(&[(&[256, 256, 128], F64, &[1, 1, 2], true)], server, 2);
+            assert!(!is_small(&sched), "bulk array, server {server}");
+        }
     }
 
     /// A size class of its own on the free-list this binary's tests
