@@ -59,6 +59,15 @@ if grep -rnE 'Window::new|ServerActor|ClientActor' crates/model/src ||
   echo "ci: the DES drives panda_core::mesh; no actors or windows of its own (see the hits above)" >&2
   exit 1
 fi
+# The I/O node's decisions are one `mesh::Node`, which the runtime's
+# driver runs too: the non-test, non-comment code of
+# crates/core/src/server.rs builds no window or admission, submits to
+# and retires from no admission, and feeds no window itself.
+driver_code=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/server.rs | grep -vE '^[[:space:]]*//')
+if grep -nE 'Window::new|Admission::new|\.submit\(|\.retire\(\)|win\.on\(' <<<"$driver_code"; then
+  echo "ci: server.rs drives mesh::Node; no windows or admission of its own (see the hits above)" >&2
+  exit 1
+fi
 
 # Purity gate: the metrics store (crates/obs/src/store.rs) has one
 # concurrency idiom, a mutex per shard around plain numbers, and a

@@ -11,9 +11,10 @@
 //! oldest waiting request. A peer starts whatever the master relayed: its
 //! admission has no cap ([`Caps::NONE`]).
 //!
-//! [`Admission`] is generic over what the driver queues: `ServerNode`
-//! keeps each request with the bytes a one-shot carries, the mesh walker
-//! a name for it.
+//! [`Admission`] is generic over what it queues. It lives in
+//! `mesh::Node`, the I/O node's one composition, whose schedulers queue
+//! different things: `ServerNode` each request with the bytes a
+//! one-shot carries, the mesh a name for it.
 
 use std::collections::VecDeque;
 

@@ -1,19 +1,23 @@
 //! The mesh: the protocol's one composition, without a clock.
 //!
-//! One admission on the master, a [`Window`] per live run on each of S
-//! servers and a participant per collective on each of C clients,
-//! composed the way `ServerNode` and `PandaClient` drive them, over
-//! per-pair FIFO queues — the only order either transport promises —
-//! with each server's disk a FIFO of answers. It has no clock,
-//! transport, file system, recorder or thread: a scheduler picks the
-//! next [`Move`], and the mesh says what applying it emitted
-//! ([`Note`]). Two schedulers drive it: the test walker takes every
-//! enabled move in every order, and `panda-model`'s DES charges each
-//! note against the machine's resources and delivers the move it leads
-//! to at the virtual time its cost model gives. The one input whose
-//! time differs between the two is a scatter's [`Move::Pushed`]: the
-//! walker feeds it inside the move that scattered, the DES once the last
-//! piece has left the server's port.
+//! An I/O node's decisions are one `Node`: its admission, the
+//! [`Window`] of each live run, and the chain from a run's retirement to
+//! the next admission. `ServerNode`'s driver runs one per server
+//! thread; the mesh runs one per server of a deployment, beside a
+//! participant per collective on each of C clients, over per-pair FIFO
+//! queues — the only order either transport promises — with each
+//! server's disk a FIFO of answers. A node decides and its scheduler
+//! performs (`Perform`): the driver with bytes, a transport and a disk
+//! task, the mesh with tags, queues and [`Note`]s. The mesh has no
+//! clock, transport, file system, recorder or thread: a scheduler picks
+//! the next [`Move`], and the mesh says what applying it emitted. Two
+//! schedulers drive it: the test walker takes every enabled move in
+//! every order, and `panda-model`'s DES charges each note against the
+//! machine's resources and delivers the move it leads to at the virtual
+//! time its cost model gives. The one input whose time differs between
+//! the two is a scatter's [`Move::Pushed`]: the walker feeds it inside
+//! the move that scattered, the DES once the last piece has left the
+//! server's port.
 //!
 //! Bytes are tags: each piece of a write carries the (program,
 //! collective, server, step, piece) it is, named by the client for the
@@ -30,12 +34,234 @@
 //! way no machine may refuse an input.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use crate::admission::{Admission, Admit, Caps};
+use crate::error::AdmissionIssue;
 use crate::participant::{Answer, Arrival, Participant};
 use crate::protocol::OpKind;
-use crate::window::{Action, Input, Window};
+use crate::window::{Action, Input, Unexpected, Window};
+
+/// A request as a [`Node`] runs it: what its scheduler lowered it into.
+pub(crate) struct Started<R> {
+    /// The request, as every input for it names it.
+    pub(crate) request: u64,
+    /// A write or a read.
+    pub(crate) dir: OpKind,
+    /// Its window's depth.
+    pub(crate) depth: usize,
+    /// Per step, per piece: its participant.
+    pub(crate) clients: Vec<Vec<usize>>,
+    /// How many participants it has.
+    pub(crate) participants: usize,
+    /// A one-shot: its pieces came with the request, so each `Fetch` is
+    /// its piece's arrival.
+    pub(crate) carried: bool,
+    /// What the scheduler keeps beside the run.
+    pub(crate) run: R,
+}
+
+/// A scheduler of a [`Node`]: it performs what the node decides, with
+/// whatever it moves — bytes, a transport and a disk task, or tags and
+/// queues. `P` is a request as admission holds it, `R` what the
+/// scheduler keeps beside a live run.
+pub(crate) trait Perform<P, R> {
+    /// How performing fails; the node passes it on.
+    type Error;
+    /// Whether a `Scatter`'s pieces have left once [`Perform::act`]
+    /// returns, so the node feeds its `Pushed` at once; otherwise the
+    /// scheduler feeds it when they have.
+    const PUSHED: bool;
+    /// Lower admitted `item` into a run; the master relays it first.
+    fn start(&mut self, item: P) -> Result<Started<R>, Self::Error>;
+    /// Do `action` for `run`: a `Fetch` of a run that fetches, a
+    /// `Write`, a `Read`, a `Scatter` or a `Close`. The node does the
+    /// rest itself.
+    fn act(&mut self, run: &mut R, action: Action) -> Result<(), Self::Error>;
+    /// Keep piece `piece` of step `step` of one-shot `run`, out of the
+    /// bytes its request carried; its window has taken the piece.
+    fn carried(&mut self, run: &mut R, step: usize, piece: usize) -> Result<(), Self::Error>;
+    /// `run` is over on this node: send participant `c` its `Complete`,
+    /// attesting `pieces[c]` pieces.
+    fn retire(&mut self, run: R, pieces: &[u32]) -> Result<(), Self::Error>;
+}
+
+/// What a scheduler feeds a [`Node`]: the input is taken and what it
+/// made due performed (`Ok`), or refused — no live run is the
+/// request's, or its window was not waiting for it — and the node is as
+/// it was (`Err`).
+pub(crate) type Fed = Result<(), Unexpected>;
+
+/// One I/O node's decisions, composed once: its admission, the window of
+/// each live run and the hand-on from a retirement to the next
+/// admission. The runtime's driver, the walker and the DES (the last two
+/// through [`Mesh`]) each drive one and only perform what it decides.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Node<P, R> {
+    admission: Admission<P>,
+    /// In admission order.
+    live: Vec<Live<R>>,
+    /// What the run being fed asked for and is not done yet: empty
+    /// between inputs, its buffer reused.
+    acts: Vec<Action>,
+}
+
+// The action queue is empty between inputs: no part of a state.
+impl<P: Hash, R: Hash> Hash for Node<P, R> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.admission.hash(state);
+        self.live.hash(state);
+    }
+}
+
+/// A live run.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Live<R> {
+    request: u64,
+    win: Window,
+    /// Per participant: the pieces its `Complete` attests — its pieces
+    /// in the plan, each sent once, or none for a one-shot.
+    complete: Vec<u32>,
+    carried: bool,
+    run: R,
+}
+
+impl<P, R> Node<P, R> {
+    /// Nothing live, nothing waiting: only the master's admission has
+    /// caps.
+    pub(crate) fn new(caps: Caps) -> Self {
+        Node {
+            admission: Admission::new(caps),
+            live: Vec::new(),
+            acts: Vec::new(),
+        }
+    }
+
+    /// Collectives live, and requests waiting.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        self.admission.counts()
+    }
+
+    /// Disk answers the live runs' windows are still owed.
+    pub(crate) fn disk_owed(&self) -> usize {
+        self.live.iter().map(|l| l.win.disk_owed()).sum()
+    }
+
+    /// The live runs owed a disk answer.
+    pub(crate) fn owing(&self) -> impl Iterator<Item = &R> {
+        let owing = self.live.iter().filter(|l| l.win.disk_owed() > 0);
+        owing.map(|l| &l.run)
+    }
+
+    /// The live run of `request`.
+    pub(crate) fn run(&self, request: u64) -> Option<&R> {
+        let live = self.live.iter().find(|l| l.request == request);
+        live.map(|l| &l.run)
+    }
+
+    /// A request arrived (`fleet` when more than its submitter take
+    /// part): start it, queue it, or hand it back with the reason it is
+    /// refused.
+    pub(crate) fn admit<F: Perform<P, R>>(
+        &mut self,
+        perf: &mut F,
+        item: P,
+        fleet: bool,
+    ) -> Result<Option<(P, AdmissionIssue)>, F::Error> {
+        match self.admission.submit(item, fleet) {
+            Admit::Start(item) => {
+                let idx = self.start(perf, item)?;
+                self.perform(perf, idx).map(|()| None)
+            }
+            Admit::Queue => Ok(None),
+            Admit::Reject(item, reason) => Ok(Some((item, reason))),
+        }
+    }
+
+    /// Feed `input` to `request`'s run, `keep` what came with it — a
+    /// piece's bytes, a filled step — once its window has taken it and
+    /// only then, and perform what it made due.
+    pub(crate) fn feed<F: Perform<P, R>>(
+        &mut self,
+        perf: &mut F,
+        request: u64,
+        input: Input,
+        keep: impl FnOnce(&mut F, &mut R) -> Result<(), F::Error>,
+    ) -> Result<Fed, F::Error> {
+        let Some(idx) = self.live.iter().position(|l| l.request == request) else {
+            return Ok(Err(Unexpected(input)));
+        };
+        let live = &mut self.live[idx];
+        if let Err(refused) = live.win.on(input, &mut self.acts) {
+            return Ok(Err(refused));
+        }
+        keep(perf, &mut live.run)?;
+        self.perform(perf, idx).map(Ok)
+    }
+
+    /// Lower an admitted request and start its window; its first actions
+    /// wait in the queue. Where it now lives.
+    fn start<F: Perform<P, R>>(&mut self, perf: &mut F, item: P) -> Result<usize, F::Error> {
+        let s = perf.start(item)?;
+        let mut complete = vec![0; s.participants];
+        if !s.carried {
+            for &client in s.clients.iter().flatten() {
+                complete[client] += 1;
+            }
+        }
+        let mut win = Window::new(s.clients, s.dir, s.depth);
+        let started = win.on(Input::Start, &mut self.acts);
+        started.expect("a new window awaits its start");
+        self.live.push(Live {
+            request: s.request,
+            win,
+            complete,
+            carried: s.carried,
+            run: s.run,
+        });
+        Ok(self.live.len() - 1)
+    }
+
+    /// Have live run `idx`'s queued actions performed, in order. Two
+    /// answer themselves — a one-shot's `Fetch` is its piece's arrival, a
+    /// `Scatter` is `Pushed` once its pieces have left — and what the
+    /// window makes of that joins the queue. `Retire` is a run's last
+    /// action: the run leaves, and the request admission gives its slot
+    /// to starts here, its actions next in the queue.
+    fn perform<F: Perform<P, R>>(&mut self, perf: &mut F, mut idx: usize) -> Result<(), F::Error> {
+        let mut at = 0;
+        while let Some(&action) = self.acts.get(at) {
+            at += 1;
+            let live = &mut self.live[idx];
+            match action {
+                Action::Fetch { step, piece } if live.carried => {
+                    let taken = live.win.on(Input::Piece { step, piece }, &mut self.acts);
+                    taken.expect("a window awaits the piece it asked for");
+                    perf.carried(&mut live.run, step, piece)?;
+                }
+                Action::Scatter { .. } if F::PUSHED => {
+                    perf.act(&mut live.run, action)?;
+                    let pushed = live.win.on(Input::Pushed, &mut self.acts);
+                    pushed.expect("a window awaits the push it asked for");
+                }
+                Action::Retire => {
+                    self.acts.clear();
+                    let Live { run, complete, .. } = self.live.remove(idx);
+                    perf.retire(run, &complete)?;
+                    let Some(next) = self.admission.retire() else {
+                        return Ok(());
+                    };
+                    (idx, at) = (self.start(perf, next)?, 0);
+                }
+                _ => perf.act(&mut live.run, action)?,
+            }
+        }
+        self.acts.clear();
+        Ok(())
+    }
+}
 
 /// What one collective of a program does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -213,17 +439,13 @@ type Slots = Vec<Vec<Option<Tag>>>;
 /// write's tags.
 type Cmd = (u64, Option<usize>, Vec<Option<Tag>>);
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Run {
-    req: Req,
-    win: Window,
-    bufs: Slots,
-}
+/// What a server keeps beside a live run: its request, and per step the
+/// pieces assembled (write) or filled (read).
+type Held = (Req, Slots);
 
+/// What a server's node does not decide.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Server {
-    admission: Admission<Req>,
-    live: Vec<Run>,
     disk: VecDeque<Cmd>,
     /// Requests of the scatters whose last piece has not left, oldest
     /// first: a port is a FIFO too.
@@ -255,6 +477,8 @@ struct Client {
 pub struct World {
     /// Per (src, dst) pair, `src * nodes + dst`: messages in flight.
     chans: Vec<VecDeque<Msg>>,
+    /// Per server: its decisions.
+    nodes: Vec<Node<Req, Held>>,
     servers: Vec<Server>,
     clients: Vec<Client>,
 }
@@ -305,6 +529,24 @@ impl Mesh {
         self.shape.programs[req.program].ops[req.op]
     }
 
+    /// `msg`, of `program`'s collective, joins the `(src, dst)` queue.
+    fn post(
+        &self,
+        chans: &mut [VecDeque<Msg>],
+        out: &mut Vec<Note>,
+        (src, dst): (usize, usize),
+        program: usize,
+        msg: Msg,
+    ) {
+        out.push(Note::Sent {
+            src,
+            dst,
+            program,
+            msg,
+        });
+        chans[src * self.nodes + dst].push_back(msg);
+    }
+
     /// The world before anything has moved: every program's first
     /// submission on its way to the master.
     pub fn start(&self, out: &mut Vec<Note>) -> Result<World, String> {
@@ -314,13 +556,14 @@ impl Mesh {
         };
         let mut world = World {
             chans: vec![VecDeque::new(); self.nodes * self.nodes],
+            nodes: (0..sh.servers)
+                .map(|s| match s {
+                    0 => Node::new(Caps::new(sh.live, sh.queued)),
+                    _ => Node::new(Caps::NONE),
+                })
+                .collect(),
             servers: (0..sh.servers)
                 .map(|s| Server {
-                    admission: Admission::new(match s {
-                        0 => Caps::new(sh.live, sh.queued),
-                        _ => Caps::NONE,
-                    }),
-                    live: Vec::new(),
                     disk: VecDeque::new(),
                     pushing: VecDeque::new(),
                     files: sh.programs.iter().map(|p| empty(&p.plan[s])).collect(),
@@ -392,8 +635,7 @@ impl Mesh {
             Move::Pushed { server } => {
                 let request = at.w.servers[server].pushing.pop_front();
                 let request = request.ok_or_else(|| format!("server {server} pushes nothing"))?;
-                let idx = at.run_of(server, request)?;
-                at.feed(server, idx, Input::Pushed)
+                at.feed(server, request, Input::Pushed, |_, _| {})
             }
         }
     }
@@ -460,11 +702,11 @@ impl Mesh {
         for (s, srv) in w.servers.iter().enumerate() {
             let mut retired = srv.retired.clone();
             retired.sort_unstable();
-            if retired != admitted || srv.admission.counts() != (0, 0) {
+            let counts = w.nodes[s].counts();
+            if retired != admitted || counts != (0, 0) {
                 return Err(format!(
                     "server {s} retired {retired:x?} of the admitted {admitted:x?}, \
-                     (live, queued) {:?}",
-                    srv.admission.counts()
+                     (live, queued) {counts:?}"
                 ));
             }
             for (program, file) in srv.files.iter().enumerate() {
@@ -487,21 +729,28 @@ struct Apply<'a> {
 
 impl Apply<'_> {
     fn send(&mut self, src: usize, dst: usize, program: usize, msg: Msg) {
-        self.out.push(Note::Sent {
-            src,
-            dst,
-            program,
-            msg,
-        });
-        self.w.chans[src * self.mesh.nodes + dst].push_back(msg);
+        self.mesh
+            .post(&mut self.w.chans, self.out, (src, dst), program, msg);
     }
 
-    fn run_of(&self, server: usize, request: u64) -> Result<usize, String> {
-        self.w.servers[server]
-            .live
-            .iter()
-            .position(|run| run.req.request == request)
-            .ok_or_else(|| format!("server {server} holds no run of request {request:#x}"))
+    /// Server `s`'s node, and what performs its actions.
+    fn server(&mut self, s: usize) -> (&mut Node<Req, Held>, Perf<'_>) {
+        let w = &mut *self.w;
+        let perf = Perf {
+            mesh: self.mesh,
+            s,
+            srv: &mut w.servers[s],
+            chans: &mut w.chans,
+            out: self.out,
+        };
+        (&mut w.nodes[s], perf)
+    }
+
+    /// The request of server `s`'s live run of `request`.
+    fn held(&self, s: usize, request: u64) -> Result<Req, String> {
+        let run = self.w.nodes[s].run(request);
+        run.map(|&(req, _)| req)
+            .ok_or_else(|| format!("server {s} holds no run of request {request:#x}"))
     }
 
     fn deliver(&mut self, src: usize, dst: usize) -> Result<(), String> {
@@ -521,22 +770,21 @@ impl Apply<'_> {
     fn disk(&mut self, s: usize) -> Result<(), String> {
         let cmd = self.w.servers[s].disk.pop_front();
         let (request, step, tags) = cmd.ok_or_else(|| format!("disk {s} owes nothing"))?;
-        let idx = self.run_of(s, request)?;
-        let srv = &mut self.w.servers[s];
-        let run = &mut srv.live[idx];
-        let file = &mut srv.files[run.req.program];
-        let input = match (step, self.mesh.kind(&run.req)) {
+        let req = self.held(s, request)?;
+        let read = self.mesh.kind(&req) == Collective::Read;
+        let input = match (step, read) {
             (None, _) => Input::Closed,
-            (Some(k), Collective::Read) => {
-                run.bufs[k] = file[k].clone();
-                Input::Filled
-            }
-            (Some(k), _) => {
-                file[k] = tags;
-                Input::Written
-            }
+            (Some(_), true) => Input::Filled,
+            (Some(_), false) => Input::Written,
         };
-        self.feed(s, idx, input)
+        self.feed(s, request, input, |perf, (_, bufs)| {
+            let file = &mut perf.srv.files[req.program];
+            match step {
+                Some(k) if read => bufs[k] = file[k].clone(),
+                Some(k) => file[k] = tags,
+                None => {}
+            }
+        })
     }
 
     /// Client `c`'s program goes on: submit (or await) its next
@@ -658,18 +906,15 @@ impl Apply<'_> {
         match msg {
             Msg::Request(req) => {
                 let fleet = mesh.shape.programs[req.program].clients > 1;
-                match self.w.servers[s].admission.submit(req, fleet) {
-                    Admit::Start(req) => self.start_run(s, req),
-                    Admit::Queue => Ok(()),
-                    Admit::Reject(req, _) => {
-                        let reject = Msg::Reject {
-                            request: req.request,
-                        };
-                        let submitter = mesh.first[req.program];
-                        self.send(mesh.clients() + s, submitter, req.program, reject);
-                        Ok(())
-                    }
+                let (node, mut perf) = self.server(s);
+                let Ok(refused) = node.admit(&mut perf, req, fleet);
+                if let Some((req, _)) = refused {
+                    let reject = Msg::Reject {
+                        request: req.request,
+                    };
+                    perf.send(mesh.first[req.program], req.program, reject);
                 }
+                Ok(())
             }
             Msg::Data {
                 request,
@@ -678,153 +923,172 @@ impl Apply<'_> {
                 tag,
                 ..
             } => {
-                let idx = self.run_of(s, request)?;
-                let acts = self.accept(s, idx, Input::Piece { step, piece })?;
-                self.w.servers[s].live[idx].bufs[step][piece] = tag;
-                self.perform(s, idx, acts)
+                let input = Input::Piece { step, piece };
+                self.feed(s, request, input, |_, (_, bufs)| bufs[step][piece] = tag)
             }
             Msg::Credit { request } => {
-                let idx = self.run_of(s, request)?;
-                let program = self.w.servers[s].live[idx].req.program;
+                let program = self.held(s, request)?.program;
                 let client = src.wrapping_sub(mesh.first[program]);
                 if client >= mesh.shape.programs[program].clients {
                     return Err(format!(
                         "server {s} got a credit from {src}, not a participant"
                     ));
                 }
-                self.feed(s, idx, Input::Credit { client })
+                self.feed(s, request, Input::Credit { client }, |_, _| {})
             }
             _ => Err(format!("server {s} got {msg:?}")),
         }
     }
 
-    /// Feed one input to live run `idx` of server `s`: what its window
-    /// answers.
-    fn accept(&mut self, s: usize, idx: usize, input: Input) -> Result<Vec<Action>, String> {
-        let mut acts = Vec::new();
-        let run = &mut self.w.servers[s].live[idx];
-        let request = run.req.request;
-        run.win
-            .on(input, &mut acts)
-            .map_err(|_| format!("server {s} refused {input:?} of request {request:#x}"))?;
-        Ok(acts)
+    /// Feed `input` to server `s`'s run of `request`, keeping what came
+    /// with it once the run's window has taken it. No machine may
+    /// refuse an input.
+    fn feed(
+        &mut self,
+        s: usize,
+        request: u64,
+        input: Input,
+        keep: impl FnOnce(&mut Perf, &mut Held),
+    ) -> Result<(), String> {
+        let (node, mut perf) = self.server(s);
+        let keep = |perf: &mut Perf, run: &mut Held| {
+            keep(perf, run);
+            Ok(())
+        };
+        let Ok(fed) = node.feed(&mut perf, request, input, keep);
+        fed.map_err(|_| format!("server {s} refused {input:?} of request {request:#x}"))
+    }
+}
+
+/// Server `s`'s performer: what its node's actions do to the world.
+struct Perf<'a> {
+    mesh: &'a Mesh,
+    s: usize,
+    srv: &'a mut Server,
+    chans: &'a mut [VecDeque<Msg>],
+    out: &'a mut Vec<Note>,
+}
+
+impl Perf<'_> {
+    /// Send `msg` of `program`'s collective from this server to `dst`.
+    fn send(&mut self, dst: usize, program: usize, msg: Msg) {
+        let src = self.mesh.clients() + self.s;
+        self.mesh
+            .post(self.chans, self.out, (src, dst), program, msg);
     }
 
-    /// Feed one input to live run `idx` of server `s`, and perform what
-    /// its window answers.
-    fn feed(&mut self, s: usize, idx: usize, input: Input) -> Result<(), String> {
-        let acts = self.accept(s, idx, input)?;
-        self.perform(s, idx, acts)
+    /// Give the disk a command for `program`'s run.
+    fn disk(&mut self, program: usize, cmd: Cmd) {
+        let (server, step) = (self.s, cmd.1);
+        self.out.push(Note::Disk {
+            server,
+            program,
+            step,
+        });
+        self.srv.disk.push_back(cmd);
     }
+}
 
-    /// Relay (master) and start an admitted request.
-    fn start_run(&mut self, s: usize, req: Req) -> Result<(), String> {
+impl Perform<Req, Held> for Perf<'_> {
+    type Error = Infallible;
+    /// [`Move::Pushed`] says when a scatter's last piece has left.
+    const PUSHED: bool = false;
+
+    fn start(&mut self, req: Req) -> Result<Started<Held>, Infallible> {
         let mesh = self.mesh;
-        let c = mesh.clients();
-        if s == 0 {
+        if self.s == 0 {
             for peer in 1..mesh.shape.servers {
-                self.send(c, c + peer, req.program, Msg::Request(req));
+                self.send(mesh.clients() + peer, req.program, Msg::Request(req));
             }
         }
-        let plan = &mesh.shape.programs[req.program].plan[s];
+        let program = &mesh.shape.programs[req.program];
+        let plan = &program.plan[self.s];
         let dir = match mesh.kind(&req) {
             Collective::Read => OpKind::Read,
             Collective::Write | Collective::OneShot => OpKind::Write,
         };
-        let win = Window::new(plan.clone(), dir, mesh.shape.depth);
         let bufs = plan.iter().map(|step| vec![None; step.len()]).collect();
-        let live = &mut self.w.servers[s].live;
-        live.push(Run { req, win, bufs });
-        let idx = live.len() - 1;
-        self.feed(s, idx, Input::Start)
+        Ok(Started {
+            request: req.request,
+            dir,
+            depth: mesh.shape.depth,
+            clients: plan.clone(),
+            participants: program.clients,
+            carried: req.carried.is_some(),
+            run: (req, bufs),
+        })
     }
 
-    /// What `ServerNode::perform` does with a window's actions.
-    fn perform(&mut self, s: usize, idx: usize, mut acts: Vec<Action>) -> Result<(), String> {
+    fn act(&mut self, (req, bufs): &mut Held, action: Action) -> Result<(), Infallible> {
         let mesh = self.mesh;
-        let me = mesh.clients() + s;
-        let mut at = 0;
-        while let Some(&action) = acts.get(at) {
-            at += 1;
-            let srv = &mut self.w.servers[s];
-            let run = &mut srv.live[idx];
-            let req = run.req;
-            let (program, request) = (req.program, req.request);
-            let plan = &mesh.shape.programs[program].plan[s];
-            let rank = |step: usize, piece: usize| mesh.first[program] + plan[step][piece];
-            let disk = |step| Note::Disk {
-                server: s,
-                program,
-                step,
-            };
-            match action {
-                Action::Fetch { step, piece } => match req.carried {
-                    Some(op) => {
-                        let input = Input::Piece { step, piece };
-                        run.win
-                            .on(input, &mut acts)
-                            .map_err(|_| format!("server {s} refused its own {input:?}"))?;
-                        run.bufs[step][piece] = Some(Tag(program, op, s, step, piece));
-                    }
-                    None => {
-                        let fetch = Msg::Fetch {
-                            request,
-                            step,
-                            piece,
-                        };
-                        self.send(me, rank(step, piece), program, fetch);
-                    }
-                },
-                // A write hands the disk its step's tags; a read's buffer
-                // is what the disk's answer fills.
-                Action::Write { step } | Action::Read { step } => {
-                    let tags = std::mem::take(&mut run.bufs[step]);
-                    srv.disk.push_back((request, Some(step), tags));
-                    self.out.push(disk(Some(step)));
-                }
-                Action::Scatter { step, awaited } => {
-                    let tags = std::mem::take(&mut run.bufs[step]);
-                    srv.pushing.push_back(request);
-                    self.out.push(Note::Scatter {
-                        server: s,
-                        program,
+        let (program, request) = (req.program, req.request);
+        let plan = &mesh.shape.programs[program].plan[self.s];
+        let rank = |step: usize, piece: usize| mesh.first[program] + plan[step][piece];
+        match action {
+            Action::Fetch { step, piece } => {
+                let fetch = Msg::Fetch {
+                    request,
+                    step,
+                    piece,
+                };
+                self.send(rank(step, piece), program, fetch);
+            }
+            // A write hands the disk its step's tags; a read's buffer is
+            // what the disk's answer fills.
+            Action::Write { step } | Action::Read { step } => {
+                let tags = std::mem::take(&mut bufs[step]);
+                self.disk(program, (request, Some(step), tags));
+            }
+            Action::Scatter { step, awaited } => {
+                self.srv.pushing.push_back(request);
+                self.out.push(Note::Scatter {
+                    server: self.s,
+                    program,
+                    step,
+                });
+                for (piece, tag) in std::mem::take(&mut bufs[step]).into_iter().enumerate() {
+                    let data = Msg::Data {
+                        request,
                         step,
-                    });
-                    for (piece, tag) in tags.into_iter().enumerate() {
-                        let data = Msg::Data {
-                            request,
-                            step,
-                            piece,
-                            tag,
-                            awaited,
-                        };
-                        self.send(me, rank(step, piece), program, data);
-                    }
-                }
-                // A read's close answers nothing.
-                Action::Close if mesh.kind(&req) == Collective::Read => {}
-                Action::Close => {
-                    srv.disk.push_back((request, None, Vec::new()));
-                    self.out.push(disk(None));
-                }
-                Action::Retire => {
-                    srv.live.remove(idx);
-                    srv.retired.push(request);
-                    self.out.push(Note::Retired { server: s, program });
-                    for client in 0..mesh.shape.programs[program].clients {
-                        let pieces = match req.carried {
-                            Some(_) => 0,
-                            None => plan.iter().flatten().filter(|&&c| c == client).count() as u32,
-                        };
-                        let done = Msg::Complete { request, pieces };
-                        self.send(me, mesh.first[program] + client, program, done);
-                    }
-                    return match self.w.servers[s].admission.retire() {
-                        Some(next) => self.start_run(s, next),
-                        None => Ok(()),
+                        piece,
+                        tag,
+                        awaited,
                     };
+                    self.send(rank(step, piece), program, data);
                 }
             }
+            // A read's close answers nothing.
+            Action::Close if mesh.kind(req) == Collective::Read => {}
+            Action::Close => self.disk(program, (request, None, Vec::new())),
+            Action::Retire => unreachable!("a node retires its runs itself"),
+        }
+        Ok(())
+    }
+
+    fn carried(
+        &mut self,
+        (req, bufs): &mut Held,
+        step: usize,
+        piece: usize,
+    ) -> Result<(), Infallible> {
+        // The tags its submitter packed.
+        let tag = req
+            .carried
+            .map(|op| Tag(req.program, op, self.s, step, piece));
+        bufs[step][piece] = tag;
+        Ok(())
+    }
+
+    fn retire(&mut self, (req, _): Held, pieces: &[u32]) -> Result<(), Infallible> {
+        let (program, request) = (req.program, req.request);
+        self.srv.retired.push(request);
+        self.out.push(Note::Retired {
+            server: self.s,
+            program,
+        });
+        for (client, &pieces) in pieces.iter().enumerate() {
+            let done = Msg::Complete { request, pieces };
+            self.send(self.mesh.first[program] + client, program, done);
         }
         Ok(())
     }
@@ -870,5 +1134,178 @@ mod tests {
             err.starts_with("server 0, program 0's file: step 0 piece 0 holds"),
             "{err}"
         );
+    }
+
+    /// A node's scheduler for its own tests: a run is its request, whose
+    /// direction, per step per piece participant, participant count and
+    /// one-shot flag are `plans[request]`; every action, kept piece and
+    /// `Complete` is logged. Its scatters leave at once.
+    #[derive(Default)]
+    struct Log {
+        plans: Vec<(OpKind, Vec<Vec<usize>>, usize, bool)>,
+        did: Vec<(u64, Action)>,
+        kept: Vec<(u64, usize, usize)>,
+        completes: Vec<(u64, Vec<u32>)>,
+    }
+
+    impl Perform<u64, u64> for Log {
+        type Error = Infallible;
+        const PUSHED: bool = true;
+
+        fn start(&mut self, request: u64) -> Result<Started<u64>, Infallible> {
+            let (dir, clients, participants, carried) = self.plans[request as usize].clone();
+            Ok(Started {
+                request,
+                dir,
+                depth: 1,
+                clients,
+                participants,
+                carried,
+                run: request,
+            })
+        }
+
+        fn act(&mut self, run: &mut u64, action: Action) -> Result<(), Infallible> {
+            self.did.push((*run, action));
+            Ok(())
+        }
+
+        fn carried(&mut self, run: &mut u64, step: usize, piece: usize) -> Result<(), Infallible> {
+            self.kept.push((*run, step, piece));
+            Ok(())
+        }
+
+        fn retire(&mut self, run: u64, pieces: &[u32]) -> Result<(), Infallible> {
+            self.completes.push((run, pieces.to_vec()));
+            Ok(())
+        }
+    }
+
+    type Solo = Node<u64, u64>;
+
+    fn admit(node: &mut Solo, log: &mut Log, request: u64) -> Option<(u64, AdmissionIssue)> {
+        let Ok(refused) = node.admit(log, request, false);
+        refused
+    }
+
+    fn feed(node: &mut Solo, log: &mut Log, request: u64, input: Input) -> Fed {
+        let Ok(fed) = node.feed(log, request, input, |_, _| Ok(()));
+        fed
+    }
+
+    /// Feed each of `inputs` to `request`'s run; each must be taken.
+    fn feed_all(node: &mut Solo, log: &mut Log, request: u64, inputs: &[Input]) {
+        for &input in inputs {
+            assert_eq!(feed(node, log, request, input), Ok(()), "{input:?}");
+        }
+    }
+
+    fn piece(step: usize, piece: usize) -> Input {
+        Input::Piece { step, piece }
+    }
+
+    /// What the runtime's refused credit relies on: an input the node
+    /// refuses leaves it — windows, admission and action queue — equal
+    /// to its clone from before, and asks its scheduler for nothing.
+    #[test]
+    fn a_refused_input_leaves_the_node_as_it_was() {
+        let mut log = Log {
+            plans: vec![
+                (OpKind::Write, vec![vec![0, 0]], 1, false),
+                (OpKind::Read, vec![vec![0]; 3], 1, false),
+            ],
+            ..Log::default()
+        };
+        let mut node = Node::new(Caps::NONE);
+        assert_eq!(admit(&mut node, &mut log, 0), None);
+        assert_eq!(admit(&mut node, &mut log, 1), None);
+        feed_all(&mut node, &mut log, 0, &[piece(0, 0)]);
+        let refused = [
+            // A write owes no credit, and nothing of the read was pushed.
+            (0, Input::Credit { client: 0 }),
+            (1, Input::Credit { client: 0 }),
+            // A piece delivered twice.
+            (0, piece(0, 0)),
+            // No write was handed to the disk yet.
+            (0, Input::Written),
+            (1, Input::Written),
+            // No run is the request's.
+            (7, Input::Closed),
+        ];
+        for (request, input) in refused {
+            let (before, did) = (node.clone(), log.did.len());
+            let fed = feed(&mut node, &mut log, request, input);
+            assert_eq!(fed, Err(Unexpected(input)), "request {request}");
+            assert_eq!(
+                node, before,
+                "{input:?} of request {request} changed the node"
+            );
+            assert_eq!(
+                log.did.len(),
+                did,
+                "{input:?} of request {request} was acted on"
+            );
+        }
+    }
+
+    /// The hand-on: a retirement on a capped master starts the oldest
+    /// request it queued inside the call that retired, which performs
+    /// the new run's first actions too.
+    #[test]
+    fn a_retire_on_a_capped_master_starts_the_oldest_queued_request_in_the_same_call() {
+        let write = (OpKind::Write, vec![vec![0]], 1, false);
+        let mut log = Log {
+            plans: vec![write; 3],
+            ..Log::default()
+        };
+        let mut node = Node::new(Caps::new(1, 2));
+        for request in 0..3 {
+            assert_eq!(admit(&mut node, &mut log, request), None);
+        }
+        assert_eq!(node.counts(), (1, 2));
+        feed_all(&mut node, &mut log, 0, &[piece(0, 0), Input::Written]);
+        let did = log.did.len();
+        feed_all(&mut node, &mut log, 0, &[Input::Closed]);
+        assert_eq!(log.completes, [(0, vec![1])]);
+        let fetch = Action::Fetch { step: 0, piece: 0 };
+        assert_eq!(log.did[did..], [(1, fetch)]);
+        assert_eq!(
+            (node.run(0), node.run(1), node.run(2)),
+            (None, Some(&1), None)
+        );
+        assert_eq!(node.counts(), (1, 1));
+    }
+
+    /// Each participant's `Complete` attests its pieces in the plan — a
+    /// participant with none here is told so — and a one-shot's none:
+    /// its `Fetch`es are its carried pieces, kept and never acted on.
+    #[test]
+    fn complete_counts_are_each_participants_pieces_and_none_for_a_one_shot() {
+        let mut log = Log {
+            plans: vec![
+                (OpKind::Write, vec![vec![0, 1, 0], vec![1]], 3, false),
+                (OpKind::Read, vec![vec![0, 1]], 2, false),
+                (OpKind::Write, vec![vec![0, 0]], 1, true),
+            ],
+            ..Log::default()
+        };
+        let mut node = Node::new(Caps::NONE);
+        for request in 0..3 {
+            assert_eq!(admit(&mut node, &mut log, request), None);
+        }
+        let write = [piece(0, 0), piece(0, 1), piece(0, 2), Input::Written];
+        feed_all(&mut node, &mut log, 0, &write);
+        let write = [piece(1, 0), Input::Written, Input::Closed];
+        feed_all(&mut node, &mut log, 0, &write);
+        // A read retires where its last step is pushed.
+        feed_all(&mut node, &mut log, 1, &[Input::Filled]);
+        feed_all(&mut node, &mut log, 2, &[Input::Written, Input::Closed]);
+        let completes = [(0, vec![2, 2, 0]), (1, vec![1, 1]), (2, vec![0])];
+        assert_eq!(log.completes, completes);
+        assert_eq!(log.kept, [(2, 0, 0), (2, 0, 1)]);
+        let fetched =
+            |&(run, action): &(u64, Action)| run == 2 && matches!(action, Action::Fetch { .. });
+        assert!(!log.did.iter().any(fetched), "{:?}", log.did);
+        assert_eq!(node.counts(), (0, 0));
     }
 }

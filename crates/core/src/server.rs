@@ -5,27 +5,32 @@
 //! live at once, each lowered into its own [`CollectiveSchedule`]. Three
 //! parts serve them, on two threads: the driver's and the disk task's.
 //!
-//! * **The window** ([`Window`], one per live run) knows
+//! * **The node** (`mesh::Node`, the I/O node's one composition, the
+//!   same the mesh walker explores and the DES times) holds admission
+//!   and one window per live run. A window knows
 //!   *when* each step of a schedule may start — how many fetches may be
 //!   outstanding, when an assembled subchunk goes to the disk, when a
 //!   read may run ahead and when its readers have fallen far enough
 //!   behind that a filled step must wait, when the run closes and
 //!   retires — and keeps every count the run is owed: the pieces still
 //!   to arrive, the credits still to come, the disk answers still
-//!   outstanding. It has no bytes, no socket, no channel and no clock.
+//!   outstanding. The node has no bytes, no socket, no channel and no
+//!   clock: it decides, and its driver performs.
 //! * **The driver** (this module's [`ServerNode`]) owns everything the
-//!   window and admission do not: the transport, the buffers and the
-//!   events; it counts nothing. Whatever happens names one run — a
-//!   `Data` reply, a `Credit`, a disk answer, an admission — so
-//!   `ServerNode` looks that run up once, feeds its window the one
-//!   [`Input`], and performs the [`Action`]s it answers: a `Fetch` is a
-//!   message (or, for a one-shot, a piece cut out of the bytes it
-//!   carried and fed straight back), a `Write`/`Read`/`Close` a command
-//!   to the disk task, a `Scatter` the pushes, a `Retire` the
-//!   `Complete`s and an admission from the wait queue. A `Fetch`'s
-//!   `seq` names its piece (`step << 32 | piece`), so a `Data` reply
-//!   says which piece it claims to be, and the window refuses one it is
-//!   not waiting for before its bytes are kept. No other run is touched;
+//!   node does not: the transport, the buffers and the events; it
+//!   counts nothing. Whatever happens names one run — a `Data` reply, a
+//!   `Credit`, a disk answer, an admission — so `ServerNode` holds it to
+//!   every rule it can check alone and hands the node the one
+//!   [`Input`]; the node feeds that run's window and has the driver
+//!   perform the [`Action`]s it answers (`Perform` below): a `Fetch` is
+//!   a message (or, for a one-shot, a piece cut out of the bytes it
+//!   carried, which the node feeds straight back), a
+//!   `Write`/`Read`/`Close` a command to the disk task, a `Scatter` the
+//!   pushes, a `Retire` the `Complete`s — after which the node starts
+//!   the request admission hands the freed slot. A `Fetch`'s `seq`
+//!   names its piece (`step << 32 | piece`), so a `Data` reply says
+//!   which piece it claims to be, and the window refuses one it is not
+//!   waiting for before its bytes are kept. No other run is touched;
 //!   runs share nothing but the FIFO disk task, so they take turns in
 //!   the order their inputs arrive. Nothing is
 //!   batched: the driver reorganizes in both directions, as each of the
@@ -82,7 +87,8 @@
 //! server does not hold, from a non-participant, or beyond what its
 //! sender owes (a write owes none) comes from no honest client. Such a
 //! credit is refused — recorded as a `RequestError`, kept as this
-//! server's result — and changes nothing: the I/O node goes on serving
+//! server's result — and changes nothing (the node hands back the
+//! window's refusal and is as it was): the I/O node goes on serving
 //! every run it holds.
 //!
 //! **Small requests** arrive whole: a [`Msg::OneShot`] is a
@@ -95,8 +101,9 @@
 //! therefore attest zero pieces.
 //!
 //! **Admission** happens at the master server, and is decided by a
-//! pure machine beside the window (`admission::Admission`: the live
-//! count, the FIFO queue and both caps): a request beyond the live cap
+//! pure machine the node holds beside the windows
+//! (`admission::Admission`: the live count, the FIFO queue and both
+//! caps): a request beyond the live cap
 //! waits in a bounded queue, and a single-participant (session) request
 //! is refused with a typed [`Msg::Reject`] when the queue is full —
 //! surfaced to the submitter as [`PandaError::Admission`].
@@ -120,14 +127,15 @@ use panda_msg::{freelist, Bytes, MatchSpec, NodeId, Transport};
 use panda_obs::{Event, Recorder, StepAction, SubchunkKey};
 use panda_schema::{copy, Region, SchemaError};
 
-use crate::admission::{Admission, Admit, Caps};
+use crate::admission::Caps;
 use crate::error::PandaError;
 use crate::health::ServiceHealth;
+use crate::mesh::{Node, Perform, Started};
 use crate::plan::{server_file_name, CollectiveSchedule, ScheduleStep};
 use crate::protocol::{
     recv_msg, send_data, send_msg, send_request, try_recv_msg, CollectiveRequest, Msg, OpKind,
 };
-use crate::window::{Action, Input, Unexpected, Window};
+use crate::window::{Action, Input, Unexpected};
 
 /// How long the driver parks on the disk channel before re-polling the
 /// transport, when disk work is outstanding but nothing else moved (and,
@@ -196,6 +204,8 @@ pub struct ServerNode {
     /// The first `Credit` refused (see the module docs): what
     /// [`ServerNode::run`] reports once it has served everything else.
     refused: Option<PandaError>,
+    /// The disk task's command channel, while [`ServerNode::run`] runs.
+    cmd_tx: Option<mpsc::Sender<DiskCmd>>,
 }
 
 /// A one-shot write's bytes ([`Msg::OneShot`]): what its run packs plan
@@ -238,10 +248,11 @@ impl Carried {
     }
 }
 
-/// One live collective on this server: everything scoped to a single
-/// request id, which is what lets N of these interleave on the shared
-/// transport and disk task. The window says when each step may start;
-/// the rest is what the driver performs its actions with.
+/// What the driver keeps beside a live collective on this server:
+/// everything scoped to a single request id, which is what lets N of
+/// these interleave on the shared transport and disk task. The node
+/// holds the run's window; this is what the driver performs its actions
+/// with.
 struct RequestRun {
     request: u64,
     /// Fabric ranks of the participating compute nodes, indexed by a
@@ -253,10 +264,6 @@ struct RequestRun {
     sched: Arc<CollectiveSchedule>,
     /// Start instant, for the `CollectiveDone` duration.
     t_op: Option<Instant>,
-    win: Window,
-    /// What the window asked for and the driver has not done yet. Empty
-    /// between inputs.
-    acts: Vec<Action>,
     /// Each step's subchunk bytes: a write's from its first piece until
     /// its `Write`, a read's from its `Filled` until its `Scatter`. Empty
     /// otherwise: an identity write step's buffer *is* the received
@@ -271,43 +278,6 @@ struct RequestRun {
 }
 
 impl RequestRun {
-    /// A freshly admitted run: nothing fetched, issued or queued yet.
-    fn new(
-        req: CollectiveRequest,
-        sched: Arc<CollectiveSchedule>,
-        t_op: Option<Instant>,
-        carried: Option<Carried>,
-    ) -> Self {
-        let clients = sched
-            .steps
-            .iter()
-            .map(|s| s.sub.pieces.iter().map(|p| p.client));
-        RequestRun {
-            request: req.request,
-            participants: req.participants,
-            dir: req.op,
-            win: Window::new(clients, req.op, req.pipeline_depth),
-            bufs: vec![Vec::new(); sched.steps.len()],
-            small: is_small(&sched),
-            sched,
-            t_op,
-            acts: Vec::new(),
-            carried,
-        }
-    }
-
-    /// Tell the window what happened; what it answers joins `acts`. An
-    /// input it was not waiting for is a protocol violation by whoever
-    /// delivered it.
-    fn feed(&mut self, input: Input) -> Result<(), PandaError> {
-        let request = self.request;
-        self.win
-            .on(input, &mut self.acts)
-            .map_err(|Unexpected(input)| {
-                PandaError::protocol(format!("request {request} is not waiting for {input:?}"))
-            })
-    }
-
     /// Cut plan piece `pi` of step `si` out of the carried bytes: what
     /// the submitter would have packed for the matching `Fetch`.
     fn pack_carried(&self, si: usize, pi: usize) -> Result<Bytes, PandaError> {
@@ -327,38 +297,23 @@ impl RequestRun {
     }
 }
 
+/// A request as admission holds it: a one-shot with the bytes it
+/// carries.
+type Admitted = (CollectiveRequest, Option<Carried>);
+
 /// Scheduler state local to one [`ServerNode::run`] call.
 struct SchedState {
-    /// Live runs, in admission order.
-    live: Vec<RequestRun>,
-    /// What starts, waits or is refused: requests, a one-shot with the
-    /// bytes it carries. Only the master's has caps.
-    admission: Admission<(CollectiveRequest, Option<Carried>)>,
+    /// This I/O node's decisions: what starts, waits or is refused (only
+    /// the master's admission has caps), and each live run's window.
+    node: Node<Admitted, RequestRun>,
     /// Set by `Msg::Shutdown`; the loop exits once drained.
     draining: bool,
-    /// The disk task's command channel.
-    cmd_tx: mpsc::Sender<DiskCmd>,
 }
 
-impl SchedState {
-    /// Send one disk command. A closed channel means the disk task
-    /// already died — the join in [`ServerNode::run`] has the cause.
-    fn disk_send(&self, cmd: DiskCmd) -> Result<(), PandaError> {
-        self.cmd_tx
-            .send(cmd)
-            .map_err(|_| PandaError::protocol("disk task stopped early"))
-    }
-
-    /// Disk answers the live runs' windows are still owed.
-    fn disk_owed(&self) -> usize {
-        self.live.iter().map(|run| run.win.disk_owed()).sum()
-    }
-
-    /// Whether every run owed a disk answer is small.
-    fn owed_only_small(&self) -> bool {
-        self.live
-            .iter()
-            .all(|run| run.small || run.win.disk_owed() == 0)
+/// The input a run was not waiting for, from whoever delivered it.
+fn not_waiting(request: u64) -> impl FnOnce(Unexpected) -> PandaError {
+    move |Unexpected(input)| {
+        PandaError::protocol(format!("request {request} is not waiting for {input:?}"))
     }
 }
 
@@ -717,6 +672,7 @@ impl ServerNode {
             raw_done: vec![false; num_clients],
             raw_done_count: 0,
             refused: None,
+            cmd_tx: None,
         }
     }
 
@@ -744,10 +700,18 @@ impl ServerNode {
     /// Publish this server's scheduler gauges (three relaxed stores —
     /// cheap enough to run on every serve-loop pass).
     fn publish_health(&self, st: &SchedState) {
-        let (live, queued) = st.admission.counts();
-        let disk_owed = st.disk_owed();
+        let (live, queued) = st.node.counts();
+        let disk_owed = st.node.disk_owed();
         self.health
             .publish(self.server_idx, queued, live, disk_owed);
+    }
+
+    /// Send one disk command. A closed channel means the disk task
+    /// already died — the join in [`ServerNode::run`] has the cause.
+    fn disk_send(&self, cmd: DiskCmd) -> Result<(), PandaError> {
+        let sent = self.cmd_tx.as_ref().map(|tx| tx.send(cmd));
+        sent.and_then(Result::ok)
+            .ok_or_else(|| PandaError::protocol("disk task stopped early"))
     }
 
     /// A step's subchunk key under this server, scoped to its request.
@@ -775,14 +739,13 @@ impl ServerNode {
             false => Caps::NONE,
         };
         let mut st = SchedState {
-            live: Vec::new(),
-            admission: Admission::new(caps),
+            node: Node::new(caps),
             draining: false,
-            cmd_tx,
         };
+        self.cmd_tx = Some(cmd_tx);
         let run = self.serve(&mut st, &out_rx);
         // Closing the command channel lets the disk task drain and exit.
-        drop(st);
+        self.cmd_tx = None;
         let disk = disk
             .join()
             .map_err(|_| PandaError::protocol("disk task panicked"))?;
@@ -807,18 +770,18 @@ impl ServerNode {
                 progress = true;
             }
             self.publish_health(st);
-            if st.draining && st.admission.counts() == (0, 0) {
+            if st.draining && st.node.counts() == (0, 0) {
                 return Ok(());
             }
             if progress {
                 continue;
             }
-            if st.disk_owed() > 0 {
+            if st.node.disk_owed() > 0 {
                 // Disk work outstanding: progress may come from either
                 // side. A small run's disk answer is microseconds away,
                 // so when only small runs are owed one, poll both sides
                 // first (`HANDOFF_POLL`).
-                if st.owed_only_small() {
+                if st.node.owing().all(|run| run.small) {
                     let arrived = poll_handoff(|| {
                         if let Ok(done) = out_rx.try_recv() {
                             return Some(self.disk_done(st, done));
@@ -856,51 +819,9 @@ impl ServerNode {
         }
     }
 
-    /// Do what live run `idx`'s window asked for, in the order it asked.
-    /// Two actions answer themselves — a one-shot's `Fetch` is its
-    /// piece's arrival, a `Scatter` returns once the pieces are pushed —
-    /// and what the window makes of that joins the same list. `Retire`
-    /// is a run's last action: it leaves `live` here.
-    fn perform(&mut self, st: &mut SchedState, idx: usize) -> Result<(), PandaError> {
-        let mut at = 0;
-        while let Some(&action) = st.live[idx].acts.get(at) {
-            at += 1;
-            let run = &mut st.live[idx];
-            let request = run.request;
-            match action {
-                Action::Fetch { step, piece } => self.fetch(run, step, piece)?,
-                Action::Write { step } => {
-                    let buf = std::mem::take(&mut run.bufs[step]);
-                    st.disk_send(DiskCmd::Write { request, step, buf })?;
-                }
-                Action::Read { step } => st.disk_send(DiskCmd::Read { request, step })?,
-                Action::Scatter { step, awaited } => {
-                    self.scatter_step(run, step, awaited)?;
-                    run.feed(Input::Pushed)?;
-                }
-                // A read's close is not waited for: it syncs nothing,
-                // cannot fail, and any later `Open` of these files is
-                // behind it on the one command channel.
-                Action::Close => st.disk_send(DiskCmd::Close { request })?,
-                Action::Retire => {
-                    let run = st.live.remove(idx);
-                    return self.finish_run(st, run);
-                }
-            }
-        }
-        st.live[idx].acts.clear();
-        Ok(())
-    }
-
     /// Perform a `Fetch`: ask the piece's participant for it, naming the
-    /// piece in the `seq` its `Data` echoes — or, for a one-shot, cut it
-    /// out of the bytes the request carried, which is its arrival:
-    /// nothing is sent.
-    fn fetch(&mut self, run: &mut RequestRun, si: usize, pi: usize) -> Result<(), PandaError> {
-        if run.carried.is_some() {
-            let payload = run.pack_carried(si, pi)?;
-            return self.piece_arrived(run, si, pi, payload);
-        }
+    /// piece in the `seq` its `Data` echoes.
+    fn fetch(&mut self, run: &RequestRun, si: usize, pi: usize) -> Result<(), PandaError> {
         let step = &run.sched.steps[si];
         let piece = &step.sub.pieces[pi];
         let dst = run.participants[piece.client];
@@ -917,12 +838,12 @@ impl ServerNode {
         Ok(())
     }
 
-    /// The bytes of write piece `pi` of step `si` are here, fetched or
-    /// carried. The window hears of it first, and refuses a piece it is
-    /// not waiting for before a byte of it is kept. An identity step is
-    /// complete with them: the piece is the subchunk, so the buffer goes
-    /// to the disk task as it is. A reorganizing step's piece is copied
-    /// into the step's subchunk here, where it lands.
+    /// Keep the bytes of write piece `pi` of step `si`, fetched or
+    /// carried, which the run's window has taken: a piece it was not
+    /// waiting for is refused before a byte of it is kept. An identity
+    /// step is complete with them: the piece is the subchunk, so the
+    /// buffer goes to the disk task as it is. A reorganizing step's piece
+    /// is copied into the step's subchunk here, where it lands.
     fn piece_arrived(
         &self,
         run: &mut RequestRun,
@@ -930,10 +851,6 @@ impl ServerNode {
         pi: usize,
         payload: Bytes,
     ) -> Result<(), PandaError> {
-        run.feed(Input::Piece {
-            step: si,
-            piece: pi,
-        })?;
         let (step, buf) = (&run.sched.steps[si], &mut run.bufs[si]);
         if step.identity {
             *buf = payload.into_vec();
@@ -1096,15 +1013,11 @@ impl ServerNode {
         }
         let carried = carried.map(|body| Carried::new(&req, body)).transpose()?;
         let fleet = req.participants.len() > 1;
-        let (req, reason) = match st.admission.submit((req, carried), fleet) {
-            Admit::Start((req, carried)) => return self.start_run(st, req, carried),
-            Admit::Queue => {
-                self.publish_health(st);
-                return Ok(());
-            }
-            Admit::Reject((req, _), reason) => (req, reason),
+        let Some(((req, _), reason)) = st.node.admit(self, (req, carried), fleet)? else {
+            self.publish_health(st);
+            return Ok(());
         };
-        let (request, (live, queued)) = (req.request, st.admission.counts());
+        let (request, (live, queued)) = (req.request, st.node.counts());
         self.emit(&Event::AdmissionReject {
             request,
             queued: queued as u32,
@@ -1151,55 +1064,6 @@ impl ServerNode {
         Ok(())
     }
 
-    /// Lower an admitted request into a live [`RequestRun`]: relay it
-    /// (master), build its schedule, open its files on the disk task, and
-    /// start its window — which asks for the first fetches or reads, or,
-    /// when the schedule is empty, closes it straight away.
-    fn start_run(
-        &mut self,
-        st: &mut SchedState,
-        req: CollectiveRequest,
-        carried: Option<Carried>,
-    ) -> Result<(), PandaError> {
-        if self.is_master() {
-            self.relay(&req, carried.as_ref())?;
-        }
-        let depth = req.pipeline_depth.max(1);
-        let t_op = self.obs_on().then(Instant::now);
-        self.emit(&Event::RequestIssued {
-            request: req.request,
-            op: req.op,
-            arrays: req.arrays.len() as u32,
-            pipeline_depth: depth as u32,
-        });
-        let sched = Arc::new(CollectiveSchedule::build(
-            &req.arrays,
-            req.op,
-            self.server_idx,
-            self.num_servers,
-            req.subchunk_bytes,
-            req.sync_policy,
-        ));
-        if self.obs_on() {
-            for step in &sched.steps {
-                self.emit(&Event::SubchunkPlanned {
-                    key: self.key_of(req.request, step),
-                    bytes: step.sub.bytes as u64,
-                });
-            }
-        }
-        st.disk_send(DiskCmd::Open {
-            request: req.request,
-            write: matches!(req.op, OpKind::Write),
-            sched: Arc::clone(&sched),
-        })?;
-        let mut run = RequestRun::new(req, sched, t_op, carried);
-        run.feed(Input::Start)?;
-        st.live.push(run);
-        let idx = st.live.len() - 1;
-        self.perform(st, idx)
-    }
-
     /// Route an arriving `Data` reply to the run, step and piece it
     /// names, and hold it to the plan and to the window before it counts
     /// as arrived; then perform what its arrival made due.
@@ -1212,12 +1076,11 @@ impl ServerNode {
         payload: Bytes,
         wait: Duration,
     ) -> Result<(), PandaError> {
-        let Some(idx) = st.live.iter().position(|r| r.request == request) else {
+        let Some(run) = st.node.run(request) else {
             return Err(PandaError::protocol(format!(
                 "data for unknown request {request}"
             )));
         };
-        let run = &mut st.live[idx];
         // The payload is about to be written (or, for an identity step,
         // to *become* the subchunk) on the strength of the plan alone:
         // hold the wire to the piece its seq names, which must be one.
@@ -1239,38 +1102,47 @@ impl ServerNode {
         let key = self.key_of(request, step);
         let peer = run.participants[step.sub.pieces[pi].client];
         let bytes = payload.len() as u64;
-        // A duplicate or unrequested piece stops here, its bytes unkept.
-        self.piece_arrived(run, si, pi, payload)?;
-        self.emit(&Event::Step {
-            key,
-            seq,
-            action: StepAction::Fetch,
-            bytes,
-            peer: Some(peer),
-            // Only the blocking receive actually waited.
-            dur: wait,
-        });
-        self.perform(st, idx)
+        // A duplicate or unrequested piece stops at the window, its bytes
+        // unkept.
+        let keep = |srv: &mut Self, run: &mut RequestRun| {
+            srv.piece_arrived(run, si, pi, payload)?;
+            srv.emit(&Event::Step {
+                key,
+                seq,
+                action: StepAction::Fetch,
+                bytes,
+                peer: Some(peer),
+                // Only the blocking receive actually waited.
+                dur: wait,
+            });
+            Ok(())
+        };
+        let input = Input::Piece {
+            step: si,
+            piece: pi,
+        };
+        st.node
+            .feed(self, request, input, keep)?
+            .map_err(not_waiting(request))
     }
 
     /// A participant unpacked one awaited piece of `request`: its window
     /// takes the credit, which may let the run push its next step. A
     /// credit no honest client sends is refused (see the module docs): it
-    /// changes no run — a window leaves itself as it was when it refuses
+    /// changes no run — the node leaves itself as it was when it refuses
     /// — and is recorded as a request error, the first kept for
     /// [`ServerNode::run`] to report, while the node goes on serving.
     fn credit(&mut self, st: &mut SchedState, src: NodeId, request: u64) -> Result<(), PandaError> {
-        let idx = st.live.iter().position(|r| r.request == request);
-        let why = match idx {
+        let ranks = st.node.run(request).map(|run| &run.participants);
+        let who = ranks.map(|ranks| ranks.iter().position(|&rank| rank as usize == src.index()));
+        let why = match who {
             None => "which is not live here",
-            Some(idx) => {
-                let run = &mut st.live[idx];
-                let ranks = &run.participants;
-                let who = ranks.iter().position(|&rank| rank as usize == src.index());
-                match who.map(|client| run.win.on(Input::Credit { client }, &mut run.acts)) {
-                    Some(Ok(())) => return self.perform(st, idx),
-                    Some(Err(_)) => "beyond what it owes",
-                    None => "in which its sender does not take part",
+            Some(None) => "in which its sender does not take part",
+            Some(Some(client)) => {
+                let credit = Input::Credit { client };
+                match st.node.feed(self, request, credit, |_, _| Ok(()))? {
+                    Ok(()) => return Ok(()),
+                    Err(_) => "beyond what it owes",
                 }
             }
         };
@@ -1293,52 +1165,24 @@ impl ServerNode {
             DiskOut::Full { request, step, buf } => (request, Input::Filled, Some((step, buf))),
             DiskOut::Closed { request } => (request, Input::Closed, None),
         };
-        let Some(idx) = st.live.iter().position(|r| r.request == request) else {
+        if st.node.run(request).is_none() {
             if let Some((_, buf)) = filled {
                 freelist::give(buf);
             }
             return Err(PandaError::protocol(format!(
                 "disk answered {input:?} for unknown request {request}"
             )));
-        };
-        let run = &mut st.live[idx];
+        }
         // A filled step waits in its slot for its `Scatter`.
-        if let Some((step, buf)) = filled {
-            run.bufs[step] = buf;
-        }
-        run.feed(input)?;
-        self.perform(st, idx)
-    }
-
-    /// Retire `run`, which just left `live` on its window's `Retire` (a
-    /// write's `Closed` came back, a read's last piece was pushed): the
-    /// collective is complete on this server. Tell every participant how
-    /// many pieces it was sent — its pieces in the schedule, each sent
-    /// once, or none for a one-shot — then start the request admission
-    /// gives the freed slot to, if one waits (only on the master).
-    fn finish_run(&mut self, st: &mut SchedState, run: RequestRun) -> Result<(), PandaError> {
-        let request = run.request;
-        if let Some(t) = run.t_op {
-            self.emit(&Event::CollectiveDone {
-                request,
-                op: run.dir,
-                dur: t.elapsed(),
-            });
-        }
-        let mut sent = vec![0; run.participants.len()];
-        if run.carried.is_none() {
-            for piece in run.sched.steps.iter().flat_map(|s| &s.sub.pieces) {
-                sent[piece.client] += 1;
+        let keep = |_: &mut Self, run: &mut RequestRun| {
+            if let Some((step, buf)) = filled {
+                run.bufs[step] = buf;
             }
-        }
-        for (&rank, pieces) in run.participants.iter().zip(sent) {
-            let done = Msg::Complete { request, pieces };
-            send_msg(&mut *self.transport, NodeId(rank as usize), &done)?;
-        }
-        match st.admission.retire() {
-            Some((req, carried)) => self.start_run(st, req, carried),
-            None => Ok(()),
-        }
+            Ok(())
+        };
+        st.node
+            .feed(self, request, input, keep)?
+            .map_err(not_waiting(request))
     }
 
     /// Baseline support: apply a positioned write in arrival order.
@@ -1435,6 +1279,119 @@ impl ServerNode {
                 self.raw_done[client] = false;
                 send_msg(&mut *self.transport, NodeId(client), &Msg::RawAck)?;
             }
+        }
+        Ok(())
+    }
+}
+
+/// The driver performs its node's actions with bytes, the transport and
+/// the disk task.
+impl Perform<Admitted, RequestRun> for ServerNode {
+    type Error = PandaError;
+    /// A `Scatter` returns once its pieces are pushed.
+    const PUSHED: bool = true;
+
+    /// Relay an admitted request (master), build its schedule and open
+    /// its files on the disk task; its window then asks for the first
+    /// fetches or reads, or, when the schedule is empty, closes it
+    /// straight away.
+    fn start(&mut self, (req, carried): Admitted) -> Result<Started<RequestRun>, PandaError> {
+        if self.is_master() {
+            self.relay(&req, carried.as_ref())?;
+        }
+        let depth = req.pipeline_depth.max(1);
+        let t_op = self.obs_on().then(Instant::now);
+        self.emit(&Event::RequestIssued {
+            request: req.request,
+            op: req.op,
+            arrays: req.arrays.len() as u32,
+            pipeline_depth: depth as u32,
+        });
+        let sched = Arc::new(CollectiveSchedule::build(
+            &req.arrays,
+            req.op,
+            self.server_idx,
+            self.num_servers,
+            req.subchunk_bytes,
+            req.sync_policy,
+        ));
+        if self.obs_on() {
+            for step in &sched.steps {
+                self.emit(&Event::SubchunkPlanned {
+                    key: self.key_of(req.request, step),
+                    bytes: step.sub.bytes as u64,
+                });
+            }
+        }
+        self.disk_send(DiskCmd::Open {
+            request: req.request,
+            write: matches!(req.op, OpKind::Write),
+            sched: Arc::clone(&sched),
+        })?;
+        let steps = sched.steps.iter();
+        Ok(Started {
+            request: req.request,
+            dir: req.op,
+            depth,
+            clients: steps
+                .map(|s| s.sub.pieces.iter().map(|p| p.client).collect())
+                .collect(),
+            participants: req.participants.len(),
+            carried: carried.is_some(),
+            // Nothing fetched, issued or queued yet.
+            run: RequestRun {
+                request: req.request,
+                participants: req.participants,
+                dir: req.op,
+                bufs: vec![Vec::new(); sched.steps.len()],
+                small: is_small(&sched),
+                sched,
+                t_op,
+                carried,
+            },
+        })
+    }
+
+    fn act(&mut self, run: &mut RequestRun, action: Action) -> Result<(), PandaError> {
+        let request = run.request;
+        match action {
+            Action::Fetch { step, piece } => self.fetch(run, step, piece),
+            Action::Write { step } => {
+                let buf = std::mem::take(&mut run.bufs[step]);
+                self.disk_send(DiskCmd::Write { request, step, buf })
+            }
+            Action::Read { step } => self.disk_send(DiskCmd::Read { request, step }),
+            Action::Scatter { step, awaited } => self.scatter_step(run, step, awaited),
+            // A read's close is not waited for: it syncs nothing, cannot
+            // fail, and any later `Open` of these files is behind it on
+            // the one command channel.
+            Action::Close => self.disk_send(DiskCmd::Close { request }),
+            Action::Retire => unreachable!("a node retires its runs itself"),
+        }
+    }
+
+    /// A one-shot's `Fetch` cuts its piece out of the bytes the request
+    /// carried: nothing is sent.
+    fn carried(&mut self, run: &mut RequestRun, si: usize, pi: usize) -> Result<(), PandaError> {
+        let payload = run.pack_carried(si, pi)?;
+        self.piece_arrived(run, si, pi, payload)
+    }
+
+    /// The collective is complete on this server (a write's `Closed` came
+    /// back, a read's last piece was pushed): tell every participant how
+    /// many pieces it was sent.
+    fn retire(&mut self, run: RequestRun, pieces: &[u32]) -> Result<(), PandaError> {
+        let request = run.request;
+        if let Some(t) = run.t_op {
+            self.emit(&Event::CollectiveDone {
+                request,
+                op: run.dir,
+                dur: t.elapsed(),
+            });
+        }
+        for (&rank, &pieces) in run.participants.iter().zip(pieces) {
+            let done = Msg::Complete { request, pieces };
+            send_msg(&mut *self.transport, NodeId(rank as usize), &done)?;
         }
         Ok(())
     }
@@ -1692,10 +1649,8 @@ mod tests {
         ];
         for (name, answer) in answers {
             let mut st = SchedState {
-                live: Vec::new(),
-                admission: Admission::new(Caps::NONE),
+                node: Node::new(Caps::NONE),
                 draining: false,
-                cmd_tx: mpsc::channel().0,
             };
             let buf = freelist::take(LEN);
             let ptr = buf.as_ptr();

@@ -6,13 +6,16 @@
 //! subchunks between "pieces requested" and "handed to the disk" (or
 //! between "read issued" and "pushed"), strictly in schedule order.
 //! [`Window`] is that rule and the books it needs: which pieces have
-//! come, which credits are owed, which disk answers are outstanding. A
-//! caller tells it what happened ([`Input`]) and does what it answers
-//! ([`Action`]): `ServerNode` with real messages and a disk task, and
-//! [`crate::mesh`] with per-pair queues that the test walker drives in
-//! every order and the performance model under a virtual clock. All
-//! therefore agree on when a step may start, and can differ only in how
-//! long things take; none keeps a count of its own.
+//! come, which credits are owed, which disk answers are outstanding. Its
+//! one caller is `mesh::Node`, an I/O node's composition of admission
+//! and its live runs' windows: the node tells a run's window what
+//! happened ([`Input`]) and has what it answers ([`Action`]) performed
+//! by the scheduler that drives the node — `ServerNode` with real
+//! messages and a disk task, and [`crate::mesh`] with per-pair queues
+//! that the test walker drives in every order and the performance model
+//! under a virtual clock. All three therefore agree on when a step may
+//! start, and can differ only in how long things take; none keeps a
+//! count of its own.
 //!
 //! A write keeps up to `depth` steps' fetches outstanding and up to
 //! `depth` assembled steps at the disk; depth 1 is the strictly serial
