@@ -68,6 +68,18 @@ if grep -nE 'Window::new|Admission::new|\.submit\(|\.retire\(\)|win\.on\(' <<<"$
   echo "ci: server.rs drives mesh::Node; no windows or admission of its own (see the hits above)" >&2
   exit 1
 fi
+# The compute node's decisions are one `participant::Participant`,
+# which lives across its collectives: it takes each message, sets aside
+# what is for the next collective and takes that first when the next
+# begins. So the non-test, non-comment code of crates/core/src/client.rs
+# feeds no participant message by message and keeps no queue of its own,
+# and that of crates/core/src/mesh.rs keeps no set-aside either.
+client_code=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/client.rs | grep -vE '^[[:space:]]*//')
+mesh_code=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/mesh.rs | grep -vE '^[[:space:]]*//')
+if grep -nE '\.on\(|SetAside|VecDeque' <<<"$client_code" || grep -nE 'SetAside|early' <<<"$mesh_code"; then
+  echo "ci: client.rs and mesh.rs drive participant::Participant; no set-aside of their own (see the hits above)" >&2
+  exit 1
+fi
 
 # Purity gate: the metrics store (crates/obs/src/store.rs) has one
 # concurrency idiom, a mutex per shard around plain numbers, and a
@@ -235,7 +247,7 @@ TABLE = [
     # alternates them. Messages of 2000 traced operations, per operation:
     # 4.97 (9 934, shutdown included; 7.03 / 14 066 while a small write
     # still cost a Fetch and a Data per server). Protocol growth fails
-    # here, and ROADMAP item 3's "<= 4 per op" tightens this number.
+    # here, and ROADMAP item 6(c)'s "<= 4 per op" tightens this number.
     # The same run holds the bytes, not only the count: those 9 934
     # messages are 13 366 680 bytes (6683.3 per operation; 13 402 680
     # until the 2 x 2 000 request frames lost their unused priority byte,

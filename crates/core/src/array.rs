@@ -103,6 +103,14 @@ impl ArrayMeta {
         self.memory_grid().chunk_region(rank)
     }
 
+    /// The part of `section` compute node `rank` holds: its chunk's
+    /// intersection with it, empty when they are disjoint.
+    pub(crate) fn client_section(&self, rank: usize, section: &Region) -> Region {
+        let mine = self.client_region(rank);
+        mine.intersect(section)
+            .unwrap_or_else(|| Region::empty(mine.rank()))
+    }
+
     /// The buffer size, in bytes, compute node `rank` must supply.
     pub fn client_bytes(&self, rank: usize) -> usize {
         self.client_region(rank).num_bytes(self.elem_size())

@@ -26,14 +26,15 @@
 //! `Complete` — which attests zero pieces, and is held to that.
 //!
 //! [`PandaClient`] is a driver and counts nothing: what a participant
-//! decides — which collective a message belongs to (and which to set
-//! aside for the next), whether each server's `Complete` attests what
-//! arrived, whether a `Reject` answers this submission — is one pure
-//! machine, `participant::Participant`, which the mesh walker composes
-//! with the servers' windows and admission. The client keeps the bytes:
-//! it packs, unpacks, credits, and holds the messages set aside.
+//! decides — which collective a message belongs to (and which to keep,
+//! and take first, for the next), whether each server's `Complete`
+//! attests what arrived, whether a `Reject` answers this submission — is
+//! one pure machine, `participant::Participant`, which lives across this
+//! client's collectives and which the mesh drives too. The client keeps
+//! only the bytes: through `participant::Serve` it packs and sends a
+//! fetched piece, unpacks a delivered one and credits it when awaited,
+//! records its events, and makes a `Reject` an admission error.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,7 +45,7 @@ use panda_schema::{copy, Region, SchemaError};
 
 use crate::array::ArrayMeta;
 use crate::error::PandaError;
-use crate::participant::{Answer, Arrival, Participant};
+use crate::participant::{Arrival, End, Participant, Refusal, Serve};
 use crate::request::{ReadSet, WriteSet};
 use crate::tuned::TunedConfig;
 
@@ -101,10 +102,9 @@ pub struct PandaClient {
     last_request: Option<u64>,
     /// Session recorder; events are tagged with this client's rank.
     recorder: Arc<dyn Recorder>,
-    /// Messages of the fleet's next collective that arrived before the
-    /// current one ended here (see [`PandaClient::serve_collective`]);
-    /// the next call serves them first.
-    early: VecDeque<(NodeId, Msg)>,
+    /// This node's side of its collectives, and the messages of the
+    /// fleet's next one that arrived before the current one ended here.
+    part: Participant<Msg>,
 }
 
 impl PandaClient {
@@ -130,7 +130,7 @@ impl PandaClient {
             req_counter: 0,
             last_request: None,
             recorder,
-            early: VecDeque::new(),
+            part: Participant::new(num_servers),
         }
     }
 
@@ -276,14 +276,10 @@ impl PandaClient {
             .items
             .iter_mut()
             .map(|i| {
-                // Receive target: my chunk, or its intersection with the
-                // section. A disjoint section leaves an empty target.
-                let mine = i.meta.client_region(mesh);
+                // Receive target: my chunk, or its part of the section.
                 let region = match &i.section {
-                    None => mine,
-                    Some(s) => mine
-                        .intersect(s)
-                        .unwrap_or_else(|| Region::empty(mine.rank())),
+                    None => i.meta.client_region(mesh),
+                    Some(s) => i.meta.client_section(mesh, s),
                 };
                 XferArray {
                     meta: i.meta,
@@ -355,41 +351,18 @@ impl PandaClient {
     /// Buffer size this client must supply for a section read: the
     /// bytes of `client_region ∩ section` (zero when disjoint).
     pub fn section_bytes(&self, meta: &ArrayMeta, section: &Region) -> usize {
-        meta.client_region(self.rank)
-            .intersect(section)
-            .map(|r| r.num_bytes(meta.elem_size()))
-            .unwrap_or(0)
+        meta.client_section(self.rank, section)
+            .num_bytes(meta.elem_size())
     }
 
     /// The one client-side exchange loop: serve the servers until each
-    /// of them has sent its `Complete`, for either direction. Fetches
-    /// pack from `Src` buffers and reply with `Data`; deliveries scatter
-    /// into `Dst` buffers — the buffer variant *is* the direction, so a
-    /// fetch during a read (or a delivery during a write) is a typed
-    /// protocol error. With pipelining the servers keep several
-    /// requests outstanding per client, so this loop is the client's hot
-    /// path: each reply is packed into a free-list buffer that *moves*
-    /// into the envelope via the vectored send path, and each delivery's
-    /// buffer goes back to the list once scattered — one copy per piece,
-    /// and in steady state no allocation. Every reply echoes the
-    /// fetch's request id, which is how the multi-tenant servers route
-    /// it back to the right run.
-    ///
-    /// The one thing a reader acknowledges is an awaited piece
-    /// ([`Msg::AwaitedData`]): once it is unpacked, its server gets a
-    /// [`Msg::Credit`], and that server pushes a later step only after
-    /// the step `pipeline_depth` before it is credited in full. So a slow
-    /// reader holds at most `pipeline_depth` of each server's steps
-    /// queued here, whatever the disks' lead; a read of no more than
-    /// `pipeline_depth` steps per server credits nothing.
-    ///
-    /// Which collective a message belongs to, whether a server's
-    /// `Complete` attests what arrived from it, and whether a `Reject`
-    /// answers this submission are the [`Participant`]'s to decide; this
-    /// loop holds the messages it sets aside for the next call, and does
-    /// what it answers. `want` is the submitted request's id when this
-    /// client is the submitter; `None` for fleet non-masters, which
-    /// learn the id from the first message.
+    /// of them has sent its `Complete`, for either direction. The
+    /// [`Participant`] decides what each message is to this collective
+    /// (served, counted, or kept for the next, whose messages it takes
+    /// first when this call begins) and when the collective is over;
+    /// [`Serving`] does the bytes. `want` is the submitted request's id
+    /// when this client is the submitter; `None` for fleet non-masters,
+    /// which learn the id from the first message.
     ///
     /// Returns the request id served.
     fn serve_collective(
@@ -397,138 +370,28 @@ impl PandaClient {
         arrays: &mut [XferArray<'_>],
         want: Option<u64>,
     ) -> Result<u64, PandaError> {
-        let mut part = Participant::new(self.num_servers, want);
-        let mut early = self.early.len();
-        loop {
-            let (src, msg) = if early > 0 {
-                early -= 1;
-                self.early.pop_front().expect("counted above")
-            } else {
-                recv_msg(self.transport_mut(), MatchSpec::any())?
-            };
-            let (request, arrival) = match msg {
-                Msg::Fetch { request, .. }
-                | Msg::Data { request, .. }
-                | Msg::AwaitedData { request, .. } => (request, Arrival::Piece),
-                Msg::Complete { request, pieces } => (request, Arrival::Complete(pieces)),
-                Msg::Reject { request, .. } => (request, Arrival::Reject),
-                other => {
-                    return Err(PandaError::protocol(format!(
-                        "unexpected {:?} during a collective",
-                        other.tag()
-                    )))
-                }
-            };
-            // A client's rank wraps past every server index.
-            match part.on(src.index().wrapping_sub(self.num_clients), request, arrival) {
-                Ok(Answer::Serve) => self.serve_piece(arrays, src, msg)?,
-                Ok(Answer::Wait) => {}
-                Ok(Answer::SetAside) => self.early.push_back((src, msg)),
-                Ok(Answer::Rejected) => {
-                    let Msg::Reject { reason, .. } = msg else {
-                        unreachable!("only a Reject rejects")
-                    };
-                    // Typed flow control, not a protocol failure: the
-                    // node is at capacity and the caller may retry.
-                    return Err(PandaError::Admission { issue: reason });
-                }
-                Ok(Answer::Done(request)) => return Ok(request),
-                Err(refusal) => {
-                    return Err(PandaError::protocol(format!(
-                        "{src} sent request {request} {arrival:?}: {refusal:?}"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Pack a fetched piece and send it back, or unpack a delivered one
-    /// (and credit it when it is awaited). The buffer's variant is the
-    /// collective's direction: a piece against it is a protocol error.
-    fn serve_piece(
-        &mut self,
-        arrays: &mut [XferArray<'_>],
-        src: NodeId,
-        msg: Msg,
-    ) -> Result<(), PandaError> {
-        let awaited = matches!(msg, Msg::AwaitedData { .. });
-        let (Msg::Fetch { array, .. } | Msg::Data { array, .. } | Msg::AwaitedData { array, .. }) =
-            msg
-        else {
-            unreachable!("the participant serves pieces only")
+        let mut perf = Serving {
+            transport: &mut *self.transport,
+            recorder: &*self.recorder,
+            rank: self.rank as u32,
+            num_clients: self.num_clients,
+            arrays,
         };
-        let (tag, idx) = (msg.tag(), array as usize);
-        let x = arrays.get_mut(idx).ok_or_else(|| {
-            PandaError::protocol(format!("tag {tag} for unknown array index {idx}"))
-        })?;
-        let elem = x.meta.elem_size();
-        match (msg, &mut x.buf) {
-            (
-                Msg::Fetch {
-                    request,
-                    array,
-                    seq,
-                    region,
-                },
-                XferBuf::Src(data),
-            ) => {
-                let t_pack = self.obs_on().then(Instant::now);
-                // The region is off the wire: bound the buffer by this
-                // client's own chunk before taking one for it.
-                if !x.region.contains_region(&region) {
-                    return Err(SchemaError::RegionNotContained.into());
-                }
-                let mut packed = freelist::take(region.num_bytes(elem));
-                copy::pack_region_into(&mut packed, data, &x.region, &region, elem)?;
-                if let Some(t) = t_pack {
-                    self.emit(&Event::ClientPacked {
-                        request,
-                        array,
-                        seq,
-                        bytes: packed.len() as u64,
-                        dur: t.elapsed(),
-                    });
-                }
-                let t = self.transport_mut();
-                send_data(t, src, false, request, array, seq, &region, packed)
+        let mut end = self.part.begin(&mut perf, want)?;
+        while end.is_none() {
+            let (src, msg) = recv_msg(perf.transport, MatchSpec::any())?;
+            // A client's rank wraps past every server index.
+            let server = src.index().wrapping_sub(self.num_clients);
+            end = self.part.take(&mut perf, server, msg)?;
+        }
+        match end {
+            Some(End::Done(request)) => Ok(request),
+            // Typed flow control, not a protocol failure: the node is at
+            // capacity and the caller may retry.
+            Some(End::Rejected(Msg::Reject { reason, .. })) => {
+                Err(PandaError::Admission { issue: reason })
             }
-            (
-                Msg::Data {
-                    request,
-                    array,
-                    seq,
-                    region,
-                    payload,
-                }
-                | Msg::AwaitedData {
-                    request,
-                    array,
-                    seq,
-                    region,
-                    payload,
-                },
-                XferBuf::Dst(data),
-            ) => {
-                let t_unpack = self.obs_on().then(Instant::now);
-                copy::unpack_region(data, &x.region, &region, &payload, elem)?;
-                if let Some(t) = t_unpack {
-                    self.emit(&Event::ClientUnpacked {
-                        request,
-                        array,
-                        seq,
-                        bytes: payload.len() as u64,
-                        dur: t.elapsed(),
-                    });
-                }
-                payload.recycle();
-                if awaited {
-                    send_msg(self.transport_mut(), src, &Msg::Credit { request })?;
-                }
-                Ok(())
-            }
-            _ => Err(PandaError::protocol(format!(
-                "tag {tag} against the collective's direction"
-            ))),
+            _ => unreachable!("a collective ends done or rejected by a Reject"),
         }
     }
 
@@ -612,5 +475,153 @@ impl PandaClient {
             told = told.and(send_msg(self.transport_mut(), dst, &Msg::Shutdown));
         }
         told
+    }
+}
+
+/// What one collective's pieces do here: [`PandaClient::serve_collective`]'s
+/// performer, the bytes.
+///
+/// Fetches pack from `Src` buffers and reply with `Data`; deliveries
+/// scatter into `Dst` buffers — the buffer variant *is* the direction,
+/// so a fetch during a read (or a delivery during a write) is a typed
+/// protocol error. With pipelining the servers keep several requests
+/// outstanding per client, so this is the client's hot path: each reply
+/// is packed into a free-list buffer that *moves* into the envelope via
+/// the vectored send path, and each delivery's buffer goes back to the
+/// list once scattered — one copy per piece, and in steady state no
+/// allocation. Every reply echoes the fetch's request id, which is how
+/// the multi-tenant servers route it back to the right run.
+///
+/// The one thing a reader acknowledges is an awaited piece
+/// ([`Msg::AwaitedData`]): once it is unpacked, its server gets a
+/// [`Msg::Credit`], and that server pushes a later step only after the
+/// step `pipeline_depth` before it is credited in full. So a slow reader
+/// holds at most `pipeline_depth` of each server's steps queued here,
+/// whatever the disks' lead; a read of no more than `pipeline_depth`
+/// steps per server credits nothing.
+struct Serving<'c, 'a> {
+    transport: &'c mut dyn Transport,
+    recorder: &'c dyn Recorder,
+    /// The rank events are recorded under.
+    rank: u32,
+    /// Server `s` is node `num_clients + s`.
+    num_clients: usize,
+    arrays: &'c mut [XferArray<'a>],
+}
+
+impl Serve<Msg> for Serving<'_, '_> {
+    type Error = PandaError;
+
+    fn classify(&self, msg: &Msg) -> Result<(u64, Arrival), PandaError> {
+        match *msg {
+            Msg::Fetch { request, .. }
+            | Msg::Data { request, .. }
+            | Msg::AwaitedData { request, .. } => Ok((request, Arrival::Piece)),
+            Msg::Complete { request, pieces } => Ok((request, Arrival::Complete(pieces))),
+            Msg::Reject { request, .. } => Ok((request, Arrival::Reject)),
+            _ => Err(PandaError::protocol(format!(
+                "unexpected {:?} during a collective",
+                msg.tag()
+            ))),
+        }
+    }
+
+    fn piece(&mut self, server: usize, msg: Msg) -> Result<(), PandaError> {
+        let src = NodeId(self.num_clients + server);
+        let awaited = matches!(msg, Msg::AwaitedData { .. });
+        let (Msg::Fetch { array, .. } | Msg::Data { array, .. } | Msg::AwaitedData { array, .. }) =
+            msg
+        else {
+            unreachable!("the participant serves pieces only")
+        };
+        let (tag, idx) = (msg.tag(), array as usize);
+        let x = self.arrays.get_mut(idx).ok_or_else(|| {
+            PandaError::protocol(format!("tag {tag} for unknown array index {idx}"))
+        })?;
+        let elem = x.meta.elem_size();
+        let (rec, rank) = (self.recorder, self.rank);
+        let t_start = rec.enabled().then(Instant::now);
+        match (msg, &mut x.buf) {
+            (
+                Msg::Fetch {
+                    request,
+                    array,
+                    seq,
+                    region,
+                },
+                XferBuf::Src(data),
+            ) => {
+                // The region is off the wire: bound the buffer by this
+                // client's own chunk before taking one for it.
+                if !x.region.contains_region(&region) {
+                    return Err(SchemaError::RegionNotContained.into());
+                }
+                let mut packed = freelist::take(region.num_bytes(elem));
+                copy::pack_region_into(&mut packed, data, &x.region, &region, elem)?;
+                if let Some(t) = t_start {
+                    let bytes = packed.len() as u64;
+                    let packed = Event::ClientPacked {
+                        request,
+                        array,
+                        seq,
+                        bytes,
+                        dur: t.elapsed(),
+                    };
+                    rec.record(rank, &packed);
+                }
+                send_data(
+                    self.transport,
+                    src,
+                    false,
+                    request,
+                    array,
+                    seq,
+                    &region,
+                    packed,
+                )
+            }
+            (
+                Msg::Data {
+                    request,
+                    array,
+                    seq,
+                    region,
+                    payload,
+                }
+                | Msg::AwaitedData {
+                    request,
+                    array,
+                    seq,
+                    region,
+                    payload,
+                },
+                XferBuf::Dst(data),
+            ) => {
+                copy::unpack_region(data, &x.region, &region, &payload, elem)?;
+                if let Some(t) = t_start {
+                    let unpacked = Event::ClientUnpacked {
+                        request,
+                        array,
+                        seq,
+                        bytes: payload.len() as u64,
+                        dur: t.elapsed(),
+                    };
+                    rec.record(rank, &unpacked);
+                }
+                payload.recycle();
+                if awaited {
+                    send_msg(self.transport, src, &Msg::Credit { request })?;
+                }
+                Ok(())
+            }
+            _ => Err(PandaError::protocol(format!(
+                "tag {tag} against the collective's direction"
+            ))),
+        }
+    }
+
+    fn refused(&self, server: usize, request: u64, arrival: Arrival, why: Refusal) -> PandaError {
+        let src = NodeId(server.wrapping_add(self.num_clients));
+        PandaError::protocol(format!("{src} sent request {request} {arrival:?}: {why:?}"))
     }
 }

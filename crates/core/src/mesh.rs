@@ -2,13 +2,16 @@
 //!
 //! An I/O node's decisions are one `Node`: its admission, the
 //! [`Window`] of each live run, and the chain from a run's retirement to
-//! the next admission. `ServerNode`'s driver runs one per server
-//! thread; the mesh runs one per server of a deployment, beside a
-//! participant per collective on each of C clients, over per-pair FIFO
-//! queues — the only order either transport promises — with each
-//! server's disk a FIFO of answers. A node decides and its scheduler
-//! performs (`Perform`): the driver with bytes, a transport and a disk
-//! task, the mesh with tags, queues and [`Note`]s. The mesh has no
+//! the next admission. A compute node's are one `Participant`, which
+//! lives across its collectives and sets aside what arrives for the
+//! next. `ServerNode`'s driver runs one node per server thread and
+//! `PandaClient` one participant per client; the mesh runs one node per
+//! server of a deployment and one participant per client, over per-pair
+//! FIFO queues — the only order either transport promises — with each
+//! server's disk a FIFO of answers. A machine decides and its scheduler
+//! performs (`Perform` for a node, `participant::Serve` for a
+//! participant): the runtime with bytes, a transport and a disk task,
+//! the mesh with tags, queues and [`Note`]s. The mesh has no
 //! clock, transport, file system, recorder or thread: a scheduler picks
 //! the next [`Move`], and the mesh says what applying it emitted. Two
 //! schedulers drive it: the test walker takes every enabled move in
@@ -40,7 +43,7 @@ use std::ops::Range;
 
 use crate::admission::{Admission, Admit, Caps};
 use crate::error::AdmissionIssue;
-use crate::participant::{Answer, Arrival, Participant};
+use crate::participant::{Arrival, End, Participant, Refusal, Serve};
 use crate::protocol::OpKind;
 use crate::window::{Action, Input, Unexpected, Window};
 
@@ -456,15 +459,12 @@ struct Server {
     retired: Vec<u64>,
 }
 
+/// What a client's participant does not decide.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Client {
     program: usize,
     /// Position among the program's clients.
     mesh: usize,
-    /// The collective being served; `None` once the program is over.
-    part: Option<Participant>,
-    /// Messages set aside for the next collective, with their server.
-    early: VecDeque<(usize, Msg)>,
     /// The current read's buffer, per server.
     read: Vec<Slots>,
     /// Per collective finished: the request served, `None` if refused.
@@ -480,6 +480,8 @@ pub struct World {
     /// Per server: its decisions.
     nodes: Vec<Node<Req, Held>>,
     servers: Vec<Server>,
+    /// Per client: its decisions.
+    parts: Vec<Participant<Msg>>,
     clients: Vec<Client>,
 }
 
@@ -570,6 +572,7 @@ impl Mesh {
                     retired: Vec::new(),
                 })
                 .collect(),
+            parts: vec![Participant::new(sh.servers); self.clients()],
             clients: Vec::new(),
         };
         let w = &mut world;
@@ -577,8 +580,6 @@ impl Mesh {
             w.clients.extend((0..p.clients).map(|mesh| Client {
                 program,
                 mesh,
-                part: None,
-                early: VecDeque::new(),
                 read: p.plan.iter().map(empty).collect(),
                 outcomes: Vec::new(),
             }));
@@ -676,13 +677,13 @@ impl Mesh {
     /// Nothing is left to move: everything must be over, and right.
     pub fn check_end(&self, w: &World) -> Result<(), String> {
         let programs = self.shape.programs.len();
-        for (c, cl) in w.clients.iter().enumerate() {
+        for (c, (cl, part)) in w.clients.iter().zip(&w.parts).enumerate() {
             let ops = self.shape.programs[cl.program].ops.len();
-            if cl.part.is_some() || cl.outcomes.len() != ops || !cl.early.is_empty() {
+            if cl.outcomes.len() != ops || part.aside() > 0 {
                 return Err(format!(
                     "client {c} never finished: {} of {ops} collectives over, {} set aside",
                     cl.outcomes.len(),
-                    cl.early.len()
+                    part.aside()
                 ));
             }
         }
@@ -728,11 +729,6 @@ struct Apply<'a> {
 }
 
 impl Apply<'_> {
-    fn send(&mut self, src: usize, dst: usize, program: usize, msg: Msg) {
-        self.mesh
-            .post(&mut self.w.chans, self.out, (src, dst), program, msg);
-    }
-
     /// Server `s`'s node, and what performs its actions.
     fn server(&mut self, s: usize) -> (&mut Node<Req, Held>, Perf<'_>) {
         let w = &mut *self.w;
@@ -760,7 +756,9 @@ impl Apply<'_> {
         if dst >= c {
             return self.server_receive(dst - c, src, msg);
         }
-        if self.client_handle(dst, src - c, msg)? {
+        let (part, mut perf) = self.client(dst);
+        if let Some(end) = part.take(&mut perf, src - c, msg)? {
+            perf.ended(end)?;
             self.next_op(dst)?;
         }
         Ok(())
@@ -787,21 +785,31 @@ impl Apply<'_> {
         })
     }
 
+    /// Client `c`'s participant, and what performs its pieces.
+    fn client(&mut self, c: usize) -> (&mut Participant<Msg>, ClientPerf<'_>) {
+        let w = &mut *self.w;
+        let perf = ClientPerf {
+            mesh: self.mesh,
+            c,
+            cl: &mut w.clients[c],
+            chans: &mut w.chans,
+            out: self.out,
+        };
+        (&mut w.parts[c], perf)
+    }
+
     /// Client `c`'s program goes on: submit (or await) its next
-    /// collective and serve what was set aside for it first, as often as
-    /// that ends one.
+    /// collective and begin it, as often as what was set aside for it
+    /// ends one.
     fn next_op(&mut self, c: usize) -> Result<(), String> {
         let mesh = self.mesh;
         loop {
-            let cl = &mut self.w.clients[c];
-            let (program, op) = (cl.program, cl.outcomes.len());
-            let Some(&kind) = mesh.shape.programs[program].ops.get(op) else {
-                cl.part = None;
+            let (part, mut perf) = self.client(c);
+            let Some((program, op, kind)) = perf.op() else {
                 return Ok(());
             };
-            let submitted = (cl.mesh == 0).then(|| request_id(c, op));
-            cl.part = Some(Participant::new(mesh.shape.servers, submitted));
-            for buf in cl.read.iter_mut().flatten() {
+            let submitted = (perf.cl.mesh == 0).then(|| request_id(c, op));
+            for buf in perf.cl.read.iter_mut().flatten() {
                 buf.fill(None);
             }
             if let Some(request) = submitted {
@@ -812,92 +820,13 @@ impl Apply<'_> {
                     op,
                     carried,
                 };
-                self.send(c, mesh.clients(), program, Msg::Request(req));
+                perf.send(mesh.clients(), Msg::Request(req));
             }
-            let mut early = self.w.clients[c].early.len();
-            let mut over = false;
-            while early > 0 && !over {
-                early -= 1;
-                let (server, msg) = self.w.clients[c].early.pop_front().expect("counted");
-                over = self.client_handle(c, server, msg)?;
-            }
-            if !over {
+            let Some(end) = part.begin(&mut perf, submitted)? else {
                 return Ok(());
-            }
+            };
+            perf.ended(end)?;
         }
-    }
-
-    /// What `PandaClient::serve_collective` does with one message: ask
-    /// the participant, then do what it answers. True when that ends the
-    /// collective.
-    fn client_handle(&mut self, c: usize, server: usize, msg: Msg) -> Result<bool, String> {
-        let mesh = self.mesh;
-        let (request, arrival) = match msg {
-            Msg::Fetch { request, .. } | Msg::Data { request, .. } => (request, Arrival::Piece),
-            Msg::Complete { request, pieces } => (request, Arrival::Complete(pieces)),
-            Msg::Reject { request } => (request, Arrival::Reject),
-            _ => return Err(format!("client {c} got {msg:?}")),
-        };
-        let cl = &mut self.w.clients[c];
-        let Some(part) = cl.part.as_mut() else {
-            return Err(format!("client {c} got {msg:?} after its program ended"));
-        };
-        let answer = part.on(server, request, arrival).map_err(|refusal| {
-            format!("client {c} refused {msg:?} from server {server}: {refusal:?}")
-        })?;
-        let (program, op) = (cl.program, cl.outcomes.len());
-        let kind = mesh.shape.programs[program].ops[op];
-        let me = mesh.clients() + server;
-        match (answer, msg, kind) {
-            (Answer::Wait, ..) => {}
-            (Answer::SetAside, ..) => cl.early.push_back((server, msg)),
-            (Answer::Serve, Msg::Fetch { step, piece, .. }, Collective::Write) => {
-                let tag = Some(Tag(program, op, server, step, piece));
-                let data = Msg::Data {
-                    request,
-                    step,
-                    piece,
-                    tag,
-                    awaited: false,
-                };
-                self.send(c, me, program, data);
-            }
-            (
-                Answer::Serve,
-                Msg::Data {
-                    step,
-                    piece,
-                    tag,
-                    awaited,
-                    ..
-                },
-                Collective::Read,
-            ) => {
-                cl.read[server][step][piece] = tag;
-                if awaited {
-                    self.send(c, me, program, Msg::Credit { request });
-                }
-            }
-            (Answer::Serve, ..) => return Err(format!("client {c} got {msg:?} during a {kind:?}")),
-            (Answer::Rejected, ..) => {
-                cl.outcomes.push(None);
-                return Ok(true);
-            }
-            (Answer::Done(request), ..) => {
-                // What the oracle put where this client's pieces are,
-                // and nothing where they are not.
-                if kind == Collective::Read {
-                    for (s, got) in cl.read.iter().enumerate() {
-                        if let Some(e) = mesh.astray(program, &cl.outcomes, s, got, Some(cl.mesh)) {
-                            return Err(format!("client {c}'s read {op} from server {s}: {e}"));
-                        }
-                    }
-                }
-                cl.outcomes.push(Some(request));
-                return Ok(true);
-            }
-        }
-        Ok(false)
     }
 
     /// What `ServerNode::dispatch` does with one message.
@@ -957,6 +886,111 @@ impl Apply<'_> {
         };
         let Ok(fed) = node.feed(&mut perf, request, input, keep);
         fed.map_err(|_| format!("server {s} refused {input:?} of request {request:#x}"))
+    }
+}
+
+/// Client `c`'s performer: what its pieces do to the world.
+struct ClientPerf<'a> {
+    mesh: &'a Mesh,
+    c: usize,
+    cl: &'a mut Client,
+    chans: &'a mut [VecDeque<Msg>],
+    out: &'a mut Vec<Note>,
+}
+
+impl ClientPerf<'_> {
+    /// The program, and the index and kind of its collective under way;
+    /// `None` once the program is over.
+    fn op(&self) -> Option<(usize, usize, Collective)> {
+        let (program, op) = (self.cl.program, self.cl.outcomes.len());
+        let kind = self.mesh.shape.programs[program].ops.get(op)?;
+        Some((program, op, *kind))
+    }
+
+    /// Send `msg` of this client's program to node `dst`.
+    fn send(&mut self, dst: usize, msg: Msg) {
+        let (src, program) = (self.c, self.cl.program);
+        self.mesh
+            .post(self.chans, self.out, (src, dst), program, msg);
+    }
+
+    /// The collective under way ended: record how, holding a read to the
+    /// oracle — what it put where this client's pieces are, and nothing
+    /// where they are not.
+    fn ended(&mut self, end: End<Msg>) -> Result<(), String> {
+        let (program, op, kind) = self.op().expect("a collective was under way");
+        let (c, cl, mesh) = (self.c, &mut *self.cl, self.mesh);
+        let outcome = match end {
+            End::Done(request) => Some(request),
+            End::Rejected(_) => None,
+        };
+        if outcome.is_some() && kind == Collective::Read {
+            for (s, got) in cl.read.iter().enumerate() {
+                if let Some(e) = mesh.astray(program, &cl.outcomes, s, got, Some(cl.mesh)) {
+                    return Err(format!("client {c}'s read {op} from server {s}: {e}"));
+                }
+            }
+        }
+        cl.outcomes.push(outcome);
+        Ok(())
+    }
+}
+
+impl Serve<Msg> for ClientPerf<'_> {
+    type Error = String;
+
+    fn classify(&self, msg: &Msg) -> Result<(u64, Arrival), String> {
+        let c = self.c;
+        match *msg {
+            _ if self.op().is_none() => {
+                Err(format!("client {c} got {msg:?} after its program ended"))
+            }
+            Msg::Fetch { request, .. } | Msg::Data { request, .. } => Ok((request, Arrival::Piece)),
+            Msg::Complete { request, pieces } => Ok((request, Arrival::Complete(pieces))),
+            Msg::Reject { request } => Ok((request, Arrival::Reject)),
+            _ => Err(format!("client {c} got {msg:?}")),
+        }
+    }
+
+    /// A write's fetch is answered with the tag of the piece it names; a
+    /// read's piece fills its slot, and is credited when awaited.
+    fn piece(&mut self, server: usize, msg: Msg) -> Result<(), String> {
+        let (c, me) = (self.c, self.mesh.clients() + server);
+        let (program, op, kind) = self.op().expect("classified during the program");
+        let answer = match msg {
+            Msg::Fetch {
+                request,
+                step,
+                piece,
+            } if kind == Collective::Write => Msg::Data {
+                request,
+                step,
+                piece,
+                tag: Some(Tag(program, op, server, step, piece)),
+                awaited: false,
+            },
+            Msg::Data {
+                step,
+                piece,
+                tag,
+                awaited,
+                request,
+            } if kind == Collective::Read => {
+                self.cl.read[server][step][piece] = tag;
+                if !awaited {
+                    return Ok(());
+                }
+                Msg::Credit { request }
+            }
+            _ => return Err(format!("client {c} got {msg:?} during a {kind:?}")),
+        };
+        self.send(me, answer);
+        Ok(())
+    }
+
+    fn refused(&self, server: usize, request: u64, arrival: Arrival, why: Refusal) -> String {
+        let c = self.c;
+        format!("client {c} refused request {request:#x} {arrival:?} from server {server}: {why:?}")
     }
 }
 

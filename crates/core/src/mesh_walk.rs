@@ -7,7 +7,10 @@
 //! interleaving). States repeat (two deliveries to different nodes
 //! commute), so a visited set keeps the walk small; it counts the
 //! complete orders as it goes, and holds every end state to
-//! [`Mesh::check_end`].
+//! [`Mesh::check_end`]. The set holds each state's 128-bit
+//! fingerprint, not the state: two states that share one would
+//! silently prune the second's subtree, so the key is wide enough that
+//! among the walk's ~10^5 states a shared one is a ~10^-29 chance.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -19,11 +22,41 @@ use crate::mesh::{Collective, Mesh, Move, Note, Program, Shape, World};
 struct Walk {
     mesh: Mesh,
     notes: Vec<Note>,
-    /// Complete orders from each state seen, by the state's hash.
-    seen: HashMap<u64, u128>,
+    /// The last state's hash stream, its buffer reused.
+    stream: Stream,
+    /// Complete orders from each state seen, by its fingerprint.
+    seen: HashMap<u128, u128>,
+}
+
+/// What a value feeds a hasher, kept so it can be hashed twice: taking
+/// the stream of a state is most of what hashing it costs.
+struct Stream(Vec<u8>);
+
+impl Hasher for Stream {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("a stream is hashed, not finished")
+    }
 }
 
 impl Walk {
+    /// `w`'s fingerprint: two hashes of its stream, each salted with its
+    /// own prefix, side by side.
+    fn fingerprint(&mut self, w: &World) -> u128 {
+        self.stream.0.clear();
+        w.hash(&mut self.stream);
+        let half = |salt: u64| {
+            let mut hasher = DefaultHasher::new();
+            hasher.write_u64(salt);
+            hasher.write(&self.stream.0);
+            u128::from(hasher.finish())
+        };
+        (half(0) << 64) | half(1)
+    }
+
     /// Apply `mv`, and push every step it scatters at once.
     fn step(&mut self, w: &mut World, mv: Move) -> Result<(), String> {
         self.notes.clear();
@@ -41,9 +74,7 @@ impl Walk {
 
     /// Every complete order from `w`, checked; how many there are.
     fn explore(&mut self, w: World) -> Result<u128, String> {
-        let mut hasher = DefaultHasher::new();
-        w.hash(&mut hasher);
-        let key = hasher.finish();
+        let key = self.fingerprint(&w);
         if let Some(&orders) = self.seen.get(&key) {
             return Ok(orders);
         }
@@ -71,6 +102,7 @@ fn walk(name: &str, shape: Shape) -> (usize, u128) {
     let mut walk = Walk {
         mesh: Mesh::new(shape),
         notes: Vec::new(),
+        stream: Stream(Vec::new()),
         seen: HashMap::new(),
     };
     let mut notes = Vec::new();

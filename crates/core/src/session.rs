@@ -163,10 +163,7 @@ impl Session {
     /// Buffer size required for a section read (whole-array mesh, so
     /// this is the section's own byte count).
     pub fn section_bytes(&self, meta: &ArrayMeta, section: &Region) -> usize {
-        meta.client_region(0)
-            .intersect(section)
-            .map(|r| r.num_bytes(meta.elem_size()))
-            .unwrap_or(0)
+        meta.client_section(0, section).num_bytes(meta.elem_size())
     }
 
     /// Session collectives are single-submitter: every array must live
