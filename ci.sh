@@ -156,6 +156,27 @@ if grep -nE '(^|[^[:alnum:]_])(offset|last_of_file|key|file|files|empty_files|by
   echo "ci: a DiskCmd names a step; the disk task reads its layout off the schedule" >&2
   exit 1
 fi
+# The same schedule says which step is a run's last, so the answer to
+# that step is the run's end: no command or answer closes a run, and
+# the window, which decides when a run retires, names no `Close`.
+# `enum DiskCmd` holds exactly `Open`, `Write` and `Read`, `enum DiskOut`
+# exactly `Written` and `Full` (variants are the 4-space-indented
+# capitalized names; comment lines skipped).
+variants() {
+  sed -n "/^enum $1 {/,/^}/p" crates/core/src/server.rs | grep -vE '^[[:space:]]*//' |
+    grep -oE '^    [A-Z][A-Za-z0-9_]*' | tr -d ' ' | tr '\n' ' ' || true
+}
+for want in "DiskCmd:Open Write Read " "DiskOut:Written Full "; do
+  got=$(variants "${want%%:*}")
+  if [ "$got" != "${want#*:}" ]; then
+    echo "ci: enum ${want%%:*} holds '${got}', not '${want#*:}': a run's last answer is its end" >&2
+    exit 1
+  fi
+done
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/window.rs | grep -vE '^[[:space:]]*//' | grep -n 'Close'; then
+  echo "ci: window.rs names Close: a write retires on its last Written" >&2
+  exit 1
+fi
 
 # One-plan gate: the planner has one output, `CollectiveSchedule`, which
 # the servers, the DES, the tuner and the benchmark's ceilings all walk;

@@ -36,7 +36,7 @@
 //! every file and every read buffer equal to the oracle's; along the
 //! way no machine may refuse an input.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -77,11 +77,12 @@ pub(crate) trait Perform<P, R> {
     /// returns, so the node feeds its `Pushed` at once; otherwise the
     /// scheduler feeds it when they have.
     const PUSHED: bool;
-    /// Lower admitted `item` into a run; the master relays it first.
+    /// Lower admitted `item` into a run and open its files; the master
+    /// relays it first. A write with no steps here is owed the opening's
+    /// answer, as `Written`.
     fn start(&mut self, item: P) -> Result<Started<R>, Self::Error>;
     /// Do `action` for `run`: a `Fetch` of a run that fetches, a
-    /// `Write`, a `Read`, a `Scatter` or a `Close`. The node does the
-    /// rest itself.
+    /// `Write`, a `Read` or a `Scatter`. The node does the rest itself.
     fn act(&mut self, run: &mut R, action: Action) -> Result<(), Self::Error>;
     /// Keep piece `piece` of step `step` of one-shot `run`, out of the
     /// bytes its request carried; its window has taken the piece.
@@ -412,7 +413,8 @@ pub enum Note {
         server: usize,
         /// The run's program.
         program: usize,
-        /// The step written or read; `None` closes a write.
+        /// The step written or read; `None` opens a write with no steps
+        /// here, whose answer is its one `Written`.
         step: Option<usize>,
     },
     /// A server pushes a step of a program's run: its pieces follow, in
@@ -438,8 +440,8 @@ pub enum Note {
 type Slots = Vec<Vec<Option<Tag>>>;
 
 /// A command a server's disk answers in the order given: the run's
-/// request, the step it writes or reads (`None` closes a write) and a
-/// write's tags.
+/// request, the step it writes or reads (`None` opens a write with no
+/// steps here) and a write's tags.
 type Cmd = (u64, Option<usize>, Vec<Option<Tag>>);
 
 /// What a server keeps beside a live run: its request, and per step the
@@ -475,8 +477,10 @@ struct Client {
 /// clones, hashes and moves.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct World {
-    /// Per (src, dst) pair, `src * nodes + dst`: messages in flight.
-    chans: Vec<VecDeque<Msg>>,
+    /// Per (src, dst) pair with any: the messages in flight. A queue
+    /// leaves as it empties, so two states differ only by what is in
+    /// flight.
+    chans: Chans,
     /// Per server: its decisions.
     nodes: Vec<Node<Req, Held>>,
     servers: Vec<Server>,
@@ -484,6 +488,9 @@ pub struct World {
     parts: Vec<Participant<Msg>>,
     clients: Vec<Client>,
 }
+
+/// Per-pair queues, only the non-empty ones.
+type Chans = BTreeMap<(usize, usize), VecDeque<Msg>>;
 
 fn request_id(submitter: usize, op: usize) -> u64 {
     ((submitter as u64 + 1) << 32) | (op as u64 + 1)
@@ -534,7 +541,7 @@ impl Mesh {
     /// `msg`, of `program`'s collective, joins the `(src, dst)` queue.
     fn post(
         &self,
-        chans: &mut [VecDeque<Msg>],
+        chans: &mut Chans,
         out: &mut Vec<Note>,
         (src, dst): (usize, usize),
         program: usize,
@@ -546,7 +553,7 @@ impl Mesh {
             program,
             msg,
         });
-        chans[src * self.nodes + dst].push_back(msg);
+        chans.entry((src, dst)).or_default().push_back(msg);
     }
 
     /// The world before anything has moved: every program's first
@@ -557,7 +564,7 @@ impl Mesh {
             plan.iter().map(|step| vec![None; step.len()]).collect()
         };
         let mut world = World {
-            chans: vec![VecDeque::new(); self.nodes * self.nodes],
+            chans: Chans::new(),
             nodes: (0..sh.servers)
                 .map(|s| match s {
                     0 => Node::new(Caps::new(sh.live, sh.queued)),
@@ -594,13 +601,10 @@ impl Mesh {
     /// Every move `w` allows: the head of any non-empty queue, of any
     /// server's disk, of any server's unfinished scatters.
     pub fn moves(&self, w: &World) -> Vec<Move> {
-        let mut moves = Vec::new();
-        for (src, dst) in (0..self.nodes).flat_map(|src| (0..self.nodes).map(move |dst| (src, dst)))
-        {
-            if !w.chans[src * self.nodes + dst].is_empty() {
-                moves.push(Move::Deliver { src, dst });
-            }
-        }
+        let pairs = w.chans.keys();
+        let mut moves: Vec<Move> = pairs
+            .map(|&(src, dst)| Move::Deliver { src, dst })
+            .collect();
         for (server, srv) in w.servers.iter().enumerate() {
             if !srv.disk.is_empty() {
                 moves.push(Move::Disk { server });
@@ -617,7 +621,7 @@ impl Mesh {
     pub(crate) fn describe(&self, w: &World, mv: Move) -> String {
         match mv {
             Move::Deliver { src, dst } => {
-                let msg = w.chans[src * self.nodes + dst].front();
+                let msg = w.chans[&(src, dst)].front();
                 format!("{src} -> {dst}: {msg:?}")
             }
             Move::Disk { server } => format!("disk {server}: {:?}", w.servers[server].disk.front()),
@@ -751,8 +755,13 @@ impl Apply<'_> {
 
     fn deliver(&mut self, src: usize, dst: usize) -> Result<(), String> {
         let c = self.mesh.clients();
-        let msg = self.w.chans[src * self.mesh.nodes + dst].pop_front();
+        let chans = &mut self.w.chans;
+        let queue = chans.get_mut(&(src, dst));
+        let msg = queue.and_then(VecDeque::pop_front);
         let msg = msg.ok_or_else(|| format!("nothing queued from {src} to {dst}"))?;
+        if chans[&(src, dst)].is_empty() {
+            chans.remove(&(src, dst));
+        }
         if dst >= c {
             return self.server_receive(dst - c, src, msg);
         }
@@ -770,11 +779,7 @@ impl Apply<'_> {
         let (request, step, tags) = cmd.ok_or_else(|| format!("disk {s} owes nothing"))?;
         let req = self.held(s, request)?;
         let read = self.mesh.kind(&req) == Collective::Read;
-        let input = match (step, read) {
-            (None, _) => Input::Closed,
-            (Some(_), true) => Input::Filled,
-            (Some(_), false) => Input::Written,
-        };
+        let input = if read { Input::Filled } else { Input::Written };
         self.feed(s, request, input, |perf, (_, bufs)| {
             let file = &mut perf.srv.files[req.program];
             match step {
@@ -894,7 +899,7 @@ struct ClientPerf<'a> {
     mesh: &'a Mesh,
     c: usize,
     cl: &'a mut Client,
-    chans: &'a mut [VecDeque<Msg>],
+    chans: &'a mut Chans,
     out: &'a mut Vec<Note>,
 }
 
@@ -999,7 +1004,7 @@ struct Perf<'a> {
     mesh: &'a Mesh,
     s: usize,
     srv: &'a mut Server,
-    chans: &'a mut [VecDeque<Msg>],
+    chans: &'a mut Chans,
     out: &'a mut Vec<Note>,
 }
 
@@ -1041,6 +1046,10 @@ impl Perform<Req, Held> for Perf<'_> {
             Collective::Read => OpKind::Read,
             Collective::Write | Collective::OneShot => OpKind::Write,
         };
+        if dir == OpKind::Write && plan.is_empty() {
+            // Its files' opening is the one answer it is owed.
+            self.disk(req.program, (req.request, None, Vec::new()));
+        }
         let bufs = plan.iter().map(|step| vec![None; step.len()]).collect();
         Ok(Started {
             request: req.request,
@@ -1091,9 +1100,6 @@ impl Perform<Req, Held> for Perf<'_> {
                     self.send(rank(step, piece), program, data);
                 }
             }
-            // A read's close answers nothing.
-            Action::Close if mesh.kind(req) == Collective::Read => {}
-            Action::Close => self.disk(program, (request, None, Vec::new())),
             Action::Retire => unreachable!("a node retires its runs itself"),
         }
         Ok(())
@@ -1150,7 +1156,7 @@ mod tests {
         let mut out = Vec::new();
         let mut w = mesh.start(&mut out)?;
         while let Some(&mv) = mesh.moves(&w).first() {
-            for msg in w.chans.iter_mut().flatten() {
+            for msg in w.chans.values_mut().flatten() {
                 if let (Msg::Data { tag: Some(t), .. }, true) = (msg, tamper) {
                     t.1 = 7;
                 }
@@ -1264,7 +1270,7 @@ mod tests {
             (0, Input::Written),
             (1, Input::Written),
             // No run is the request's.
-            (7, Input::Closed),
+            (7, Input::Written),
         ];
         for (request, input) in refused {
             let (before, did) = (node.clone(), log.did.len());
@@ -1297,9 +1303,9 @@ mod tests {
             assert_eq!(admit(&mut node, &mut log, request), None);
         }
         assert_eq!(node.counts(), (1, 2));
-        feed_all(&mut node, &mut log, 0, &[piece(0, 0), Input::Written]);
+        feed_all(&mut node, &mut log, 0, &[piece(0, 0)]);
         let did = log.did.len();
-        feed_all(&mut node, &mut log, 0, &[Input::Closed]);
+        feed_all(&mut node, &mut log, 0, &[Input::Written]);
         assert_eq!(log.completes, [(0, vec![1])]);
         let fetch = Action::Fetch { step: 0, piece: 0 };
         assert_eq!(log.did[did..], [(1, fetch)]);
@@ -1329,11 +1335,11 @@ mod tests {
         }
         let write = [piece(0, 0), piece(0, 1), piece(0, 2), Input::Written];
         feed_all(&mut node, &mut log, 0, &write);
-        let write = [piece(1, 0), Input::Written, Input::Closed];
+        let write = [piece(1, 0), Input::Written];
         feed_all(&mut node, &mut log, 0, &write);
         // A read retires where its last step is pushed.
         feed_all(&mut node, &mut log, 1, &[Input::Filled]);
-        feed_all(&mut node, &mut log, 2, &[Input::Written, Input::Closed]);
+        feed_all(&mut node, &mut log, 2, &[Input::Written]);
         let completes = [(0, vec![2, 2, 0]), (1, vec![1, 1]), (2, vec![0])];
         assert_eq!(log.completes, completes);
         assert_eq!(log.kept, [(2, 0, 0), (2, 0, 1)]);

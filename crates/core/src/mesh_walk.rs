@@ -197,7 +197,7 @@ fn shapes() -> Vec<(String, Shape)> {
 /// Each shape's state count, in `shapes()` order: a change to a machine,
 /// the mesh or a shape that moves one says so here.
 const STATES: [usize; 15] = [
-    888, 599, 2257, 895, 1801, 6727, 4445, 1279, 7573, 3422, 2477, 16136, 11114, 3419, 10217,
+    832, 555, 2165, 839, 1549, 5997, 3861, 1211, 7373, 3294, 2033, 14828, 10012, 2390, 7817,
 ];
 
 #[test]

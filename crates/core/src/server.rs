@@ -11,8 +11,8 @@
 //!   *when* each step of a schedule may start — how many fetches may be
 //!   outstanding, when an assembled subchunk goes to the disk, when a
 //!   read may run ahead and when its readers have fallen far enough
-//!   behind that a filled step must wait, when the run closes and
-//!   retires — and keeps every count the run is owed: the pieces still
+//!   behind that a filled step must wait, when the run retires — and
+//!   keeps every count the run is owed: the pieces still
 //!   to arrive, the credits still to come, the disk answers still
 //!   outstanding. The node has no bytes, no socket, no channel and no
 //!   clock: it decides, and its driver performs.
@@ -24,9 +24,9 @@
 //!   [`Input`]; the node feeds that run's window and has the driver
 //!   perform the [`Action`]s it answers (`Perform` below): a `Fetch` is
 //!   a message (or, for a one-shot, a piece cut out of the bytes it
-//!   carried, which the node feeds straight back), a
-//!   `Write`/`Read`/`Close` a command to the disk task, a `Scatter` the
-//!   pushes, a `Retire` the `Complete`s — after which the node starts
+//!   carried, which the node feeds straight back), a `Write`/`Read` a
+//!   command to the disk task, a `Scatter` the pushes, a `Retire` the
+//!   `Complete`s — after which the node starts
 //!   the request admission hands the freed slot. A `Fetch`'s `seq`
 //!   names its piece (`step << 32 | piece`), so a `Data` reply says
 //!   which piece it claims to be, and the window refuses one it is not
@@ -65,20 +65,23 @@
 //!   the channel and the one being written.
 //!   Fsync placement honours each request's own [`SyncPolicy`] (per
 //!   write, per file at the `Write` of its file's last step, or one
-//!   coalesced barrier at the request's close) — per-request fsync
-//!   accounting, not fleet-global.
+//!   coalesced barrier at the request's last `Write`) — per-request
+//!   fsync accounting, not fleet-global. A run's table lives from its
+//!   `Open` to its last step: the answer to a write's last `Write` comes
+//!   after the syncs its policy owes and after the table is dropped, so
+//!   it is the run's end; a read's last `Read` drops the table.
 //!
 //! **Completion** is each server's own business: when a run retires,
 //! the server sends every participant one [`Msg::Complete`] carrying
 //! the number of `Fetch`/`Data` messages it sent that participant —
-//! its pieces in the schedule, every one of which was sent. A
-//! write retires when the disk task acknowledges its `Close` — every
-//! byte written and synced per the policy. A read retires where its
-//! last byte leaves: its `Close` only drops file handles, so it is sent
-//! and not waited for — it syncs nothing and cannot fail, and because
-//! the disk task serves one FIFO command channel, any later `Open` of
-//! the same files is behind it. There is no server-to-server completion
-//! traffic and no client-to-client release.
+//! its pieces in the schedule, every one of which was sent. A write
+//! retires on the `Written` that answers its last step — every byte
+//! written and synced per the policy — or, with no steps on this
+//! server, on the one that answers its `Open`. A read retires where its
+//! last byte leaves: the disk task dropped its handles at its last
+//! `Read`, ahead of any later `Open` of the same files on the one FIFO
+//! command channel. There is no server-to-server completion traffic and
+//! no client-to-client release.
 //!
 //! **Credits** pace a read by its readers: a participant credits each
 //! awaited piece once unpacked, and the window pushes a step only once
@@ -272,9 +275,6 @@ struct RequestRun {
     bufs: Vec<Vec<u8>>,
     /// The bytes of a one-shot write; `None` for a run that fetches.
     carried: Option<Carried>,
-    /// [`is_small`]: the driver polls for this run's disk answers before
-    /// it parks.
-    small: bool,
 }
 
 impl RequestRun {
@@ -328,13 +328,16 @@ enum DiskCmd {
     /// Begin a request: open its schedule's files (written ones through
     /// `create_sized`: kept when already the right length, else created
     /// and preallocated), create-and-sync its empty files, and keep the
-    /// schedule for the request's later commands.
+    /// schedule until the request's last step. A request with no steps
+    /// here keeps nothing; a write's is answered `Written` once its empty
+    /// files are synced.
     Open {
         request: u64,
         write: bool,
         sched: Arc<CollectiveSchedule>,
     },
-    /// Write step `step`'s completed subchunk (write direction).
+    /// Write step `step`'s completed subchunk (write direction). The
+    /// last step's answer waits for the syncs the request's policy owes.
     Write {
         request: u64,
         step: usize,
@@ -343,17 +346,14 @@ enum DiskCmd {
     /// Prefetch step `step`'s subchunk (read direction) into a
     /// free-list buffer.
     Read { request: u64, step: usize },
-    /// End a request: drop its file table. A write run first runs its
-    /// per-collective sync barrier and answers `Closed`; a read run has
-    /// nothing to make durable and nothing that can fail, and answers
-    /// nothing.
-    Close { request: u64 },
 }
 
 /// A completion from the disk task back to the scheduler.
 enum DiskOut {
     /// A write step landed (and was synced, per write); the task gave
-    /// its buffer back to the free-list.
+    /// its buffer back to the free-list. The last step's answer says the
+    /// request's disk work is over: every file synced per its policy.
+    /// A write with no steps here is answered once, at its `Open`.
     Written { request: u64 },
     /// A read buffer was filled and is ready to scatter.
     Full {
@@ -361,20 +361,13 @@ enum DiskOut {
         step: usize,
         buf: Vec<u8>,
     },
-    /// A write request's disk work is fully retired (synced per policy).
-    Closed { request: u64 },
 }
 
-/// The disk task's per-request state.
+/// The disk task's per-request state, from its `Open` to its last step.
 struct DiskRun {
-    /// Write direction: its `Close` syncs and is acknowledged.
-    write: bool,
     files: Vec<Box<dyn FileHandle>>,
     /// The schedule its commands' steps index.
     sched: Arc<CollectiveSchedule>,
-    /// [`is_small`]: after each of its commands the task polls for the
-    /// next before it blocks.
-    small: bool,
 }
 
 /// Run `sync` and report it as one `DiskSyncDone` over `files` files.
@@ -399,9 +392,9 @@ fn timed_sync(
 }
 
 /// A disk command named a request the disk task holds no file table
-/// for: it was never opened, or its `Close` overtook the command. The
-/// scheduler counts on an answer to every `Write`/`Read`, so dropping
-/// the command would park it forever; fail instead.
+/// for: it was never opened, or it names a step past the request's
+/// last. The scheduler counts on an answer to every `Write`/`Read`, so
+/// dropping the command would park it forever; fail instead.
 fn not_open(cmd: &str, request: u64) -> PandaError {
     PandaError::protocol(format!(
         "disk {cmd} for request {request}, which is not open on the disk task"
@@ -425,9 +418,12 @@ fn no_step(cmd: &str, request: u64, step: usize) -> PandaError {
 /// last when the next step names another file or there is none. One
 /// command in, its answers out, until the command channel closes: a
 /// `Write` is answered `Written` once it has landed, before the next
-/// command is served; its buffer goes back to the free-list here. After
-/// a small run's command the task polls for the next before it blocks
-/// ([`HANDOFF_POLL`]). An error is fatal for the server (as it always
+/// command is served; its buffer goes back to the free-list here. A
+/// run's table lives from its `Open` to its last step: a write's last
+/// `Write` runs the syncs its policy owes, drops the table and only then
+/// answers, so that answer is the run's end; a read's last `Read` drops
+/// it. After a small run's command the task polls for the next before
+/// it blocks ([`HANDOFF_POLL`]). An error is fatal for the server (as it always
 /// was): the task exits and the scheduler surfaces the error through the
 /// join.
 fn run_disk_task(
@@ -466,13 +462,13 @@ fn run_disk_task(
                     });
                 }
                 let small = is_small(&sched);
-                let run = DiskRun {
-                    write,
-                    files,
-                    sched,
-                    small,
-                };
-                runs.insert(request, run);
+                if !sched.steps.is_empty() {
+                    runs.insert(request, DiskRun { files, sched });
+                } else if write {
+                    // No step here: the opening is a write's whole disk
+                    // work, its empty files already synced.
+                    let _ = out.send(DiskOut::Written { request });
+                }
                 small
             }
             DiskCmd::Write {
@@ -483,7 +479,7 @@ fn run_disk_task(
                 let run = runs
                     .get_mut(&request)
                     .ok_or_else(|| not_open("write", request))?;
-                let steps = &run.sched.steps;
+                let (steps, policy) = (&run.sched.steps, run.sched.sync_policy);
                 let step = steps.get(si).ok_or_else(|| no_step("write", request, si))?;
                 let bytes = buf.len() as u64;
                 let t_disk = recorder.enabled().then(Instant::now);
@@ -504,20 +500,41 @@ fn run_disk_task(
                 // The paper's semantics under the per-write policy:
                 // fsync at once, before the buffer goes back, so the
                 // next fetch never overlaps a flush.
-                if matches!(run.sched.sync_policy, SyncPolicy::PerWrite) {
+                if matches!(policy, SyncPolicy::PerWrite) {
                     timed_sync(recorder.as_ref(), node, 1, || f.sync())?;
                 }
                 freelist::give(buf);
-                let _ = out.send(DiskOut::Written { request });
+                // Steps are file-sequential: a step is its file's last
+                // when the next names another file, or there is none.
+                let next = steps.get(si + 1);
+                let (last, last_of_file) =
+                    (next.is_none(), next.is_none_or(|s| s.file != step.file));
+                let small = is_small(&run.sched);
+                // The run's last answer is its end: it waits for the syncs.
+                if !last {
+                    let _ = out.send(DiskOut::Written { request });
+                }
                 // Under the per-file policy, sync as soon as an array's
                 // last subchunk is written, overlapped with the rest of
-                // the schedule. Steps are file-sequential: the next step
-                // names another file, or there is none.
-                let last_of_file = steps.get(si + 1).is_none_or(|s| s.file != step.file);
-                if last_of_file && matches!(run.sched.sync_policy, SyncPolicy::PerFile) {
+                // the schedule.
+                if last_of_file && matches!(policy, SyncPolicy::PerFile) {
                     timed_sync(recorder.as_ref(), node, 1, || f.sync())?;
                 }
-                run.small
+                if last {
+                    if matches!(policy, SyncPolicy::PerCollective) {
+                        // One coalesced barrier for the whole request:
+                        // every fsync happens after every write has
+                        // landed, so no flush ever sits between two writes.
+                        let n = run.files.len() as u32;
+                        timed_sync(recorder.as_ref(), node, n, || {
+                            run.files.iter_mut().try_for_each(|f| f.sync())
+                        })?;
+                    }
+                    // The table goes before the answer does.
+                    runs.remove(&request);
+                    let _ = out.send(DiskOut::Written { request });
+                }
+                small
             }
             DiskCmd::Read { request, step: si } => {
                 let run = runs
@@ -545,32 +562,17 @@ fn run_disk_task(
                     step: si,
                     buf,
                 };
+                let small = is_small(&run.sched);
+                if si + 1 == steps.len() {
+                    // The run's last step: its handles drop here, ahead
+                    // of any later `Open` of the same files.
+                    runs.remove(&request);
+                }
                 if out.send(full).is_err() {
                     // Scheduler bailed; nothing left to prefetch for.
                     return Ok(());
                 }
-                run.small
-            }
-            DiskCmd::Close { request } => {
-                let mut run = runs
-                    .remove(&request)
-                    .ok_or_else(|| not_open("close", request))?;
-                // A read's close is answered by nothing: the scheduler
-                // already retired it, and the handles drop here, ahead of
-                // any later `Open` of the same files.
-                if run.write {
-                    if matches!(run.sched.sync_policy, SyncPolicy::PerCollective) {
-                        // One coalesced barrier for the whole request:
-                        // every fsync happens after every write has
-                        // landed, so no flush ever sits between two writes.
-                        let n = run.files.len() as u32;
-                        timed_sync(recorder.as_ref(), node, n, || {
-                            run.files.iter_mut().try_for_each(|f| f.sync())
-                        })?;
-                    }
-                    let _ = out.send(DiskOut::Closed { request });
-                }
-                run.small
+                small
             }
         };
     }
@@ -781,7 +783,7 @@ impl ServerNode {
                 // side. A small run's disk answer is microseconds away,
                 // so when only small runs are owed one, poll both sides
                 // first (`HANDOFF_POLL`).
-                if st.node.owing().all(|run| run.small) {
+                if st.node.owing().all(|run| is_small(&run.sched)) {
                     let arrived = poll_handoff(|| {
                         if let Ok(done) = out_rx.try_recv() {
                             return Some(self.disk_done(st, done));
@@ -1163,7 +1165,6 @@ impl ServerNode {
         let (request, input, filled) = match done {
             DiskOut::Written { request } => (request, Input::Written, None),
             DiskOut::Full { request, step, buf } => (request, Input::Filled, Some((step, buf))),
-            DiskOut::Closed { request } => (request, Input::Closed, None),
         };
         if st.node.run(request).is_none() {
             if let Some((_, buf)) = filled {
@@ -1293,8 +1294,8 @@ impl Perform<Admitted, RequestRun> for ServerNode {
 
     /// Relay an admitted request (master), build its schedule and open
     /// its files on the disk task; its window then asks for the first
-    /// fetches or reads, or, when the schedule is empty, closes it
-    /// straight away.
+    /// fetches or reads, or, when the schedule is empty, awaits a
+    /// write's `Written` for the opening or retires a read at once.
     fn start(&mut self, (req, carried): Admitted) -> Result<Started<RequestRun>, PandaError> {
         if self.is_master() {
             self.relay(&req, carried.as_ref())?;
@@ -1344,7 +1345,6 @@ impl Perform<Admitted, RequestRun> for ServerNode {
                 participants: req.participants,
                 dir: req.op,
                 bufs: vec![Vec::new(); sched.steps.len()],
-                small: is_small(&sched),
                 sched,
                 t_op,
                 carried,
@@ -1362,10 +1362,6 @@ impl Perform<Admitted, RequestRun> for ServerNode {
             }
             Action::Read { step } => self.disk_send(DiskCmd::Read { request, step }),
             Action::Scatter { step, awaited } => self.scatter_step(run, step, awaited),
-            // A read's close is not waited for: it syncs nothing, cannot
-            // fail, and any later `Open` of these files is behind it on
-            // the one command channel.
-            Action::Close => self.disk_send(DiskCmd::Close { request }),
             Action::Retire => unreachable!("a node retires its runs itself"),
         }
     }
@@ -1377,9 +1373,9 @@ impl Perform<Admitted, RequestRun> for ServerNode {
         self.piece_arrived(run, si, pi, payload)
     }
 
-    /// The collective is complete on this server (a write's `Closed` came
-    /// back, a read's last piece was pushed): tell every participant how
-    /// many pieces it was sent.
+    /// The collective is complete on this server (a write's last
+    /// `Written` came back, a read's last piece was pushed): tell every
+    /// participant how many pieces it was sent.
     fn retire(&mut self, run: RequestRun, pieces: &[u32]) -> Result<(), PandaError> {
         let request = run.request;
         if let Some(t) = run.t_op {
@@ -1412,11 +1408,14 @@ mod tests {
 
     impl DiskTask {
         fn spawn<F: FileSystem + 'static>(fs: Arc<F>) -> Self {
+            Self::recorded(fs, panda_obs::null_recorder())
+        }
+
+        fn recorded<F: FileSystem + 'static>(fs: Arc<F>, recorder: Arc<dyn Recorder>) -> Self {
             let (cmds, cmd_rx) = mpsc::channel();
             let (out_tx, outs) = mpsc::channel();
-            let task = std::thread::spawn(move || {
-                run_disk_task(panda_obs::null_recorder(), 0, 0, fs, cmd_rx, out_tx)
-            });
+            let task =
+                std::thread::spawn(move || run_disk_task(recorder, 0, 0, fs, cmd_rx, out_tx));
             DiskTask { cmds, outs, task }
         }
 
@@ -1474,41 +1473,94 @@ mod tests {
         match out {
             DiskOut::Written { request } => format!("written {request}"),
             DiskOut::Full { request, buf, .. } => format!("full {request} {buf:?}"),
-            DiskOut::Closed { request } => format!("closed {request}"),
         }
     }
 
+    /// A schedule with no steps on this server, writing `empty` files.
+    fn stepless(empty: &[&str]) -> Arc<CollectiveSchedule> {
+        Arc::new(CollectiveSchedule {
+            steps: Vec::new(),
+            files: Vec::new(),
+            empty_files: empty.iter().map(|tag| tag.to_string()).collect(),
+            sync_policy: SyncPolicy::PerCollective,
+        })
+    }
+
+    /// Holds the disk task at its first recorded sync, which follows the
+    /// sync itself, until the test lets it go: says it got there, then
+    /// waits.
+    #[derive(Debug)]
+    struct HoldFirstSync(std::sync::Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>);
+
+    impl Recorder for HoldFirstSync {
+        fn record(&self, _: u32, event: &Event<'_>) {
+            if let Event::DiskSyncDone { .. } = event {
+                if let Some((reached, go)) = self.0.lock().unwrap().take() {
+                    reached.send(()).unwrap();
+                    go.recv().unwrap();
+                }
+            }
+        }
+    }
+
+    /// A run's last answer is its end: a write's last `Written` comes
+    /// after its barrier, a step-less write's `Open` is answered once its
+    /// empty file is synced, a step-less read's answers nothing, and a
+    /// command past a run's last step finds no table.
     #[test]
-    fn a_write_close_is_acknowledged_and_a_read_close_is_not() {
+    fn a_runs_last_answer_follows_its_syncs_and_its_table_is_gone() {
         let fs = Arc::new(MemFs::new());
-        let disk = DiskTask::spawn(Arc::clone(&fs));
+        let ((reached, at_sync), (go, held)) = (mpsc::channel(), mpsc::channel());
+        let hold = HoldFirstSync(std::sync::Mutex::new(Some((reached, held))));
+        let disk = DiskTask::recorded(Arc::clone(&fs), Arc::new(hold));
+        let answer = || describe(&disk.outs.recv().unwrap());
         disk.open(1, true, "f", 4);
         disk.send(write(1, vec![7; 4]));
-        disk.send(DiskCmd::Close { request: 1 });
-        disk.open(2, false, "f", 4);
-        disk.send(read(2));
-        disk.send(DiskCmd::Close { request: 2 });
-        // Behind the read's close on the one channel: the same file,
-        // rewritten by a later request.
-        disk.open(3, true, "f", 4);
-        disk.send(write(3, vec![9; 4]));
-        disk.send(DiskCmd::Close { request: 3 });
-        let (outs, result) = disk.finish();
-        result.unwrap();
-        let seen: Vec<String> = outs.iter().map(describe).collect();
+        // Held just past its barrier, the write has not answered yet.
+        at_sync.recv().unwrap();
+        assert!(disk.outs.try_recv().is_err(), "answered before its barrier");
+        go.send(()).unwrap();
+        assert_eq!(answer(), "written 1");
+        assert_eq!(fs.stats().syncs(), 1);
+        let sched = stepless(&["e"]);
+        disk.send(DiskCmd::Open {
+            request: 2,
+            write: true,
+            sched,
+        });
+        assert_eq!(answer(), "written 2");
+        assert_eq!(fs.contents("e.s0").unwrap(), []);
         assert_eq!(
-            seen,
-            [
-                "written 1",
-                "closed 1",
-                "full 2 [7, 7, 7, 7]",
-                "written 3",
-                "closed 3"
-            ]
+            fs.stats().syncs(),
+            2,
+            "the empty file synced before the answer"
         );
+        disk.open(3, false, "f", 4);
+        disk.send(read(3));
+        let sched = stepless(&[]);
+        disk.send(DiskCmd::Open {
+            request: 4,
+            write: false,
+            sched,
+        });
+        // Behind the read on the one channel: the same file, rewritten
+        // by a later request.
+        disk.open(5, true, "f", 4);
+        disk.send(write(5, vec![9; 4]));
+        disk.send(write(1, vec![0; 4]));
+        let (outs, result) = disk.finish();
+        let seen: Vec<String> = outs.iter().map(describe).collect();
+        assert_eq!(seen, ["full 3 [7, 7, 7, 7]", "written 5"]);
+        match result {
+            Err(PandaError::Protocol { detail }) => assert!(
+                detail.contains("disk write for request 1, which is not open"),
+                "{detail}"
+            ),
+            other => panic!("a write past its run's last step: {other:?}"),
+        }
         assert_eq!(fs.contents("f.s0").unwrap(), [9; 4]);
-        // The closing barrier ran for the two writes, not for the read.
-        assert_eq!(fs.stats().syncs(), 2);
+        // Each write's barrier and the empty file's sync; no read syncs.
+        assert_eq!(fs.stats().syncs(), 3);
     }
 
     /// An array's shape, element type, memory mesh and whether its disk
@@ -1612,18 +1664,15 @@ mod tests {
         assert_eq!(describe(&answer), "written 1");
         let again = freelist::take(LEN);
         assert_eq!(again.as_ptr(), ptr, "the written buffer was not recycled");
-        disk.send(DiskCmd::Close { request: 1 });
         let (outs, result) = disk.finish();
         result.unwrap();
-        let seen: Vec<String> = outs.iter().map(describe).collect();
-        assert_eq!(seen, ["closed 1"]);
+        assert!(outs.is_empty());
         assert_eq!(fs.contents("f.s0").unwrap(), vec![3; LEN]);
     }
 
     /// The other direction: an answer for a request the driver does not
-    /// hold. `Written` and `Full` used to be dropped where `Closed` was
-    /// an error; now all three are the same error, and a filled buffer
-    /// goes back to the free-list first.
+    /// hold. `Written` and `Full` alike are a protocol error, and a
+    /// filled buffer goes back to the free-list first.
     #[test]
     fn a_disk_answer_for_a_request_that_is_not_live_is_a_protocol_error() {
         let _class = RECYCLING.lock().unwrap_or_else(|e| e.into_inner());
@@ -1638,14 +1687,13 @@ mod tests {
             Arc::new(ServiceHealth::new(1, 1, 0)),
         );
         type Answer = fn(Vec<u8>) -> DiskOut;
-        let answers: [(&str, Answer); 3] = [
+        let answers: [(&str, Answer); 2] = [
             ("Written", |_| DiskOut::Written { request: 5 }),
             ("Filled", |buf| DiskOut::Full {
                 request: 5,
                 step: 0,
                 buf,
             }),
-            ("Closed", |_| DiskOut::Closed { request: 5 }),
         ];
         for (name, answer) in answers {
             let mut st = SchedState {
@@ -1670,23 +1718,22 @@ mod tests {
 
     /// A command for a request the task does not hold used to be
     /// dropped, buffer and all, leaving the scheduler to wait for an
-    /// answer that never came. Now that a read's close is unacknowledged
-    /// this is also the only witness of a close that overtook its reads.
-    /// A command that names a step its run's schedule does not have
-    /// fails the same way.
+    /// answer that never came. A run's table goes at its last step, so a
+    /// command past it fails the same way, as does one that names a step
+    /// its run's schedule does not have. Each case's commands before the
+    /// refused one are answered.
     #[test]
     fn a_command_for_a_request_that_is_not_open_fails_the_disk_task() {
         type Case = fn(&DiskTask);
-        let cases: [(&str, &str, Case); 5] = [
-            ("write", "", |d| d.send(write(5, vec![0; 4]))),
-            ("read", "", |d| d.send(read(5))),
-            ("close", "", |d| d.send(DiskCmd::Close { request: 5 })),
-            ("read", "", |d| {
+        let cases: [(&str, &str, usize, Case); 4] = [
+            ("write", "", 0, |d| d.send(write(5, vec![0; 4]))),
+            ("read", "", 0, |d| d.send(read(5))),
+            ("read", "", 1, |d| {
                 d.open(5, false, "f", 4);
-                d.send(DiskCmd::Close { request: 5 });
+                d.send(read(5));
                 d.send(read(5));
             }),
-            ("write", " names step 1,", |d| {
+            ("write", " names step 1,", 0, |d| {
                 d.open(5, true, "f", 4);
                 d.send(DiskCmd::Write {
                     request: 5,
@@ -1695,13 +1742,13 @@ mod tests {
                 });
             }),
         ];
-        for (cmd, names, case) in cases {
+        for (cmd, names, answered, case) in cases {
             let fs = Arc::new(MemFs::new());
             fs.create("f.s0").unwrap().write_at(0, &[1; 4]).unwrap();
             let disk = DiskTask::spawn(fs);
             case(&disk);
             let (outs, result) = disk.finish();
-            assert!(outs.is_empty(), "{cmd}: answered a command it refused");
+            assert_eq!(outs.len(), answered, "{cmd}: answered a command it refused");
             match result {
                 Err(PandaError::Protocol { detail }) => {
                     assert!(

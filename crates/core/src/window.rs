@@ -19,9 +19,11 @@
 //!
 //! A write keeps up to `depth` steps' fetches outstanding and up to
 //! `depth` assembled steps at the disk; depth 1 is the strictly serial
-//! oracle, whose next fetch waits for the previous write's answer. It
-//! closes as its last step is handed over and retires when the close is
-//! answered.
+//! oracle, whose next fetch waits for the previous write's answer. The
+//! disk answers a run's last `Write` only once the run's files are
+//! synced per its policy, so a write retires on the [`Input::Written`]
+//! that leaves every step handed over and answered; one with no steps on
+//! this server owes the one answer to its files' opening.
 //!
 //! A read keeps up to `depth` steps between issued and pushed, and — a
 //! push being only a send — up to `depth` more pushed but not yet
@@ -34,10 +36,9 @@
 //! once every piece of it and of the steps before it is paid for. That
 //! mirrors the write's `depth` fetching plus `depth` at the disk, and it
 //! is what bounds the bytes a slow reader holds queued. Every awaited
-//! step is consumed before the last step is scattered, so a read still
-//! retires where its last piece is pushed: its close syncs nothing and
-//! is not waited for, and no credit can follow it. An empty schedule
-//! closes on [`Input::Start`].
+//! step is consumed before the last step is scattered, so a read
+//! retires where its last piece is pushed, and no credit can follow it.
+//! An empty read retires on [`Input::Start`].
 
 use crate::protocol::OpKind;
 
@@ -55,7 +56,9 @@ pub enum Input {
         /// Piece index within the step.
         piece: usize,
     },
-    /// The oldest unanswered [`Action::Write`] is on disk (write).
+    /// The oldest unanswered [`Action::Write`] is on disk — the last
+    /// with the run's files synced per its policy — or, for a write with
+    /// no steps, its files are opened and synced (write).
     Written,
     /// The oldest unanswered [`Action::Read`] is in memory (read).
     Filled,
@@ -67,9 +70,6 @@ pub enum Input {
         /// The participant, indexed as a plan piece's `client`.
         client: usize,
     },
-    /// The disk answered [`Action::Close`] (write): every byte is
-    /// written and synced per the policy.
-    Closed,
 }
 
 /// Something the driver is to do for the run, now.
@@ -103,9 +103,6 @@ pub enum Action {
         /// pieces is to be credited by its client.
         awaited: bool,
     },
-    /// End the run's disk work; a write's is answered by
-    /// [`Input::Closed`], a read's by nothing.
-    Close,
     /// The run is over on this server: tell the participants. Always
     /// the last action.
     Retire,
@@ -132,7 +129,8 @@ pub struct Window {
     front: usize,
     /// Next step to fetch (write) or to ask the disk for (read).
     next: usize,
-    /// Write: [`Action::Write`]s not yet answered.
+    /// Write: disk answers not yet come — one per [`Action::Write`], or
+    /// the one its opening owes a run with no steps.
     disk_queued: usize,
     /// Read: steps the disk has answered; `next_scatter..filled` wait
     /// for their clients to consume, `filled..next` are at the disk.
@@ -141,7 +139,6 @@ pub struct Window {
     next_scatter: usize,
     /// Read: awaited steps consumed.
     consumed: usize,
-    close_sent: bool,
     retired: bool,
 }
 
@@ -168,17 +165,16 @@ impl Window {
             filled: 0,
             next_scatter: 0,
             consumed: 0,
-            close_sent: false,
             retired: false,
         }
     }
 
-    /// How many disk answers the run is still owed: its unanswered
-    /// [`Action::Write`]s and, once sent, a write's [`Action::Close`], or
-    /// its unanswered [`Action::Read`]s.
+    /// How many disk answers the run is still owed: a write's unanswered
+    /// [`Action::Write`]s (or its opening's answer), a read's unanswered
+    /// [`Action::Read`]s.
     pub fn disk_owed(&self) -> usize {
         match self.write {
-            true => self.disk_queued + usize::from(self.close_sent && !self.retired),
+            true => self.disk_queued,
             false => self.next - self.filled,
         }
     }
@@ -189,7 +185,11 @@ impl Window {
         let write = self.write;
         match input {
             _ if self.retired => return Err(Unexpected(input)),
-            Input::Start if !self.started => self.started = true,
+            Input::Start if !self.started => {
+                self.started = true;
+                // A write with no steps here: its opening's answer.
+                self.disk_queued = usize::from(write && self.pieces.is_empty());
+            }
             Input::Piece { step, piece }
                 if write
                     && (self.front..self.next).contains(&step)
@@ -212,11 +212,6 @@ impl Window {
                 };
                 owed.1 = true;
                 self.settle();
-            }
-            // The disk answers in order: every write before the close.
-            Input::Closed if write && self.close_sent && self.disk_queued == 0 => {
-                out.push(Action::Retire);
-                self.retired = true;
             }
             _ => return Err(Unexpected(input)),
         }
@@ -241,10 +236,6 @@ impl Window {
             self.disk_queued += 1;
             self.front += 1;
         }
-        if self.front == steps && !self.close_sent {
-            out.push(Action::Close);
-            self.close_sent = true;
-        }
         // Depth 1 is the strictly serialized oracle: the next fetch
         // waits for the disk write to land. Deeper windows keep fetching
         // while the disk works; its queue bound is the backpressure.
@@ -259,6 +250,11 @@ impl Window {
                 });
             }
             self.next += 1;
+        }
+        // The disk answers in order: the last answer is the last step's.
+        if self.front == steps && self.disk_queued == 0 {
+            out.push(Action::Retire);
+            self.retired = true;
         }
     }
 
@@ -299,10 +295,8 @@ impl Window {
             out.push(Action::Read { step: self.next });
             self.next += 1;
         }
-        if self.front == steps && !self.close_sent {
-            out.push(Action::Close);
+        if self.front == steps {
             out.push(Action::Retire);
-            self.close_sent = true;
             self.retired = true;
         }
     }
@@ -344,7 +338,6 @@ mod tests {
         written: usize,
         filled: usize,
         pushed: usize,
-        closes: usize,
         retires: usize,
     }
 
@@ -380,8 +373,16 @@ mod tests {
         /// Deliver `input`, then hold what the window answers to the rule.
         fn deliver(&mut self, input: Input) {
             match input {
-                Input::Start => self.started = true,
+                Input::Start => {
+                    self.started = true;
+                    // A write with no steps is owed its opening's answer.
+                    if self.write && self.shape.is_empty() {
+                        self.disk.push_back(Input::Written);
+                    }
+                }
                 Input::Piece { step, piece } => self.pieces.retain(|&p| p != (step, piece)),
+                // The opening's answer answers no step.
+                Input::Written if self.shape.is_empty() => {}
                 Input::Written => self.written += 1,
                 Input::Filled => self.filled += 1,
                 Input::Pushed => {
@@ -394,9 +395,8 @@ mod tests {
                     let at = step.iter().position(|&c| c == client).unwrap();
                     step.remove(at);
                 }
-                Input::Closed => {}
             }
-            if matches!(input, Input::Written | Input::Filled | Input::Closed) {
+            if matches!(input, Input::Written | Input::Filled) {
                 assert_eq!(self.disk.pop_front(), Some(input));
             }
             let mut acts = Vec::new();
@@ -439,19 +439,13 @@ mod tests {
                             self.owed.push(self.shape[step].clone());
                         }
                     }
-                    Action::Close => {
-                        assert_eq!(self.closes, 0, "one Close");
-                        self.closes += 1;
-                        if self.write {
-                            assert_eq!(self.writes, steps);
-                            self.disk.push_back(Input::Closed);
-                        }
-                    }
                     Action::Retire => {
-                        assert_eq!((i + 1, self.closes), (acts.len(), 1));
+                        assert_eq!(i + 1, acts.len(), "Retire is the last action");
                         if self.write {
-                            assert_eq!(input, Input::Closed);
+                            // On the answer that leaves nothing owed.
+                            assert_eq!(input, Input::Written);
                             assert_eq!(self.written, steps);
+                            assert!(self.disk.is_empty());
                         } else {
                             // With its last push — or at once, having nothing to push —
                             // and with nothing left to credit.
@@ -490,13 +484,7 @@ mod tests {
         fn refuses_the_rest(&self) {
             let legal = self.deliverable();
             let steps = self.shape.len();
-            let mut others = vec![
-                Input::Start,
-                Input::Written,
-                Input::Filled,
-                Input::Pushed,
-                Input::Closed,
-            ];
+            let mut others = vec![Input::Start, Input::Written, Input::Filled, Input::Pushed];
             others.extend((0..=2).map(|client| Input::Credit { client }));
             others.extend(
                 (0..=steps).flat_map(|step| (0..=2).map(move |piece| Input::Piece { step, piece })),
@@ -517,11 +505,7 @@ mod tests {
             let next = self.deliverable();
             if next.is_empty() {
                 let steps = self.shape.len();
-                assert_eq!(
-                    (self.closes, self.retires),
-                    (1, 1),
-                    "ended without retiring"
-                );
+                assert_eq!(self.retires, 1, "ended without retiring");
                 if self.write {
                     assert_eq!(
                         (self.fetched, self.writes, self.written),
@@ -594,7 +578,6 @@ mod tests {
                         written: 0,
                         filled: 0,
                         pushed: 0,
-                        closes: 0,
                         retires: 0,
                     };
                     orders += world.explore();

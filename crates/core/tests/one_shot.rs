@@ -1,9 +1,9 @@
 //! Small collectives take fewer hand-offs, not different bytes: a
 //! session write below `PIECE_MIN_BYTES` rides its own request (no
 //! `Fetch`/`Data` pair), and a read retires where its last piece is
-//! pushed (no `Close`/`Closed` round trip before `Complete`). Both must
-//! leave the files a fetching, close-acknowledging run leaves, keep the
-//! per-file order a later request depends on, and leak nothing.
+//! pushed (no disk answer waited for before `Complete`). Both must
+//! leave the files a fetching run leaves, keep the per-file order a
+//! later request depends on, and leak nothing.
 
 mod common;
 
@@ -213,6 +213,33 @@ fn the_boundary_is_a_free_list_piece_and_the_messages_count_out() {
     assert_eq!(stats.msgs_sent() - sent, SERVERS as u64);
 }
 
+/// A write is over on an I/O node that holds no step of it once the
+/// empty file its opening creates is synced: that opening's answer is
+/// its run's end there. So when `write_set` returns, the empty file
+/// exists and its sync is counted.
+#[test]
+fn a_write_with_no_step_on_a_server_ends_with_its_empty_file_synced() {
+    let fss = backends(None);
+    let handles = fss.clone();
+    let mut service = PandaSystem::builder()
+        .config(PandaConfig::new(1, SERVERS))
+        .serve(move |s: usize| Arc::clone(&handles[s]))
+        .unwrap();
+    let mut tenant = service.open().unwrap();
+    // One client, natural chunking: one chunk, on server 0.
+    let meta = make_array("n", &[8, 8], ElementType::U8, &[1, 1], DiskSchema::Natural);
+    let data = pattern_chunk(&meta, 0);
+    tenant
+        .write_set(&WriteSet::new().array(&meta, "n", data.as_slice()))
+        .unwrap();
+    assert_eq!(fss[0].open("n.s0").unwrap().len(), data.len() as u64);
+    assert_eq!(fss[1].open("n.s1").unwrap().len(), 0);
+    for fs in &fss {
+        assert_eq!(fs.stats().syncs(), 1);
+    }
+    service.shutdown(vec![tenant]).unwrap();
+}
+
 /// Wait for every I/O node to publish an idle scheduler: the last
 /// `Complete` leaves a moment before the gauges that follow it.
 fn assert_drained(health: &ServiceHealth) {
@@ -236,11 +263,12 @@ fn generation(i: usize, rank: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// A read's `Close` is no longer waited for, so the read's `Complete`
-/// can reach the client — and the client's next write the disk task —
-/// while the read's handles are still open. One command channel keeps
-/// that write's `Open` behind the `Close`; this is the loop that would
-/// see a stale or torn file if it did not.
+/// A read waits for no disk answer after its last `Read`, so the read's
+/// `Complete` can reach the client — and the client's next write the
+/// disk task — right behind that `Read`. One command channel keeps that
+/// write's `Open` behind it, and the disk task drops the read's handles
+/// at its last `Read`; this is the loop that would see a stale or torn
+/// file if it did not.
 #[test]
 fn read_then_overwrite_of_one_tag_is_ordered_and_leaves_nothing_behind() {
     const ROUNDS: usize = 200;

@@ -22,7 +22,7 @@
 //! | a `Data` arriving at a server | strided scatter into the subchunk on its port: the step's assembly |
 //! | a scatter | per-subchunk overhead, then per piece a strided pack and both ports, latency; `Pushed` once the last has left |
 //! | a `Data` arriving at a client | strided scatter on the client, before its credit |
-//! | a disk `Write` / `Read` | the AIX cost curve (0 on an infinitely fast disk) on the server's FIFO disk, a write from its assembly plus the per-subchunk overhead; a `Close` is a zero-length answer |
+//! | a disk `Write` / `Read` | the AIX cost curve (0 on an infinitely fast disk) on the server's FIFO disk, a write from its assembly plus the per-subchunk overhead; a write with no steps on a server is one zero-length answer, to its opening |
 //! | `Complete`, `Reject` | 0 |
 //!
 //! On a pair, a message never arrives before the one ahead of it. Every
