@@ -163,11 +163,11 @@ fi
 # exactly `Written` and `Full` (variants are the 4-space-indented
 # capitalized names; comment lines skipped).
 variants() {
-  sed -n "/^enum $1 {/,/^}/p" crates/core/src/server.rs | grep -vE '^[[:space:]]*//' |
+  sed -n "/^$2 {/,/^}/p" "$1" | grep -vE '^[[:space:]]*//' |
     grep -oE '^    [A-Z][A-Za-z0-9_]*' | tr -d ' ' | tr '\n' ' ' || true
 }
 for want in "DiskCmd:Open Write Read " "DiskOut:Written Full "; do
-  got=$(variants "${want%%:*}")
+  got=$(variants crates/core/src/server.rs "enum ${want%%:*}")
   if [ "$got" != "${want#*:}" ]; then
     echo "ci: enum ${want%%:*} holds '${got}', not '${want#*:}': a run's last answer is its end" >&2
     exit 1
@@ -175,6 +175,30 @@ for want in "DiskCmd:Open Write Read " "DiskOut:Written Full "; do
 done
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/window.rs | grep -vE '^[[:space:]]*//' | grep -n 'Close'; then
   echo "ci: window.rs names Close: a write retires on its last Written" >&2
+  exit 1
+fi
+
+# Performer gate: performing an action may answer it at once, and that
+# is one rule, not a case per action: `Perform::act` returns the answer
+# (a one-shot's `Piece`, the runtime's `Pushed`) and the node feeds it
+# back. A run's end is its window's state (`Window::retired`), not an
+# action. So `enum Action` in crates/core/src/window.rs holds exactly
+# `Fetch`, `Write`, `Read` and `Scatter`; `trait Perform` in
+# crates/core/src/mesh.rs declares no associated `const` and no
+# `fn carried`; and the non-test, non-comment code of server.rs and
+# mesh.rs names neither `PUSHED` nor `Action::Retire`.
+actions=$(variants crates/core/src/window.rs "pub enum Action")
+if [ "$actions" != "Fetch Write Read Scatter " ]; then
+  echo "ci: enum Action holds '${actions}', not 'Fetch Write Read Scatter ': a run's end is its window's state" >&2
+  exit 1
+fi
+perform=$(sed -n '/^pub(crate) trait Perform</,/^}/p' crates/core/src/mesh.rs | grep -vE '^[[:space:]]*//' || true)
+if [ -z "$perform" ] || grep -nE '(^|[^[:alnum:]_])const[[:space:]]|fn carried' <<<"$perform"; then
+  echo "ci: trait Perform in mesh.rs must exist with no const and no fn carried: act returns an at-once answer" >&2
+  exit 1
+fi
+if grep -nE 'PUSHED|Action::Retire' <<<"$server_code" || grep -nE 'PUSHED|Action::Retire' <<<"$mesh_code"; then
+  echo "ci: server.rs and mesh.rs name PUSHED or Action::Retire: act returns an at-once answer (see the hits above)" >&2
   exit 1
 fi
 

@@ -50,7 +50,8 @@ use crate::request::{ReadSet, WriteSet};
 use crate::tuned::TunedConfig;
 
 use crate::protocol::{
-    recv_msg, send_data, send_msg, send_request, ArrayOp, CollectiveRequest, Msg, OpKind,
+    recv_msg, request_id, send_data, send_msg, send_request, ArrayOp, CollectiveRequest, Msg,
+    OpKind,
 };
 
 /// How a collective request enters the system.
@@ -429,9 +430,8 @@ impl PandaClient {
             }
             SubmitMode::Session => vec![self.rank as u32],
         };
-        // Unique across clients without coordination.
         self.req_counter += 1;
-        let request = ((self.rank as u64 + 1) << 32) | self.req_counter;
+        let request = request_id(self.rank, self.req_counter);
         // The group — not the array — is the unit of scheduling: one
         // request stream carries every array, and the servers interleave
         // their subchunks through one pipeline window.

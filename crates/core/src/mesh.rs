@@ -44,7 +44,7 @@ use std::ops::Range;
 use crate::admission::{Admission, Admit, Caps};
 use crate::error::AdmissionIssue;
 use crate::participant::{Arrival, End, Participant, Refusal, Serve};
-use crate::protocol::OpKind;
+use crate::protocol::{request_id, OpKind};
 use crate::window::{Action, Input, Unexpected, Window};
 
 /// A request as a [`Node`] runs it: what its scheduler lowered it into.
@@ -59,8 +59,8 @@ pub(crate) struct Started<R> {
     pub(crate) clients: Vec<Vec<usize>>,
     /// How many participants it has.
     pub(crate) participants: usize,
-    /// A one-shot: its pieces came with the request, so each `Fetch` is
-    /// its piece's arrival.
+    /// A one-shot: its pieces came with the request, so its `Complete`s
+    /// attest none.
     pub(crate) carried: bool,
     /// What the scheduler keeps beside the run.
     pub(crate) run: R,
@@ -73,20 +73,16 @@ pub(crate) struct Started<R> {
 pub(crate) trait Perform<P, R> {
     /// How performing fails; the node passes it on.
     type Error;
-    /// Whether a `Scatter`'s pieces have left once [`Perform::act`]
-    /// returns, so the node feeds its `Pushed` at once; otherwise the
-    /// scheduler feeds it when they have.
-    const PUSHED: bool;
     /// Lower admitted `item` into a run and open its files; the master
     /// relays it first. A write with no steps here is owed the opening's
     /// answer, as `Written`.
     fn start(&mut self, item: P) -> Result<Started<R>, Self::Error>;
-    /// Do `action` for `run`: a `Fetch` of a run that fetches, a
-    /// `Write`, a `Read` or a `Scatter`. The node does the rest itself.
-    fn act(&mut self, run: &mut R, action: Action) -> Result<(), Self::Error>;
-    /// Keep piece `piece` of step `step` of one-shot `run`, out of the
-    /// bytes its request carried; its window has taken the piece.
-    fn carried(&mut self, run: &mut R, step: usize, piece: usize) -> Result<(), Self::Error>;
+    /// Do `action` for `run`, and return the input that answers it at
+    /// once, if performing it did: a one-shot's `Fetch` is answered by
+    /// its `Piece`, kept out of the bytes the request carried, and a
+    /// `Scatter` whose pieces have left when this returns by `Pushed`.
+    /// Any other answer the scheduler feeds when it comes.
+    fn act(&mut self, run: &mut R, action: Action) -> Result<Option<Input>, Self::Error>;
     /// `run` is over on this node: send participant `c` its `Complete`,
     /// attesting `pieces[c]` pieces.
     fn retire(&mut self, run: R, pieces: &[u32]) -> Result<(), Self::Error>;
@@ -128,7 +124,6 @@ struct Live<R> {
     /// Per participant: the pieces its `Complete` attests — its pieces
     /// in the plan, each sent once, or none for a one-shot.
     complete: Vec<u32>,
-    carried: bool,
     run: R,
 }
 
@@ -222,48 +217,38 @@ impl<P, R> Node<P, R> {
             request: s.request,
             win,
             complete,
-            carried: s.carried,
             run: s.run,
         });
         Ok(self.live.len() - 1)
     }
 
-    /// Have live run `idx`'s queued actions performed, in order. Two
-    /// answer themselves — a one-shot's `Fetch` is its piece's arrival, a
-    /// `Scatter` is `Pushed` once its pieces have left — and what the
-    /// window makes of that joins the queue. `Retire` is a run's last
-    /// action: the run leaves, and the request admission gives its slot
-    /// to starts here, its actions next in the queue.
+    /// Have live run `idx`'s queued actions performed, in order; an
+    /// answer an action gets at once goes back to its window, and what
+    /// that makes due joins the queue. Once the queue is empty and the
+    /// window retired, the run leaves, and the request admission gives
+    /// its slot to starts here, its actions queued next.
     fn perform<F: Perform<P, R>>(&mut self, perf: &mut F, mut idx: usize) -> Result<(), F::Error> {
-        let mut at = 0;
-        while let Some(&action) = self.acts.get(at) {
-            at += 1;
-            let live = &mut self.live[idx];
-            match action {
-                Action::Fetch { step, piece } if live.carried => {
-                    let taken = live.win.on(Input::Piece { step, piece }, &mut self.acts);
-                    taken.expect("a window awaits the piece it asked for");
-                    perf.carried(&mut live.run, step, piece)?;
+        loop {
+            let mut at = 0;
+            while let Some(&action) = self.acts.get(at) {
+                at += 1;
+                let live = &mut self.live[idx];
+                if let Some(answer) = perf.act(&mut live.run, action)? {
+                    let taken = live.win.on(answer, &mut self.acts);
+                    taken.expect("a window awaits the answer to what it asked for");
                 }
-                Action::Scatter { .. } if F::PUSHED => {
-                    perf.act(&mut live.run, action)?;
-                    let pushed = live.win.on(Input::Pushed, &mut self.acts);
-                    pushed.expect("a window awaits the push it asked for");
-                }
-                Action::Retire => {
-                    self.acts.clear();
-                    let Live { run, complete, .. } = self.live.remove(idx);
-                    perf.retire(run, &complete)?;
-                    let Some(next) = self.admission.retire() else {
-                        return Ok(());
-                    };
-                    (idx, at) = (self.start(perf, next)?, 0);
-                }
-                _ => perf.act(&mut live.run, action)?,
             }
+            self.acts.clear();
+            if !self.live[idx].win.retired() {
+                return Ok(());
+            }
+            let Live { run, complete, .. } = self.live.remove(idx);
+            perf.retire(run, &complete)?;
+            let Some(next) = self.admission.retire() else {
+                return Ok(());
+            };
+            idx = self.start(perf, next)?;
         }
-        self.acts.clear();
-        Ok(())
     }
 }
 
@@ -491,10 +476,6 @@ pub struct World {
 
 /// Per-pair queues, only the non-empty ones.
 type Chans = BTreeMap<(usize, usize), VecDeque<Msg>>;
-
-fn request_id(submitter: usize, op: usize) -> u64 {
-    ((submitter as u64 + 1) << 32) | (op as u64 + 1)
-}
 
 /// A deployment's composition: its shape and the rules that move a
 /// [`World`] of it.
@@ -813,7 +794,7 @@ impl Apply<'_> {
             let Some((program, op, kind)) = perf.op() else {
                 return Ok(());
             };
-            let submitted = (perf.cl.mesh == 0).then(|| request_id(c, op));
+            let submitted = (perf.cl.mesh == 0).then(|| request_id(c, op as u64 + 1));
             for buf in perf.cl.read.iter_mut().flatten() {
                 buf.fill(None);
             }
@@ -1030,8 +1011,6 @@ impl Perf<'_> {
 
 impl Perform<Req, Held> for Perf<'_> {
     type Error = Infallible;
-    /// [`Move::Pushed`] says when a scatter's last piece has left.
-    const PUSHED: bool = false;
 
     fn start(&mut self, req: Req) -> Result<Started<Held>, Infallible> {
         let mesh = self.mesh;
@@ -1062,13 +1041,19 @@ impl Perform<Req, Held> for Perf<'_> {
         })
     }
 
-    fn act(&mut self, (req, bufs): &mut Held, action: Action) -> Result<(), Infallible> {
+    /// A one-shot's `Fetch` keeps the tag its submitter packed. A
+    /// scatter's `Pushed` waits for [`Move::Pushed`].
+    fn act(&mut self, (req, bufs): &mut Held, action: Action) -> Result<Option<Input>, Infallible> {
         let mesh = self.mesh;
         let (program, request) = (req.program, req.request);
         let plan = &mesh.shape.programs[program].plan[self.s];
         let rank = |step: usize, piece: usize| mesh.first[program] + plan[step][piece];
         match action {
             Action::Fetch { step, piece } => {
+                if let Some(op) = req.carried {
+                    bufs[step][piece] = Some(Tag(program, op, self.s, step, piece));
+                    return Ok(Some(Input::Piece { step, piece }));
+                }
                 let fetch = Msg::Fetch {
                     request,
                     step,
@@ -1100,23 +1085,8 @@ impl Perform<Req, Held> for Perf<'_> {
                     self.send(rank(step, piece), program, data);
                 }
             }
-            Action::Retire => unreachable!("a node retires its runs itself"),
         }
-        Ok(())
-    }
-
-    fn carried(
-        &mut self,
-        (req, bufs): &mut Held,
-        step: usize,
-        piece: usize,
-    ) -> Result<(), Infallible> {
-        // The tags its submitter packed.
-        let tag = req
-            .carried
-            .map(|op| Tag(req.program, op, self.s, step, piece));
-        bufs[step][piece] = tag;
-        Ok(())
+        Ok(None)
     }
 
     fn retire(&mut self, (req, _): Held, pieces: &[u32]) -> Result<(), Infallible> {
@@ -1179,10 +1149,13 @@ mod tests {
     /// A node's scheduler for its own tests: a run is its request, whose
     /// direction, per step per piece participant, participant count and
     /// one-shot flag are `plans[request]`; every action, kept piece and
-    /// `Complete` is logged. Its scatters leave at once.
+    /// `Complete` is logged. A one-shot's `Fetch` keeps its piece and is
+    /// answered at once, and so is a scatter unless `late_push`.
     #[derive(Default)]
     struct Log {
         plans: Vec<(OpKind, Vec<Vec<usize>>, usize, bool)>,
+        /// A scatter's `Pushed` is fed later, not returned by `act`.
+        late_push: bool,
         did: Vec<(u64, Action)>,
         kept: Vec<(u64, usize, usize)>,
         completes: Vec<(u64, Vec<u32>)>,
@@ -1190,7 +1163,6 @@ mod tests {
 
     impl Perform<u64, u64> for Log {
         type Error = Infallible;
-        const PUSHED: bool = true;
 
         fn start(&mut self, request: u64) -> Result<Started<u64>, Infallible> {
             let (dir, clients, participants, carried) = self.plans[request as usize].clone();
@@ -1205,14 +1177,15 @@ mod tests {
             })
         }
 
-        fn act(&mut self, run: &mut u64, action: Action) -> Result<(), Infallible> {
+        fn act(&mut self, run: &mut u64, action: Action) -> Result<Option<Input>, Infallible> {
+            let one_shot = self.plans[*run as usize].3;
+            if let (Action::Fetch { step, piece }, true) = (action, one_shot) {
+                self.kept.push((*run, step, piece));
+                return Ok(Some(Input::Piece { step, piece }));
+            }
             self.did.push((*run, action));
-            Ok(())
-        }
-
-        fn carried(&mut self, run: &mut u64, step: usize, piece: usize) -> Result<(), Infallible> {
-            self.kept.push((*run, step, piece));
-            Ok(())
+            let pushed = matches!(action, Action::Scatter { .. }) && !self.late_push;
+            Ok(pushed.then_some(Input::Pushed))
         }
 
         fn retire(&mut self, run: u64, pieces: &[u32]) -> Result<(), Infallible> {
@@ -1347,5 +1320,55 @@ mod tests {
             |&(run, action): &(u64, Action)| run == 2 && matches!(action, Action::Fetch { .. });
         assert!(!log.did.iter().any(fetched), "{:?}", log.did);
         assert_eq!(node.counts(), (0, 0));
+    }
+
+    /// Whether a scatter's `Pushed` comes back from `act` or is fed
+    /// later is its scheduler's business: fed the same inputs, the
+    /// latter each `Filled` followed by its `Pushed`, the two nodes are
+    /// equal after every input — through a retirement that starts the
+    /// queued read — and send the same `Complete`s.
+    #[test]
+    fn a_push_answered_at_once_or_fed_later_leaves_equal_nodes() {
+        // Depth 1 over three steps: the first two are awaited.
+        let read = (OpKind::Read, vec![vec![0, 1], vec![1], vec![0]], 2, false);
+        let [mut now, mut later] = [false, true].map(|late_push| {
+            let log = Log {
+                plans: vec![read.clone(); 2],
+                late_push,
+                ..Log::default()
+            };
+            (Node::new(Caps::new(1, 1)), log)
+        });
+        for (node, log) in [&mut now, &mut later] {
+            for request in 0..2 {
+                assert_eq!(admit(node, log, request), None);
+            }
+        }
+        let credit = |client| Input::Credit { client };
+        let inputs = [
+            Input::Filled,
+            credit(0),
+            credit(1),
+            Input::Filled,
+            credit(1),
+            Input::Filled,
+        ];
+        for request in 0..2 {
+            for input in inputs {
+                feed_all(&mut now.0, &mut now.1, request, &[input]);
+                feed_all(&mut later.0, &mut later.1, request, &[input]);
+                if input == Input::Filled {
+                    feed_all(&mut later.0, &mut later.1, request, &[Input::Pushed]);
+                }
+                assert_eq!(now.0, later.0, "request {request} after {input:?}");
+            }
+        }
+        assert_eq!(now.1.did, later.1.did);
+        let completes = [(0, vec![2, 2]), (1, vec![2, 2])];
+        assert_eq!(
+            (now.1.completes, later.1.completes),
+            (completes.to_vec(), completes.to_vec())
+        );
+        assert_eq!(now.0.counts(), (0, 0));
     }
 }

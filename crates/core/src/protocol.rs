@@ -134,6 +134,13 @@ wire_struct! {
     valid |req| !req.participants.is_empty(), "no participants";
 }
 
+/// The id of the `counter`th request (from 1) that compute node `rank`
+/// submits: unique across submitters without coordination, and its
+/// submitter is what `panda_obs::tenant_of` reads back.
+pub(crate) fn request_id(rank: usize, counter: u64) -> u64 {
+    ((rank as u64 + 1) << 32) | counter
+}
+
 /// Build the message set from its table. A row is
 ///
 /// ```text
@@ -553,6 +560,18 @@ mod tests {
     use crate::group_ops::{ArrayGroup, Marker};
     use panda_msg::InProcFabric;
     use panda_schema::{DataSchema, Dist, ElementType, Mesh, Shape};
+
+    /// The one mint and the one decode agree on every submitter, at
+    /// either end of a submitter's counter.
+    #[test]
+    fn a_request_id_names_its_submitter_as_its_tenant() {
+        for rank in [0, 1, 7] {
+            for counter in [1, u32::MAX as u64] {
+                let id = request_id(rank, counter);
+                assert_eq!(panda_obs::tenant_of(id), Some(rank as u64), "{id:#x}");
+            }
+        }
+    }
 
     fn sample_meta() -> ArrayMeta {
         let shape = Shape::new(&[8, 8]).unwrap();

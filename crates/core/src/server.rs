@@ -24,9 +24,10 @@
 //!   [`Input`]; the node feeds that run's window and has the driver
 //!   perform the [`Action`]s it answers (`Perform` below): a `Fetch` is
 //!   a message (or, for a one-shot, a piece cut out of the bytes it
-//!   carried, which the node feeds straight back), a `Write`/`Read` a
-//!   command to the disk task, a `Scatter` the pushes, a `Retire` the
-//!   `Complete`s — after which the node starts
+//!   carried, whose `Piece` answers it at once), a `Write`/`Read` a
+//!   command to the disk task, a `Scatter` the pushes (`Pushed` at
+//!   once). Once a run's window is retired the driver sends the
+//!   `Complete`s, and the node starts
 //!   the request admission hands the freed slot. A `Fetch`'s `seq`
 //!   names its piece (`step << 32 | piece`), so a `Data` reply says
 //!   which piece it claims to be, and the window refuses one it is not
@@ -1289,8 +1290,6 @@ impl ServerNode {
 /// the disk task.
 impl Perform<Admitted, RequestRun> for ServerNode {
     type Error = PandaError;
-    /// A `Scatter` returns once its pieces are pushed.
-    const PUSHED: bool = true;
 
     /// Relay an admitted request (master), build its schedule and open
     /// its files on the disk task; its window then asks for the first
@@ -1352,25 +1351,30 @@ impl Perform<Admitted, RequestRun> for ServerNode {
         })
     }
 
-    fn act(&mut self, run: &mut RequestRun, action: Action) -> Result<(), PandaError> {
+    /// A one-shot's `Fetch` sends nothing: it cuts its piece out of the
+    /// bytes the request carried and keeps it, and the `Piece` is its
+    /// answer. A `Scatter` returns once its pieces are pushed, so
+    /// `Pushed` is its answer.
+    fn act(&mut self, run: &mut RequestRun, action: Action) -> Result<Option<Input>, PandaError> {
         let request = run.request;
         match action {
-            Action::Fetch { step, piece } => self.fetch(run, step, piece),
+            Action::Fetch { step, piece } if run.carried.is_some() => {
+                let payload = run.pack_carried(step, piece)?;
+                self.piece_arrived(run, step, piece, payload)?;
+                return Ok(Some(Input::Piece { step, piece }));
+            }
+            Action::Fetch { step, piece } => self.fetch(run, step, piece)?,
             Action::Write { step } => {
                 let buf = std::mem::take(&mut run.bufs[step]);
-                self.disk_send(DiskCmd::Write { request, step, buf })
+                self.disk_send(DiskCmd::Write { request, step, buf })?;
             }
-            Action::Read { step } => self.disk_send(DiskCmd::Read { request, step }),
-            Action::Scatter { step, awaited } => self.scatter_step(run, step, awaited),
-            Action::Retire => unreachable!("a node retires its runs itself"),
+            Action::Read { step } => self.disk_send(DiskCmd::Read { request, step })?,
+            Action::Scatter { step, awaited } => {
+                self.scatter_step(run, step, awaited)?;
+                return Ok(Some(Input::Pushed));
+            }
         }
-    }
-
-    /// A one-shot's `Fetch` cuts its piece out of the bytes the request
-    /// carried: nothing is sent.
-    fn carried(&mut self, run: &mut RequestRun, si: usize, pi: usize) -> Result<(), PandaError> {
-        let payload = run.pack_carried(si, pi)?;
-        self.piece_arrived(run, si, pi, payload)
+        Ok(None)
     }
 
     /// The collective is complete on this server (a write's last

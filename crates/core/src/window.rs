@@ -15,7 +15,10 @@
 //! that the test walker drives in every order and the performance model
 //! under a virtual clock. All three therefore agree on when a step may
 //! start, and can differ only in how long things take; none keeps a
-//! count of its own.
+//! count of its own. A run's end is no action but the window's state:
+//! once it has asked for its last action and taken the last answer, the
+//! window is retired (`Window::retired`) and refuses everything, and the
+//! node retires the run.
 //!
 //! A write keeps up to `depth` steps' fetches outstanding and up to
 //! `depth` assembled steps at the disk; depth 1 is the strictly serial
@@ -72,7 +75,9 @@ pub enum Input {
     },
 }
 
-/// Something the driver is to do for the run, now.
+/// Something the driver is to do for the run, now. Each is answered by
+/// an input: one that performing it gives at once (`mesh::Perform::act`)
+/// or one its scheduler feeds later.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Request one piece of a step; answered by [`Input::Piece`].
@@ -103,14 +108,11 @@ pub enum Action {
         /// pieces is to be credited by its client.
         awaited: bool,
     },
-    /// The run is over on this server: tell the participants. Always
-    /// the last action.
-    Retire,
 }
 
 /// An input the window was not waiting for: a duplicate or unrequested
 /// piece, a disk answer with nothing asked, a credit its client does not
-/// owe, anything after [`Action::Retire`]. The window is unchanged.
+/// owe, anything once the window is retired. The window is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unexpected(pub Input);
 
@@ -177,6 +179,12 @@ impl Window {
             true => self.disk_queued,
             false => self.next - self.filled,
         }
+    }
+
+    /// Whether the run is over on this server: every action it asked
+    /// for is answered, and it asks for nothing more.
+    pub(crate) fn retired(&self) -> bool {
+        self.retired
     }
 
     /// Take one input and append what the driver is to do about it, in
@@ -252,10 +260,7 @@ impl Window {
             self.next += 1;
         }
         // The disk answers in order: the last answer is the last step's.
-        if self.front == steps && self.disk_queued == 0 {
-            out.push(Action::Retire);
-            self.retired = true;
-        }
+        self.retired = self.front == steps && self.disk_queued == 0;
     }
 
     /// Read: the awaited steps scattered so far. Every step but the
@@ -295,10 +300,7 @@ impl Window {
             out.push(Action::Read { step: self.next });
             self.next += 1;
         }
-        if self.front == steps {
-            out.push(Action::Retire);
-            self.retired = true;
-        }
+        self.retired = self.front == steps;
     }
 }
 
@@ -402,8 +404,8 @@ mod tests {
             let mut acts = Vec::new();
             self.win.on(input, &mut acts).expect("a legal input");
             let steps = self.shape.len();
-            for (i, &action) in acts.iter().enumerate() {
-                assert_eq!(self.retires, 0, "{action:?} after Retire");
+            for &action in &acts {
+                assert_eq!(self.retires, 0, "{action:?} after retirement");
                 match action {
                     Action::Fetch { step, piece } => {
                         // Schedule order, each piece exactly once.
@@ -439,24 +441,27 @@ mod tests {
                             self.owed.push(self.shape[step].clone());
                         }
                     }
-                    Action::Retire => {
-                        assert_eq!(i + 1, acts.len(), "Retire is the last action");
-                        if self.write {
-                            // On the answer that leaves nothing owed.
-                            assert_eq!(input, Input::Written);
-                            assert_eq!(self.written, steps);
-                            assert!(self.disk.is_empty());
-                        } else {
-                            // With its last push — or at once, having nothing to push —
-                            // and with nothing left to credit.
-                            assert!(input == Input::Pushed || steps == 0);
-                            assert_eq!(self.pushed, steps);
-                            assert_eq!(self.consumed(), steps.saturating_sub(self.depth));
-                        }
-                        self.retires += 1;
-                    }
                 }
             }
+            if self.win.retired() && self.retires == 0 {
+                // It retires asking for nothing more.
+                assert!(acts.is_empty(), "{acts:?} as it retired");
+                if self.write {
+                    // On the answer that leaves nothing owed.
+                    assert_eq!(input, Input::Written);
+                    assert_eq!(self.written, steps);
+                    assert!(self.disk.is_empty());
+                } else {
+                    // With its last push — or at once, having nothing to push —
+                    // and with nothing left to credit.
+                    assert!(input == Input::Pushed || steps == 0);
+                    assert_eq!(self.pushed, steps);
+                    assert_eq!(self.consumed(), steps.saturating_sub(self.depth));
+                }
+                self.retires += 1;
+            }
+            // Retired once, and for good.
+            assert_eq!(self.win.retired(), self.retires == 1);
             // The window: at most `depth` steps fetched and not yet at
             // the disk, at most `depth` more there; depth 1 is strictly
             // serial. A read holds at most `depth` from asked to pushed,

@@ -8,15 +8,10 @@
 //! merge samples from several probe runs (e.g. two short collectives at
 //! different subchunk sizes) before solving. A single run usually has
 //! one subchunk size, which leaves the slope unidentifiable; merging
-//! runs at two sizes conditions the fit. The summary is plain data with
-//! a JSON rendering, so a tuner (or an offline notebook) can consume it
-//! without re-walking the timeline.
+//! runs at two sizes conditions the fit. The summary is plain data, so
+//! a tuner consumes it without re-walking the timeline.
 
-use crate::json;
 use crate::report::RunReport;
-
-/// Schema tag for the JSON rendering of a [`CalibrationSummary`].
-pub const CALIBRATION_SCHEMA: &str = "panda-obs-calibration-v1";
 
 /// Accumulated (subchunk bytes → phase seconds) samples for one phase,
 /// kept as least-squares moments so summaries can be merged exactly.
@@ -91,19 +86,6 @@ impl PhaseStats {
             self.secs / self.bytes as f64
         }
     }
-
-    /// Append the member `"key":{…}`.
-    fn push_member(&self, out: &mut String, key: &str) {
-        let (per_op, per_byte) = self.fit_line().unwrap_or((0.0, self.mean_secs_per_byte()));
-        json::push_key(out, key);
-        out.push('{');
-        json::member(out, "samples", self.samples);
-        json::member(out, "bytes", self.bytes);
-        json::member_f64(out, "secs", self.secs);
-        json::member_f64(out, "per_op_s", per_op);
-        json::member_f64(out, "per_byte_s", per_byte);
-        out.push('}');
-    }
 }
 
 /// The calibration view of one run: per-phase sample moments plus the
@@ -133,20 +115,6 @@ impl CalibrationSummary {
         self.reorg.merge(&other.reorg);
         self.wall_s += other.wall_s;
         self.subchunks += other.subchunks;
-    }
-
-    /// Serialize as one JSON object (schema [`CALIBRATION_SCHEMA`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        json::member_str(&mut out, "schema", CALIBRATION_SCHEMA);
-        json::member_f64(&mut out, "wall_s", self.wall_s);
-        json::member(&mut out, "subchunks", self.subchunks);
-        self.exchange.push_member(&mut out, "exchange");
-        self.disk.push_member(&mut out, "disk");
-        self.reorg.push_member(&mut out, "reorg");
-        out.push('}');
-        out
     }
 }
 
@@ -225,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_is_valid() {
+    fn a_report_condenses_into_per_phase_samples() {
         use crate::event::{Event, StepAction, SubchunkKey};
         use crate::recorder::Recorder;
         use crate::recorder::TelemetryRecorder;
@@ -250,9 +218,5 @@ mod tests {
         assert_eq!(summary.disk.samples, 2);
         assert_eq!(summary.disk.bytes, 5120);
         assert_eq!(summary.exchange.secs, 0.0);
-        let doc = summary.to_json();
-        json::validate(&doc).unwrap();
-        assert!(doc.contains("\"schema\":\"panda-obs-calibration-v1\""));
-        assert!(doc.contains("\"per_byte_s\""));
     }
 }

@@ -24,8 +24,7 @@
 //!     per-tenant ledgers,
 //!     the fs sequentiality tally and per-tag send counts, one mutex
 //!     per shard, snapshotted under every shard lock at once into a
-//!     [`MetricsSnapshot`] (typed windows via
-//!     [`MetricsSnapshot::since`], Prometheus text via
+//!     [`MetricsSnapshot`] (Prometheus text via
 //!     [`MetricsSnapshot::to_prometheus`]). The ring ([`ring`]) is a
 //!     bounded buffer of recent [`TimelineEvent`]s with Chrome
 //!     `trace_event` export; armed with a [`DumpTrigger`] it dumps
@@ -56,7 +55,7 @@ pub mod report;
 pub mod ring;
 pub mod store;
 
-pub use calibrate::{CalibrationSummary, PhaseStats, CALIBRATION_SCHEMA};
+pub use calibrate::{CalibrationSummary, PhaseStats};
 pub use event::{Event, EventKind, OpDir, Phase, StepAction, SubchunkKey, KIND_COUNT};
 pub use recorder::{null_recorder, NullRecorder, Recorder, TelemetryRecorder};
 pub use report::{NodePhases, PhaseTotals, RunReport, SubchunkPhases, REPORT_SCHEMA};

@@ -14,7 +14,8 @@
 //! each event is added to the phase [`Event::phase`] names, under the
 //! same lock as its kind.
 //!
-//! Tenancy: request ids are minted as `((rank + 1) << 32) | counter`,
+//! Tenancy: request ids are minted as `((rank + 1) << 32) | counter`
+//! (`panda_core::protocol::request_id`),
 //! so the submitting client rank — the session owner — is recoverable
 //! as `(request >> 32) - 1` ([`tenant_of`]). A shard keeps ledgers for
 //! at most `TENANT_SLOTS` tenants; events of further tenants are tallied
@@ -37,23 +38,6 @@ const TENANT_SLOTS: usize = 32;
 /// Number of log₂ latency buckets: bucket `i` holds durations in
 /// `[2^(i-1), 2^i)` nanoseconds (bucket 0 holds 0 ns).
 const HIST_BUCKETS: usize = 40;
-
-/// How two values of one field combine: `+` to merge shards, saturating
-/// `-` for [`MetricsSnapshot::since`].
-struct Op {
-    count: fn(u64, u64) -> u64,
-    secs: fn(f64, f64) -> f64,
-}
-
-const MERGE: Op = Op {
-    count: |a, b| a + b,
-    secs: |a, b| a + b,
-};
-
-const SINCE: Op = Op {
-    count: u64::saturating_sub,
-    secs: |a, b| (a - b).max(0.0),
-};
 
 /// Merged occupancy of a log₂ latency histogram: bucket `i` counts
 /// durations in `[2^(i-1), 2^i)` nanoseconds.
@@ -95,8 +79,8 @@ impl LatencyBuckets {
         unreachable!("cumulative count reaches total");
     }
 
-    fn zip(&self, other: &LatencyBuckets, op: &Op) -> LatencyBuckets {
-        LatencyBuckets(std::array::from_fn(|i| (op.count)(self.0[i], other.0[i])))
+    fn merge(&self, other: &LatencyBuckets) -> LatencyBuckets {
+        LatencyBuckets(std::array::from_fn(|i| self.0[i] + other.0[i]))
     }
 }
 
@@ -191,8 +175,9 @@ impl Shard {
     }
 }
 
-/// The session rank a request id belongs to, per the service's minting
-/// scheme (`((rank + 1) << 32) | counter`). `None` for unscoped ids.
+/// The session rank a request id belongs to, per the service's one mint,
+/// `panda_core::protocol::request_id` (`((rank + 1) << 32) | counter`).
+/// `None` for unscoped ids.
 pub fn tenant_of(request: u64) -> Option<u64> {
     let owner = request >> 32;
     (owner != 0).then(|| owner - 1)
@@ -271,7 +256,7 @@ impl Store {
             shards.iter().map(|shard| shard.view()).collect()
         };
         let empty = Shard::default().view();
-        let mut snap = views.iter().fold(empty, |acc, view| acc.zip(view, &MERGE));
+        let mut snap = views.iter().fold(empty, |acc, view| acc.merge(view));
         snap.uptime_s = self.epoch.elapsed().as_secs_f64();
         snap
     }
@@ -401,44 +386,35 @@ impl MetricsSnapshot {
             .map_or((0, 0), |t| (t.msgs, t.bytes))
     }
 
-    /// Counters accumulated since `baseline` (an earlier snapshot of
-    /// the same recorder): a window view, so a backend change mid-run
-    /// is not averaged away by pre-change history. Saturating per
-    /// field; quantiles follow from the bucket deltas.
-    pub fn since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
-        self.zip(baseline, &SINCE)
-    }
-
-    /// Combine two snapshots field by field with `op`: kinds and phases
-    /// by index, tenants and tags by key.
-    fn zip(&self, other: &MetricsSnapshot, op: &Op) -> MetricsSnapshot {
-        let (count, secs) = (op.count, op.secs);
+    /// Add two shards' views field by field: kinds and phases by index,
+    /// tenants and tags by key.
+    fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
         let kind = |(a, b): (&KindCounter, &KindCounter)| KindCounter {
             kind: a.kind,
-            count: count(a.count, b.count),
-            bytes: count(a.bytes, b.bytes),
-            secs: secs(a.secs, b.secs),
-            latency: a.latency.zip(&b.latency, op),
+            count: a.count + b.count,
+            bytes: a.bytes + b.bytes,
+            secs: a.secs + b.secs,
+            latency: a.latency.merge(&b.latency),
         };
         let phase = |(a, b): (&PhaseMetrics, &PhaseMetrics)| PhaseMetrics {
             phase: a.phase,
-            ops: count(a.ops, b.ops),
-            bytes: count(a.bytes, b.bytes),
-            secs: secs(a.secs, b.secs),
-            latency: a.latency.zip(&b.latency, op),
+            ops: a.ops + b.ops,
+            bytes: a.bytes + b.bytes,
+            secs: a.secs + b.secs,
+            latency: a.latency.merge(&b.latency),
         };
         let tenant = |a: &TenantMetrics, b: &TenantMetrics| TenantMetrics {
             tenant: a.tenant,
-            requests: count(a.requests, b.requests),
-            done: count(a.done, b.done),
-            rejected: count(a.rejected, b.rejected),
-            errors: count(a.errors, b.errors),
-            latency: a.latency.zip(&b.latency, op),
+            requests: a.requests + b.requests,
+            done: a.done + b.done,
+            rejected: a.rejected + b.rejected,
+            errors: a.errors + b.errors,
+            latency: a.latency.merge(&b.latency),
         };
         let tag = |a: &TagStats, b: &TagStats| TagStats {
             tag: a.tag,
-            msgs: count(a.msgs, b.msgs),
-            bytes: count(a.bytes, b.bytes),
+            msgs: a.msgs + b.msgs,
+            bytes: a.bytes + b.bytes,
         };
         let no_tenant = |tenant| TenantMetrics {
             tenant,
@@ -450,7 +426,7 @@ impl MetricsSnapshot {
             bytes: 0,
         };
         MetricsSnapshot {
-            uptime_s: secs(self.uptime_s, other.uptime_s),
+            uptime_s: self.uptime_s + other.uptime_s,
             kinds: self.kinds.iter().zip(&other.kinds).map(kind).collect(),
             phases: self.phases.iter().zip(&other.phases).map(phase).collect(),
             tenants: zip_rows(
@@ -460,9 +436,9 @@ impl MetricsSnapshot {
                 no_tenant,
                 tenant,
             ),
-            tenant_overflow: count(self.tenant_overflow, other.tenant_overflow),
-            fs_sequential: count(self.fs_sequential, other.fs_sequential),
-            fs_seeks: count(self.fs_seeks, other.fs_seeks),
+            tenant_overflow: self.tenant_overflow + other.tenant_overflow,
+            fs_sequential: self.fs_sequential + other.fs_sequential,
+            fs_seeks: self.fs_seeks + other.fs_seeks,
             tags: zip_rows(&self.tags, &other.tags, |t| t.tag, no_tag, tag),
         }
     }
@@ -865,22 +841,37 @@ mod tests {
     /// Two snapshotters against three unpaced writers whose
     /// RequestIssued and CollectiveDone land on different shards. No
     /// snapshot tears; each snapshotter's consecutive snapshots are
-    /// monotone in every counter (adding `later.since(earlier)` back
-    /// onto `earlier` gives `later` exactly, so nothing saturated); and
-    /// the run finishes, so two snapshotters taking every lock cannot
-    /// deadlock.
+    /// monotone in every counter, histogram bucket and row; and the run
+    /// finishes, so two snapshotters taking every lock cannot deadlock.
     #[test]
     fn concurrent_snapshotters_see_monotone_untorn_cuts() {
         use std::sync::atomic::{AtomicBool, Ordering};
 
         const WRITERS: u64 = 3;
-        /// The snapshot with its seconds zeroed: integer fields compare
-        /// exactly, seconds are checked on their own.
-        fn counters(mut snap: MetricsSnapshot) -> MetricsSnapshot {
-            snap.uptime_s = 0.0;
-            snap.kinds.iter_mut().for_each(|k| k.secs = 0.0);
-            snap.phases.iter_mut().for_each(|p| p.secs = 0.0);
-            snap
+        /// Every integer field of `e` at most `l`'s, bucket by bucket,
+        /// and every row of `e` in `l`: seconds are checked on their own.
+        fn grew(e: &MetricsSnapshot, l: &MetricsSnapshot) -> bool {
+            let le = |e: &[u64], l: &[u64]| e.iter().zip(l).all(|(e, l)| e <= l);
+            let kind = |k: &KindCounter| [&[k.count, k.bytes][..], &k.latency.0].concat();
+            let phase = |p: &PhaseMetrics| [&[p.ops, p.bytes][..], &p.latency.0].concat();
+            let tenant = |t: Option<&TenantMetrics>| {
+                let t = t.cloned().unwrap_or_default();
+                let counts = [t.requests, t.done, t.rejected, t.errors];
+                [&counts[..], &t.latency.0].concat()
+            };
+            let tag = |t: &TagStats| {
+                let (msgs, bytes) = l.tag(t.tag);
+                le(&[t.msgs, t.bytes], &[msgs, bytes])
+            };
+            let scalars = |s: &MetricsSnapshot| [s.tenant_overflow, s.fs_sequential, s.fs_seeks];
+            let mut kinds = e.kinds.iter().zip(&l.kinds);
+            let mut phases = e.phases.iter().zip(&l.phases);
+            let mut tenants = e.tenants.iter().map(|t| (Some(t), l.tenant(t.tenant)));
+            kinds.all(|(e, l)| le(&kind(e), &kind(l)))
+                && phases.all(|(e, l)| le(&phase(e), &phase(l)))
+                && tenants.all(|(e, l)| le(&tenant(e), &tenant(l)))
+                && e.tags.iter().all(tag)
+                && le(&scalars(e), &scalars(l))
         }
         fn first_fault(store: &Store) -> Option<String> {
             let mut earlier = store.snapshot();
@@ -891,8 +882,7 @@ mod tests {
                 if done > issued {
                     return Some(format!("torn: {done} CollectiveDone > {issued} issued"));
                 }
-                let rebuilt = earlier.zip(&later.since(&earlier), &MERGE);
-                if counters(rebuilt) != counters(later.clone()) {
+                if !grew(&earlier, &later) {
                     return Some("a counter went backwards".to_string());
                 }
                 let mut pairs = later.kinds.iter().zip(&earlier.kinds);
@@ -990,32 +980,6 @@ mod tests {
         // Keyed events of slotless tenants cost nothing extra.
         store.record(7, &disk_write(tenants << 32, 0, 1, Duration::ZERO));
         assert_eq!(store.snapshot().tenant_overflow, 3);
-    }
-
-    #[test]
-    fn since_isolates_the_window() {
-        let store = Store::new();
-        feed_request(&store, 4, (1 << 32) | 1, 4);
-        let send = Event::MsgSent {
-            to: 1,
-            tag: 3,
-            bytes: 10,
-            dur: Duration::ZERO,
-        };
-        store.record(4, &send);
-        let base = store.snapshot();
-        feed_request(&store, 4, (1 << 32) | 2, 2);
-        feed_request(&store, 4, (2 << 32) | 1, 1); // tenant new in the window
-        store.record(4, &send);
-        let window = store.snapshot().since(&base);
-        assert_eq!(window.kind(EventKind::RequestIssued).count, 2);
-        assert_eq!(window.phase(Phase::Disk).ops, 3);
-        assert_eq!(window.phase(Phase::Disk).bytes, 3 * 4096);
-        assert!(window.phase(Phase::Disk).latency.quantile(0.5) >= 500e-6);
-        let t0 = window.tenant(0).unwrap();
-        assert_eq!((t0.requests, t0.done), (1, 1));
-        assert_eq!(window.tenant(1).unwrap().requests, 1);
-        assert_eq!(window.tag(3), (1, 10));
     }
 
     #[test]
