@@ -109,14 +109,17 @@ if [ "$spawns" -ne 1 ] || [ "$names" != "panda-disk- " ]; then
   exit 1
 fi
 
-# Polling gate: an I/O node waits by parking. Its one poll is the
-# bounded hand-off of a small run's disk work (`poll_handoff` in
-# crates/core/src/server.rs: at most HANDOFF_POLL, then the thread
-# parks), so the non-test code under crates/*/src names `yield_now` or
-# `spin_loop` nowhere else. A second poll would take a core from the
-# copies on a host with two, and its bound would be one more to keep.
-# Each hit is named by the innermost `fn` whose braces enclose it;
-# comment lines are skipped.
+# Polling gate: a thread waits by parking. The one poll is the bounded
+# hand-off of a small collective (`poll_handoff` in
+# crates/core/src/handoff.rs: at most HANDOFF_POLL, then the thread
+# parks), which three callers share: an I/O node's driver waiting for a
+# small run's disk answer, its disk task for the run's next command, and
+# a small collective's client, once a server has answered, for the
+# others' answers. So the non-test code under crates/*/src names
+# `yield_now` or `spin_loop` nowhere else. A second poll would take a
+# core from the copies on a host with two, and its bound would be one
+# more to keep. Each hit is named by the innermost `fn` whose braces
+# enclose it; comment lines are skipped.
 polls=$(find crates/*/src -name '*.rs' | sort | while read -r file; do
   sed '/^#\[cfg(test)\]/,$d' "$file" | awk -v file="$file" '
     /^[[:space:]]*\/\// { next }
@@ -136,8 +139,8 @@ polls=$(find crates/*/src -name '*.rs' | sort | while read -r file; do
       if ($0 ~ /;[[:space:]]*$/) pending = ""
     }'
 done)
-if grep -vE '^crates/core/src/server\.rs:[0-9]+: fn poll_handoff: ' <<<"$polls" | grep .; then
-  echo "ci: yield_now/spin_loop only in server.rs's poll_handoff, the bounded hand-off poll (see the hits above)" >&2
+if grep -vE '^crates/core/src/handoff\.rs:[0-9]+: fn poll_handoff: ' <<<"$polls" | grep .; then
+  echo "ci: yield_now/spin_loop only in handoff.rs's poll_handoff, the bounded hand-off poll (see the hits above)" >&2
   exit 1
 fi
 

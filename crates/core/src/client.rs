@@ -19,11 +19,18 @@
 //! id is minted here as `(rank + 1) << 32 | counter` — unique across
 //! submitters without coordination.
 //!
-//! A session write whose chunks total less than a free-list piece
-//! (`panda_msg::freelist::PIECE_MIN_BYTES`) is submitted as a
-//! [`Msg::OneShot`]: the chunks ride behind the request, no server
-//! fetches anything, and the client only waits for each server's
-//! `Complete` — which attests zero pieces, and is held to that.
+//! A collective whose bytes here total less than a free-list piece
+//! (`panda_msg::freelist::PIECE_MIN_BYTES`, `freelist::is_small`) is
+//! small. A small session write is submitted as a [`Msg::OneShot`]:
+//! the chunks ride behind the request, no server fetches anything, and
+//! the client only waits for each server's `Complete` — which attests
+//! zero pieces, and is held to that. And once a small session
+//! collective is underway (a server has answered), the client waits for
+//! each next message as an I/O node waits for a small run's hand-off:
+//! it polls for a bounded time (`handoff::poll_handoff`) before it
+//! parks, since the other servers' answers are already in flight. Until
+//! the first answer, for a bulk collective and in a fleet, it parks at
+//! once.
 //!
 //! [`PandaClient`] is a driver and counts nothing: what a participant
 //! decides — which collective a message belongs to (and which to keep,
@@ -45,13 +52,14 @@ use panda_schema::{copy, Region, SchemaError};
 
 use crate::array::ArrayMeta;
 use crate::error::PandaError;
+use crate::handoff::poll_handoff;
 use crate::participant::{Arrival, End, Participant, Refusal, Serve};
 use crate::request::{ReadSet, WriteSet};
 use crate::tuned::TunedConfig;
 
 use crate::protocol::{
-    recv_msg, request_id, send_data, send_msg, send_request, ArrayOp, CollectiveRequest, Msg,
-    OpKind,
+    recv_msg, request_id, send_data, send_msg, send_request, try_recv_msg, ArrayOp,
+    CollectiveRequest, Msg, OpKind,
 };
 
 /// How a collective request enters the system.
@@ -247,17 +255,8 @@ impl PandaClient {
                 buf: XferBuf::Src(i.data),
             })
             .collect();
-        // A session write smaller than a free-list piece rides its own
-        // request: the servers cut their pieces out of it and never
-        // fetch. Shared, so the master's in-process relay is a refcount.
-        let total: usize = set.items.iter().map(|i| i.data.len()).sum();
-        let carried = (matches!(mode, SubmitMode::Session) && total < freelist::PIECE_MIN_BYTES)
-            .then(|| {
-                let chunks: Vec<&[u8]> = set.items.iter().map(|i| i.data).collect();
-                Bytes::Shared(chunks.concat().into())
-            });
         let tuning = set.tuning.as_ref();
-        self.collective(OpKind::Write, &mut xfer, mode, tuning, carried)
+        self.collective(OpKind::Write, &mut xfer, mode, tuning)
     }
 
     /// Collective read of a prepared [`ReadSet`]: the mirror of
@@ -292,12 +291,13 @@ impl PandaClient {
             })
             .collect();
         let tuning = set.tuning.as_ref();
-        self.collective(OpKind::Read, &mut xfer, mode, tuning, None)
+        self.collective(OpKind::Read, &mut xfer, mode, tuning)
     }
 
     /// Either direction from here on: hold each buffer to the region it
-    /// covers, submit the request (when this client submits for `mode`),
-    /// serve the collective to its end and report it — its
+    /// covers, submit the request (when this client submits for `mode`;
+    /// a small session write as a one-shot), serve the collective to its
+    /// end and report it — its
     /// `CollectiveDone`, or, for a failure, a `RequestError` (the flight
     /// recorder treats it as an incident trigger). Admission rejections
     /// are typed flow control with their own server-side event, so only
@@ -308,8 +308,8 @@ impl PandaClient {
         arrays: &mut [XferArray<'_>],
         mode: SubmitMode,
         tuning: Option<&TunedConfig>,
-        carried: Option<Bytes>,
     ) -> Result<(), PandaError> {
+        let mut bytes = 0;
         for x in arrays.iter() {
             let expected = x.region.num_bytes(x.meta.elem_size());
             let actual = match &x.buf {
@@ -324,10 +324,26 @@ impl PandaClient {
                     actual,
                 });
             }
+            bytes += actual as u64;
         }
+        // A small session collective is this client's alone and over in
+        // microseconds. A write rides its own request: the servers cut
+        // their pieces out of it and never fetch (shared, so the
+        // master's in-process relay is a refcount).
+        let small = matches!(mode, SubmitMode::Session) && freelist::is_small(bytes);
+        let carried = (small && matches!(op, OpKind::Write)).then(|| {
+            let chunks: Vec<&[u8]> = arrays
+                .iter()
+                .filter_map(|x| match x.buf {
+                    XferBuf::Src(data) => Some(data),
+                    XferBuf::Dst(_) => None,
+                })
+                .collect();
+            Bytes::Shared(chunks.concat().into())
+        });
         let t_op = self.obs_on().then(Instant::now);
         let want = self.start_collective(op, arrays, mode, tuning, carried)?;
-        match self.serve_collective(arrays, want) {
+        match self.serve_collective(arrays, want, small) {
             Ok(request) => {
                 if let Some(t) = t_op {
                     let dur = t.elapsed();
@@ -365,11 +381,23 @@ impl PandaClient {
     /// when this client is the submitter; `None` for fleet non-masters,
     /// which learn the id from the first message.
     ///
+    /// The loop blocks for each message, except in a `small` session
+    /// collective (its bytes here below the one size line,
+    /// `freelist::is_small`) once it is underway: a server has answered,
+    /// so the others' answers are microseconds away, and the client
+    /// polls for each next message through `poll_handoff`, the bounded
+    /// poll an I/O node's threads wait through too, before it blocks.
+    /// Before the first answer, throughout a bulk collective and in a
+    /// fleet's, it blocks at once: a fleet's remaining answers may wait
+    /// on other compute nodes' pieces, and a poll here would take a CPU
+    /// from them.
+    ///
     /// Returns the request id served.
     fn serve_collective(
         &mut self,
         arrays: &mut [XferArray<'_>],
         want: Option<u64>,
+        small: bool,
     ) -> Result<u64, PandaError> {
         let mut perf = Serving {
             transport: &mut *self.transport,
@@ -378,9 +406,17 @@ impl PandaClient {
             num_clients: self.num_clients,
             arrays,
         };
+        let any = MatchSpec::any();
         let mut end = self.part.begin(&mut perf, want)?;
         while end.is_none() {
-            let (src, msg) = recv_msg(perf.transport, MatchSpec::any())?;
+            let polled = match small && self.part.underway() {
+                true => poll_handoff(|| try_recv_msg(&mut *perf.transport, any).transpose()),
+                false => None,
+            };
+            let (src, msg) = match polled {
+                Some(got) => got?,
+                None => recv_msg(perf.transport, any)?,
+            };
             // A client's rank wraps past every server index.
             let server = src.index().wrapping_sub(self.num_clients);
             end = self.part.take(&mut perf, server, msg)?;

@@ -114,6 +114,7 @@ pub mod client;
 pub mod encode;
 pub mod error;
 pub mod group_ops;
+mod handoff;
 pub mod health;
 pub mod mesh;
 #[cfg(test)]

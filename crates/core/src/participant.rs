@@ -125,6 +125,13 @@ impl<M> Participant<M> {
         self.aside.len()
     }
 
+    /// Whether the collective begun is underway: some server has
+    /// answered it, with a piece or its `Complete`, so the others'
+    /// answers are on their way.
+    pub(crate) fn underway(&self) -> bool {
+        self.servers.iter().any(|s| *s != Some(0))
+    }
+
     /// Begin serving a collective: the one this node `submitted`, or, for
     /// `None`, the one the first message names. What was set aside is
     /// taken first, in arrival order, and how the collective ended if
@@ -168,7 +175,7 @@ impl<M> Participant<M> {
             Some(&Some(arrived)) => arrived,
         };
         let serving = self.request.unwrap_or(request);
-        let untouched = self.servers.iter().all(|s| *s == Some(0));
+        let untouched = !self.underway();
         self.servers[server] = match arrival {
             _ if request != serving => return refused(Refusal::OtherRequest { serving }),
             Arrival::Piece => Some(arrived + 1),
@@ -297,6 +304,26 @@ mod tests {
         assert_eq!(p.begin(&mut log, None), Ok(None));
         assert_eq!(p.take(&mut log, 0, (4, Piece, 'd')), Ok(None));
         assert_eq!(log.0, [(0, 'a'), (0, 'c'), (0, 'd')]);
+    }
+
+    /// A collective is underway from the first answer any server gives
+    /// it, a piece or a `Complete`, until it ends; a refusal is no
+    /// answer, and a set-aside answer taken in `begin` is one.
+    #[test]
+    fn a_collective_is_underway_from_its_first_answer() {
+        let mut log = Log::default();
+        for first in [(0, (5, Piece, 'p')), (1, (5, Complete(0), 'c'))] {
+            let mut p = begun(2, Some(5));
+            assert!(!p.underway());
+            assert!(p.take(&mut log, 0, (6, Piece, 'x')).is_err());
+            assert!(!p.underway(), "a refusal answered nothing");
+            assert_eq!(p.take(&mut log, first.0, first.1), Ok(None));
+            assert!(p.underway(), "{first:?}");
+        }
+        let mut p = Participant::new(1);
+        assert_eq!(p.take(&mut log, 0, (3, Piece, 'a')), Ok(None));
+        assert_eq!(p.begin(&mut log, None), Ok(None));
+        assert!(p.underway(), "the set-aside piece answered it");
     }
 
     #[test]

@@ -546,7 +546,8 @@ pub fn recv_msg<T: Transport + ?Sized>(
 /// Non-blocking [`recv_msg`]: `Ok(None)` when no matching message has
 /// arrived yet. The server's driver drains what has arrived with this,
 /// one message at a time, before it blocks on the transport or the disk
-/// channel.
+/// channel; it and a small collective's client probe with it while
+/// they poll a hand-off.
 pub fn try_recv_msg<T: Transport + ?Sized>(
     t: &mut T,
     spec: MatchSpec,

@@ -41,15 +41,17 @@
 //!   is packed where it is pushed, in piece order. The loop blocks only
 //!   when nothing arrived — on the disk channel when a live window is
 //!   owed a disk answer, on the transport otherwise. A small run (its
-//!   bytes here below `panda_msg::freelist::PIECE_MIN_BYTES`) owes
-//!   microseconds of disk work, so while only small runs are owed an
-//!   answer the driver first polls both sides for at most
-//!   `HANDOFF_POLL`, rather than be woken once per disk answer.
+//!   bytes here below `panda_msg::freelist::PIECE_MIN_BYTES`,
+//!   `freelist::is_small`) owes microseconds of disk work, so while
+//!   only small runs are owed an answer the driver first polls both
+//!   sides through `handoff::poll_handoff`, the bounded poll the disk
+//!   task and a small collective's client wait through too, rather than
+//!   be woken once per disk answer.
 //! * **The disk task** is one named thread (`panda-disk-<server>`) per
 //!   server, spawned in [`ServerNode::run`], and serves every request:
 //!   it keeps a per-request file table and schedule, and processes
-//!   `DiskCmd`s strictly in arrival order, polling for the next one for
-//!   at most `HANDOFF_POLL` after a small run's before it blocks. A
+//!   `DiskCmd`s strictly in arrival order, polling for the next one
+//!   (`poll_handoff`) after a small run's before it blocks. A
 //!   command names a request and a step; the task reads the step's
 //!   file, offset, length and sync point off the request's schedule,
 //!   which its `Open` shared with it.
@@ -133,6 +135,7 @@ use panda_schema::{copy, Region, SchemaError};
 
 use crate::admission::Caps;
 use crate::error::PandaError;
+use crate::handoff::poll_handoff;
 use crate::health::ServiceHealth;
 use crate::mesh::{Node, Perform, Started};
 use crate::plan::{server_file_name, CollectiveSchedule, ScheduleStep};
@@ -146,39 +149,11 @@ use crate::window::{Action, Input, Unexpected};
 /// when only small runs owe it, once the hand-off poll found nothing).
 const DISK_PARK: Duration = Duration::from_micros(200);
 
-/// How long each side of a small run's disk hand-off polls before it
-/// parks: the driver for the disk answer it is owed, the disk task for
-/// the run's next command. A small run's disk work takes microseconds,
-/// no longer than waking a parked thread on an idle CPU, so each side
-/// stays on its CPU for about three such wake-ups first. A bulk run's
-/// disk work is hundreds of microseconds of copying, which a poll would
-/// take CPU from, so its hand-offs park at once. Bounded, so an idle
-/// I/O node parks.
-const HANDOFF_POLL: Duration = Duration::from_micros(50);
-
 /// Whether a run is small: its bytes on this server (its schedule's
-/// files) are below `PIECE_MIN_BYTES`, the line below which a submitter
-/// sends a session write whole. A small run's disk hand-offs poll
-/// before they park ([`HANDOFF_POLL`]).
+/// files) are below the one size line, `freelist::is_small`. A small
+/// run's disk hand-offs poll before they park ([`poll_handoff`]).
 fn is_small(sched: &CollectiveSchedule) -> bool {
-    let bytes: u64 = sched.files.iter().map(|f| f.bytes).sum();
-    bytes < freelist::PIECE_MIN_BYTES as u64
-}
-
-/// Run `probe` until it finds something, yielding the CPU between
-/// rounds, for at most [`HANDOFF_POLL`]; `None` when the time ran out
-/// and the caller should park. The one place an I/O node polls.
-fn poll_handoff<T>(mut probe: impl FnMut() -> Option<T>) -> Option<T> {
-    let until = Instant::now() + HANDOFF_POLL;
-    loop {
-        if let Some(found) = probe() {
-            return Some(found);
-        }
-        if Instant::now() >= until {
-            return None;
-        }
-        std::thread::yield_now();
-    }
+    freelist::is_small(sched.files.iter().map(|f| f.bytes).sum())
 }
 
 /// One I/O node.
@@ -424,9 +399,9 @@ fn no_step(cmd: &str, request: u64, step: usize) -> PandaError {
 /// `Write` runs the syncs its policy owes, drops the table and only then
 /// answers, so that answer is the run's end; a read's last `Read` drops
 /// it. After a small run's command the task polls for the next before
-/// it blocks ([`HANDOFF_POLL`]). An error is fatal for the server (as it always
-/// was): the task exits and the scheduler surfaces the error through the
-/// join.
+/// it blocks ([`poll_handoff`]). An error is fatal for the server (as it
+/// always was): the task exits and the scheduler surfaces the error
+/// through the join.
 fn run_disk_task(
     recorder: Arc<dyn Recorder>,
     node: u32,
@@ -783,7 +758,7 @@ impl ServerNode {
                 // Disk work outstanding: progress may come from either
                 // side. A small run's disk answer is microseconds away,
                 // so when only small runs are owed one, poll both sides
-                // first (`HANDOFF_POLL`).
+                // first (`poll_handoff`).
                 if st.node.owing().all(|run| is_small(&run.sched)) {
                     let arrived = poll_handoff(|| {
                         if let Ok(done) = out_rx.try_recv() {

@@ -23,6 +23,16 @@ use parking_lot::Mutex;
 /// Buffers smaller than this are left to the allocator.
 pub const PIECE_MIN_BYTES: usize = 64 * 1024;
 
+/// Whether a transfer of `bytes` is small: below [`PIECE_MIN_BYTES`],
+/// so no piece of it is worth a buffer of the list. The one size line a
+/// collective is held to: a session write this small rides its request
+/// whole, and a run this small on an I/O node, or a session collective
+/// this small at its compute node, is over in microseconds, so its
+/// threads poll its hand-offs for a bounded time before they park.
+pub fn is_small(bytes: u64) -> bool {
+    bytes < PIECE_MIN_BYTES as u64
+}
+
 /// Most bytes (of capacity) the list retains; a buffer given beyond it
 /// is freed. Sixteen 1 MiB subchunks: what a small deployment at
 /// `pipeline_depth` 2 keeps in motion — each of 2 I/O nodes holds up to

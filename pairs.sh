@@ -25,6 +25,11 @@
 #               holds it;
 #   same        otherwise.
 #
+# Under the table, each workload's median `attempted` operations per
+# run are printed for both sides with their ratio, and no verdict: a
+# move in peak_rss_mb can then be read against how many operations a
+# run's window held (the benchmark keeps a sample per operation).
+#
 # Under --trace 1 the benchmark reports its per-layer metrics, not the
 # end-to-end ones, so each workload gets one row instead,
 # `trace.overhead_pct`: each side's median and quartiles and the pairs
@@ -111,6 +116,7 @@ def number(v):
 
 ok = True
 rows = []
+ops = {}
 for w in workloads:
     runs = {"base": [], "change": []}
     for i in range(pairs):
@@ -120,6 +126,7 @@ for w in workloads:
             runs[side].append((attempted, failed, values))
             line = " ".join(f"{m['name']}={values.get(m['name'], float('nan')):.4g}" for m in shown)
             print(f"{w} pair {i + 1}/{pairs} {side}: {attempted} ops, {failed} failed, {line}", flush=True)
+    ops[w] = {s: statistics.median(r[0] for r in rs) for s, rs in runs.items()}
     share = {s: sum(r[1] for r in rs) / max(1, sum(r[0] for r in rs)) for s, rs in runs.items()}
     if share["change"] > share["base"]:
         print(f"pairs: {w}: the change failed {share['change']:.2%} of operations, the base {share['base']:.2%}")
@@ -174,5 +181,10 @@ for w, name, row in rows:
     bound = "-" if bound is None else f"{bound:.0%}"
     print(f"{w:<15} {name:<18} {side(mb, qb):>30} {side(mc, qc):>30} {ratio:>6.3f} "
           f"{wins:>3}/{pairs:<2} {spread:>7} {bound:>6}  {verdict}")
+print()
+print(f"{'workload':<15} {'attempted':<18} {'base median':>30} {'change median':>30} {'ratio':>6}")
+for w, o in ops.items():
+    ratio = o["change"] / o["base"] if o["base"] else float("nan")
+    print(f"{w:<15} {'ops per run':<18} {o['base']:>30.0f} {o['change']:>30.0f} {ratio:>6.3f}")
 sys.exit(0 if ok else 1)
 PY
