@@ -46,7 +46,9 @@
 //!   only small runs are owed an answer the driver first polls both
 //!   sides through `handoff::poll_handoff`, the bounded poll the disk
 //!   task and a small collective's client wait through too, rather than
-//!   be woken once per disk answer.
+//!   be woken once per disk answer. After `IDLE_POLLS` polls in a row
+//!   that found nothing (a held-up disk) it parks alone until an input
+//!   arrives.
 //! * **The disk task** is one named thread (`panda-disk-<server>`) per
 //!   server, spawned in [`ServerNode::run`], and serves every request:
 //!   it keeps a per-request file table and schedule, and processes
@@ -148,6 +150,12 @@ use crate::window::{Action, Input, Unexpected};
 /// transport, when disk work is outstanding but nothing else moved (and,
 /// when only small runs owe it, once the hand-off poll found nothing).
 const DISK_PARK: Duration = Duration::from_micros(200);
+
+/// How many hand-off polls in a row may find nothing before the driver
+/// parks on the disk channel alone, until an input arrives: a small
+/// run's disk answer that is held up (a slow disk) costs about a
+/// millisecond of polling, not a poll after every park.
+const IDLE_POLLS: u32 = 4;
 
 /// Whether a run is small: its bytes on this server (its schedule's
 /// files) are below the one size line, `freelist::is_small`. A small
@@ -737,6 +745,8 @@ impl ServerNode {
         st: &mut SchedState,
         out_rx: &mpsc::Receiver<DiskOut>,
     ) -> Result<(), PandaError> {
+        // Hand-off polls in a row that found nothing; any input resets it.
+        let mut idle_polls = 0;
         loop {
             let mut progress = false;
             while let Some((src, msg)) = try_recv_msg(&mut *self.transport, MatchSpec::any())? {
@@ -752,14 +762,16 @@ impl ServerNode {
                 return Ok(());
             }
             if progress {
+                idle_polls = 0;
                 continue;
             }
             if st.node.disk_owed() > 0 {
                 // Disk work outstanding: progress may come from either
                 // side. A small run's disk answer is microseconds away,
                 // so when only small runs are owed one, poll both sides
-                // first (`poll_handoff`).
-                if st.node.owing().all(|run| is_small(&run.sched)) {
+                // first (`poll_handoff`), unless the last `IDLE_POLLS`
+                // polls found nothing.
+                if idle_polls < IDLE_POLLS && st.node.owing().all(|run| is_small(&run.sched)) {
                     let arrived = poll_handoff(|| {
                         if let Ok(done) = out_rx.try_recv() {
                             return Some(self.disk_done(st, done));
@@ -774,13 +786,18 @@ impl ServerNode {
                     });
                     if let Some(served) = arrived {
                         served?;
+                        idle_polls = 0;
                         continue;
                     }
+                    idle_polls += 1;
                 }
                 // Then park briefly on the disk channel and re-poll the
                 // transport.
                 match out_rx.recv_timeout(DISK_PARK) {
-                    Ok(done) => self.disk_done(st, done)?,
+                    Ok(done) => {
+                        self.disk_done(st, done)?;
+                        idle_polls = 0;
+                    }
                     Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Err(_) => return Err(PandaError::protocol("disk task stopped early")),
                 }
@@ -793,6 +810,7 @@ impl ServerNode {
                 let (src, msg) = recv_msg(&mut *self.transport, MatchSpec::any())?;
                 let wait = t_wait.map_or(Duration::ZERO, |t| t.elapsed());
                 self.dispatch(st, src, msg, wait)?;
+                idle_polls = 0;
             }
         }
     }

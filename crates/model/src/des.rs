@@ -35,10 +35,12 @@ use panda_core::protocol::ArrayOp;
 use panda_core::{ArrayMeta, CollectiveSchedule, OpKind, ScheduleStep};
 use panda_fs::aix::IoDirection;
 use panda_fs::SyncPolicy;
-use panda_sim::{ns_to_secs, secs_to_ns, Engine, Resource, SimTime};
 
 use crate::machine::Sp2Machine;
 use crate::report::SimReport;
+use clock::{ns_to_secs, secs_to_ns, Engine, Resource, SimTime};
+
+mod clock;
 
 /// One collective operation to simulate.
 #[derive(Debug, Clone)]

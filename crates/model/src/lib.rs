@@ -4,8 +4,9 @@
 //! *real* Panda protocol — the `panda_core::mesh` composition of the
 //! master's admission, the servers' windows and the compute nodes'
 //! participants, over the real planner's schedule — through a
-//! discrete-event simulation (`panda-sim`'s timed queue) of that machine,
-//! calibrated from the paper's Table 1:
+//! discrete-event simulation of that machine (the [`des`] module, on a
+//! timed queue and FIFO resources of its own), calibrated from the
+//! paper's Table 1:
 //!
 //! | parameter | value | source |
 //! |---|---|---|
