@@ -471,11 +471,6 @@ impl PandaClient {
         // The group — not the array — is the unit of scheduling: one
         // request stream carries every array, and the servers interleave
         // their subchunks through one pipeline window.
-        self.emit(&Event::GroupSubmit {
-            op,
-            arrays: arrays.len() as u32,
-            pipeline_depth: pipeline_depth as u32,
-        });
         let req = CollectiveRequest {
             request,
             participants,

@@ -354,23 +354,27 @@ struct DiskRun {
     sched: Arc<CollectiveSchedule>,
 }
 
-/// Run `sync` and report it as one `DiskSyncDone` over `files` files.
+/// Run `sync`, the syncs step `si` (subchunk `key`) made due, and record
+/// it as that step's `Sync`.
 fn timed_sync(
     recorder: &dyn Recorder,
     node: u32,
-    files: u32,
+    key: SubchunkKey,
+    si: usize,
     sync: impl FnOnce() -> Result<(), FsError>,
 ) -> Result<(), FsError> {
     let t_sync = recorder.enabled().then(Instant::now);
     sync()?;
     if let Some(t) = t_sync {
-        recorder.record(
-            node,
-            &Event::DiskSyncDone {
-                files,
-                dur: t.elapsed(),
-            },
-        );
+        let event = Event::Step {
+            key,
+            seq: piece_seq(si, 0),
+            action: StepAction::Sync,
+            bytes: 0,
+            peer: None,
+            dur: t.elapsed(),
+        };
+        recorder.record(node, &event);
     }
     Ok(())
 }
@@ -466,13 +470,14 @@ fn run_disk_task(
                 let (steps, policy) = (&run.sched.steps, run.sched.sync_policy);
                 let step = steps.get(si).ok_or_else(|| no_step("write", request, si))?;
                 let bytes = buf.len() as u64;
+                let key = SubchunkKey::scoped(request, server, step.array, step.subchunk);
                 let t_disk = recorder.enabled().then(Instant::now);
                 // The write lands here, before the next command is served.
                 let f = &mut run.files[step.file];
                 f.write_at(step.sub.file_offset, &buf)?;
                 if let Some(t) = t_disk {
                     let event = Event::Step {
-                        key: SubchunkKey::scoped(request, server, step.array, step.subchunk),
+                        key,
                         seq: piece_seq(si, 0),
                         action: StepAction::Write,
                         bytes,
@@ -485,7 +490,7 @@ fn run_disk_task(
                 // fsync at once, before the buffer goes back, so the
                 // next fetch never overlaps a flush.
                 if matches!(policy, SyncPolicy::PerWrite) {
-                    timed_sync(recorder.as_ref(), node, 1, || f.sync())?;
+                    timed_sync(recorder.as_ref(), node, key, si, || f.sync())?;
                 }
                 freelist::give(buf);
                 // Steps are file-sequential: a step is its file's last
@@ -502,15 +507,14 @@ fn run_disk_task(
                 // last subchunk is written, overlapped with the rest of
                 // the schedule.
                 if last_of_file && matches!(policy, SyncPolicy::PerFile) {
-                    timed_sync(recorder.as_ref(), node, 1, || f.sync())?;
+                    timed_sync(recorder.as_ref(), node, key, si, || f.sync())?;
                 }
                 if last {
                     if matches!(policy, SyncPolicy::PerCollective) {
                         // One coalesced barrier for the whole request:
                         // every fsync happens after every write has
                         // landed, so no flush ever sits between two writes.
-                        let n = run.files.len() as u32;
-                        timed_sync(recorder.as_ref(), node, n, || {
+                        timed_sync(recorder.as_ref(), node, key, si, || {
                             run.files.iter_mut().try_for_each(|f| f.sync())
                         })?;
                     }
@@ -602,32 +606,34 @@ fn check_participants(req: &CollectiveRequest, num_clients: usize) -> Result<(),
 }
 
 /// The `seq` of a `Fetch` or a push: the piece it names (a disk step's
-/// event names its step's piece 0).
+/// or a sync's event names its step's piece 0).
 fn piece_seq(step: usize, piece: usize) -> u64 {
     (step as u64) << 32 | piece as u64
 }
 
-/// Run one reorganization copy — a fetched piece into its subchunk
-/// (write), or a subchunk's piece out of it (read) — of `bytes` bytes,
-/// and record it, on the driver: a write's where its piece lands, a
-/// read's where its piece is pushed.
+/// Run one reorganization copy — piece `pi` of step `si` into its
+/// subchunk `key` (write), or out of it (read) — of `bytes` bytes, and
+/// record it as a `Reorg` step, on the driver: a write's where its piece
+/// lands, a read's where its piece is pushed.
 fn reorg<T>(
     recorder: &dyn Recorder,
     node: u32,
     key: SubchunkKey,
-    piece: usize,
+    si: usize,
+    pi: usize,
     bytes: usize,
     copy: impl FnOnce() -> Result<T, SchemaError>,
 ) -> Result<(), SchemaError> {
     let t_pack = recorder.enabled().then(Instant::now);
     copy()?;
     if let Some(t) = t_pack {
-        let (piece, bytes, dur) = (piece as u32, bytes as u64, t.elapsed());
-        let event = Event::ReorgWorker {
+        let event = Event::Step {
             key,
-            piece,
-            bytes,
-            dur,
+            seq: piece_seq(si, pi),
+            action: StepAction::Reorg,
+            bytes: bytes as u64,
+            peer: None,
+            dur: t.elapsed(),
         };
         recorder.record(node, &event);
     }
@@ -860,7 +866,7 @@ impl ServerNode {
         let (node, key) = (self.my_rank(), self.key_of(run.request, step));
         let (region, sub, elem) = (&step.sub.pieces[pi].region, &step.sub.region, step.elem);
         let copy = || copy::copy_region(&payload, region, buf, sub, region, elem);
-        reorg(&*self.recorder, node, key, pi, payload.len(), copy)?;
+        reorg(&*self.recorder, node, key, si, pi, payload.len(), copy)?;
         payload.recycle();
         Ok(())
     }
@@ -891,7 +897,7 @@ impl ServerNode {
             let bytes = piece.region.num_bytes(elem);
             let mut packed = freelist::take(bytes);
             let pack = || copy::pack_region_into(&mut packed, &buf, sub, &piece.region, elem);
-            reorg(&*self.recorder, node, key, pi, bytes, pack)?;
+            reorg(&*self.recorder, node, key, si, pi, bytes, pack)?;
             self.push(run, si, pi, awaited, packed)?;
         }
         freelist::give(buf);
@@ -1491,7 +1497,11 @@ mod tests {
 
     impl Recorder for HoldFirstSync {
         fn record(&self, _: u32, event: &Event<'_>) {
-            if let Event::DiskSyncDone { .. } = event {
+            if let Event::Step {
+                action: StepAction::Sync,
+                ..
+            } = event
+            {
                 if let Some((reached, go)) = self.0.lock().unwrap().take() {
                     reached.send(()).unwrap();
                     go.recv().unwrap();
@@ -1636,6 +1646,62 @@ mod tests {
         for server in 0..2 {
             let sched = schedule(&[(&[256, 256, 128], F64, &[1, 1, 2], true)], server, 2);
             assert!(!is_small(&sched), "bulk array, server {server}");
+        }
+    }
+
+    /// Each sync a write's policy owes is one `Sync` step, named by the
+    /// step whose write made it due: every step under per-write, each
+    /// file's last under per-file, the run's last under per-collective.
+    #[test]
+    fn each_sync_is_recorded_as_the_step_that_made_it_due() {
+        use panda_schema::ElementType::U8;
+        // Two files of two steps each: two natural chunks per array.
+        let arrays: [Array; 2] = [(&[8], U8, &[2], false), (&[8], U8, &[2], false)];
+        let cases = [
+            (SyncPolicy::PerWrite, &[0, 1, 2, 3][..]),
+            (SyncPolicy::PerFile, &[1, 3]),
+            (SyncPolicy::PerCollective, &[3]),
+        ];
+        for (policy, due) in cases {
+            let mut sched = schedule(&arrays, 0, 1);
+            sched.sync_policy = policy;
+            let files: Vec<usize> = sched.steps.iter().map(|s| s.file).collect();
+            assert_eq!(files, [0, 0, 1, 1]);
+            let sched = Arc::new(sched);
+            let rec = Arc::new(panda_obs::TelemetryRecorder::with_ring(64));
+            let disk = DiskTask::recorded(Arc::new(MemFs::new()), rec.clone());
+            disk.send(DiskCmd::Open {
+                request: 7,
+                write: true,
+                sched: Arc::clone(&sched),
+            });
+            for (si, step) in sched.steps.iter().enumerate() {
+                let buf = vec![1; step.sub.bytes];
+                disk.send(DiskCmd::Write {
+                    request: 7,
+                    step: si,
+                    buf,
+                });
+            }
+            let (outs, result) = disk.finish();
+            result.unwrap();
+            assert_eq!(outs.len(), sched.steps.len());
+            let recorded: Vec<_> = rec
+                .timeline()
+                .unwrap()
+                .into_iter()
+                .filter(|e| e.action == Some(StepAction::Sync))
+                .map(|e| (e.key.unwrap(), e.seq.unwrap()))
+                .collect();
+            let expected: Vec<_> = due
+                .iter()
+                .map(|&si| {
+                    let step = &sched.steps[si];
+                    let key = SubchunkKey::scoped(7, 0, step.array, step.subchunk);
+                    (key, piece_seq(si, 0))
+                })
+                .collect();
+            assert_eq!(recorded, expected, "{}", policy.name());
         }
     }
 

@@ -1,7 +1,7 @@
 //! Group-concurrent collectives: a batched multi-array request must
 //! produce byte-identical files to one collective per array, at every
 //! pipeline depth and on both MemFs and LocalFs; the scheduler must
-//! advertise itself through `GroupSubmit`/`ReorgWorker` events;
+//! advertise itself through `RequestIssued` events and `Reorg` steps;
 //! `restart` must refuse a group whose generation marker never landed;
 //! and a tag written again is rewritten in place when its shape is the
 //! same (no `create`, the seed's bytes) and from scratch when it is not
@@ -18,7 +18,7 @@ use panda_core::{
     ReadSet, WriteSet,
 };
 use panda_fs::{FileHandle, FileSystem, FsError, MemFs, SyncPolicy};
-use panda_obs::{EventKind, Recorder, TelemetryRecorder};
+use panda_obs::{EventKind, Recorder, StepAction, TelemetryRecorder};
 use panda_schema::ElementType;
 
 const CLIENTS: usize = 4;
@@ -631,7 +631,7 @@ fn sync_policy_controls_barrier_count() {
         let events = rec.timeline().expect("timeline recorder keeps events");
         events
             .iter()
-            .filter(|e| e.kind == EventKind::DiskSyncDone)
+            .filter(|e| e.action == Some(StepAction::Sync))
             .count()
     };
 
@@ -668,17 +668,18 @@ fn group_scheduler_reports_itself() {
     system.shutdown(clients).unwrap();
 
     let events = rec.timeline().expect("timeline recorder keeps events");
-    // The master client announced both batched submissions with the
-    // full group size.
+    // The master server took both batched submissions, one request
+    // each.
+    let master = CLIENTS as u32;
     let submits: Vec<_> = events
         .iter()
-        .filter(|e| e.kind == EventKind::GroupSubmit)
+        .filter(|e| e.kind == EventKind::RequestIssued && e.node == master)
         .collect();
-    assert_eq!(submits.len(), 2, "one GroupSubmit per collective");
+    assert_eq!(submits.len(), 2, "one RequestIssued per collective");
     // The servers' drivers reorganized pieces.
     assert!(
-        events.iter().any(|e| e.kind == EventKind::ReorgWorker),
-        "no ReorgWorker events from the servers"
+        events.iter().any(|e| e.action == Some(StepAction::Reorg)),
+        "no Reorg steps from the servers"
     );
     // The report aggregates cross-array overlap without breaking the
     // schema.

@@ -6,6 +6,7 @@
 
 mod common;
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use common::*;
@@ -178,7 +179,7 @@ fn single_array_read_at_depth_3_prefetches() {
     );
     assert!(queued.len() >= 2 * SERVERS);
     // And the read direction reorganized, on each server's driver.
-    assert!(events.iter().any(|e| e.kind == EventKind::ReorgWorker));
+    assert!(events.iter().any(|e| e.action == Some(StepAction::Reorg)));
 }
 
 /// Natural chunking is all identity steps: the servers pass buffers
@@ -206,7 +207,7 @@ fn natural_chunking_reports_no_server_reorganization() {
     let events = rec.timeline().expect("timeline recorder keeps events");
     let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
     let steps = |a: StepAction| events.iter().filter(|e| e.action == Some(a)).count();
-    assert_eq!(count(EventKind::ReorgWorker), 0);
+    assert_eq!(steps(StepAction::Reorg), 0);
     // Everything else of the step's life is still there.
     assert!(steps(StepAction::Fetch) > 0);
     assert_eq!(steps(StepAction::Fetch), steps(StepAction::Write));
@@ -301,26 +302,41 @@ fn metrics_and_the_run_report_agree_step_for_step() {
         CollectiveSchedule::build(&[array], op, server, SERVERS, 256, SyncPolicy::default())
     };
     let events = rec.timeline().unwrap();
-    let mut seen = 0;
+    // A copy names no direction of its own; its request's other steps do.
+    let op_of: HashMap<u64, OpKind> = events
+        .iter()
+        .filter_map(|e| {
+            let op = match e.action? {
+                StepAction::Fetch | StepAction::Write | StepAction::Sync => OpKind::Write,
+                StepAction::Read | StepAction::Scatter => OpKind::Read,
+                StepAction::Reorg => return None,
+            };
+            Some((e.key?.request, op))
+        })
+        .collect();
+    let (mut seen, mut copies) = (0, 0);
     for e in events.iter().filter(|e| e.kind == EventKind::Step) {
         let (key, seq, action) = (e.key.unwrap(), e.seq.unwrap(), e.action.unwrap());
-        let op = match action {
-            StepAction::Fetch | StepAction::Write => OpKind::Write,
-            StepAction::Read | StepAction::Scatter => OpKind::Read,
-        };
-        let sched = schedule(key.server, op);
+        let sched = schedule(key.server, op_of[&key.request]);
         let (si, pi) = ((seq >> 32) as usize, seq as u32 as usize);
         let step = sched.steps.get(si).expect("seq names a step");
         let named = (step.array, step.subchunk as u32);
         assert_eq!(named, (key.array, key.subchunk), "{action:?} seq {seq}");
         let piece = step.sub.pieces.get(pi).expect("seq names a piece");
         match action {
-            StepAction::Write | StepAction::Read => assert_eq!((pi, e.peer), (0, None)),
+            StepAction::Write | StepAction::Read | StepAction::Sync => {
+                assert_eq!((pi, e.peer), (0, None))
+            }
             StepAction::Fetch | StepAction::Scatter => {
                 assert_eq!(e.peer, Some(piece.client as u32), "{action:?} seq {seq}")
+            }
+            StepAction::Reorg => {
+                assert_eq!(e.peer, None);
+                copies += 1;
             }
         }
         seen += 1;
     }
     assert!(seen > 0);
+    assert!(copies > 0, "a traditional-order run copies pieces");
 }

@@ -17,7 +17,7 @@
 //! requests proportionally harder, and it hits writes much harder than
 //! reads (AIX write-behind and allocation overheads were large).
 //!
-//! All times are virtual nanoseconds; the model performs no I/O.
+//! All times are in seconds; the model performs no I/O.
 
 /// One binary megabyte, the paper's reference request size.
 pub const MB: f64 = 1024.0 * 1024.0;
@@ -80,16 +80,6 @@ impl AixModel {
         overhead + bytes as f64 / self.raw_bandwidth
     }
 
-    /// Time for one access of `bytes`, in virtual nanoseconds, including
-    /// the seek penalty when `sequential` is false.
-    pub fn access_time_ns(&self, bytes: usize, dir: IoDirection, sequential: bool) -> u64 {
-        let mut t = self.access_time(bytes, dir);
-        if !sequential {
-            t += self.seek_penalty;
-        }
-        (t * 1e9).round() as u64
-    }
-
     /// Modeled throughput in MB/s for back-to-back sequential accesses of
     /// `bytes` each.
     pub fn throughput_mbs(&self, bytes: usize, dir: IoDirection) -> f64 {
@@ -138,19 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn seek_penalty_only_on_nonsequential() {
-        let m = AixModel::nas_sp2();
-        let seq = m.access_time_ns(4096, IoDirection::Read, true);
-        let rnd = m.access_time_ns(4096, IoDirection::Read, false);
-        assert_eq!(rnd - seq, 20_000_000);
-    }
-
-    #[test]
     fn access_time_is_monotone_in_size() {
         let m = AixModel::nas_sp2();
-        let mut prev = 0u64;
+        let mut prev = 0.0;
         for kb in [1usize, 4, 64, 256, 1024, 4096] {
-            let t = m.access_time_ns(kb << 10, IoDirection::Write, true);
+            let t = m.access_time(kb << 10, IoDirection::Write);
             assert!(t > prev);
             prev = t;
         }

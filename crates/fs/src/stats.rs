@@ -99,18 +99,6 @@ impl IoStats {
     pub fn syncs(&self) -> u64 {
         self.syncs.load(Ordering::Relaxed)
     }
-
-    /// Fraction of accesses that were sequential, in `[0, 1]`; 1.0 when
-    /// there were no accesses at all.
-    pub fn sequential_fraction(&self) -> f64 {
-        let seq = self.sequential_ops() as f64;
-        let total = seq + self.seeks() as f64;
-        if total == 0.0 {
-            1.0
-        } else {
-            seq / total
-        }
-    }
 }
 
 /// Tracks the next sequential offset for one file handle.
@@ -189,11 +177,5 @@ mod tests {
         assert_eq!(s.seeks(), 1);
         assert_eq!(s.sequential_ops(), 2);
         assert_eq!(s.syncs(), 1);
-        assert!((s.sequential_fraction() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sequential_fraction_with_no_ops_is_one() {
-        assert_eq!(IoStats::new().sequential_fraction(), 1.0);
     }
 }

@@ -24,7 +24,7 @@ use parking_lot::RwLock;
 
 use panda_obs::{Event, Recorder};
 
-use crate::aix::{AixModel, IoDirection};
+use crate::aix::AixModel;
 use crate::error::FsError;
 use crate::stats::IoStats;
 use crate::traits::{FileHandle, FileSystem};
@@ -214,15 +214,10 @@ impl FileHandle for ThrottledHandle {
     }
 }
 
-/// The model a [`ThrottledFs::aix`] instance reproduces, for asserting
-/// expected durations in tests and reports.
-pub fn aix_wall_clock(bytes: usize, dir: IoDirection) -> Duration {
-    Duration::from_secs_f64(AixModel::nas_sp2().access_time(bytes, dir))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aix::IoDirection;
     use crate::mem::MemFs;
     use std::time::Instant;
 
@@ -276,7 +271,8 @@ mod tests {
         let start = Instant::now();
         h.write_at(0, &[0u8; 64 << 10]).unwrap();
         let elapsed = start.elapsed();
-        let modeled = aix_wall_clock(64 << 10, IoDirection::Write);
+        let secs = AixModel::nas_sp2().access_time(64 << 10, IoDirection::Write);
+        let modeled = Duration::from_secs_f64(secs);
         assert!(
             elapsed >= modeled.mul_f64(0.95),
             "AIX-throttled write took {elapsed:?}, model says {modeled:?}"

@@ -32,7 +32,6 @@
 pub mod envelope;
 pub mod error;
 pub mod freelist;
-pub mod group;
 pub mod inproc;
 mod mailbox;
 mod obs;
@@ -42,7 +41,6 @@ pub mod transport;
 
 pub use envelope::{Bytes, Envelope, NodeId, Payload};
 pub use error::MsgError;
-pub use group::Group;
 pub use inproc::{InProcEndpoint, InProcFabric};
 pub use stats::FabricStats;
 pub use tcp::{TcpEndpoint, TcpFabric};

@@ -394,32 +394,6 @@ mod tests {
         assert!(matches!(env.payload, Payload::Inline(ref v) if v == &[1, 2, 3]));
     }
 
-    #[test]
-    fn collectives_work_over_tcp() {
-        // The Group helpers are transport-generic: barrier, broadcast,
-        // and gather run unchanged over sockets.
-        let eps = fabric(3);
-        let group = crate::group::Group::range(0, 3);
-        std::thread::scope(|s| {
-            for (i, mut ep) in eps.into_iter().enumerate() {
-                let group = &group;
-                s.spawn(move || {
-                    group.barrier(&mut ep, 50).unwrap();
-                    let got = if i == 0 {
-                        group.broadcast(&mut ep, 51, Some(vec![42])).unwrap()
-                    } else {
-                        group.broadcast(&mut ep, 51, None).unwrap()
-                    };
-                    assert_eq!(got, vec![42]);
-                    let gathered = group.gather(&mut ep, 52, vec![i as u8]).unwrap();
-                    if i == 0 {
-                        assert_eq!(gathered, vec![vec![0], vec![1], vec![2]]);
-                    }
-                });
-            }
-        });
-    }
-
     /// A frame header with both lengths as given.
     fn frame(tag: u32, len: u64, head_len: u32, payload: &[u8]) -> Vec<u8> {
         let mut f = Vec::new();

@@ -56,8 +56,9 @@ impl OpDir {
     }
 }
 
-/// What a step of a server's schedule did: the collective window's
-/// actions (`panda_core::window::Action`) that move a step's bytes.
+/// What an I/O node did for one step of its schedule: the collective
+/// window's actions that move a step's bytes (`panda_core::window::Action`),
+/// a piece's reorganization copy, and the sync a step's write made due.
 /// Declared here for the same reason as [`OpDir`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StepAction {
@@ -69,6 +70,13 @@ pub enum StepAction {
     Read,
     /// Read: a piece was pushed to its client.
     Scatter,
+    /// A piece was copied on the driver: a write piece into its subchunk
+    /// where it landed, or a read piece out of it just before its push.
+    Reorg,
+    /// Write: the disk task synced what the step's write made due under
+    /// the request's `SyncPolicy` (the file system reports each file's
+    /// flush as [`Event::FsSync`]).
+    Sync,
 }
 
 impl StepAction {
@@ -79,16 +87,20 @@ impl StepAction {
             StepAction::Write => "write",
             StepAction::Read => "read",
             StepAction::Scatter => "push",
+            StepAction::Reorg => "reorg",
+            StepAction::Sync => "sync",
         }
     }
 
     /// The phase a step's duration belongs to: a fetch's wait is the
-    /// exchange, a disk call the disk; a push carries no duration.
+    /// exchange, a disk call the disk, a copy reorganization; a push
+    /// carries no duration, and a sync's is the file system's to report.
     pub fn phase(self) -> Option<Phase> {
         match self {
             StepAction::Fetch => Some(Phase::Exchange),
             StepAction::Write | StepAction::Read => Some(Phase::Disk),
-            StepAction::Scatter => None,
+            StepAction::Reorg => Some(Phase::Reorg),
+            StepAction::Scatter | StepAction::Sync => None,
         }
     }
 }
@@ -118,30 +130,33 @@ pub enum Event<'a> {
         /// Its size in bytes.
         bytes: u64,
     },
-    /// One step of a server's schedule did one of the window's actions:
-    /// a fetched piece arrived, a subchunk was written or read, a piece
-    /// was pushed. The one record of a step; its phase is its action's
+    /// An I/O node did one thing for one step of its schedule: a fetched
+    /// piece arrived, a subchunk was written or read, a piece was pushed,
+    /// a piece was copied, the step's write was synced. The one record
+    /// of what a step did; its phase is its action's
     /// ([`StepAction::phase`]).
     Step {
         /// Which subchunk.
         key: SubchunkKey,
         /// `step << 32 | piece`, as the piece's `Fetch` or `Data` names
-        /// it on the wire (piece 0 for a disk step). The window fetches
-        /// and pushes in schedule order, so sorted by `seq` a server's
-        /// fetches or pushes are in the order they were issued.
+        /// it on the wire (piece 0 for a disk step or a sync). The window
+        /// fetches and pushes in schedule order, so sorted by `seq` a
+        /// server's fetches or pushes are in the order they were issued.
         seq: u64,
         /// What the step did.
         action: StepAction,
-        /// Payload bytes.
+        /// Payload bytes (the bytes copied, for a reorganization; zero
+        /// for a sync).
         bytes: u64,
         /// Client rank the piece came from or went to (`None` for a
-        /// disk step).
+        /// disk step, a copy or a sync).
         peer: Option<u32>,
         /// [`StepAction::Fetch`]: the time the server was blocked
         /// waiting for the piece; [`StepAction::Write`] and
         /// [`StepAction::Read`]: the file-system call;
-        /// [`StepAction::Scatter`]: zero. The event is stamped at the
-        /// end, so a disk step's start is when the disk began it.
+        /// [`StepAction::Reorg`]: the copy; [`StepAction::Sync`]: the
+        /// syncs; [`StepAction::Scatter`]: zero. The event is stamped at
+        /// the end, so a disk step's start is when the disk began it.
         dur: Duration,
     },
     /// A node finished its share of a collective operation.
@@ -250,40 +265,6 @@ pub enum Event<'a> {
         /// Time actually slept.
         dur: Duration,
     },
-    /// A master client submitted a collective request: one schedule
-    /// covering the whole array group (a single array is a group of
-    /// one — the request, not the array, is the unit of scheduling).
-    GroupSubmit {
-        /// Write or read.
-        op: OpDir,
-        /// Number of arrays batched into the request.
-        arrays: u32,
-        /// Requested pipeline depth.
-        pipeline_depth: u32,
-    },
-    /// A server's driver moved one piece of a subchunk: it assembled a
-    /// write piece into the subchunk where the piece landed, or packed a
-    /// read piece out of it just before pushing the piece.
-    ReorgWorker {
-        /// Which subchunk.
-        key: SubchunkKey,
-        /// Piece index within the step's piece list (a section read's
-        /// list holds only the pieces the section touches, clipped).
-        piece: u32,
-        /// Bytes moved.
-        bytes: u64,
-        /// Copy time.
-        dur: Duration,
-    },
-    /// The collective disk stage retired a sync barrier: `files` files
-    /// were flushed under the request's `SyncPolicy` (1 for per-write
-    /// and per-file barriers, the whole schedule for per-collective).
-    DiskSyncDone {
-        /// Files covered by this barrier.
-        files: u32,
-        /// Wall time of the barrier (the fsyncs).
-        dur: Duration,
-    },
     /// The master server refused to admit a collective request
     /// (surfaced to the submitter as `PandaError::Admission`). The
     /// flight recorder treats this as an incident trigger.
@@ -307,7 +288,7 @@ pub enum Event<'a> {
 }
 
 /// Number of event kinds (array dimension for per-kind counters).
-pub const KIND_COUNT: usize = 17;
+pub const KIND_COUNT: usize = 14;
 
 /// Fieldless mirror of [`Event`], used to index per-kind counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -336,12 +317,6 @@ pub enum EventKind {
     FsSync,
     /// See [`Event::ThrottleSleep`].
     ThrottleSleep,
-    /// See [`Event::GroupSubmit`].
-    GroupSubmit,
-    /// See [`Event::ReorgWorker`].
-    ReorgWorker,
-    /// See [`Event::DiskSyncDone`].
-    DiskSyncDone,
     /// See [`Event::AdmissionReject`].
     AdmissionReject,
     /// See [`Event::RequestError`].
@@ -363,9 +338,6 @@ impl EventKind {
         EventKind::FsWrite,
         EventKind::FsSync,
         EventKind::ThrottleSleep,
-        EventKind::GroupSubmit,
-        EventKind::ReorgWorker,
-        EventKind::DiskSyncDone,
         EventKind::AdmissionReject,
         EventKind::RequestError,
     ];
@@ -390,9 +362,6 @@ impl EventKind {
             EventKind::FsWrite => "fs_write",
             EventKind::FsSync => "fs_sync",
             EventKind::ThrottleSleep => "throttle_sleep",
-            EventKind::GroupSubmit => "group_submit",
-            EventKind::ReorgWorker => "reorg_worker",
-            EventKind::DiskSyncDone => "disk_sync_done",
             EventKind::AdmissionReject => "admission_reject",
             EventKind::RequestError => "request_error",
         }
@@ -460,9 +429,6 @@ impl Event<'_> {
             Event::FsWrite { .. } => EventKind::FsWrite,
             Event::FsSync { .. } => EventKind::FsSync,
             Event::ThrottleSleep { .. } => EventKind::ThrottleSleep,
-            Event::GroupSubmit { .. } => EventKind::GroupSubmit,
-            Event::ReorgWorker { .. } => EventKind::ReorgWorker,
-            Event::DiskSyncDone { .. } => EventKind::DiskSyncDone,
             Event::AdmissionReject { .. } => EventKind::AdmissionReject,
             Event::RequestError { .. } => EventKind::RequestError,
         }
@@ -470,14 +436,12 @@ impl Event<'_> {
 
     /// The bucket this event's duration contributes to in the
     /// paper-style phase decomposition, if any: a step's is its
-    /// action's, the copies are reorganization. Phase sums use only
+    /// action's, a client's copies are reorganization. Phase sums use only
     /// this, so the same duration is never counted in two phases.
     pub fn phase(&self) -> Option<Phase> {
         match self {
             Event::Step { action, .. } => action.phase(),
-            Event::ClientPacked { .. }
-            | Event::ClientUnpacked { .. }
-            | Event::ReorgWorker { .. } => Some(Phase::Reorg),
+            Event::ClientPacked { .. } | Event::ClientUnpacked { .. } => Some(Phase::Reorg),
             Event::ThrottleSleep { .. } => Some(Phase::Throttle),
             Event::MsgReceived { .. } => Some(Phase::RecvWait),
             _ => None,
@@ -487,9 +451,7 @@ impl Event<'_> {
     /// The subchunk this event belongs to, if it is keyed.
     pub fn key(&self) -> Option<SubchunkKey> {
         match self {
-            Event::SubchunkPlanned { key, .. }
-            | Event::Step { key, .. }
-            | Event::ReorgWorker { key, .. } => Some(*key),
+            Event::SubchunkPlanned { key, .. } | Event::Step { key, .. } => Some(*key),
             _ => None,
         }
     }
@@ -505,8 +467,7 @@ impl Event<'_> {
             | Event::MsgReceived { bytes, .. }
             | Event::FsRead { bytes, .. }
             | Event::FsWrite { bytes, .. }
-            | Event::ThrottleSleep { bytes, .. }
-            | Event::ReorgWorker { bytes, .. } => *bytes,
+            | Event::ThrottleSleep { bytes, .. } => *bytes,
             _ => 0,
         }
     }
@@ -523,9 +484,7 @@ impl Event<'_> {
             | Event::FsRead { dur, .. }
             | Event::FsWrite { dur, .. }
             | Event::FsSync { dur, .. }
-            | Event::ThrottleSleep { dur, .. }
-            | Event::ReorgWorker { dur, .. }
-            | Event::DiskSyncDone { dur, .. } => Some(*dur),
+            | Event::ThrottleSleep { dur, .. } => Some(*dur),
             _ => None,
         }
     }
@@ -664,19 +623,23 @@ mod tests {
     fn each_action_feeds_at_most_one_phase() {
         // `phase()` returning at most one bucket per action is what
         // keeps the decomposition additive: exchange is the driver's
-        // blocked wait, disk the disk task's call; a push only sends.
+        // blocked wait, disk the disk task's call, reorganization the
+        // driver's copy; a push only sends, and a sync's time is the file
+        // system's `FsSync`.
         use StepAction::*;
-        let actions = [Fetch, Write, Read, Scatter];
+        let actions = [Fetch, Write, Read, Scatter, Reorg, Sync];
         let expected = [
             Some(Phase::Exchange),
             Some(Phase::Disk),
             Some(Phase::Disk),
             None,
+            Some(Phase::Reorg),
+            None,
         ];
         assert_eq!(actions.map(StepAction::phase), expected);
         assert_eq!(
             actions.map(StepAction::name),
-            ["fetch", "write", "read", "push"]
+            ["fetch", "write", "read", "push", "reorg", "sync"]
         );
     }
 }

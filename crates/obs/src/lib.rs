@@ -7,11 +7,12 @@
 //! did subchunk *k* spend its time" instead of offering disconnected
 //! per-crate counters.
 //!
-//! * [`Event`] — the typed event vocabulary. A server records each step
-//!   of its schedule as one [`Event::Step`], named by the collective
-//!   window's action ([`StepAction`]: a piece fetched, a subchunk
-//!   written or read, a piece pushed), keyed by [`SubchunkKey`]
-//!   `(request, server, array, subchunk)` and by the wire's `seq`; the
+//! * [`Event`] — the typed event vocabulary. A server records what it
+//!   did for each step of its schedule as one [`Event::Step`], named by
+//!   its action ([`StepAction`]: a piece fetched, a subchunk written or
+//!   read, a piece pushed or copied, a write synced), keyed by
+//!   [`SubchunkKey`] `(request, server, array, subchunk)` and by the
+//!   wire's `seq`; the
 //!   action alone says which phase its duration is
 //!   ([`StepAction::phase`]). Transport events carry tags and byte
 //!   counts; file-system events carry per-call device time.

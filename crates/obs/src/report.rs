@@ -78,7 +78,8 @@ pub struct RunReport {
     /// Phase durations per subchunk, sorted by key (ring runs only).
     pub per_subchunk: Vec<SubchunkPhases>,
     /// Seconds during which a node was doing measured subchunk work
-    /// (exchange / disk / reorg) for two *different* arrays at once,
+    /// (exchange / disk / reorg: a sync is not) for two *different*
+    /// arrays at once,
     /// summed over nodes (ring runs only). Nonzero only when group
     /// scheduling actually interleaves arrays; a strict
     /// array-at-a-time run reports 0.
@@ -258,14 +259,16 @@ fn per_node_phases(events: &[TimelineEvent]) -> Vec<NodePhases> {
 }
 
 /// Seconds a node spent inside keyed, duration-carrying events of two
-/// different arrays simultaneously, summed over nodes. Each (node,
-/// array)'s busy intervals are merged into a disjoint union first, so a
-/// node overlapping itself within one array contributes nothing.
+/// different arrays simultaneously, summed over nodes. Only events with a
+/// phase count as work on an array: a sync is the file system's time.
+/// Each (node, array)'s busy intervals are merged into a disjoint union
+/// first, so a node overlapping itself within one array contributes
+/// nothing.
 fn cross_array_overlap(events: &[TimelineEvent]) -> f64 {
     let mut busy: BTreeMap<(u32, u32), Vec<(u64, u64)>> = BTreeMap::new();
     for e in events {
         let Some(key) = e.key else { continue };
-        if e.dur_nanos == 0 {
+        if e.phase.is_none() || e.dur_nanos == 0 {
             continue;
         }
         busy.entry((e.node, key.array))
@@ -415,8 +418,15 @@ mod tests {
     fn cross_array_overlap_requires_two_arrays() {
         // One array only → busy intervals belong to a single (node,
         // array) union → no overlap, however much they self-overlap.
+        // A sync is in no phase: its span over another array's work on
+        // the same node is no overlap either.
         let rec = TelemetryRecorder::with_ring(64);
         drive(&rec);
+        let other = SubchunkKey::new(0, 1, 0);
+        rec.record(
+            2,
+            &step(other, StepAction::Sync, 0, Duration::from_millis(50)),
+        );
         let report = RunReport::from_recorder(&rec);
         assert_eq!(report.cross_array_overlap_s, 0.0);
 

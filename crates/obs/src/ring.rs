@@ -107,8 +107,8 @@ impl TimelineEvent {
 /// (`{"traceEvents": [...]}`), loadable in `about:tracing` or Perfetto.
 /// Duration-carrying events become complete (`"X"`) events; the rest
 /// become instants (`"i"`). `tid` is the node rank; a step is named by
-/// its action (`fetch`, `write`, `read`, `push`), any other event by its
-/// kind.
+/// its action (`fetch`, `write`, `read`, `push`, `reorg`, `sync`), any
+/// other event by its kind.
 pub fn chrome_trace(events: &[TimelineEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 64);
     let o = &mut out;

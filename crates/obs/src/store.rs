@@ -10,7 +10,8 @@
 //! every shard lock at once, so it never counts half of an event.
 //!
 //! A phase row is kept, not re-summed from kinds: one kind,
-//! [`EventKind::Step`], feeds the exchange or the disk by its action, so
+//! [`EventKind::Step`], feeds the exchange, the disk or the
+//! reorganization by its action, so
 //! each event is added to the phase [`Event::phase`] names, under the
 //! same lock as its kind.
 //!
@@ -742,23 +743,16 @@ mod tests {
     #[test]
     fn phases_sum_their_events() {
         let store = Store::new();
-        let key = SubchunkKey::new(0, 0, 0);
         let ms = Duration::from_millis;
         store.record(0, &step(0, 0, StepAction::Fetch, 1, ms(5)));
         store.record(0, &disk_write(0, 0, 10, ms(7)));
         store.record(1, &step(0, 0, StepAction::Read, 20, ms(2)));
         // A push is a step in no phase.
         store.record(1, &step(0, 0, StepAction::Scatter, 20, ms(50)));
-        store.record(
-            0,
-            &Event::ReorgWorker {
-                key,
-                piece: 0,
-                bytes: 1,
-                dur: ms(1),
-            },
-        );
-        // Not a phase kind: reported, never summed.
+        store.record(0, &step(0, 0, StepAction::Reorg, 1, ms(1)));
+        // A sync is a step in no phase too, and `FsSync` is not a phase
+        // kind: reported, never summed.
+        store.record(0, &step(0, 0, StepAction::Sync, 0, ms(100)));
         store.record(
             0,
             &Event::FsSync {
@@ -776,9 +770,11 @@ mod tests {
         let total: f64 = snap.phases.iter().map(|p| p.secs).sum();
         assert!(
             (total - 0.015).abs() < 1e-9,
-            "fs_sync and a push are in no phase"
+            "fs_sync, a sync and a push are in no phase"
         );
-        assert_eq!(snap.kind(EventKind::Step).count, 4);
+        // Every record above but the file system's is a step: the copy
+        // and the sync are steps' actions, not kinds of their own.
+        assert_eq!(snap.kind(EventKind::Step).count, 6);
     }
 
     /// Writers issue RequestIssued strictly before the matching

@@ -9,8 +9,8 @@
 //! pivoting; the matrix is made diagonally dominant).
 //!
 //! Every panel movement is a Panda collective (`read`/`write` of a
-//! `BLOCK,*`-distributed array); the factorization's broadcasts ride a
-//! `panda_msg::Group` on a second fabric. The result is verified
+//! `BLOCK,*`-distributed array); the factorization's broadcasts are
+//! point-to-point sends on a second fabric. The result is verified
 //! against a sequential LU of the same matrix.
 //!
 //! Run with: `cargo run --release --example out_of_core_lu`
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use panda_core::{ArrayMeta, PandaConfig, PandaSystem, ReadSet, WriteSet};
 use panda_fs::{FileSystem, MemFs};
-use panda_msg::{Group, InProcFabric};
+use panda_msg::{InProcEndpoint, InProcFabric, MatchSpec, NodeId, Transport};
 use panda_schema::{DataSchema, ElementType, Mesh, Shape};
 
 const N: usize = 128; // matrix dimension
@@ -79,6 +79,26 @@ fn to_bytes(vals: &[f64]) -> Vec<u8> {
     out
 }
 
+/// Client `root`'s block to every client over the second fabric: the
+/// root passes `Some` and sends it to each other client, the others pass
+/// `None` and receive it.
+fn broadcast(ep: &mut InProcEndpoint, root: usize, tag: u32, vals: Option<Vec<f64>>) -> Vec<f64> {
+    match vals {
+        Some(vals) => {
+            for c in (0..CLIENTS).filter(|&c| c != root) {
+                ep.send(NodeId(c), tag, to_bytes(&vals)).unwrap();
+            }
+            vals
+        }
+        None => {
+            let env = ep
+                .recv_matching(MatchSpec::from(NodeId(root), tag))
+                .unwrap();
+            to_f64(&env.payload.into_contiguous())
+        }
+    }
+}
+
 /// Sequential reference LU (no pivoting) of the full matrix.
 fn reference_lu() -> Vec<f64> {
     let mut a: Vec<f64> = (0..N * N).map(|x| a0(x / N, x % N)).collect();
@@ -118,7 +138,6 @@ fn main() {
         .launch(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>)
         .unwrap();
     let (bcast_eps, _) = InProcFabric::new(CLIENTS);
-    let group = Group::range(0, CLIENTS);
 
     println!(
         "out-of-core LU: {N}x{N} f64 in {PANELS} column panels of width {W}; \
@@ -127,7 +146,7 @@ fn main() {
 
     std::thread::scope(|s| {
         for (client, mut bcast) in clients.iter_mut().zip(bcast_eps) {
-            let (meta, group) = (&meta, &group);
+            let meta = &meta;
             s.spawn(move || {
                 let rank = client.rank();
                 // Stage the initial matrix onto the I/O nodes, panel by
@@ -158,17 +177,12 @@ fn main() {
 
                     // Factor the diagonal block (owned by client k,
                     // since panel width == rows per client) and share it.
-                    let root = panda_msg::NodeId(k);
                     let diag = if rank == k {
                         factor_block(&mut pk);
-                        let packed = to_bytes(&pk);
-                        group
-                            .broadcast_from(&mut bcast, root, 1, Some(packed))
-                            .unwrap()
+                        broadcast(&mut bcast, k, 1, Some(pk.clone()))
                     } else {
-                        group.broadcast_from(&mut bcast, root, 1, None).unwrap()
+                        broadcast(&mut bcast, k, 1, None)
                     };
-                    let diag = to_f64(&diag);
 
                     // My rows strictly below the diagonal block:
                     // L(i,:) = A(i,:) · U⁻¹ (backward substitution per row).
@@ -216,13 +230,10 @@ fn main() {
                                     pj[r * W + c] = v;
                                 }
                             }
-                            group
-                                .broadcast_from(&mut bcast, root, 2, Some(to_bytes(&pj)))
-                                .unwrap()
+                            broadcast(&mut bcast, k, 2, Some(pj.clone()))
                         } else {
-                            group.broadcast_from(&mut bcast, root, 2, None).unwrap()
+                            broadcast(&mut bcast, k, 2, None)
                         };
-                        let ukj = to_f64(&ukj);
                         if rank == k {
                             pj = ukj.clone();
                         }
